@@ -29,6 +29,7 @@ from .fields import (
     op_count_snapshot,
 )
 from .oracle import (
+    VerifyReport,
     oracle_verify_ldl,
     oracle_verify_lu,
     oracle_verify_partial_ldl,
@@ -368,7 +369,7 @@ def run(args) -> tuple[int, dict]:
                 verify_rep = oracle_verify_ldl(a.densify(), out.explicit)
             else:
                 ok = transcript_reconstruct(out.transcript) == a.relabel(out.order).densify()
-                verify_rep = _FakeReport(ok, None if ok else "transcript reconstruction mismatch")
+                verify_rep = VerifyReport(ok, None if ok else "transcript reconstruction mismatch")
     elif args.mode == "sparse-lu":
         b = mm_to_dense(args.matrix, ctx)
         td = _load_td(args, b.nrows + b.ncols)
@@ -441,7 +442,7 @@ def run(args) -> tuple[int, dict]:
             rep1 = oracle_verify_partial_ldl(system, f)
             rep2 = oracle_verify_ldl(system.dense(), full)
             ok = rep1.ok and rep2.ok
-            verify_rep = _FakeReport(
+            verify_rep = VerifyReport(
                 ok, rep1.first_violation or rep2.first_violation if not ok else None
             )
     if verify_rep is not None:
@@ -462,12 +463,6 @@ def run(args) -> tuple[int, dict]:
     if verify_rep is not None and not verify_rep.ok:
         code = 2
     return code, payload
-
-
-class _FakeReport:
-    def __init__(self, ok, first_violation=None):
-        self.ok = ok
-        self.first_violation = first_violation
 
 
 def _load_td(args, n):

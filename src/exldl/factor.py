@@ -5,6 +5,13 @@ elimination), a recursive rank-revealing LU with row and column
 pivoting, a recursive LDL with symmetric pivoting that reduces to
 matrix multiplication, and inertia extraction from the block diagonal.
 
+The LU splits the rows in half until a block is short enough that every
+triangular solve below it would be a base case and every product a
+classical one; such a block is eliminated row by row instead.  That
+gives the same pivots, hence the same (unique) L and U, and it charges
+the op counter exactly what the recursion's kernels would have metered,
+so results and counts do not depend on where the recursion stops.
+
 Conventions: an LDL result satisfies, entrywise and exactly,
     A[P.fwd[i]][P.fwd[j]] == (L D L^H)[i][j]
 with L unit-diagonal lower-trapezoidal (n x r, reduced form) and D a
@@ -19,8 +26,12 @@ are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
+
+import numpy as np
 
 from .dense import (
+    _TRI_BASE,
     LEFT,
     LOWER_UNIT,
     RIGHT,
@@ -28,6 +39,7 @@ from .dense import (
     DenseMatrix,
     Permutation,
     compose,
+    default_cutoff,
     hstack,
     matmul,
     permute,
@@ -35,11 +47,15 @@ from .dense import (
     vstack,
 )
 from .fields import (
+    GF2,
+    GFP,
     FieldContext,
     InternalInvariantViolation,
     SingularPivot,
     UnorderedField,
     ZeroPivot,
+    _ratio,
+    packed_ops,
 )
 
 SCALAR = "scalar"
@@ -303,32 +319,23 @@ def base_ldl(a: DenseMatrix) -> LDLResult:
 
 
 def fast_lu(a: DenseMatrix, cutoff: int | None = None) -> LUResult:
-    """Rank-revealing P A Q^T = L U by recursive row splitting."""
-    ctx = a.ctx
+    """Rank-revealing P A Q^T = L U by recursive row splitting.
+
+    The top half of the rows is factored first; the bottom half is
+    reduced against its pivots with one triangular solve and one product,
+    and the rest is factored in turn.  Once a block has at most
+    `_TRI_BASE` rows and its bottom half is within the Strassen cutoff,
+    `_lu_rows` finishes it row by row: every solve below that point is a
+    base-case solve and every product a classical one, so `_lu_rows`
+    gives the same factors and meters the same op counts.
+    """
     m, n = a.nrows, a.ncols
-    if m == 1:
-        j = None
-        for t in range(n):
-            if not ctx.is_zero(a.get(0, t)):
-                j = t
-                break
-        if j is None:
-            return LUResult(
-                Permutation.identity(1),
-                Permutation.identity(n),
-                DenseMatrix.zeros(ctx, 1, 0),
-                DenseMatrix.zeros(ctx, 0, n),
-                0,
-            )
-        q = Permutation.transposition(n, 0, j)
-        u = a.take_cols(q.fwd)
-        return LUResult(
-            Permutation.identity(1),
-            q,
-            DenseMatrix.identity(ctx, 1),
-            u,
-            1,
-        )
+    if cutoff is None:
+        cutoff = default_cutoff(a.ctx)
+    # A single row needs no solve or product, whatever the cutoff.
+    if m <= 1 or (m <= _TRI_BASE and (m + 1) // 2 <= cutoff):
+        return _lu_rows(a)
+    ctx = a.ctx
     m1 = m // 2
     top = fast_lu(a.block(0, m1, 0, n), cutoff)
     r1 = top.r
@@ -363,6 +370,173 @@ def fast_lu(a: DenseMatrix, cutoff: int | None = None) -> LUResult:
     ubot = hstack([DenseMatrix.zeros(ctx, r2, r1), bot.U])
     u = vstack([utop, ubot])
     return LUResult(Permutation(pfwd), Permutation(qfwd), l, u, r)
+
+
+def _lu_rows(a: DenseMatrix) -> LUResult:
+    """fast_lu of a short matrix, eliminating its rows one by one.
+
+    Row i is reduced against the pivots found so far, in order.  If
+    anything is left, its first nonzero entry in the current column order
+    is swapped into column r and row i becomes pivot r.  Splitting the
+    rows keeps their order, so these are the pivot rows and the Q of the
+    row-splitting recursion, and P lists the pivot rows and then the
+    others, each ascending, as the recursion does.  With P, Q and r fixed
+    the unit lower L and the upper U are unique: they are the recursion's
+    too.  Rows are kept in the current column order: packed over GF(2),
+    residues over GF(p), and over Q integers over one denominator per
+    row, scaled freely.  With a counter on, the ops the recursion would
+    meter are charged by `_charge_row_splitting`.
+    """
+    ctx = a.ctx
+    m, n = a.nrows, a.ncols
+    q = list(range(n))
+    piv = []
+    lower = None
+    if ctx.kind == GF2:
+        rows = list(a._d)
+        urows, lower = [], []
+        for i in range(m):
+            row, bits = rows[i], 0
+            for s, u in enumerate(urows):
+                if row >> s & 1:
+                    row ^= u
+                    bits |= 1 << s
+            r = len(urows)
+            rest = row >> r
+            if rest:
+                j = r + (rest & -rest).bit_length() - 1
+                if j != r:
+                    q[r], q[j] = q[j], q[r]
+                    flip = 1 << r | 1 << j
+
+                    def swap(x):
+                        return x ^ flip if (x >> r ^ x >> j) & 1 else x
+
+                    rows[i + 1 :] = map(swap, rows[i + 1 :])
+                    urows = list(map(swap, urows))
+                    row ^= flip
+                urows.append(row)
+                bits |= 1 << r
+                piv.append(i)
+            lower.append(bits)
+    else:
+        gfp = ctx.kind == GFP
+        zero = 0 if gfp else ctx.zero
+        if gfp:
+            p = ctx.p
+            rows, dens = a._d.tolist(), [1] * m
+        else:
+            rows, dens = [], []
+            for row in a._d:
+                den = lcm(*(x.denominator for x in row))
+                rows.append([x.numerator * (den // x.denominator) for x in row])
+                dens.append(den)
+        # GF(p): heads[s] is the inverse of pivot s.  Q: pivot row s is
+        # urows[s] * g / e with heads[s] = (g, e).
+        urows, heads, lrows = [], [], []
+        for i in range(m):
+            row, den, mult = rows[i], dens[i], []
+            for s, u in enumerate(urows):
+                c = row[s]
+                if not c:
+                    mult.append(zero)
+                elif gfp:
+                    f = c * heads[s] % p
+                    row[s + 1 :] = [(x - f * y) % p for x, y in zip(row[s + 1 :], u[s + 1 :])]
+                    mult.append(f)
+                else:
+                    g, e = heads[s]
+                    us = u[s]
+                    mult.append(_ratio(c * e, den * us * g))
+                    row[s + 1 :] = [x * us - c * y for x, y in zip(row[s + 1 :], u[s + 1 :])]
+                    den *= us
+            r = len(urows)
+            j = next((t for t in range(r, n) if row[t]), None)
+            if j is not None:
+                if j != r:
+                    q[r], q[j] = q[j], q[r]
+                    for x in rows[i:] + urows:
+                        x[r], x[j] = x[j], x[r]
+                row[:r] = [0] * r
+                if gfp:
+                    heads.append(pow(row[r], p - 2, p))
+                else:
+                    g = gcd(*row[r:])
+                    row[r:] = [x // g for x in row[r:]]
+                    heads.append((g, den))
+                urows.append(row)
+                mult.append(ctx.one)
+                piv.append(i)
+            lrows.append(mult)
+    r = len(piv)
+    pivots = set(piv)
+    order = piv + [i for i in range(m) if i not in pivots]
+    if ctx.kind == GF2:
+        l = DenseMatrix(ctx, m, r, [lower[i] for i in order])
+        u = DenseMatrix(ctx, r, n, urows)
+    else:
+        lpad = [lrows[i] + [zero] * (r - len(lrows[i])) for i in order]
+        if gfp:
+            l = DenseMatrix(ctx, m, r, np.array(lpad, dtype=np.int64).reshape(m, r))
+            u = DenseMatrix(ctx, r, n, np.array(urows, dtype=np.int64).reshape(r, n))
+        else:
+            l = DenseMatrix(ctx, m, r, lpad)
+            vals = [
+                [zero] * t + [_ratio(x * g, e) for x in row[t:]]
+                for t, (row, (g, e)) in enumerate(zip(urows, heads))
+            ]
+            u = DenseMatrix(ctx, r, n, vals)
+    if ctx.counter is not None:
+        upper = urows
+        if ctx.kind != GF2:
+            upper = [sum(1 << c for c in range(t + 1, r) if row[c]) for t, row in enumerate(urows)]
+        _charge_row_splitting(ctx, m, n, pivots, upper, lower)
+    return LUResult(Permutation(order), Permutation(q), l, u, r)
+
+
+def _charge_row_splitting(ctx: FieldContext, m: int, n: int, pivots, upper, lower):
+    """Charge the ops fast_lu's row-splitting recursion meters on m rows.
+
+    The split of rows lo..hi at mid = lo + (hi - lo) // 2, whose top half
+    holds pivots o..o + r1, makes a base-case `tri_solve` against
+    U[o:o + r1, o:o + r1], a classical product of the nb = hi - mid bottom
+    rows' multipliers of those pivots with their k = n - o - r1 trailing
+    columns, and a `sub`; each is charged by its kernel's formula.
+    upper[t] has bit c set when U[t][c] != 0 (c past t and below the
+    rank); over GF(2), lower[i] has bit s set when row i's multiplier of
+    pivot s is nonzero.
+    """
+    gf2 = ctx.kind == GF2
+    prefix = [0]
+    for i in range(m):
+        prefix.append(prefix[-1] + (i in pivots))
+    add = mul = inv = 0
+    stack = [(0, m)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < 2:
+            continue
+        mid = lo + (hi - lo) // 2
+        stack += [(lo, mid), (mid, hi)]
+        o, nb = prefix[lo], hi - mid
+        r1 = prefix[mid] - o
+        k = n - o - r1
+        band = ((1 << r1) - 1) << o
+        nnz = sum(((upper[t] & band) >> (t + 1)).bit_count() for t in range(o, o + r1))
+        inv += r1
+        add += nnz * nb
+        mul += (nnz + r1) * nb
+        w = packed_ops(k) if gf2 else k
+        if r1 and k:
+            if gf2:
+                used = sum((lower[i] & band).bit_count() for i in range(mid, hi))
+                add += used * w
+                mul += used * w
+            else:
+                add += nb * k * (r1 - 1)
+                mul += nb * r1 * k
+        add += nb * w
+    ctx.count_ops(add=add, mul=mul, inv=inv)
 
 
 # -- fast LDL ------------------------------------------------------------------

@@ -15,6 +15,7 @@ comment lines starting with "c"; ids are 1-based.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .dense import Permutation
@@ -368,35 +369,43 @@ def greedy_td(n: int, pattern) -> TreeDecomposition:
 
     Eliminating a vertex creates a bag of it and its current neighbors,
     turned into a clique; each bag hangs off the bag of the earliest
-    eliminated vertex among those neighbors.
+    eliminated vertex among those neighbors.  The next vertex is the one
+    of least degree, lowest index first, found in a heap of (degree,
+    vertex) entries: adjacency is kept over live vertices only, the
+    neighbors of each eliminated vertex are pushed again with their new
+    degree, and entries that no longer match are skipped.
     """
     adj = [set() for _ in range(n)]
     for u, v in pattern:
         if u != v:
             adj[u].add(v)
             adj[v].add(u)
-    alive = set(range(n))
-    elim_pos = {}
+    heap = [(len(nb), v) for v, nb in enumerate(adj)]
+    heapq.heapify(heap)
+    alive = [True] * n
     bag_of = {}
     bags = []
     edges = []
-    while alive:
-        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
-        nbrs = adj[v] & alive
-        bags.append(frozenset({v} | nbrs))
-        bag_of[v] = len(bags) - 1
-        elim_pos[v] = len(bags) - 1
+    while heap:
+        d, v = heapq.heappop(heap)
+        if not alive[v] or d != len(adj[v]):
+            continue
+        alive[v] = False
+        nbrs = adj[v]
+        bag_of[v] = len(bags)
+        bags.append(frozenset(nbrs | {v}))
         for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    adj[a].add(b)
-        alive.remove(v)
-    # connect each bag to the bag of the first-eliminated neighbor above it
+            na = adj[a]
+            na.discard(v)
+            na |= nbrs
+            na.discard(a)
+            heapq.heappush(heap, (len(na), a))
+    # connect each bag to the bag of its first-eliminated neighbor; every
+    # neighbor in a bag is eliminated after the bag's own vertex
     for v, bid in bag_of.items():
         nbrs = [u for u in bags[bid] if u != v]
-        later = [u for u in nbrs if elim_pos[u] > elim_pos[v]]
-        if later:
-            u = min(later, key=lambda w: elim_pos[w])
+        if nbrs:
+            u = min(nbrs, key=bag_of.__getitem__)
             edges.append((bid, bag_of[u]))
     # stitch any disconnected components (no cross edges exist, so chaining
     # the component roots keeps all properties)

@@ -1,8 +1,10 @@
 import itertools
 import random
+from zlib import crc32
 
 import pytest
 
+from exldl import factor
 from exldl.dense import DenseMatrix, matmul, permute
 from exldl.factor import (
     DBlock,
@@ -16,10 +18,10 @@ from exldl.factor import (
     unreduced_ldl,
     vertex_eliminate,
 )
-from exldl.fields import SingularPivot, UnorderedField, ZeroPivot
+from exldl.fields import FieldContext, SingularPivot, UnorderedField, ZeroPivot, op_count_snapshot
 from exldl.oracle import oracle_rank, oracle_verify_ldl, oracle_verify_lu
 
-from conftest import GF2, GF7, QQ, rand_matrix, rand_symmetric
+from conftest import GF2, GF7, GF1009, QQ, rand_el, rand_matrix, rand_symmetric
 
 
 def reconstruct_ldl(res, n):
@@ -219,6 +221,19 @@ def test_fast_lu_single_pivot():
     assert oracle_verify_lu(a, res).ok
 
 
+def test_fast_lu_pivots_on_first_nonzero_in_current_column_order():
+    # Each pivot is the first nonzero in the column order left by the
+    # earlier pivots, swapped into place: column 0 moves to position 2 at
+    # the first pivot and comes back to position 1 at the second.
+    a = DenseMatrix.from_rows(GF7, [[0, 0, 2, 1], [1, 0, 0, 0], [0, 4, 0, 0]])
+    for cutoff in (None, 1):
+        res = fast_lu(a, cutoff)
+        assert res.Q.fwd == (2, 0, 1, 3)
+        assert res.P.fwd == (0, 1, 2)
+        assert res.U.to_lists() == [[2, 0, 0, 1], [0, 1, 0, 0], [0, 0, 4, 0]]
+        assert res.L.to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_fast_lu_planted_rank_gf2():
     rng = random.Random(11)
     while True:
@@ -250,6 +265,78 @@ def test_fast_lu_structure_row_order(rng):
     assert rep.ok, rep.first_violation
     piv = res.P.fwd[: res.r]
     assert list(piv) == sorted(piv)
+
+
+def _lu_signature(ctx, a, cutoff):
+    """Everything fast_lu returns, entry types included, and its op counts."""
+    ctx.enable_counter()
+    try:
+        res = fast_lu(a, cutoff)
+        ops = op_count_snapshot(ctx)
+    finally:
+        ctx.disable_counter()
+
+    def cells(mat):
+        if ctx.kind == "gfp":
+            return mat.shape, str(mat._d.dtype), mat._d.tolist()
+        if ctx.kind == "gf2":
+            return mat.shape, [(type(x), x) for x in mat._d]
+        return mat.shape, [[(type(x), x) for x in row] for row in mat._d]
+
+    return res.P.fwd, res.Q.fwd, res.r, cells(res.L), cells(res.U), ops
+
+
+def _lu_instances(ctx, rng, count):
+    for _ in range(count):
+        m, n = rng.randint(1, 40), rng.randint(0, 40)
+        density = rng.choice([0.1, 0.4, 1.0])
+
+        def sparse(rows, cols):
+            return DenseMatrix.from_rows(
+                ctx,
+                [
+                    [rand_el(ctx, rng) if rng.random() < density else 0 for _ in range(cols)]
+                    for _ in range(rows)
+                ],
+            )
+
+        rank = rng.randint(0, min(m, n))
+        a = matmul(sparse(m, rank), sparse(rank, n)) if rank else sparse(m, n)
+        yield a, rng.choice([None, 1, 2, 4])
+
+
+LU_FIELDS = [GF2, GF7, GF1009, FieldContext.gfp(2**31 - 1), QQ]
+
+
+@pytest.mark.parametrize("ctx", LU_FIELDS, ids=["gf2", "gf7", "gf1009", "gf2^31-1", "rational"])
+def test_lu_rows_matches_recursion(ctx, monkeypatch):
+    # With the bound at 1 only single rows reach _lu_rows, so fast_lu splits
+    # every block down to one row, with a solve and a product at each split.
+    rng = random.Random(crc32(repr(ctx).encode()))
+    cases = list(_lu_instances(ctx, rng, 40))
+    fast = [_lu_signature(ctx, a, cutoff) for a, cutoff in cases]
+    monkeypatch.setattr(factor, "_TRI_BASE", 1)
+    for (a, cutoff), got in zip(cases, fast):
+        assert got == _lu_signature(ctx, a, cutoff), (a.shape, cutoff)
+
+
+def test_lu_rows_counts_are_checked(monkeypatch):
+    # One tri_solve inversion too few is caught by the comparison above.
+    a = rand_matrix(GF7, random.Random(5), 9, 9)
+    fast = _lu_signature(GF7, a, None)
+    with monkeypatch.context() as patch:
+        patch.setattr(factor, "_TRI_BASE", 1)
+        assert _lu_signature(GF7, a, None) == fast
+    charge = factor._charge_row_splitting
+
+    def drop_one_inversion(ctx, *args):
+        charge(ctx, *args)
+        ctx.count_ops(inv=-1)
+
+    monkeypatch.setattr(factor, "_charge_row_splitting", drop_one_inversion)
+    mutated = _lu_signature(GF7, a, None)
+    assert mutated[:5] == fast[:5]
+    assert mutated[5] != fast[5]
 
 
 # -- inertia ---------------------------------------------------------------------

@@ -213,3 +213,69 @@ def test_greedy_td_always_valid():
         td = greedy_td(n, sorted(edges))
         rep = validate_td(td, sorted(edges))
         assert rep.ok, rep.violations
+
+
+
+def _greedy_td_reference(n, pattern):
+    """greedy_td as it was: a min over every live vertex per step, O(n^2)."""
+    adj = [set() for _ in range(n)]
+    for u, v in pattern:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    alive = set(range(n))
+    pos = {}
+    bags = []
+    while alive:
+        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
+        nbrs = adj[v] & alive
+        pos[v] = len(bags)
+        bags.append(frozenset({v} | nbrs))
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+        alive.remove(v)
+    edges = []
+    for v, bid in pos.items():
+        later = [u for u in bags[bid] if pos[u] > pos[v]]
+        if later:
+            edges.append((bid, pos[min(later, key=pos.__getitem__)]))
+    dsu = list(range(len(bags)))
+
+    def find(x):
+        while dsu[x] != x:
+            x = dsu[x]
+        return x
+
+    for u, v in edges:
+        dsu[find(u)] = find(v)
+    roots = sorted({find(i) for i in range(len(bags))})
+    for a, b in zip(roots, roots[1:]):
+        edges.append((a, b))
+        dsu[find(a)] = find(b)
+    return TreeDecomposition.build(n, bags or [frozenset()], edges, root=0)
+
+
+def test_greedy_td_matches_quadratic_reference():
+    rng = random.Random(29)
+    cases = [
+        (0, []),
+        (1, []),
+        (5, []),  # isolated vertices only
+        (6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),  # a clique
+        (8, [(i, (i + 1) % 8) for i in range(8)]),  # a cycle: every degree ties
+        (9, [(0, 1), (1, 2), (2, 0), (4, 5), (7, 8), (3, 3)]),  # components, a loop
+    ]
+    for _ in range(150):
+        n = rng.randint(0, 45)
+        density = rng.choice([0.0, 0.05, 0.15, 0.4, 0.9])
+        pattern = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        if n > 3 and rng.random() < 0.3:  # a dense clique among sparser vertices
+            clique = rng.sample(range(n), rng.randint(2, min(n, 8)))
+            pattern += [(v, u) for u in clique for v in clique if u < v]
+        rng.shuffle(pattern)
+        cases.append((n, pattern))
+    for n, pattern in cases:
+        td = greedy_td(n, pattern)
+        ref = _greedy_td_reference(n, pattern)
+        assert (td.bags, td.parent, td.children) == (ref.bags, ref.parent, ref.children)
+        assert validate_td(td, pattern).ok
