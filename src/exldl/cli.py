@@ -240,13 +240,11 @@ def _transform_json(ctx, tf):
             "col2": [[i, fmt_el(ctx, v)] for i, v in tf.col2],
             "d": _dblock_json(ctx, tf.block),
         }
-    if isinstance(tf, Peel):
-        return {
-            "kind": "peel",
-            "target": tf.target,
-            "coeffs": [[i, fmt_el(ctx, v)] for i, v in tf.coeffs],
-        }
-    return {"kind": "permute", "mapping": [list(p) for p in tf.mapping]}
+    return {
+        "kind": "peel",
+        "target": tf.target,
+        "coeffs": [[i, fmt_el(ctx, v)] for i, v in tf.coeffs],
+    }
 
 
 def nnz(m: DenseMatrix) -> int:
@@ -267,6 +265,17 @@ def write_factors_json(path, payload: dict):
 # -- pipeline -----------------------------------------------------------------
 
 
+def _cutoff_arg(text: str) -> int:
+    """A Strassen cutoff: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an int of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="exldl",
@@ -281,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--saddle-split", type=int, help="rows of A in a combined saddle file")
     ap.add_argument("--verify", action="store_true")
     ap.add_argument("--stats", action="store_true")
-    ap.add_argument("--strassen-cutoff", type=int, default=None)
+    ap.add_argument("--strassen-cutoff", type=_cutoff_arg, default=None)
     ap.add_argument("--out", help="output JSON path")
     ap.add_argument("--seed", type=int, default=0, help="seed recorded for reproducibility")
     return ap

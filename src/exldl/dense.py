@@ -14,6 +14,13 @@ column over one common denominator.  Every result entry is normalised
 once, into the context's rational type.  GF(p) substitution works on
 whole numpy rows, GF(2) substitution on packed rows.
 
+GF(2) column gathers (`take_cols`, so `permute`) and transposes of more
+than `_GF2_BIT_LOOP_MAX` entries unpack the packed rows into a uint8 bit
+array (`int.to_bytes` and `np.unpackbits`), index or transpose it in
+numpy and pack it back (`np.packbits` and `int.from_bytes`), in the
+spirit of M4RI's bit-matrix transposes and column swaps; smaller ones
+move one bit at a time, which is cheaper below numpy's per-call cost.
+
 Multiplication uses Strassen recursion above a configurable cutoff
 (7 multiplies per level, zero-padding odd dimensions, rectangles tiled
 into near-square blocks) and classical kernels below it.  Over an exact
@@ -111,6 +118,34 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 def _gf2_mask(ncols: int) -> int:
     return (1 << ncols) - 1
+
+
+# Column gathers and transposes of GF(2) matrices with at most this many
+# entries run per bit in Python; larger ones go through a uint8 bit array,
+# whose numpy calls cost 10-15 us per call whatever the size.  Replaying the
+# calls of one pass of each benchmark workload, this threshold was within 5%
+# of the fastest of 64, 128, 512 and either route for every size.
+_GF2_BIT_LOOP_MAX = 256
+
+
+def _gf2_unpack(rows, ncols: int) -> np.ndarray:
+    """(len(rows), ncols) uint8 array of the bits of packed GF(2) rows;
+    every row must be below 1 << ncols."""
+    nbytes = (ncols + 7) // 8
+    buf = b"".join([r.to_bytes(nbytes, "little") for r in rows])
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=ncols, bitorder="little")
+
+
+def _gf2_pack(bits: np.ndarray) -> list:
+    """Packed GF(2) rows of a C-contiguous 0/1 array; the inverse of
+    `_gf2_unpack`."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    nbytes = packed.shape[1]
+    if not nbytes:
+        return [0] * len(packed)
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
 
 
 class DenseMatrix:
@@ -241,6 +276,9 @@ class DenseMatrix:
     def take_cols(self, idx) -> "DenseMatrix":
         idx = list(idx)
         if self.ctx.kind == GF2:
+            if self.nrows * len(idx) > _GF2_BIT_LOOP_MAX:
+                bits = np.take(_gf2_unpack(self._d, self.ncols), idx, axis=1)
+                return DenseMatrix(self.ctx, self.nrows, len(idx), _gf2_pack(bits))
             rows = []
             for r in self._d:
                 acc = 0
@@ -343,6 +381,10 @@ class DenseMatrix:
     def conj_transpose(self) -> "DenseMatrix":
         ctx = self.ctx
         if ctx.kind == GF2:
+            if self.nrows * self.ncols > _GF2_BIT_LOOP_MAX:
+                bits = _gf2_unpack(self._d, self.ncols)
+                cols = _gf2_pack(np.ascontiguousarray(bits.T))
+                return DenseMatrix(ctx, self.ncols, self.nrows, cols)
             cols = [0] * self.ncols
             for i, row in enumerate(self._d):
                 r = row
@@ -408,12 +450,19 @@ def default_cutoff(ctx: FieldContext) -> int:
     return DEFAULT_CUTOFF_GF2 if ctx.kind == GF2 else DEFAULT_CUTOFF_SCALAR
 
 
+def check_cutoff(cutoff: int | None) -> None:
+    """Reject a Strassen cutoff below 1: the recursion would never end."""
+    if cutoff is not None and cutoff < 1:
+        raise ValueError(f"Strassen cutoff must be at least 1, got {cutoff}")
+
+
 def matmul(a: DenseMatrix, b: DenseMatrix, cutoff: int | None = None) -> DenseMatrix:
     """Exact product, Strassen above the cutoff, classical below."""
     if a.ctx != b.ctx:
         raise DimensionMismatch("mixed field contexts")
     if a.ncols != b.nrows:
         raise DimensionMismatch(f"inner dims {a.ncols} vs {b.nrows}")
+    check_cutoff(cutoff)
     if cutoff is None:
         cutoff = default_cutoff(a.ctx)
     return _mm(a, b, cutoff)
@@ -561,6 +610,7 @@ def _is_unit(shape: str) -> bool:
 
 def tri_invert(l: DenseMatrix, shape: str, cutoff: int | None = None) -> DenseMatrix:
     """Exact inverse of a triangular matrix of the stated shape."""
+    check_cutoff(cutoff)
     n = l.nrows
     if l.ncols != n:
         raise DimensionMismatch("triangular inverse needs a square matrix")
@@ -625,6 +675,7 @@ def tri_solve(
     l: DenseMatrix, b: DenseMatrix, side: str, shape: str, cutoff: int | None = None
 ) -> DenseMatrix:
     """X with l X = b (side=left) or X l = b (side=right), exact."""
+    check_cutoff(cutoff)
     n = l.nrows
     if l.ncols != n:
         raise DimensionMismatch("triangular solve needs a square matrix")

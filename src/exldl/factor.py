@@ -38,6 +38,7 @@ from .dense import (
     UPPER,
     DenseMatrix,
     Permutation,
+    check_cutoff,
     compose,
     default_cutoff,
     hstack,
@@ -330,6 +331,7 @@ def fast_lu(a: DenseMatrix, cutoff: int | None = None) -> LUResult:
     gives the same factors and meters the same op counts.
     """
     m, n = a.nrows, a.ncols
+    check_cutoff(cutoff)
     if cutoff is None:
         cutoff = default_cutoff(a.ctx)
     # A single row needs no solve or product, whatever the cutoff.
@@ -555,6 +557,7 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
     n = a.nrows
     if a.ncols != n:
         raise ValueError("LDL needs a square matrix")
+    check_cutoff(cutoff)
     if n <= 3:
         return base_ldl(a)
     s = n // 3

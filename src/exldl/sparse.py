@@ -164,19 +164,12 @@ class Peel:
     coeffs: tuple  # ((index, value), ...) support on still-active vertices
 
 
-@dataclass(frozen=True)
-class Permute:
-    mapping: tuple  # ((index, new position), ...) bookkeeping only
-
-
 def _offdiag_count(tf) -> int:
     if isinstance(tf, VertexElim):
         return len(tf.col)
     if isinstance(tf, EdgeElim):
         return len(tf.col1) + len(tf.col2)
-    if isinstance(tf, Peel):
-        return len(tf.coeffs)
-    return 0
+    return len(tf.coeffs)
 
 
 class Transcript:
@@ -224,27 +217,21 @@ class Transcript:
         return max((_offdiag_count(tf) for tf in self.transforms), default=0)
 
     def kind_histogram(self) -> dict:
+        # "permute" is always 0: no transform permutes.  The key stays so
+        # that the CLI's transform_blocks JSON keeps its shape.
         hist = {"vertex_elim": 0, "edge_elim": 0, "peel": 0, "permute": 0}
-        names = {VertexElim: "vertex_elim", EdgeElim: "edge_elim", Peel: "peel", Permute: "permute"}
+        names = {VertexElim: "vertex_elim", EdgeElim: "edge_elim", Peel: "peel"}
         for tf in self.transforms:
             hist[names[type(tf)]] += 1
         return hist
 
     def homogeneous_blocks(self) -> int:
         """Number of maximal runs of same-class transforms (eliminations,
-        peels, permutations)."""
-
-        def cls(tf):
-            if isinstance(tf, (VertexElim, EdgeElim)):
-                return "elim"
-            if isinstance(tf, Peel):
-                return "peel"
-            return "perm"
-
+        peels)."""
         runs = 0
         prev = None
         for tf in self.transforms:
-            c = cls(tf)
+            c = isinstance(tf, Peel)
             if c != prev:
                 runs += 1
                 prev = c

@@ -102,37 +102,44 @@ def validate_td(td: TreeDecomposition, pattern) -> TDReport:
     """Check the three decomposition properties against a sparsity pattern.
 
     `pattern` is an iterable of (u, v) off-diagonal nonzero positions.
-    Returns a structured report; never raises.
+    Returns a structured report; never raises.  Every check reads one
+    vertex -> bags index instead of scanning every bag.
     """
     violations = []
-    covered = set()
-    for b in td.bags:
-        covered |= b
+    holding = {}  # vertex -> ids of the bags that hold it, ascending
+    for i, b in enumerate(td.bags):
+        for v in b:
+            holding.setdefault(v, []).append(i)
     for v in range(td.n):
-        if v not in covered:
+        if v not in holding:
             violations.append(("vertex-uncovered", v))
             break
-    # connectivity of the bag set of each vertex
+    # connectivity of the bag set of each vertex, over the tree edges
+    # between two of its bags
     for v in range(td.n):
-        holding = [i for i, b in enumerate(td.bags) if v in b]
-        if not holding:
+        ids = holding.get(v)
+        if not ids:
             continue
-        hold = set(holding)
-        seen = {holding[0]}
-        stack = [holding[0]]
+        near = {i: [] for i in ids}
+        for i in ids:
+            p = td.parent[i]
+            if p in near:
+                near[i].append(p)
+                near[p].append(i)
+        seen = {ids[0]}
+        stack = [ids[0]]
         while stack:
-            u = stack.pop()
-            for w in td.children[u] + [td.parent[u]]:
-                if w >= 0 and w in hold and w not in seen:
+            for w in near[stack.pop()]:
+                if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if seen != hold:
-            violations.append(("vertex-bags-disconnected", v, sorted(hold - seen)))
+        if len(seen) != len(ids):
+            violations.append(("vertex-bags-disconnected", v, sorted(set(ids) - seen)))
             break
     for u, v in pattern:
         if u == v:
             continue
-        if not any(u in b and v in b for b in td.bags):
+        if not any(v in td.bags[i] for i in holding.get(u, ())):
             violations.append(("edge-uncovered", (u, v)))
             break
     return TDReport(not violations, violations)

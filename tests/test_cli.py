@@ -103,6 +103,20 @@ def test_cmd_dense_ldl_star(tmp_path, capsys):
     assert payload["report"]["verify"]["ok"] is True
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-3", "x"])
+def test_cmd_rejects_strassen_cutoff_below_one(tmp_path, capsys, cutoff):
+    p = star_mtx(tmp_path)
+    out = tmp_path / "out.json"
+    argv = ["--field", "gf2", "--mode", "dense-ldl", "--matrix", str(p), "--out", str(out)]
+    code = main(argv + ["--strassen-cutoff", cutoff])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: exldl")
+    assert "argument --strassen-cutoff: expected an int of at least 1" in err
+    assert not out.exists()
+    assert main(argv + ["--strassen-cutoff", "1"]) == 0
+
+
 def test_cmd_sparse_requires_td(tmp_path, capsys):
     p = star_mtx(tmp_path)
     code = main(["--field", "gf2", "--mode", "sparse-ldl", "--matrix", str(p)])

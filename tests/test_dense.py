@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from exldl import dense
 from exldl.dense import (
     LEFT,
     LOWER,
@@ -18,9 +19,10 @@ from exldl.dense import (
     tri_invert,
     tri_solve,
 )
+from exldl.factor import fast_ldl, fast_lu
 from exldl.fields import DimensionMismatch, FieldContext, SingularDiagonal
 
-from conftest import GF2, GF7, GF1009, QQ, rand_matrix
+from conftest import GF2, GF7, GF1009, QQ, rand_matrix, rand_symmetric
 
 
 def test_identity_matmul(ctx, rng):
@@ -306,3 +308,99 @@ def test_tri_solve_base_op_counts(kctx, side, shape):
         "mul": (nnz + (0 if unit else n)) * nv,
         "inv": 0 if unit else n,
     }
+
+
+# -- GF(2) column gathers and transposes against per-bit references ----------
+
+
+def ref_take_cols_bits(rows, idx):
+    return [sum(((r >> j) & 1) << jj for jj, j in enumerate(idx)) for r in rows]
+
+
+def ref_transpose_bits(rows, ncols):
+    return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)]
+
+
+def assert_packed(m):
+    """The packed-row invariant `to_bytes` relies on: one int per row, each
+    below 1 << ncols."""
+    assert len(m._d) == m.nrows
+    assert all(type(r) is int and 0 <= r < 1 << m.ncols for r in m._d)
+
+
+GF2_HEIGHTS = [0, 1, 3, 29]
+GF2_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 257, 512]
+
+
+# "bits" and "array" force one route for every shape; "default" splits at
+# dense._GF2_BIT_LOOP_MAX, which the heights and widths above straddle
+# (3 x 9 and 1 x 256 per bit, 29 x 9 and 1 x 257 through the bit array).
+@pytest.fixture(params=["default", "bits", "array"])
+def gf2_route(request, monkeypatch):
+    if request.param == "bits":
+        monkeypatch.setattr(dense, "_GF2_BIT_LOOP_MAX", 10**9)
+    elif request.param == "array":
+        monkeypatch.setattr(dense, "_GF2_BIT_LOOP_MAX", -1)
+    return request.param
+
+
+def gf2_rows(rng, m, k):
+    rows = [rng.getrandbits(k) if k else 0 for _ in range(m)]
+    if m > 1:
+        rows[0] = (1 << k) - 1  # the top bit of the last byte
+        rows[-1] = 0
+    return rows
+
+
+def test_gf2_take_cols_matches_per_bit_reference(gf2_route):
+    rng = random.Random(41)
+    for m in GF2_HEIGHTS:
+        for k in GF2_WIDTHS:
+            rows = gf2_rows(rng, m, k)
+            a = DenseMatrix(GF2, m, k, list(rows))
+            perm = list(range(k))
+            rng.shuffle(perm)
+            subset = rng.sample(range(k), k // 2)
+            dups = [rng.randrange(k) for _ in range(k + 3)] if k else []
+            for idx in (perm, sorted(subset), subset, dups, []):
+                got = a.take_cols(idx)
+                assert got.shape == (m, len(idx))
+                assert got._d == ref_take_cols_bits(rows, idx), (m, k, idx)
+                assert_packed(got)
+            assert a._d == rows
+
+
+def test_gf2_conj_transpose_matches_per_bit_reference(gf2_route):
+    rng = random.Random(43)
+    for m in GF2_HEIGHTS:
+        for k in GF2_WIDTHS:
+            rows = gf2_rows(rng, m, k)
+            a = DenseMatrix(GF2, m, k, list(rows))
+            at = a.conj_transpose()
+            assert at.shape == (k, m)
+            assert at._d == ref_transpose_bits(rows, k), (m, k)
+            assert_packed(at)
+            assert at.conj_transpose() == a
+
+
+def test_gf2_permute_matches_per_bit_reference(gf2_route):
+    rng = random.Random(47)
+    for n in (5, 17, 70):
+        rows = gf2_rows(rng, n, n)
+        p = list(range(n))
+        q = list(range(n))
+        rng.shuffle(p)
+        rng.shuffle(q)
+        got = permute(DenseMatrix(GF2, n, n, rows), Permutation(p), Permutation(q))
+        assert got._d == ref_take_cols_bits([rows[i] for i in p], q)
+        assert_packed(got)
+
+
+def test_gf2_factors_keep_packed_rows(gf2_route):
+    rng = random.Random(53)
+    for (m, n), cutoff in (((40, 40), None), ((70, 130), 8), ((300, 300), None)):
+        ldl = fast_ldl(rand_symmetric(GF2, rng, n), cutoff)
+        assert_packed(ldl.L)
+        lu = fast_lu(DenseMatrix(GF2, m, n, gf2_rows(rng, m, n)), cutoff)
+        assert_packed(lu.L)
+        assert_packed(lu.U)

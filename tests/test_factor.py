@@ -5,7 +5,7 @@ from zlib import crc32
 import pytest
 
 from exldl import factor
-from exldl.dense import DenseMatrix, matmul, permute
+from exldl.dense import LEFT, LOWER_UNIT, DenseMatrix, matmul, permute, tri_invert, tri_solve
 from exldl.factor import (
     DBlock,
     base_ldl,
@@ -20,6 +20,9 @@ from exldl.factor import (
 )
 from exldl.fields import FieldContext, SingularPivot, UnorderedField, ZeroPivot, op_count_snapshot
 from exldl.oracle import oracle_rank, oracle_verify_ldl, oracle_verify_lu
+from exldl.saddle import SaddleSystem, schilders_partial_ldl
+from exldl.sparse import SparseSym, sparse_ldl, sparse_lu, tree_ldl, tree_ldl_substep
+from exldl.treedec import TreeDecomposition, normalize_td
 
 from conftest import GF2, GF7, GF1009, QQ, rand_el, rand_matrix, rand_symmetric
 
@@ -337,6 +340,52 @@ def test_lu_rows_counts_are_checked(monkeypatch):
     mutated = _lu_signature(GF7, a, None)
     assert mutated[:5] == fast[:5]
     assert mutated[5] != fast[5]
+
+
+# -- Strassen cutoff -------------------------------------------------------------
+
+
+def _cutoff_calls():
+    """Every public entry point that takes a Strassen cutoff, on a 2 x 2 input."""
+    a = DenseMatrix.from_rows(GF7, [[1, 2], [2, 3]])
+    l = DenseMatrix.identity(GF7, 2)
+    sym = SparseSym.from_entries(GF7, 2, [(0, 0, 1), (0, 1, 2), (1, 1, 3)])
+    td = TreeDecomposition.build(2, [{0, 1}], [])
+    return {
+        "matmul": lambda c: matmul(a, a, c),
+        "tri_invert": lambda c: tri_invert(l, LOWER_UNIT, c),
+        "tri_solve": lambda c: tri_solve(l, a, LEFT, LOWER_UNIT, c),
+        "fast_lu": lambda c: fast_lu(a, c),
+        "fast_ldl": lambda c: fast_ldl(a, c),
+        "schilders_partial_ldl": lambda c: schilders_partial_ldl(SaddleSystem(a, l), c),
+        "tree_ldl_substep": lambda c: tree_ldl_substep(a, DenseMatrix.zeros(GF7, 0, 2), 0, c),
+        "tree_ldl": lambda c: tree_ldl(sym, normalize_td(td), 0, c),
+        "sparse_ldl": lambda c: sparse_ldl(sym, td, cutoff=c),
+        "sparse_lu": lambda c: sparse_lu(a, cutoff=c),
+    }
+
+
+CUTOFF_CALLS = _cutoff_calls()
+
+
+@pytest.mark.parametrize("name", sorted(CUTOFF_CALLS))
+def test_cutoff_below_one_is_rejected(name):
+    call = CUTOFF_CALLS[name]
+    for cutoff in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            call(cutoff)
+    call(1)
+    call(None)
+
+
+@pytest.mark.parametrize("ctx", LU_FIELDS, ids=["gf2", "gf7", "gf1009", "gf2^31-1", "rational"])
+def test_cutoff_one_gives_the_default_factors(ctx):
+    rng = random.Random(crc32(repr(ctx).encode()))
+    for n in (1, 2, 5, 9, 17, 24):
+        a = rand_symmetric(ctx, rng, n)
+        assert fast_ldl(a, 1) == fast_ldl(a)
+        b = rand_matrix(ctx, rng, n, n + 3)
+        assert fast_lu(b, 1) == fast_lu(b)
 
 
 # -- inertia ---------------------------------------------------------------------

@@ -244,6 +244,19 @@ def test_star_graph_small_transforms():
         assert len(elims) == 1 and isinstance(elims[0], EdgeElim)
 
 
+def test_transform_histogram_and_runs():
+    a, td = star_graph(GF7, 6)
+    t = sparse_ldl(a, td).transcript
+    kinds = ["peel" if isinstance(tf, Peel) else "elim" for tf in t.transforms]
+    hist = t.kind_histogram()
+    assert list(hist) == ["vertex_elim", "edge_elim", "peel", "permute"]
+    assert hist["permute"] == 0
+    assert hist["peel"] == kinds.count("peel") == 4
+    assert hist["vertex_elim"] + hist["edge_elim"] == kinds.count("elim")
+    runs = 1 + sum(1 for x, y in zip(kinds, kinds[1:]) if x != y)
+    assert t.homogeneous_blocks() == runs
+
+
 def test_star_graph_explicit_recovery():
     a, td = star_graph(GF2, 8)
     out = sparse_ldl(a, td, explicit=True)

@@ -279,3 +279,82 @@ def test_greedy_td_matches_quadratic_reference():
         ref = _greedy_td_reference(n, pattern)
         assert (td.bags, td.parent, td.children) == (ref.bags, ref.parent, ref.children)
         assert validate_td(td, pattern).ok
+
+
+def _validate_td_reference(td, pattern):
+    """validate_td as it was: every bag scanned for each vertex and each
+    edge, O(n * bags)."""
+    violations = []
+    covered = set()
+    for b in td.bags:
+        covered |= b
+    for v in range(td.n):
+        if v not in covered:
+            violations.append(("vertex-uncovered", v))
+            break
+    for v in range(td.n):
+        holding = [i for i, b in enumerate(td.bags) if v in b]
+        if not holding:
+            continue
+        hold = set(holding)
+        seen = {holding[0]}
+        stack = [holding[0]]
+        while stack:
+            u = stack.pop()
+            for w in td.children[u] + [td.parent[u]]:
+                if w >= 0 and w in hold and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if seen != hold:
+            violations.append(("vertex-bags-disconnected", v, sorted(hold - seen)))
+            break
+    for u, v in pattern:
+        if u == v:
+            continue
+        if not any(u in b and v in b for b in td.bags):
+            violations.append(("edge-uncovered", (u, v)))
+            break
+    return not violations, violations
+
+
+def _broken_decompositions(rng, n, graph, td):
+    """The decomposition with one vertex left out, one vertex added to a bag
+    away from its own, and the pattern with an edge no bag covers."""
+    bags = [set(b) for b in td.bags]
+    edges = [(i, p) for i, p in enumerate(td.parent) if p >= 0]
+    v = rng.randrange(n)
+    yield TreeDecomposition.build(n, [b - {v} for b in bags], edges, td.root), graph
+    far = [i for i, b in enumerate(bags) if v not in b]
+    if far:
+        extra = [set(b) for b in bags]
+        extra[rng.choice(far)].add(v)
+        yield TreeDecomposition.build(n, extra, edges, td.root), graph
+    u, w = rng.sample(range(n), 2)
+    yield td, graph + [(u, w), (w, u)]
+    yield td, graph + [(v, n + 3)]
+
+
+def test_validate_td_matches_quadratic_reference():
+    rng = random.Random(37)
+    cases = [
+        (TreeDecomposition.build(0, [frozenset()], []), []),
+        (TreeDecomposition.build(3, [{0, 1}, {1}, {0, 2}], [(0, 1), (1, 2)]), [(0, 2)]),
+        (TreeDecomposition.build(5, [{0, 1}, {1, 2}], [(0, 1)]), [(3, 3), (4, 0)]),
+        (path_td(12), path_pattern(12)),
+        (star_td(9), [(0, i) for i in range(1, 9)]),
+    ]
+    for _ in range(60):
+        n = rng.randint(4, 40)
+        graph, td = random_partial_ktree(rng, n, rng.randint(1, 3))
+        cases.append((td, graph))
+        cases.extend(_broken_decompositions(rng, n, graph, td))
+        pattern = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.1]
+        gtd = greedy_td(n, pattern)
+        cases.append((gtd, pattern))
+        cases.extend(_broken_decompositions(rng, n, pattern, gtd))
+    kinds = set()
+    for td, pattern in cases:
+        rep = validate_td(td, pattern)
+        assert (rep.ok, rep.violations) == _validate_td_reference(td, pattern)
+        kinds.update(v[0] for v in rep.violations)
+    assert kinds == {"vertex-uncovered", "vertex-bags-disconnected", "edge-uncovered"}
