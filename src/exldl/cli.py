@@ -4,13 +4,16 @@ Reads a Matrix Market matrix (and optionally a PACE-format tree
 decomposition), runs the selected factorization, verifies it against the
 reference checks on request, and writes the factors plus a statistics
 report as JSON.  Identical inputs and flags produce byte-identical
-output files.
+output files.  `reverify_json` reads such a file back, rebuilds its
+explicit LDL (P, L, D) or LU (P, Q, L, U) and checks it once more
+against the input matrix the file names.
 
 Matrix Market support is the coordinate format with qualifiers
 general|symmetric and fields integer|pattern, plus a "rational"
 extension whose entries are p/q tokens (only valid with --field
-rational).  Exit codes: 0 success, 1 input error, 2 verification
-failure.
+rational).  Exit codes: 0 success, 1 input error (a bad flag, field
+spec, header, size line or entry, or a matrix of the wrong shape),
+2 verification failure.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .oracle import (
 from .saddle import SaddleSystem, complete_saddle_ldl, schilders_partial_ldl
 from .sparse import (
     EdgeElim,
-    Peel,
     SparseSym,
     VertexElim,
     sparse_ldl,
@@ -45,8 +47,6 @@ from .sparse import (
     transcript_reconstruct,
 )
 from .treedec import read_td
-
-MODES = ("dense-ldl", "dense-lu", "sparse-ldl", "sparse-lu", "saddle")
 
 
 def parse_field(spec: str) -> FieldContext:
@@ -56,10 +56,9 @@ def parse_field(spec: str) -> FieldContext:
         return FieldContext.rational()
     if spec.startswith("gfp:"):
         try:
-            p = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ParseError(f"bad field spec {spec!r}") from None
-        return FieldContext.gfp(p)
+            return FieldContext.gfp(int(spec.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ParseError(f"bad field spec {spec!r}: {exc}") from None
     raise ParseError(f"unknown field {spec!r} (use gf2, gfp:<p>, rational)")
 
 
@@ -121,8 +120,12 @@ def read_matrix_market(path, ctx: FieldContext):
                 raise ParseError(f"{path}: line {lineno}: expected 'rows cols nnz'")
             try:
                 dims = (int(parts[0]), int(parts[1]), int(parts[2]))
+                if min(dims) < 0:
+                    raise ValueError
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: bad size line") from None
+            if symmetry == "symmetric" and dims[0] != dims[1]:
+                raise ParseError(f"{path}: line {lineno}: a symmetric matrix must be square")
             continue
         want = 2 if mmfield == "pattern" else 3
         if len(parts) != want:
@@ -146,7 +149,7 @@ def read_matrix_market(path, ctx: FieldContext):
                     val = ctx.el(tok)
                 else:
                     val = ctx.el(int(tok))
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise ParseError(f"{path}: line {lineno}: bad value {tok!r}") from None
         entries.append((i, j, val))
     if dims is None:
@@ -180,9 +183,8 @@ def mm_to_sparse_sym(path, ctx: FieldContext) -> SparseSym:
             continue
         out.set(i, j, v)
     if not symmetric:
-        dense_check = out
         for i, j, v in entries:
-            if dense_check.get(i, j) != v:
+            if out.get(i, j) != v:
                 raise ParseError(f"{path}: matrix is not symmetric")
     return out
 
@@ -218,10 +220,56 @@ def _coo(ctx, m: DenseMatrix):
     return out
 
 
+def _from_coo(ctx, coo, nrows: int, ncols: int) -> DenseMatrix:
+    m = DenseMatrix.zeros(ctx, nrows, ncols)
+    for i, j, s in coo:
+        m.set(i, j, ctx.el(s))
+    return m
+
+
 def _dblock_json(ctx, blk: DBlock):
     if blk.kind == "scalar":
         return {"kind": "scalar", "d": fmt_el(ctx, blk.d)}
     return {"kind": "antidiag", "a12": fmt_el(ctx, blk.a12), "a21": fmt_el(ctx, blk.a21)}
+
+
+def _dblock_from_json(ctx, b) -> DBlock:
+    if b["kind"] == "scalar":
+        return DBlock.scalar(ctx.el(b["d"]))
+    return DBlock.antidiag(ctx.el(b["a12"]), ctx.el(b["a21"]))
+
+
+def ldl_to_json(ctx, res: LDLResult, p_key: str = "P") -> dict:
+    """{P, L, D} of an LDL; saddle mode writes its P as `P_full`."""
+    return {
+        p_key: list(res.P.fwd),
+        "L": _coo(ctx, res.L),
+        "D": [_dblock_json(ctx, b) for b in res.D],
+    }
+
+
+def ldl_from_json(ctx, factors: dict, r: int, p_key: str = "P") -> LDLResult:
+    """Inverse of `ldl_to_json` for rank r; L has as many rows as P."""
+    p = Permutation(factors[p_key])
+    blocks = [_dblock_from_json(ctx, b) for b in factors["D"]]
+    return LDLResult(p, _from_coo(ctx, factors["L"], len(p.fwd), r), blocks, r)
+
+
+def lu_to_json(ctx, res: LUResult) -> dict:
+    """{P, Q, L, U} of an LU."""
+    return {
+        "P": list(res.P.fwd),
+        "Q": list(res.Q.fwd),
+        "L": _coo(ctx, res.L),
+        "U": _coo(ctx, res.U),
+    }
+
+
+def lu_from_json(ctx, factors: dict, r: int) -> LUResult:
+    """Inverse of `lu_to_json` for rank r; L has len(P) rows, U len(Q) columns."""
+    p, q = Permutation(factors["P"]), Permutation(factors["Q"])
+    l = _from_coo(ctx, factors["L"], len(p.fwd), r)
+    return LUResult(p, q, l, _from_coo(ctx, factors["U"], r, len(q.fwd)), r)
 
 
 def _transform_json(ctx, tf):
@@ -245,15 +293,6 @@ def _transform_json(ctx, tf):
         "target": tf.target,
         "coeffs": [[i, fmt_el(ctx, v)] for i, v in tf.coeffs],
     }
-
-
-def nnz(m: DenseMatrix) -> int:
-    count = 0
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            if not m.ctx.is_zero(m.get(i, j)):
-                count += 1
-    return count
 
 
 def write_factors_json(path, payload: dict):
@@ -296,182 +335,37 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _verify_block(status: bool, detail: str | None):
-    out = {"ok": bool(status)}
-    if detail:
-        out["first_violation"] = detail
-    return out
+def _load_symmetric(args, ctx) -> DenseMatrix:
+    a = mm_to_dense(args.matrix, ctx)
+    if a.nrows != a.ncols or a != a.conj_transpose():
+        raise ParseError(f"{args.matrix}: dense-ldl needs a symmetric matrix")
+    return a
 
 
-def run(args) -> tuple[int, dict]:
-    ctx = parse_field(args.field)
-    cutoff = args.strassen_cutoff
-    report = {
-        "mode": args.mode,
-        "field": field_name(ctx),
-        "seed": args.seed,
-    }
-    factors = {}
-    if args.stats:
-        ctx.enable_counter()
-    verify_rep = None
+def _load_general(args, ctx) -> DenseMatrix:
+    return mm_to_dense(args.matrix, ctx)
 
-    if args.mode == "dense-ldl":
+
+def _load_sparse(args, ctx) -> SparseSym:
+    return mm_to_sparse_sym(args.matrix, ctx)
+
+
+def _load_saddle(args, ctx) -> SaddleSystem:
+    if args.matrix_b:
         a = mm_to_dense(args.matrix, ctx)
-        if a.nrows != a.ncols or a != a.conj_transpose():
-            raise ParseError(f"{args.matrix}: dense-ldl needs a symmetric matrix")
-        res = fast_ldl(a, cutoff)
-        report["n"] = a.nrows
-        report["rank"] = res.r
-        if ctx.is_ordered():
-            report["inertia"] = list(inertia_from_D(res.D, a.nrows, ctx))
-        if args.stats:
-            report["op_counts"] = op_count_snapshot(ctx)
-        report["nnz"] = {"L": nnz(res.L), "D": len(res.D)}
-        factors = {
-            "P": list(res.P.fwd),
-            "L": _coo(ctx, res.L),
-            "D": [_dblock_json(ctx, b) for b in res.D],
-        }
-        if args.verify:
-            verify_rep = oracle_verify_ldl(a, res)
-    elif args.mode == "dense-lu":
-        a = mm_to_dense(args.matrix, ctx)
-        res = fast_lu(a, cutoff)
-        report["n"] = a.ncols
-        report["m"] = a.nrows
-        report["rank"] = res.r
-        if args.stats:
-            report["op_counts"] = op_count_snapshot(ctx)
-        report["nnz"] = {"L": nnz(res.L), "U": nnz(res.U)}
-        factors = {
-            "P": list(res.P.fwd),
-            "Q": list(res.Q.fwd),
-            "L": _coo(ctx, res.L),
-            "U": _coo(ctx, res.U),
-        }
-        if args.verify:
-            verify_rep = oracle_verify_lu(a, res)
-    elif args.mode == "sparse-ldl":
-        a = mm_to_sparse_sym(args.matrix, ctx)
-        td = _load_td(args, a.n)
-        out = sparse_ldl(a, td, cutoff=cutoff)
-        report["n"] = a.n
-        report["rank"] = out.rank
-        report["peel_count"] = out.peel_count
-        report["transform_blocks"] = out.transcript.kind_histogram()
-        report["homogeneous_blocks"] = out.transcript.homogeneous_blocks()
-        if args.stats:
-            report["op_counts"] = op_count_snapshot(ctx)
-        report["nnz"] = {"transcript": out.transcript.nnz()}
-        factors = {
-            "order": list(out.order.fwd),
-            "transcript": [_transform_json(ctx, tf) for tf in out.transcript.transforms],
-            "D": [_dblock_json(ctx, b) for b in out.transcript.dblocks],
-        }
-        if out.explicit is not None:
-            report["nnz"]["L"] = nnz(out.explicit.L)
-            factors["P"] = list(out.explicit.P.fwd)
-            factors["L"] = _coo(ctx, out.explicit.L)
-        if args.verify:
-            if out.explicit is not None:
-                verify_rep = oracle_verify_ldl(a.densify(), out.explicit)
-            else:
-                ok = transcript_reconstruct(out.transcript) == a.relabel(out.order).densify()
-                verify_rep = VerifyReport(ok, None if ok else "transcript reconstruction mismatch")
-    elif args.mode == "sparse-lu":
-        b = mm_to_dense(args.matrix, ctx)
-        td = _load_td(args, b.nrows + b.ncols)
-        out = sparse_lu(b, td, cutoff=cutoff)
-        report["m"] = b.nrows
-        report["n"] = b.ncols
-        report["rank"] = out.rank
-        report["peel_count"] = out.row_peels + out.col_peels
-        report["row_peels"] = out.row_peels
-        report["col_peels"] = out.col_peels
-        report["transform_blocks"] = out.transcript.kind_histogram()
-        report["homogeneous_blocks"] = out.transcript.homogeneous_blocks()
-        if args.stats:
-            report["op_counts"] = op_count_snapshot(ctx)
-        report["nnz"] = {"transcript": out.transcript.nnz()}
-        factors = {
-            "order": list(out.order.fwd),
-            "transcript": [_transform_json(ctx, tf) for tf in out.transcript.transforms],
-        }
-        if out.explicit is not None:
-            res = out.explicit
-            report["nnz"]["L"] = nnz(res.L)
-            report["nnz"]["U"] = nnz(res.U)
-            factors.update(
-                {
-                    "P": list(res.P.fwd),
-                    "Q": list(res.Q.fwd),
-                    "L": _coo(ctx, res.L),
-                    "U": _coo(ctx, res.U),
-                }
-            )
-        if args.verify:
-            if out.explicit is None:
-                raise ParseError("sparse-lu verification needs the explicit factors")
-            verify_rep = oracle_verify_lu(b, out.explicit, structural=False)
-    elif args.mode == "saddle":
-        a, bmat = _load_saddle(args, ctx)
-        system = SaddleSystem(a, bmat)
-        f = schilders_partial_ldl(system, cutoff)
-        full = complete_saddle_ldl(system, f)
-        report["n"] = system.n
-        report["m"] = system.m
-        report["rank_b"] = f.r
-        report["rank"] = full.r
-        if ctx.is_ordered():
-            report["inertia"] = list(
-                inertia_from_D(full.D, system.n + system.m, ctx)
-            )
-        if args.stats:
-            report["op_counts"] = op_count_snapshot(ctx)
-        report["nnz"] = {
-            "Y": nnz(f.Y),
-            "L_partial": nnz(f.L),
-            "U": nnz(f.U),
-            "L": nnz(full.L),
-            "D": len(full.D),
-        }
-        factors = {
-            "P": list(f.P.fwd),
-            "Q": list(f.Q.fwd),
-            "Y": _coo(ctx, f.Y),
-            "L_partial": _coo(ctx, f.L),
-            "U": _coo(ctx, f.U),
-            "D_partial": [fmt_el(ctx, d) for d in f.D],
-            "P_full": list(full.P.fwd),
-            "L": _coo(ctx, full.L),
-            "D": [_dblock_json(ctx, b) for b in full.D],
-        }
-        if args.verify:
-            rep1 = oracle_verify_partial_ldl(system, f)
-            rep2 = oracle_verify_ldl(system.dense(), full)
-            ok = rep1.ok and rep2.ok
-            verify_rep = VerifyReport(
-                ok, rep1.first_violation or rep2.first_violation if not ok else None
-            )
-    if verify_rep is not None:
-        report["verify"] = _verify_block(verify_rep.ok, verify_rep.first_violation)
-    payload = {
-        "report": report,
-        "inputs": {
-            "matrix": args.matrix,
-            "matrix_b": args.matrix_b,
-            "td": args.td,
-            "greedy_td": bool(args.greedy_td),
-            "saddle_split": args.saddle_split,
-            "strassen_cutoff": cutoff,
-        },
-        "factors": factors,
-    }
-    code = 0
-    if verify_rep is not None and not verify_rep.ok:
-        code = 2
-    return code, payload
+        b = mm_to_dense(args.matrix_b, ctx)
+    elif args.saddle_split is not None:
+        combined = mm_to_dense(args.matrix, ctx)
+        n = args.saddle_split
+        if not 0 <= n <= combined.nrows or combined.ncols != n:
+            raise ParseError("--saddle-split does not match the matrix shape")
+        a = combined.block(0, n, 0, n)
+        b = combined.block(n, combined.nrows, 0, n)
+    else:
+        raise ParseError("saddle mode needs --matrix-b or --saddle-split")
+    if a.nrows != a.ncols or a != a.conj_transpose():
+        raise ParseError("saddle mode needs a symmetric A block")
+    return SaddleSystem(a, b)
 
 
 def _load_td(args, n):
@@ -487,112 +381,170 @@ def _load_td(args, n):
     raise ParseError("sparse modes need --td or --greedy-td")
 
 
-def _load_saddle(args, ctx):
-    if args.matrix_b:
-        a = mm_to_dense(args.matrix, ctx)
-        b = mm_to_dense(args.matrix_b, ctx)
-    elif args.saddle_split is not None:
-        combined = mm_to_dense(args.matrix, ctx)
-        n = args.saddle_split
-        if not 0 <= n <= combined.nrows or combined.ncols != n:
-            raise ParseError("--saddle-split does not match the matrix shape")
-        a = combined.block(0, n, 0, n)
-        b = combined.block(n, combined.nrows, 0, n)
-    else:
-        raise ParseError("saddle mode needs --matrix-b or --saddle-split")
-    if a.nrows != a.ncols or a != a.conj_transpose():
-        raise ParseError("saddle mode needs a symmetric A block")
-    return a, b
+# Each mode's factor step takes (input, args, ctx, check of the explicit
+# factors) and returns (report keys, nnz, factors, verify), where verify()
+# gives a VerifyReport and runs only under --verify.
+
+
+def _lens(factors: dict, *keys) -> dict:
+    return {k: len(factors[k]) for k in keys}
+
+
+def _dense_ldl(a, args, ctx, check):
+    res = fast_ldl(a, args.strassen_cutoff)
+    keys = {"n": a.nrows, "rank": res.r}
+    if ctx.is_ordered():
+        keys["inertia"] = list(inertia_from_D(res.D, a.nrows, ctx))
+    factors = ldl_to_json(ctx, res)
+    return keys, _lens(factors, "L", "D"), factors, lambda: check(a, res)
+
+
+def _dense_lu(a, args, ctx, check):
+    res = fast_lu(a, args.strassen_cutoff)
+    factors = lu_to_json(ctx, res)
+    keys = {"n": a.ncols, "m": a.nrows, "rank": res.r}
+    return keys, _lens(factors, "L", "U"), factors, lambda: check(a, res)
+
+
+def _transcript_parts(ctx, out):
+    """Report keys, nnz and factors that both sparse modes share."""
+    t = out.transcript
+    keys = {"transform_blocks": t.kind_histogram(), "homogeneous_blocks": t.homogeneous_blocks()}
+    factors = {
+        "order": list(out.order.fwd),
+        "transcript": [_transform_json(ctx, tf) for tf in t.transforms],
+    }
+    return keys, {"transcript": t.nnz()}, factors
+
+
+def _sparse_ldl(a, args, ctx, check):
+    out = sparse_ldl(a, _load_td(args, a.n), cutoff=args.strassen_cutoff)
+    tkeys, nnz, factors = _transcript_parts(ctx, out)
+    keys = {"n": a.n, "rank": out.rank, "peel_count": out.peel_count, **tkeys}
+    factors["D"] = [_dblock_json(ctx, b) for b in out.transcript.dblocks]
+    if out.explicit is not None:
+        # The explicit D is the transcript's; update leaves "D" before P and L.
+        factors.update(ldl_to_json(ctx, out.explicit))
+        nnz.update(_lens(factors, "L"))
+        return keys, nnz, factors, lambda: check(a, out.explicit)
+
+    def verify():
+        ok = transcript_reconstruct(out.transcript) == a.relabel(out.order).densify()
+        return VerifyReport(ok, None if ok else "transcript reconstruction mismatch")
+
+    return keys, nnz, factors, verify
+
+
+def _sparse_lu(b, args, ctx, check):
+    out = sparse_lu(b, _load_td(args, b.nrows + b.ncols), cutoff=args.strassen_cutoff)
+    tkeys, nnz, factors = _transcript_parts(ctx, out)
+    peels = out.row_peels + out.col_peels
+    keys = {"m": b.nrows, "n": b.ncols, "rank": out.rank, "peel_count": peels,
+            "row_peels": out.row_peels, "col_peels": out.col_peels, **tkeys}
+    if out.explicit is not None:
+        factors.update(lu_to_json(ctx, out.explicit))
+        nnz.update(_lens(factors, "L", "U"))
+
+    def verify():
+        if out.explicit is None:
+            raise ParseError("sparse-lu verification needs the explicit factors")
+        return check(b, out.explicit)
+
+    return keys, nnz, factors, verify
+
+
+def _saddle(system, args, ctx, check):
+    f = schilders_partial_ldl(system, args.strassen_cutoff)
+    full = complete_saddle_ldl(system, f)
+    keys = {"n": system.n, "m": system.m, "rank_b": f.r, "rank": full.r}
+    if ctx.is_ordered():
+        keys["inertia"] = list(inertia_from_D(full.D, system.n + system.m, ctx))
+    factors = {
+        "P": list(f.P.fwd),
+        "Q": list(f.Q.fwd),
+        "Y": _coo(ctx, f.Y),
+        "L_partial": _coo(ctx, f.L),
+        "U": _coo(ctx, f.U),
+        "D_partial": [fmt_el(ctx, d) for d in f.D],
+        **ldl_to_json(ctx, full, "P_full"),
+    }
+
+    def verify():
+        rep1 = oracle_verify_partial_ldl(system, f)
+        rep2 = check(system, full)
+        ok = rep1.ok and rep2.ok
+        return VerifyReport(ok, rep1.first_violation or rep2.first_violation if not ok else None)
+
+    return keys, _lens(factors, "Y", "L_partial", "U", "L", "D"), factors, verify
+
+
+# mode -> (loader, factor step, reader of the explicit factors, their check).
+# The loaders and checks call mm_to_dense, mm_to_sparse_sym and the oracle
+# by their module-level names, so rebinding those names reaches every call.
+_MODES = {
+    "dense-ldl": (_load_symmetric, _dense_ldl, ldl_from_json,
+                  lambda a, res: oracle_verify_ldl(a, res)),
+    "dense-lu": (_load_general, _dense_lu, lu_from_json,
+                 lambda a, res: oracle_verify_lu(a, res)),
+    "sparse-ldl": (_load_sparse, _sparse_ldl, ldl_from_json,
+                   lambda a, res: oracle_verify_ldl(a.densify(), res)),
+    "sparse-lu": (_load_general, _sparse_lu, lu_from_json,
+                  lambda b, res: oracle_verify_lu(b, res, structural=False)),
+    "saddle": (_load_saddle, _saddle, lambda ctx, f, r: ldl_from_json(ctx, f, r, "P_full"),
+               lambda system, res: oracle_verify_ldl(system.dense(), res)),
+}
+MODES = tuple(_MODES)
+
+
+def run(args) -> tuple[int, dict]:
+    ctx = parse_field(args.field)
+    load, factor, _, check = _MODES[args.mode]
+    report = {"mode": args.mode, "field": field_name(ctx), "seed": args.seed}
+    if args.stats:
+        ctx.enable_counter()
+    keys, nnz, factors, verify = factor(load(args, ctx), args, ctx, check)
+    report.update(keys)
+    if args.stats:
+        report["op_counts"] = op_count_snapshot(ctx)
+    report["nnz"] = nnz
+    code = 0
+    if args.verify:
+        rep = verify()
+        report["verify"] = {"ok": bool(rep.ok)}
+        if rep.first_violation:
+            report["verify"]["first_violation"] = rep.first_violation
+        code = 0 if rep.ok else 2
+    payload = {
+        "report": report,
+        "inputs": {
+            "matrix": args.matrix,
+            "matrix_b": args.matrix_b,
+            "td": args.td,
+            "greedy_td": bool(args.greedy_td),
+            "saddle_split": args.saddle_split,
+            "strassen_cutoff": args.strassen_cutoff,
+        },
+        "factors": factors,
+    }
+    return code, payload
 
 
 def reverify_json(json_path) -> bool:
     """Independent re-verification of an emitted factors file: reread the
-    inputs, rebuild the factors from the JSON, and run the reference checks."""
+    input with the mode's loader, rebuild the explicit LDL or LU with the
+    reader that mirrors its writer, and run the mode's reference check."""
     with open(json_path) as fh:
         payload = json.load(fh)
     report = payload["report"]
-    inputs = payload["inputs"]
     factors = payload["factors"]
+    if report["mode"] not in _MODES:
+        raise ParseError(f"unknown mode {report['mode']!r} in {json_path}")
+    load, _, read, check = _MODES[report["mode"]]
     ctx = parse_field(report["field"])
-    mode = report["mode"]
-
-    def parse_coo(key, shape):
-        m = DenseMatrix.zeros(ctx, *shape)
-        for i, j, s in factors[key]:
-            m.set(i, j, ctx.el(s))
-        return m
-
-    def parse_blocks(key):
-        out = []
-        for b in factors[key]:
-            if b["kind"] == "scalar":
-                out.append(DBlock.scalar(ctx.el(b["d"])))
-            else:
-                out.append(DBlock.antidiag(ctx.el(b["a12"]), ctx.el(b["a21"])))
-        return out
-
-    if mode == "dense-ldl":
-        a = mm_to_dense(inputs["matrix"], ctx)
-        blocks = parse_blocks("D")
-        from .factor import d_size
-
-        res = LDLResult(
-            Permutation(factors["P"]),
-            parse_coo("L", (a.nrows, d_size(blocks))),
-            blocks,
-            report["rank"],
-        )
-        return oracle_verify_ldl(a, res).ok
-    if mode == "dense-lu":
-        a = mm_to_dense(inputs["matrix"], ctx)
-        res = LUResult(
-            Permutation(factors["P"]),
-            Permutation(factors["Q"]),
-            parse_coo("L", (a.nrows, report["rank"])),
-            parse_coo("U", (report["rank"], a.ncols)),
-            report["rank"],
-        )
-        return oracle_verify_lu(a, res).ok
-    if mode == "sparse-ldl":
-        a = mm_to_sparse_sym(inputs["matrix"], ctx)
-        if "L" not in factors:
-            return False
-        blocks = parse_blocks("D")
-        res = LDLResult(
-            Permutation(factors["P"]),
-            parse_coo("L", (a.n, report["rank"])),
-            blocks,
-            report["rank"],
-        )
-        return oracle_verify_ldl(a.densify(), res).ok
-    if mode == "sparse-lu":
-        b = mm_to_dense(inputs["matrix"], ctx)
-        if "L" not in factors:
-            return False
-        res = LUResult(
-            Permutation(factors["P"]),
-            Permutation(factors["Q"]),
-            parse_coo("L", (b.nrows, report["rank"])),
-            parse_coo("U", (report["rank"], b.ncols)),
-            report["rank"],
-        )
-        return oracle_verify_lu(b, res, structural=False).ok
-    if mode == "saddle":
-        ns = argparse.Namespace(
-            matrix=inputs["matrix"],
-            matrix_b=inputs["matrix_b"],
-            saddle_split=inputs["saddle_split"],
-        )
-        a, bmat = _load_saddle(ns, ctx)
-        system = SaddleSystem(a, bmat)
-        full = LDLResult(
-            Permutation(factors["P_full"]),
-            parse_coo("L", (system.n + system.m, report["rank"])),
-            parse_blocks("D"),
-            report["rank"],
-        )
-        return oracle_verify_ldl(system.dense(), full).ok
-    raise ParseError(f"unknown mode {mode!r} in {json_path}")
+    x = load(argparse.Namespace(**payload["inputs"]), ctx)
+    if "L" not in factors:
+        return False
+    return check(x, read(ctx, factors, report["rank"])).ok
 
 
 def main(argv=None) -> int:

@@ -172,15 +172,12 @@ def gamma_eliminate_partial(system: SaddleSystem) -> PartialLDL:
     return PartialLDL(Permutation(pfwd), Permutation(qfwd), y, l, u, dvals, r)
 
 
-def schilders_partial_ldl(
-    system: SaddleSystem, cutoff: int | None = None, use_solves: bool = True
-) -> PartialLDL:
+def schilders_partial_ldl(system: SaddleSystem, cutoff: int | None = None) -> PartialLDL:
     """Partial LDL from a rank-revealing LU of B^H (null-space construction).
 
-    The diagonal D is the negation of the diagonal of W = L1^-1 A11 L1^-H
-    and Y comes from the lower-triangular part of W, diagonal included.
-    `use_solves` picks triangular solves over explicit triangular
-    inversion; both produce identical exact results.
+    The diagonal D is the negation of the diagonal of W = L1^-1 A11 L1^-H,
+    computed with two triangular solves, and Y comes from the
+    lower-triangular part of W, diagonal included.
     """
     ctx = system.A.ctx
     n = system.n
@@ -191,14 +188,8 @@ def schilders_partial_ldl(
     a21 = ap.block(r, n, 0, r)
     l1 = lu.L.block(0, r, 0, r)
     l2 = lu.L.block(r, n, 0, r)
-    if use_solves:
-        wa = tri_solve(l1, a11, LEFT, LOWER_UNIT, cutoff)
-        w = tri_solve(l1.conj_transpose(), wa, RIGHT, UPPER_UNIT, cutoff)
-    else:
-        from .dense import tri_invert
-
-        l1i = tri_invert(l1, LOWER_UNIT, cutoff)
-        w = matmul(matmul(l1i, a11, cutoff), l1i.conj_transpose(), cutoff)
+    wa = tri_solve(l1, a11, LEFT, LOWER_UNIT, cutoff)
+    w = tri_solve(l1.conj_transpose(), wa, RIGHT, UPPER_UNIT, cutoff)
     dvals = [ctx.neg(w.get(i, i)) for i in range(r)]
     wl = DenseMatrix.zeros(ctx, r, r)
     for i in range(r):

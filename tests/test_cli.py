@@ -4,6 +4,7 @@ import random
 import pytest
 
 from exldl.cli import (
+    MODES,
     fmt_el,
     main,
     mm_to_dense,
@@ -238,3 +239,56 @@ def test_fmt_el():
     assert fmt_el(QQ, QQ.el("2/4")) == "1/2"
     assert fmt_el(QQ, QQ.el(3)) == "3"
     assert fmt_el(GF7, 5) == "5"
+
+
+@pytest.mark.parametrize(
+    "field, header, body",
+    [
+        ("gfp:4", "integer general", ["1 1 1", "1 1 1"]),
+        ("gfp:3000000019", "integer general", ["1 1 1", "1 1 1"]),
+        ("rational", "rational general", ["1 1 1", "1 1 1/0"]),
+        ("gfp:7", "integer symmetric", ["2 3 1", "1 3 1"]),
+        ("gfp:7", "integer general", ["-1 -1 0"]),
+        ("gf2", "integer general", ["-1 -1 0"]),
+    ],
+)
+def test_cmd_malformed_input_is_an_input_error(tmp_path, capsys, field, header, body):
+    p = tmp_path / "m.mtx"
+    write_mm(p, [f"%%MatrixMarket matrix coordinate {header}"] + body)
+    out = tmp_path / "out.json"
+    code = main(["--field", field, "--mode", "dense-lu", "--matrix", str(p), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_reverify_rejects_tampered_factors(tmp_path, mode):
+    rng = random.Random(5)
+    symmetric = mode in ("dense-ldl", "sparse-ldl", "saddle")
+    a = rand_symmetric(GF7, rng, 6) if symmetric else rand_matrix(GF7, rng, 5, 7)
+    write_matrix_market(tmp_path / "a.mtx", a, symmetric=symmetric)
+    argv = ["--field", "gfp:7", "--mode", mode, "--matrix", str(tmp_path / "a.mtx")]
+    if mode == "saddle":
+        write_matrix_market(tmp_path / "b.mtx", rand_matrix(GF7, rng, 3, 6))
+        argv += ["--matrix-b", str(tmp_path / "b.mtx")]
+    if mode.startswith("sparse"):
+        argv.append("--greedy-td")
+    out = tmp_path / "out.json"
+    assert main(argv + ["--verify", "--out", str(out)]) == 0
+    assert reverify_json(out)
+
+    def bump_l(factors):
+        entry = factors["L"][-1]
+        entry[2] = str((int(entry[2]) + 1) % 7)
+
+    def swap_p(factors):
+        p = factors["P_full" if mode == "saddle" else "P"]
+        p[0], p[-1] = p[-1], p[0]
+
+    for tamper in (bump_l, swap_p):
+        payload = json.loads(out.read_text())
+        tamper(payload["factors"])
+        bad = tmp_path / f"{tamper.__name__}.json"
+        bad.write_text(json.dumps(payload))
+        assert not reverify_json(bad), tamper.__name__
