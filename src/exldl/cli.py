@@ -62,21 +62,6 @@ def parse_field(spec: str) -> FieldContext:
     raise ParseError(f"unknown field {spec!r} (use gf2, gfp:<p>, rational)")
 
 
-def field_name(ctx: FieldContext) -> str:
-    if ctx.kind == "gf2":
-        return "gf2"
-    if ctx.kind == "gfp":
-        return f"gfp:{ctx.p}"
-    return "rational"
-
-
-def fmt_el(ctx: FieldContext, v) -> str:
-    if ctx.kind == "rational":
-        num, den = v.numerator, v.denominator
-        return str(num) if den == 1 else f"{num}/{den}"
-    return str(int(v))
-
-
 # -- Matrix Market ------------------------------------------------------------
 
 
@@ -104,7 +89,7 @@ def read_matrix_market(path, ctx: FieldContext):
         )
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"{path}: line 1: unsupported symmetry {symmetry!r}")
-    if mmfield == "rational" and ctx.kind != "rational":
+    if mmfield == "rational" and ctx.mm_field != "rational":
         raise EntryOutOfField(
             f"{path}: rational entries need --field rational"
         )
@@ -142,9 +127,9 @@ def read_matrix_market(path, ctx: FieldContext):
             tok = parts[2]
             try:
                 if "/" in tok:
-                    if ctx.kind != "rational":
+                    if ctx.mm_field != "rational":
                         raise EntryOutOfField(
-                            f"{path}: line {lineno}: rational entry under {field_name(ctx)}"
+                            f"{path}: line {lineno}: rational entry under {ctx.spec}"
                         )
                     val = ctx.el(tok)
                 else:
@@ -191,7 +176,6 @@ def mm_to_sparse_sym(path, ctx: FieldContext) -> SparseSym:
 
 def write_matrix_market(path, m: DenseMatrix, symmetric: bool = False):
     ctx = m.ctx
-    mmfield = "rational" if ctx.kind == "rational" else "integer"
     symtag = "symmetric" if symmetric else "general"
     rows = []
     for i in range(m.nrows):
@@ -199,9 +183,9 @@ def write_matrix_market(path, m: DenseMatrix, symmetric: bool = False):
         for j in jrange:
             v = m.get(i, j)
             if not ctx.is_zero(v):
-                rows.append(f"{i + 1} {j + 1} {fmt_el(ctx, v)}")
+                rows.append(f"{i + 1} {j + 1} {ctx.fmt(v)}")
     with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate {mmfield} {symtag}\n")
+        fh.write(f"%%MatrixMarket matrix coordinate {ctx.mm_field} {symtag}\n")
         fh.write(f"{m.nrows} {m.ncols} {len(rows)}\n")
         for line in rows:
             fh.write(line + "\n")
@@ -216,21 +200,23 @@ def _coo(ctx, m: DenseMatrix):
         for j in range(m.ncols):
             v = m.get(i, j)
             if not ctx.is_zero(v):
-                out.append([i, j, fmt_el(ctx, v)])
+                out.append([i, j, ctx.fmt(v)])
     return out
 
 
 def _from_coo(ctx, coo, nrows: int, ncols: int) -> DenseMatrix:
     m = DenseMatrix.zeros(ctx, nrows, ncols)
     for i, j, s in coo:
+        if not (0 <= i < nrows and 0 <= j < ncols):
+            raise ParseError(f"factor entry ({i}, {j}) outside {nrows} x {ncols}")
         m.set(i, j, ctx.el(s))
     return m
 
 
 def _dblock_json(ctx, blk: DBlock):
     if blk.kind == "scalar":
-        return {"kind": "scalar", "d": fmt_el(ctx, blk.d)}
-    return {"kind": "antidiag", "a12": fmt_el(ctx, blk.a12), "a21": fmt_el(ctx, blk.a21)}
+        return {"kind": "scalar", "d": ctx.fmt(blk.d)}
+    return {"kind": "antidiag", "a12": ctx.fmt(blk.a12), "a21": ctx.fmt(blk.a21)}
 
 
 def _dblock_from_json(ctx, b) -> DBlock:
@@ -277,21 +263,21 @@ def _transform_json(ctx, tf):
         return {
             "kind": "vertex_elim",
             "pivot": tf.pivot,
-            "col": [[i, fmt_el(ctx, v)] for i, v in tf.col],
+            "col": [[i, ctx.fmt(v)] for i, v in tf.col],
             "d": _dblock_json(ctx, tf.block),
         }
     if isinstance(tf, EdgeElim):
         return {
             "kind": "edge_elim",
             "pivots": list(tf.pivots),
-            "col1": [[i, fmt_el(ctx, v)] for i, v in tf.col1],
-            "col2": [[i, fmt_el(ctx, v)] for i, v in tf.col2],
+            "col1": [[i, ctx.fmt(v)] for i, v in tf.col1],
+            "col2": [[i, ctx.fmt(v)] for i, v in tf.col2],
             "d": _dblock_json(ctx, tf.block),
         }
     return {
         "kind": "peel",
         "target": tf.target,
-        "coeffs": [[i, fmt_el(ctx, v)] for i, v in tf.coeffs],
+        "coeffs": [[i, ctx.fmt(v)] for i, v in tf.coeffs],
     }
 
 
@@ -465,7 +451,7 @@ def _saddle(system, args, ctx, check):
         "Y": _coo(ctx, f.Y),
         "L_partial": _coo(ctx, f.L),
         "U": _coo(ctx, f.U),
-        "D_partial": [fmt_el(ctx, d) for d in f.D],
+        "D_partial": [ctx.fmt(d) for d in f.D],
         **ldl_to_json(ctx, full, "P_full"),
     }
 
@@ -499,7 +485,7 @@ MODES = tuple(_MODES)
 def run(args) -> tuple[int, dict]:
     ctx = parse_field(args.field)
     load, factor, _, check = _MODES[args.mode]
-    report = {"mode": args.mode, "field": field_name(ctx), "seed": args.seed}
+    report = {"mode": args.mode, "field": ctx.spec, "seed": args.seed}
     if args.stats:
         ctx.enable_counter()
     keys, nnz, factors, verify = factor(load(args, ctx), args, ctx, check)
@@ -544,7 +530,11 @@ def reverify_json(json_path) -> bool:
     x = load(argparse.Namespace(**payload["inputs"]), ctx)
     if "L" not in factors:
         return False
-    return check(x, read(ctx, factors, report["rank"])).ok
+    try:
+        res = read(ctx, factors, report["rank"])
+    except (ValueError, ZeroDivisionError):  # a bad P, Q, D, L or U entry
+        return False
+    return check(x, res).ok
 
 
 def main(argv=None) -> int:

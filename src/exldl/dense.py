@@ -1,10 +1,16 @@
 """Dense exact matrices, permutations, fast multiplication, triangular kernels.
 
-Storage is chosen per field: GF(2) matrices keep one arbitrary-precision
-int per row (bit j = column j), so row addition is a single word-parallel
-XOR; GF(p) matrices are int64 numpy arrays with reduced residues; rational
-matrices are lists of exact-rational rows.  All other modules stay generic over
-the field and only go through this API.
+Each field has one matrix class here that holds its storage `_d` and
+every method and kernel that reads it: `GF2Matrix` keeps one
+arbitrary-precision int per row (bit j = column j), so row addition is a
+single word-parallel XOR; `GFpMatrix` a C-contiguous int64 numpy array of
+reduced residues; `RationalMatrix` a list of rows of the context's
+rational type.  `DenseMatrix(ctx, ...)` and its constructors build the
+class of ctx's field.  The rest of this module (Strassen, the
+`tri_solve`/`tri_invert` recursion, `permute`, `hstack`/`vstack`,
+`Permutation`) and every other module stay generic.  A new field is a
+context class in `fields.py` plus a matrix class here, entered in
+`_MATRIX`.
 
 Exact rationals are slow one operation at a time, so the rational kernels
 do their inner loops on Python ints: a product clears denominators per
@@ -23,8 +29,8 @@ move one bit at a time, which is cheaper below numpy's per-call cost.
 
 Multiplication uses Strassen recursion above a configurable cutoff
 (7 multiplies per level, zero-padding odd dimensions, rectangles tiled
-into near-square blocks) and classical kernels below it.  Over an exact
-field the result is bit-identical regardless of the cutoff.
+into near-square blocks) and the field's classical kernel below it.
+Over an exact field the result is bit-identical regardless of the cutoff.
 """
 
 from __future__ import annotations
@@ -35,18 +41,15 @@ from operator import mul
 import numpy as np
 
 from .fields import (
-    GF2,
-    GFP,
-    RATIONAL,
     DimensionMismatch,
     FieldContext,
+    GF2Field,
+    GFpField,
+    RationalField,
     SingularDiagonal,
     _ratio,
     packed_ops,
 )
-
-DEFAULT_CUTOFF_SCALAR = 64
-DEFAULT_CUTOFF_GF2 = 256
 
 LOWER = "lower"
 LOWER_UNIT = "lower_unit"
@@ -116,42 +119,28 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(p.fwd[j] for j in q.fwd)
 
 
-def _gf2_mask(ncols: int) -> int:
-    return (1 << ncols) - 1
-
-
-# Column gathers and transposes of GF(2) matrices with at most this many
-# entries run per bit in Python; larger ones go through a uint8 bit array,
-# whose numpy calls cost 10-15 us per call whatever the size.  Replaying the
-# calls of one pass of each benchmark workload, this threshold was within 5%
-# of the fastest of 64, 128, 512 and either route for every size.
-_GF2_BIT_LOOP_MAX = 256
-
-
-def _gf2_unpack(rows, ncols: int) -> np.ndarray:
-    """(len(rows), ncols) uint8 array of the bits of packed GF(2) rows;
-    every row must be below 1 << ncols."""
-    nbytes = (ncols + 7) // 8
-    buf = b"".join([r.to_bytes(nbytes, "little") for r in rows])
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(packed, axis=1, count=ncols, bitorder="little")
-
-
-def _gf2_pack(bits: np.ndarray) -> list:
-    """Packed GF(2) rows of a C-contiguous 0/1 array; the inverse of
-    `_gf2_unpack`."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    nbytes = packed.shape[1]
-    if not nbytes:
-        return [0] * len(packed)
-    buf = packed.tobytes()
-    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
-
-
 class DenseMatrix:
-    """Row-major exact matrix over one FieldContext."""
+    """Row-major exact matrix over one FieldContext.
+
+    `DenseMatrix(ctx, nrows, ncols, data)` and the constructors give an
+    instance of ctx's matrix class, which supplies, besides the storage
+    and elementwise methods:
+      * `_mm_classical(b)`, the product below the Strassen cutoff;
+      * `_substitute(out, left, forward, order, dinv)`, the substitution
+        of `_tri_solve_base` in place on out, returning the number of
+        couplings (nonzero off-diagonal entries of the triangle);
+      * `eliminate_rows()`, the elimination of `factor._lu_rows`: (pivot
+        rows, column order q, L with rows in the original order, U);
+      * rows for `sparse.apply_transcript`: `row(i)`, `zero_row()`,
+        `add_scaled_row(dst, src, c)` (dst + c src, metered as one row
+        operation), `same_row(a, b)` and `with_rows(rows)`, a matrix of
+        the same class and width.
+    """
 
     __slots__ = ("ctx", "nrows", "ncols", "_d")
+
+    def __new__(cls, ctx: FieldContext = None, *args):  # no arguments when unpickled
+        return object.__new__(_MATRIX[type(ctx)] if cls is DenseMatrix else cls)
 
     def __init__(self, ctx: FieldContext, nrows: int, ncols: int, data):
         self.ctx = ctx
@@ -163,12 +152,7 @@ class DenseMatrix:
 
     @classmethod
     def zeros(cls, ctx: FieldContext, nrows: int, ncols: int) -> "DenseMatrix":
-        if ctx.kind == GF2:
-            return cls(ctx, nrows, ncols, [0] * nrows)
-        if ctx.kind == GFP:
-            return cls(ctx, nrows, ncols, np.zeros((nrows, ncols), dtype=np.int64))
-        zero = ctx.zero
-        return cls(ctx, nrows, ncols, [[zero] * ncols for _ in range(nrows)])
+        return _MATRIX[type(ctx)].zeros(ctx, nrows, ncols)
 
     @classmethod
     def identity(cls, ctx: FieldContext, n: int) -> "DenseMatrix":
@@ -190,214 +174,28 @@ class DenseMatrix:
                 out.set(i, j, ctx.el(v))
         return out
 
-    # -- element access --------------------------------------------------
-
-    def get(self, i: int, j: int):
-        if self.ctx.kind == GF2:
-            return (self._d[i] >> j) & 1
-        if self.ctx.kind == GFP:
-            return int(self._d[i, j])
-        return self._d[i][j]
-
-    def set(self, i: int, j: int, v):
-        if self.ctx.kind == GF2:
-            if v:
-                self._d[i] |= 1 << j
-            else:
-                self._d[i] &= ~(1 << j)
-        elif self.ctx.kind == GFP:
-            self._d[i, j] = v
-        else:
-            self._d[i][j] = v
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def copy(self) -> "DenseMatrix":
-        if self.ctx.kind == GF2:
-            return DenseMatrix(self.ctx, self.nrows, self.ncols, list(self._d))
-        if self.ctx.kind == GFP:
-            return DenseMatrix(self.ctx, self.nrows, self.ncols, self._d.copy())
-        return DenseMatrix(self.ctx, self.nrows, self.ncols, [list(r) for r in self._d])
-
-    def to_lists(self):
-        if self.ctx.kind == GF2:
-            return [[(r >> j) & 1 for j in range(self.ncols)] for r in self._d]
-        if self.ctx.kind == GFP:
-            return self._d.tolist()
-        return [list(r) for r in self._d]
-
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
-        if self.ctx != other.ctx or self.shape != other.shape:
-            return False
-        if self.ctx.kind == GF2:
-            return self._d == other._d
-        if self.ctx.kind == GFP:
-            return bool(np.array_equal(self._d, other._d))
-        return self._d == other._d
+        return self.ctx == other.ctx and self.shape == other.shape and self._same_data(other)
 
-    def is_zero(self) -> bool:
-        if self.ctx.kind == GF2:
-            return all(r == 0 for r in self._d)
-        if self.ctx.kind == GFP:
-            return not self._d.any()
-        return all(all(v == 0 for v in row) for row in self._d)
+    def _same_data(self, other) -> bool:
+        return self._d == other._d
 
     def __repr__(self):
         return f"DenseMatrix({self.ctx!r}, {self.nrows}x{self.ncols})"
 
-    # -- slicing / assembly ----------------------------------------------
-
-    def block(self, r0: int, r1: int, c0: int, c1: int) -> "DenseMatrix":
-        nr, nc = r1 - r0, c1 - c0
-        if self.ctx.kind == GF2:
-            mask = _gf2_mask(nc)
-            rows = [(r >> c0) & mask for r in self._d[r0:r1]]
-            return DenseMatrix(self.ctx, nr, nc, rows)
-        if self.ctx.kind == GFP:
-            return DenseMatrix(self.ctx, nr, nc, self._d[r0:r1, c0:c1].copy())
-        return DenseMatrix(
-            self.ctx, nr, nc, [row[c0:c1] for row in self._d[r0:r1]]
-        )
-
-    def take_rows(self, idx) -> "DenseMatrix":
-        idx = list(idx)
-        if self.ctx.kind == GF2:
-            return DenseMatrix(self.ctx, len(idx), self.ncols, [self._d[i] for i in idx])
-        if self.ctx.kind == GFP:
-            if not idx:
-                return DenseMatrix.zeros(self.ctx, 0, self.ncols)
-            return DenseMatrix(self.ctx, len(idx), self.ncols, self._d[idx, :].copy())
-        return DenseMatrix(self.ctx, len(idx), self.ncols, [list(self._d[i]) for i in idx])
-
-    def take_cols(self, idx) -> "DenseMatrix":
-        idx = list(idx)
-        if self.ctx.kind == GF2:
-            if self.nrows * len(idx) > _GF2_BIT_LOOP_MAX:
-                bits = np.take(_gf2_unpack(self._d, self.ncols), idx, axis=1)
-                return DenseMatrix(self.ctx, self.nrows, len(idx), _gf2_pack(bits))
-            rows = []
-            for r in self._d:
-                acc = 0
-                for jj, j in enumerate(idx):
-                    if (r >> j) & 1:
-                        acc |= 1 << jj
-                rows.append(acc)
-            return DenseMatrix(self.ctx, self.nrows, len(idx), rows)
-        if self.ctx.kind == GFP:
-            if not idx:
-                return DenseMatrix.zeros(self.ctx, self.nrows, 0)
-            return DenseMatrix(self.ctx, self.nrows, len(idx), self._d[:, idx].copy())
-        return DenseMatrix(
-            self.ctx, self.nrows, len(idx), [[row[j] for j in idx] for row in self._d]
-        )
-
-    def set_block(self, r0: int, c0: int, m: "DenseMatrix"):
-        if self.ctx.kind == GF2:
-            mask = _gf2_mask(m.ncols) << c0
-            for i in range(m.nrows):
-                self._d[r0 + i] = (self._d[r0 + i] & ~mask) | (m._d[i] << c0)
-        elif self.ctx.kind == GFP:
-            self._d[r0 : r0 + m.nrows, c0 : c0 + m.ncols] = m._d
-        else:
-            for i in range(m.nrows):
-                self._d[r0 + i][c0 : c0 + m.ncols] = list(m._d[i])
+    def copy(self) -> "DenseMatrix":
+        return self.block(0, self.nrows, 0, self.ncols)
 
     def pad(self, nrows: int, ncols: int) -> "DenseMatrix":
-        out = DenseMatrix.zeros(self.ctx, nrows, ncols)
+        out = self.zeros(self.ctx, nrows, ncols)
         out.set_block(0, 0, self)
         return out
-
-    # -- elementwise ------------------------------------------------------
-
-    def add(self, other: "DenseMatrix") -> "DenseMatrix":
-        self._binop_check(other)
-        ctx = self.ctx
-        if ctx.kind == GF2:
-            ctx.count_ops(add=self.nrows * packed_ops(self.ncols))
-            rows = [a ^ b for a, b in zip(self._d, other._d)]
-            return DenseMatrix(ctx, self.nrows, self.ncols, rows)
-        ctx.count_ops(add=self.nrows * self.ncols)
-        if ctx.kind == GFP:
-            return DenseMatrix(
-                ctx, self.nrows, self.ncols, (self._d + other._d) % ctx.p
-            )
-        rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._d, other._d)]
-        return DenseMatrix(ctx, self.nrows, self.ncols, rows)
-
-    def sub(self, other: "DenseMatrix") -> "DenseMatrix":
-        self._binop_check(other)
-        ctx = self.ctx
-        if ctx.kind == GF2:
-            ctx.count_ops(add=self.nrows * packed_ops(self.ncols))
-            rows = [a ^ b for a, b in zip(self._d, other._d)]
-            return DenseMatrix(ctx, self.nrows, self.ncols, rows)
-        ctx.count_ops(add=self.nrows * self.ncols)
-        if ctx.kind == GFP:
-            return DenseMatrix(
-                ctx, self.nrows, self.ncols, (self._d - other._d) % ctx.p
-            )
-        rows = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._d, other._d)]
-        return DenseMatrix(ctx, self.nrows, self.ncols, rows)
-
-    def neg(self) -> "DenseMatrix":
-        ctx = self.ctx
-        if ctx.kind == GF2:
-            return self.copy()
-        ctx.count_ops(add=self.nrows * self.ncols)
-        if ctx.kind == GFP:
-            return DenseMatrix(ctx, self.nrows, self.ncols, (-self._d) % ctx.p)
-        rows = [[-a for a in row] for row in self._d]
-        return DenseMatrix(ctx, self.nrows, self.ncols, rows)
-
-    def scale(self, c) -> "DenseMatrix":
-        ctx = self.ctx
-        if ctx.kind == GF2:
-            if c & 1:
-                return self.copy()
-            return DenseMatrix.zeros(ctx, self.nrows, self.ncols)
-        ctx.count_ops(mul=self.nrows * self.ncols)
-        if ctx.kind == GFP:
-            return DenseMatrix(ctx, self.nrows, self.ncols, (self._d * c) % ctx.p)
-        rows = [[a * c for a in row] for row in self._d]
-        return DenseMatrix(ctx, self.nrows, self.ncols, rows)
-
-    def scale_rows(self, factors) -> "DenseMatrix":
-        """New matrix with row i multiplied by factors[i]."""
-        ctx = self.ctx
-        if ctx.kind == GF2:
-            rows = [r if f & 1 else 0 for r, f in zip(self._d, factors)]
-            return DenseMatrix(ctx, self.nrows, self.ncols, rows)
-        ctx.count_ops(mul=self.nrows * self.ncols)
-        if ctx.kind == GFP:
-            f = np.array(list(factors), dtype=np.int64).reshape(-1, 1)
-            return DenseMatrix(ctx, self.nrows, self.ncols, (self._d * f) % ctx.p)
-        rows = [[a * f for a in row] for row, f in zip(self._d, factors)]
-        return DenseMatrix(ctx, self.nrows, self.ncols, rows)
-
-    def conj_transpose(self) -> "DenseMatrix":
-        ctx = self.ctx
-        if ctx.kind == GF2:
-            if self.nrows * self.ncols > _GF2_BIT_LOOP_MAX:
-                bits = _gf2_unpack(self._d, self.ncols)
-                cols = _gf2_pack(np.ascontiguousarray(bits.T))
-                return DenseMatrix(ctx, self.ncols, self.nrows, cols)
-            cols = [0] * self.ncols
-            for i, row in enumerate(self._d):
-                r = row
-                bit = 1 << i
-                while r:
-                    lsb = r & -r
-                    cols[lsb.bit_length() - 1] |= bit
-                    r ^= lsb
-            return DenseMatrix(ctx, self.ncols, self.nrows, cols)
-        if ctx.kind == GFP:
-            return DenseMatrix(ctx, self.ncols, self.nrows, self._d.T.copy())
-        rows = [[self._d[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return DenseMatrix(ctx, self.ncols, self.nrows, rows)
 
     def _binop_check(self, other: "DenseMatrix"):
         if self.ctx != other.ctx:
@@ -405,13 +203,23 @@ class DenseMatrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"shape {self.shape} vs {other.shape}")
 
+    def nonzero_masks(self):
+        """Per row, an int with bit j set when entry j is nonzero."""
+        return [sum(1 << j for j, v in enumerate(row) if v) for row in self.to_lists()]
+
+    def zero_row(self):
+        return self.zeros(self.ctx, 1, self.ncols).row(0)
+
+    @staticmethod
+    def same_row(a, b) -> bool:
+        return a == b
+
 
 def hstack(blocks) -> DenseMatrix:
     blocks = [b for b in blocks]
-    ctx = blocks[0].ctx
     nrows = blocks[0].nrows
     ncols = sum(b.ncols for b in blocks)
-    out = DenseMatrix.zeros(ctx, nrows, ncols)
+    out = blocks[0].zeros(blocks[0].ctx, nrows, ncols)
     c = 0
     for b in blocks:
         if b.nrows != nrows:
@@ -423,10 +231,9 @@ def hstack(blocks) -> DenseMatrix:
 
 def vstack(blocks) -> DenseMatrix:
     blocks = [b for b in blocks]
-    ctx = blocks[0].ctx
     ncols = blocks[0].ncols
     nrows = sum(b.nrows for b in blocks)
-    out = DenseMatrix.zeros(ctx, nrows, ncols)
+    out = blocks[0].zeros(blocks[0].ctx, nrows, ncols)
     r = 0
     for b in blocks:
         if b.ncols != ncols:
@@ -446,10 +253,6 @@ def permute(a: DenseMatrix, p: Permutation, q: Permutation) -> DenseMatrix:
 # -- multiplication ---------------------------------------------------------
 
 
-def default_cutoff(ctx: FieldContext) -> int:
-    return DEFAULT_CUTOFF_GF2 if ctx.kind == GF2 else DEFAULT_CUTOFF_SCALAR
-
-
 def check_cutoff(cutoff: int | None) -> None:
     """Reject a Strassen cutoff below 1: the recursion would never end."""
     if cutoff is not None and cutoff < 1:
@@ -464,16 +267,16 @@ def matmul(a: DenseMatrix, b: DenseMatrix, cutoff: int | None = None) -> DenseMa
         raise DimensionMismatch(f"inner dims {a.ncols} vs {b.nrows}")
     check_cutoff(cutoff)
     if cutoff is None:
-        cutoff = default_cutoff(a.ctx)
+        cutoff = a.ctx.default_cutoff
     return _mm(a, b, cutoff)
 
 
 def _mm(a: DenseMatrix, b: DenseMatrix, cutoff: int) -> DenseMatrix:
     m, k, n = a.nrows, a.ncols, b.ncols
     if min(m, k, n) == 0:
-        return DenseMatrix.zeros(a.ctx, m, n)
+        return a.zeros(a.ctx, m, n)
     if min(m, k, n) <= cutoff:
-        return _mm_classical(a, b)
+        return a._mm_classical(b)
     # Tile rectangles into near-square halves along the largest dimension.
     if max(m, k, n) >= 2 * min(m, k, n):
         if m >= k and m >= n:
@@ -516,83 +319,12 @@ def _mm_strassen(a: DenseMatrix, b: DenseMatrix, cutoff: int) -> DenseMatrix:
     c12 = p3.add(p5)
     c21 = p2.add(p4)
     c22 = p1.sub(p2).add(p3).add(p6)
-    out = DenseMatrix.zeros(a.ctx, m, n)
+    out = a.zeros(a.ctx, m, n)
     out.set_block(0, 0, c11)
     out.set_block(0, nh, c12)
     out.set_block(mh, 0, c21)
     out.set_block(mh, nh, c22)
     return out
-
-
-def _mm_classical(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    ctx = a.ctx
-    m, k, n = a.nrows, a.ncols, b.ncols
-    if ctx.kind == GF2:
-        brows = b._d
-        rows = []
-        used = 0
-        for r in a._d:
-            acc = 0
-            rr = r
-            while rr:
-                lsb = rr & -rr
-                acc ^= brows[lsb.bit_length() - 1]
-                rr ^= lsb
-                used += 1
-            rows.append(acc)
-        w = packed_ops(n)
-        ctx.count_ops(add=used * w, mul=used * w)
-        return DenseMatrix(ctx, m, n, rows)
-    ctx.count_ops(mul=m * k * n, add=m * n * (k - 1) if k >= 1 else 0)
-    if ctx.kind == GFP:
-        p = ctx.p
-        # Chunk the inner dimension so int64 accumulation cannot overflow.
-        chunk = max(1, (1 << 62) // ((p - 1) * (p - 1) + 1))
-        if k <= chunk:
-            return DenseMatrix(ctx, m, n, (a._d @ b._d) % p)
-        acc = np.zeros((m, n), dtype=np.int64)
-        for k0 in range(0, k, chunk):
-            k1 = min(k, k0 + chunk)
-            acc = (acc + a._d[:, k0:k1] @ b._d[k0:k1, :]) % p
-        return DenseMatrix(ctx, m, n, acc)
-    arows, bcols, big = _rational_operands(a, b)
-    if big == 1:
-        rows = [[_ratio(sum(map(mul, ar, bc))) for bc in bcols] for ar in arows]
-    else:
-        rows = [[_ratio(sum(map(mul, ar, bc)), big) for bc in bcols] for ar in arows]
-    return DenseMatrix(ctx, m, n, rows)
-
-
-def _rational_operands(a: DenseMatrix, b: DenseMatrix):
-    """(rows, cols, V): integer rows of a and columns of b such that entry
-    (i, j) of a @ b is the dot product of rows[i] and cols[j] over V.
-
-    Column t of a is cleared by its denominator alpha_t and row t of b by
-    beta_t; with V = lcm_t(alpha_t beta_t), row i of a is scaled to
-    a_it V / beta_t and column j of b to b_tj beta_t.  Denominators per
-    inner index stay small where those of whole rows of a factor do not,
-    and only one operand carries the large V.
-    """
-    k = a.ncols
-    alpha = [1] * k
-    for arow in a._d:
-        for t, x in enumerate(arow):
-            if x.denominator != 1:
-                alpha[t] = lcm(alpha[t], x.denominator)
-    beta = [1] * k
-    for t, brow in enumerate(b._d):
-        for y in brow:
-            if y.denominator != 1:
-                beta[t] = lcm(beta[t], y.denominator)
-    big = 1
-    for al, be in zip(alpha, beta):
-        big = lcm(big, al * be)
-    scale = [big // be for be in beta]
-    arows = [[x.numerator * (s // x.denominator) for x, s in zip(row, scale)] for row in a._d]
-    bcols = [
-        [y.numerator * (be // y.denominator) for y, be in zip(col, beta)] for col in zip(*b._d)
-    ]
-    return arows, bcols, big
 
 
 # -- triangular kernels ------------------------------------------------------
@@ -617,24 +349,15 @@ def tri_invert(l: DenseMatrix, shape: str, cutoff: int | None = None) -> DenseMa
     if n <= _TRI_BASE:
         return _tri_invert_base(l, shape)
     h = n // 2
-    if _is_lower(shape):
-        l11, l21, l22 = l.block(0, h, 0, h), l.block(h, n, 0, h), l.block(h, n, h, n)
-        i11 = tri_invert(l11, shape, cutoff)
-        i22 = tri_invert(l22, shape, cutoff)
-        x21 = matmul(i22, matmul(l21, i11, cutoff), cutoff).neg()
-        out = DenseMatrix.zeros(l.ctx, n, n)
-        out.set_block(0, 0, i11)
-        out.set_block(h, 0, x21)
-        out.set_block(h, h, i22)
-        return out
-    u11, u12, u22 = l.block(0, h, 0, h), l.block(0, h, h, n), l.block(h, n, h, n)
-    i11 = tri_invert(u11, shape, cutoff)
-    i22 = tri_invert(u22, shape, cutoff)
-    x12 = matmul(i11, matmul(u12, i22, cutoff), cutoff).neg()
-    out = DenseMatrix.zeros(l.ctx, n, n)
+    i11 = tri_invert(l.block(0, h, 0, h), shape, cutoff)
+    i22 = tri_invert(l.block(h, n, h, n), shape, cutoff)
+    out = l.zeros(l.ctx, n, n)
     out.set_block(0, 0, i11)
-    out.set_block(0, h, x12)
     out.set_block(h, h, i22)
+    if _is_lower(shape):
+        out.set_block(h, 0, matmul(i22, matmul(l.block(h, n, 0, h), i11, cutoff), cutoff).neg())
+    else:
+        out.set_block(0, h, matmul(i11, matmul(l.block(0, h, h, n), i22, cutoff), cutoff).neg())
     return out
 
 
@@ -649,7 +372,7 @@ def _tri_invert_base(l: DenseMatrix, shape: str) -> DenseMatrix:
         if ctx.is_zero(d):
             raise SingularDiagonal(i)
         dinv.append(ctx.one if unit else ctx.inv(d))
-    out = DenseMatrix.zeros(ctx, n, n)
+    out = l.zeros(ctx, n, n)
     order = range(n) if lower else range(n - 1, -1, -1)
     for j in range(n):
         # solve l x = e_j by substitution
@@ -689,51 +412,20 @@ def tri_solve(
         return b.copy()
     if n <= _TRI_BASE:
         return _tri_solve_base(l, b, side, shape)
+    # Solve for the unknowns of the half that substitution reaches first,
+    # then for the other half against the rest of b.
     h = n // 2
-    lower = _is_lower(shape)
+    first, second = ((0, h), (h, n)) if _is_lower(shape) == (side == LEFT) else ((h, n), (0, h))
+    l1, l2 = l.block(*first, *first), l.block(*second, *second)
     if side == LEFT:
-        if lower:
-            l11, l21, l22 = l.block(0, h, 0, h), l.block(h, n, 0, h), l.block(h, n, h, n)
-            x1 = tri_solve(l11, b.block(0, h, 0, b.ncols), side, shape, cutoff)
-            x2 = tri_solve(
-                l22,
-                b.block(h, n, 0, b.ncols).sub(matmul(l21, x1, cutoff)),
-                side,
-                shape,
-                cutoff,
-            )
-            return vstack([x1, x2])
-        u11, u12, u22 = l.block(0, h, 0, h), l.block(0, h, h, n), l.block(h, n, h, n)
-        x2 = tri_solve(u22, b.block(h, n, 0, b.ncols), side, shape, cutoff)
-        x1 = tri_solve(
-            u11,
-            b.block(0, h, 0, b.ncols).sub(matmul(u12, x2, cutoff)),
-            side,
-            shape,
-            cutoff,
-        )
-        return vstack([x1, x2])
-    if lower:
-        l11, l21, l22 = l.block(0, h, 0, h), l.block(h, n, 0, h), l.block(h, n, h, n)
-        x2 = tri_solve(l22, b.block(0, b.nrows, h, n), side, shape, cutoff)
-        x1 = tri_solve(
-            l11,
-            b.block(0, b.nrows, 0, h).sub(matmul(x2, l21, cutoff)),
-            side,
-            shape,
-            cutoff,
-        )
-        return hstack([x1, x2])
-    u11, u12, u22 = l.block(0, h, 0, h), l.block(0, h, h, n), l.block(h, n, h, n)
-    x1 = tri_solve(u11, b.block(0, b.nrows, 0, h), side, shape, cutoff)
-    x2 = tri_solve(
-        u22,
-        b.block(0, b.nrows, h, n).sub(matmul(x1, u12, cutoff)),
-        side,
-        shape,
-        cutoff,
-    )
-    return hstack([x1, x2])
+        x1 = tri_solve(l1, b.block(*first, 0, b.ncols), side, shape, cutoff)
+        b2 = b.block(*second, 0, b.ncols).sub(matmul(l.block(*second, *first), x1, cutoff))
+        x2 = tri_solve(l2, b2, side, shape, cutoff)
+        return vstack([x1, x2] if first[0] == 0 else [x2, x1])
+    x1 = tri_solve(l1, b.block(0, b.nrows, *first), side, shape, cutoff)
+    b2 = b.block(0, b.nrows, *second).sub(matmul(x1, l.block(*first, *second), cutoff))
+    x2 = tri_solve(l2, b2, side, shape, cutoff)
+    return hstack([x1, x2] if first[0] == 0 else [x2, x1])
 
 
 def _tri_solve_base(l: DenseMatrix, b: DenseMatrix, side: str, shape: str) -> DenseMatrix:
@@ -754,18 +446,158 @@ def _tri_solve_base(l: DenseMatrix, b: DenseMatrix, side: str, shape: str) -> De
     order = range(n) if forward else range(n - 1, -1, -1)
     nv = b.ncols if side == LEFT else b.nrows
     out = b.copy()
-    if nv == 0:
-        return out
-    if ctx.kind == GF2:
-        coef = l._d if side == LEFT else l.conj_transpose()._d
+    if nv:
+        nnz = l._substitute(out, side == LEFT, forward, order, None if unit else dinv)
+        ctx.count_ops(add=nnz * nv, mul=(nnz if unit else nnz + n) * nv)
+    return out
+
+
+# -- field backends ---------------------------------------------------------
+
+# Column gathers and transposes of GF(2) matrices with at most this many
+# entries run per bit in Python; larger ones go through a uint8 bit array,
+# whose numpy calls cost 10-15 us per call whatever the size.  Replaying the
+# calls of one pass of each benchmark workload, this threshold was within 5%
+# of the fastest of 64, 128, 512 and either route for every size.
+_GF2_BIT_LOOP_MAX = 256
+
+
+def _gf2_unpack(rows, ncols: int) -> np.ndarray:
+    """(len(rows), ncols) uint8 array of the bits of packed GF(2) rows;
+    every row must be below 1 << ncols."""
+    nbytes = (ncols + 7) // 8
+    buf = b"".join([r.to_bytes(nbytes, "little") for r in rows])
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=ncols, bitorder="little")
+
+
+def _gf2_pack(bits: np.ndarray) -> list:
+    """Packed GF(2) rows of a C-contiguous 0/1 array; the inverse of
+    `_gf2_unpack`."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    nbytes = packed.shape[1]
+    if not nbytes:
+        return [0] * len(packed)
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+
+
+class GF2Matrix(DenseMatrix):
+    """GF(2): `_d` is a list of one int per row, bit j = column j, each
+    below 1 << ncols."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zeros(cls, ctx, nrows, ncols):
+        return cls(ctx, nrows, ncols, [0] * nrows)
+
+    def get(self, i, j):
+        return (self._d[i] >> j) & 1
+
+    def set(self, i, j, v):
+        if v:
+            self._d[i] |= 1 << j
+        else:
+            self._d[i] &= ~(1 << j)
+
+    def to_lists(self):
+        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self._d]
+
+    def is_zero(self):
+        return not any(self._d)
+
+    def nonzero_masks(self):
+        return list(self._d)
+
+    def block(self, r0, r1, c0, c1):
+        mask = (1 << (c1 - c0)) - 1
+        return GF2Matrix(self.ctx, r1 - r0, c1 - c0, [(r >> c0) & mask for r in self._d[r0:r1]])
+
+    def take_rows(self, idx):
+        rows = [self._d[i] for i in idx]
+        return GF2Matrix(self.ctx, len(rows), self.ncols, rows)
+
+    def take_cols(self, idx):
+        idx = list(idx)
+        if self.nrows * len(idx) > _GF2_BIT_LOOP_MAX:
+            bits = np.take(_gf2_unpack(self._d, self.ncols), idx, axis=1)
+            return GF2Matrix(self.ctx, self.nrows, len(idx), _gf2_pack(bits))
+        rows = []
+        for r in self._d:
+            acc = 0
+            for jj, j in enumerate(idx):
+                if (r >> j) & 1:
+                    acc |= 1 << jj
+            rows.append(acc)
+        return GF2Matrix(self.ctx, self.nrows, len(idx), rows)
+
+    def set_block(self, r0, c0, m):
+        mask = ((1 << m.ncols) - 1) << c0
+        for i in range(m.nrows):
+            self._d[r0 + i] = (self._d[r0 + i] & ~mask) | (m._d[i] << c0)
+
+    def add(self, other):
+        self._binop_check(other)
+        self.ctx.count_ops(add=self.nrows * packed_ops(self.ncols))
+        rows = [a ^ b for a, b in zip(self._d, other._d)]
+        return GF2Matrix(self.ctx, self.nrows, self.ncols, rows)
+
+    sub = add
+
+    def neg(self):
+        return self.copy()
+
+    def scale(self, c):
+        if c & 1:
+            return self.copy()
+        return GF2Matrix.zeros(self.ctx, self.nrows, self.ncols)
+
+    def scale_rows(self, factors):
+        rows = [r if f & 1 else 0 for r, f in zip(self._d, factors)]
+        return GF2Matrix(self.ctx, self.nrows, self.ncols, rows)
+
+    def conj_transpose(self):
+        if self.nrows * self.ncols > _GF2_BIT_LOOP_MAX:
+            bits = _gf2_unpack(self._d, self.ncols)
+            cols = _gf2_pack(np.ascontiguousarray(bits.T))
+            return GF2Matrix(self.ctx, self.ncols, self.nrows, cols)
+        cols = [0] * self.ncols
+        for i, row in enumerate(self._d):
+            r = row
+            bit = 1 << i
+            while r:
+                lsb = r & -r
+                cols[lsb.bit_length() - 1] |= bit
+                r ^= lsb
+        return GF2Matrix(self.ctx, self.ncols, self.nrows, cols)
+
+    def _mm_classical(self, b):
+        """self @ b, one XOR of a packed row of b per nonzero of self."""
+        brows = b._d
+        rows = []
+        used = 0
+        for r in self._d:
+            acc = 0
+            rr = r
+            while rr:
+                lsb = rr & -rr
+                acc ^= brows[lsb.bit_length() - 1]
+                rr ^= lsb
+                used += 1
+            rows.append(acc)
+        self.ctx.count_product(self.nrows, self.ncols, b.ncols, used)
+        return GF2Matrix(self.ctx, self.nrows, b.ncols, rows)
+
+    def _substitute(self, out, left, forward, order, dinv):
+        n = self.nrows
+        coef = self._d if left else self.conj_transpose()._d
         masks = [
             coef[i] & ((1 << i) - 1) if forward else coef[i] >> (i + 1) << (i + 1)
             for i in range(n)
         ]
-        nnz = sum(mask.bit_count() for mask in masks)
-        ctx.count_ops(add=nnz * nv, mul=(nnz if unit else nnz + n) * nv)
         x = out._d
-        if side == LEFT:  # packed rows of X, one XOR per coupling
+        if left:  # packed rows of X, one XOR per coupling
             for i in order:
                 acc = x[i]
                 mask = masks[i]
@@ -780,22 +612,137 @@ def _tri_solve_base(l: DenseMatrix, b: DenseMatrix, side: str, shape: str) -> De
                     if (row & masks[i]).bit_count() & 1:
                         row ^= 1 << i
                 x[r] = row
-        return out
-    lrows = l.to_lists()
-    coef = lrows if side == LEFT else [list(col) for col in zip(*lrows)]
-    deps = [
-        [t for t in (range(i) if forward else range(i + 1, n)) if coef[i][t] != 0]
-        for i in range(n)
-    ]
-    nnz = sum(map(len, deps))
-    ctx.count_ops(add=nnz * nv, mul=(nnz if unit else nnz + n) * nv)
-    if ctx.kind == GFP:
-        # Whole numpy rows of X (columns for X l = b).  One row product stays
-        # below 2^63 if n (p-1)^2 does; otherwise reduce after every
+        return sum(mask.bit_count() for mask in masks)
+
+    def eliminate_rows(self):
+        # rows stay packed, in the current column order
+        m, n = self.nrows, self.ncols
+        q = list(range(n))
+        piv = []
+        rows = list(self._d)
+        urows, lower = [], []
+        for i in range(m):
+            row, bits = rows[i], 0
+            for s, u in enumerate(urows):
+                if row >> s & 1:
+                    row ^= u
+                    bits |= 1 << s
+            r = len(urows)
+            rest = row >> r
+            if rest:
+                j = r + (rest & -rest).bit_length() - 1
+                if j != r:
+                    q[r], q[j] = q[j], q[r]
+                    flip = 1 << r | 1 << j  # swaps bits r and j where they differ
+                    rows[i + 1 :] = [x ^ flip if (x >> r ^ x >> j) & 1 else x for x in rows[i + 1 :]]
+                    urows = [x ^ flip if (x >> r ^ x >> j) & 1 else x for x in urows]
+                    row ^= flip
+                urows.append(row)
+                bits |= 1 << r
+                piv.append(i)
+            lower.append(bits)
+        r = len(piv)
+        return piv, q, GF2Matrix(self.ctx, m, r, lower), GF2Matrix(self.ctx, r, n, urows)
+
+    def row(self, i):
+        return self._d[i]
+
+    def add_scaled_row(self, dst, src, c):
+        w = packed_ops(self.ncols)
+        self.ctx.count_ops(add=w, mul=w)
+        return dst ^ src if c & 1 else dst
+
+    def with_rows(self, rows):
+        return GF2Matrix(self.ctx, len(rows), self.ncols, list(rows))
+
+
+class GFpMatrix(DenseMatrix):
+    """GF(p): `_d` is a C-contiguous (nrows, ncols) int64 array of residues."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zeros(cls, ctx, nrows, ncols):
+        return cls(ctx, nrows, ncols, np.zeros((nrows, ncols), dtype=np.int64))
+
+    def get(self, i, j):
+        return int(self._d[i, j])
+
+    def set(self, i, j, v):
+        self._d[i, j] = v
+
+    def to_lists(self):
+        return self._d.tolist()
+
+    def _same_data(self, other):
+        return bool(np.array_equal(self._d, other._d))
+
+    def is_zero(self):
+        return not self._d.any()
+
+    def block(self, r0, r1, c0, c1):
+        return GFpMatrix(self.ctx, r1 - r0, c1 - c0, self._d[r0:r1, c0:c1].copy())
+
+    def take_rows(self, idx):
+        idx = list(idx)
+        return GFpMatrix(self.ctx, len(idx), self.ncols, self._d[idx, :].copy())
+
+    def take_cols(self, idx):
+        idx = list(idx)
+        return GFpMatrix(self.ctx, self.nrows, len(idx), self._d[:, idx].copy())
+
+    def set_block(self, r0, c0, m):
+        self._d[r0 : r0 + m.nrows, c0 : c0 + m.ncols] = m._d
+
+    def add(self, other):
+        self._binop_check(other)
+        self.ctx.count_ops(add=self.nrows * self.ncols)
+        return GFpMatrix(self.ctx, self.nrows, self.ncols, (self._d + other._d) % self.ctx.p)
+
+    def sub(self, other):
+        self._binop_check(other)
+        self.ctx.count_ops(add=self.nrows * self.ncols)
+        return GFpMatrix(self.ctx, self.nrows, self.ncols, (self._d - other._d) % self.ctx.p)
+
+    def neg(self):
+        self.ctx.count_ops(add=self.nrows * self.ncols)
+        return GFpMatrix(self.ctx, self.nrows, self.ncols, (-self._d) % self.ctx.p)
+
+    def scale(self, c):
+        self.ctx.count_ops(mul=self.nrows * self.ncols)
+        return GFpMatrix(self.ctx, self.nrows, self.ncols, (self._d * c) % self.ctx.p)
+
+    def scale_rows(self, factors):
+        self.ctx.count_ops(mul=self.nrows * self.ncols)
+        f = np.array(list(factors), dtype=np.int64).reshape(-1, 1)
+        return GFpMatrix(self.ctx, self.nrows, self.ncols, (self._d * f) % self.ctx.p)
+
+    def conj_transpose(self):
+        return GFpMatrix(self.ctx, self.ncols, self.nrows, self._d.T.copy())
+
+    def _mm_classical(self, b):
+        """self @ b by int64 products, the inner dimension chunked so that
+        accumulation cannot overflow."""
+        ctx, p = self.ctx, self.ctx.p
+        m, k, n = self.nrows, self.ncols, b.ncols
+        ctx.count_product(m, k, n, None)
+        chunk = max(1, (1 << 62) // ((p - 1) * (p - 1) + 1))
+        if k <= chunk:
+            return GFpMatrix(ctx, m, n, (self._d @ b._d) % p)
+        acc = np.zeros((m, n), dtype=np.int64)
+        for k0 in range(0, k, chunk):
+            k1 = min(k, k0 + chunk)
+            acc = (acc + self._d[:, k0:k1] @ b._d[k0:k1, :]) % p
+        return GFpMatrix(ctx, m, n, acc)
+
+    def _substitute(self, out, left, forward, order, dinv):
+        # Whole numpy rows of X (columns for X l = b).  One row product
+        # stays below 2^63 if n (p-1)^2 does; otherwise reduce after every
         # coupling, where c * x < 2^62 always holds.
-        p = ctx.p
-        x = out._d if side == LEFT else out._d.T
-        whole = n * (p - 1) * (p - 1) < 1 << 63
+        coef, deps = _couplings(self, left, forward)
+        p = self.ctx.p
+        x = out._d if left else out._d.T
+        whole = self.nrows * (p - 1) * (p - 1) < 1 << 63
         for i in order:
             ts = deps[i]
             acc = x[i]
@@ -806,55 +753,281 @@ def _tri_solve_base(l: DenseMatrix, b: DenseMatrix, side: str, shape: str) -> De
                 else:
                     for c, t in zip(cv, ts):
                         acc = (acc - c * x[t]) % p
-            if not unit:
+            if dinv is not None:
                 acc = acc * dinv[i] % p
             x[i] = acc
-        return out
-    cfs = [[coef[i][t] for t in ts] for i, ts in enumerate(deps)]
-    rows = out._d
-    vecs = [list(col) for col in zip(*rows)] if side == LEFT else rows
-    _solve_rational(vecs, order, deps, cfs, None if unit else dinv)
-    if side == LEFT:
-        rows[:] = [list(row) for row in zip(*vecs)]
-    return out
+        return sum(map(len, deps))
+
+    def eliminate_rows(self):
+        # rows are residue lists, in the current column order
+        p = self.ctx.p
+        m, n = self.nrows, self.ncols
+        q = list(range(n))
+        piv, rows, urows, inverses, lrows = [], self._d.tolist(), [], [], []
+        for i in range(m):
+            row, mult = rows[i], []
+            for s, u in enumerate(urows):
+                c = row[s]
+                if c:
+                    c = c * inverses[s] % p
+                    row[s + 1 :] = [(x - c * y) % p for x, y in zip(row[s + 1 :], u[s + 1 :])]
+                mult.append(c)
+            r = len(urows)
+            if _pivot_into(r, row, rows[i:] + urows, q):
+                inverses.append(pow(row[r], p - 2, p))
+                urows.append(row)
+                mult.append(1)
+                piv.append(i)
+            lrows.append(mult)
+        r = len(piv)
+        lpad = [x + [0] * (r - len(x)) for x in lrows]
+        l = GFpMatrix(self.ctx, m, r, np.array(lpad, dtype=np.int64).reshape(m, r))
+        return piv, q, l, GFpMatrix(self.ctx, r, n, np.array(urows, dtype=np.int64).reshape(r, n))
+
+    def row(self, i):
+        return self._d[i].copy()
+
+    def add_scaled_row(self, dst, src, c):
+        self.ctx.count_ops(add=self.ncols, mul=self.ncols)
+        return (dst + c * src) % self.ctx.p
+
+    @staticmethod
+    def same_row(a, b):
+        return bool(np.array_equal(a, b))
+
+    def with_rows(self, rows):
+        data = np.array(rows, dtype=np.int64).reshape(len(rows), self.ncols)
+        return GFpMatrix(self.ctx, len(rows), self.ncols, data)
 
 
-def _solve_rational(vecs, order, deps, cfs, dinv):
-    """Substitution over Q, in place on each vector: the solved entries are
-    kept as integers over one common denominator, and each coupling row is
-    cleared to integers over its own."""
-    cleared = []
-    for vals in cfs:
-        delta = 1
-        for v in vals:
-            if v.denominator != 1:
-                delta = lcm(delta, v.denominator)
-        cleared.append(([v.numerator * (delta // v.denominator) for v in vals], delta))
-    for vec in vecs:
-        xn = [0] * len(vec)
-        common = 1
-        for i in order:
-            v = vec[i]
-            num, den = v.numerator, v.denominator
-            ts = deps[i]
-            changed = dinv is not None
-            if ts:
-                nums, delta = cleared[i]
-                s = sum(map(mul, nums, [xn[t] for t in ts]))
-                if s:
-                    scale = delta * common
-                    num = num * scale - s * den
-                    den *= scale
-                    changed = True
-            if dinv is not None:
-                num *= dinv[i].numerator
-                den *= dinv[i].denominator
-            if changed:
-                v = _ratio(num, den)
-                vec[i] = v
-            d = v.denominator
-            if common % d:
-                f = d // gcd(common, d)
-                xn = [y * f for y in xn]
-                common *= f
-            xn[i] = v.numerator * (common // d)
+class RationalMatrix(DenseMatrix):
+    """Q: `_d` is a list of rows, each a list of the context's rational type."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zeros(cls, ctx, nrows, ncols):
+        zero = ctx.zero
+        return cls(ctx, nrows, ncols, [[zero] * ncols for _ in range(nrows)])
+
+    def get(self, i, j):
+        return self._d[i][j]
+
+    def set(self, i, j, v):
+        self._d[i][j] = v
+
+    def to_lists(self):
+        return [list(r) for r in self._d]
+
+    def is_zero(self):
+        return all(all(v == 0 for v in row) for row in self._d)
+
+    def block(self, r0, r1, c0, c1):
+        return RationalMatrix(self.ctx, r1 - r0, c1 - c0, [row[c0:c1] for row in self._d[r0:r1]])
+
+    def take_rows(self, idx):
+        rows = [list(self._d[i]) for i in idx]
+        return RationalMatrix(self.ctx, len(rows), self.ncols, rows)
+
+    def take_cols(self, idx):
+        idx = list(idx)
+        rows = [[row[j] for j in idx] for row in self._d]
+        return RationalMatrix(self.ctx, self.nrows, len(idx), rows)
+
+    def set_block(self, r0, c0, m):
+        for i in range(m.nrows):
+            self._d[r0 + i][c0 : c0 + m.ncols] = list(m._d[i])
+
+    def add(self, other):
+        self._binop_check(other)
+        self.ctx.count_ops(add=self.nrows * self.ncols)
+        rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._d, other._d)]
+        return RationalMatrix(self.ctx, self.nrows, self.ncols, rows)
+
+    def sub(self, other):
+        self._binop_check(other)
+        self.ctx.count_ops(add=self.nrows * self.ncols)
+        rows = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._d, other._d)]
+        return RationalMatrix(self.ctx, self.nrows, self.ncols, rows)
+
+    def neg(self):
+        self.ctx.count_ops(add=self.nrows * self.ncols)
+        return RationalMatrix(self.ctx, self.nrows, self.ncols, [[-a for a in row] for row in self._d])
+
+    def scale(self, c):
+        self.ctx.count_ops(mul=self.nrows * self.ncols)
+        rows = [[a * c for a in row] for row in self._d]
+        return RationalMatrix(self.ctx, self.nrows, self.ncols, rows)
+
+    def scale_rows(self, factors):
+        self.ctx.count_ops(mul=self.nrows * self.ncols)
+        rows = [[a * f for a in row] for row, f in zip(self._d, factors)]
+        return RationalMatrix(self.ctx, self.nrows, self.ncols, rows)
+
+    def conj_transpose(self):
+        rows = [[self._d[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
+        return RationalMatrix(self.ctx, self.ncols, self.nrows, rows)
+
+    def _mm_classical(self, b):
+        """self @ b, each entry one integer dot product of integer rows of
+        self and columns of b over one denominator V.
+
+        Column t of self is cleared by its denominator alpha_t and row t of
+        b by beta_t; with V = lcm_t(alpha_t beta_t), row i of self is scaled
+        to a_it V / beta_t and column j of b to b_tj beta_t.  Denominators
+        per inner index stay small where those of whole rows of self factor
+        do not, and only one operand carries the large V.
+        """
+        self.ctx.count_product(self.nrows, self.ncols, b.ncols, None)
+        alpha = [1] * self.ncols
+        for arow in self._d:
+            for t, x in enumerate(arow):
+                if x.denominator != 1:
+                    alpha[t] = lcm(alpha[t], x.denominator)
+        beta = [1] * self.ncols
+        for t, brow in enumerate(b._d):
+            for y in brow:
+                if y.denominator != 1:
+                    beta[t] = lcm(beta[t], y.denominator)
+        big = 1
+        for al, be in zip(alpha, beta):
+            big = lcm(big, al * be)
+        scale = [big // be for be in beta]
+        arows = [[x.numerator * (s // x.denominator) for x, s in zip(row, scale)] for row in self._d]
+        bcols = [
+            [y.numerator * (be // y.denominator) for y, be in zip(col, beta)] for col in zip(*b._d)
+        ]
+        if big == 1:
+            rows = [[_ratio(sum(map(mul, ar, bc))) for bc in bcols] for ar in arows]
+        else:
+            rows = [[_ratio(sum(map(mul, ar, bc)), big) for bc in bcols] for ar in arows]
+        return RationalMatrix(self.ctx, self.nrows, b.ncols, rows)
+
+    def _substitute(self, out, left, forward, order, dinv):
+        # In place on each column of X (row for X l = b): the solved entries
+        # are kept as integers over one common denominator, and each
+        # coupling row is cleared to integers over its own.
+        coef, deps = _couplings(self, left, forward)
+        cleared = []
+        for i, ts in enumerate(deps):
+            vals = [coef[i][t] for t in ts]
+            delta = lcm(1, *(v.denominator for v in vals))
+            cleared.append(([v.numerator * (delta // v.denominator) for v in vals], delta))
+        rows = out._d
+        vecs = [list(col) for col in zip(*rows)] if left else rows
+        for vec in vecs:
+            xn = [0] * len(vec)
+            common = 1
+            for i in order:
+                v = vec[i]
+                num, den = v.numerator, v.denominator
+                ts = deps[i]
+                changed = dinv is not None
+                if ts:
+                    nums, delta = cleared[i]
+                    s = sum(map(mul, nums, [xn[t] for t in ts]))
+                    if s:
+                        scale = delta * common
+                        num = num * scale - s * den
+                        den *= scale
+                        changed = True
+                if dinv is not None:
+                    num *= dinv[i].numerator
+                    den *= dinv[i].denominator
+                if changed:
+                    v = _ratio(num, den)
+                    vec[i] = v
+                d = v.denominator
+                if common % d:
+                    f = d // gcd(common, d)
+                    xn = [y * f for y in xn]
+                    common *= f
+                xn[i] = v.numerator * (common // d)
+        if left:
+            rows[:] = [list(row) for row in zip(*vecs)]
+        return sum(map(len, deps))
+
+    def eliminate_rows(self):
+        # rows are integers over one denominator each, scaled freely, in
+        # the current column order
+        ctx = self.ctx
+        zero = ctx.zero
+        m, n = self.nrows, self.ncols
+        q = list(range(n))
+        piv, rows, dens = [], [], []
+        for row in self._d:
+            den = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (den // x.denominator) for x in row])
+            dens.append(den)
+        # Pivot row s is urows[s] * g / e with heads[s] = (g, e).
+        urows, heads, lrows = [], [], []
+        for i in range(m):
+            row, den, mult = rows[i], dens[i], []
+            for s, u in enumerate(urows):
+                c = row[s]
+                if not c:
+                    mult.append(zero)
+                    continue
+                g, e = heads[s]
+                us = u[s]
+                mult.append(_ratio(c * e, den * us * g))
+                row[s + 1 :] = [x * us - c * y for x, y in zip(row[s + 1 :], u[s + 1 :])]
+                den *= us
+            r = len(urows)
+            if _pivot_into(r, row, rows[i:] + urows, q):
+                g = gcd(*row[r:])
+                row[r:] = [x // g for x in row[r:]]
+                heads.append((g, den))
+                urows.append(row)
+                mult.append(ctx.one)
+                piv.append(i)
+            lrows.append(mult)
+        r = len(piv)
+        l = RationalMatrix(ctx, m, r, [x + [zero] * (r - len(x)) for x in lrows])
+        vals = [
+            [zero] * t + [_ratio(x * g, e) for x in row[t:]]
+            for t, (row, (g, e)) in enumerate(zip(urows, heads))
+        ]
+        return piv, q, l, RationalMatrix(ctx, r, n, vals)
+
+    def row(self, i):
+        return list(self._d[i])
+
+    def add_scaled_row(self, dst, src, c):
+        self.ctx.count_ops(add=self.ncols, mul=self.ncols)
+        return [a + c * b for a, b in zip(dst, src)]
+
+    def with_rows(self, rows):
+        return RationalMatrix(self.ctx, len(rows), self.ncols, [list(r) for r in rows])
+
+
+def _couplings(l: DenseMatrix, left: bool, forward: bool):
+    """(coef, deps) for substitution with the entry lists of l: coef is
+    l's rows, or its columns for X l = b, and deps[i] lists the unknowns t
+    solved before i with coef[i][t] != 0."""
+    n = l.nrows
+    lrows = l.to_lists()
+    coef = lrows if left else [list(col) for col in zip(*lrows)]
+    deps = [
+        [t for t in (range(i) if forward else range(i + 1, n)) if coef[i][t] != 0]
+        for i in range(n)
+    ]
+    return coef, deps
+
+
+def _pivot_into(r: int, row: list, rows, q: list) -> bool:
+    """Row-by-row LU over entry lists: swap the first nonzero entry of
+    `row` at or past column r into column r, in every list of `rows` and
+    in the column order q, and zero row[:r].  False if there is none."""
+    j = next((t for t in range(r, len(row)) if row[t]), None)
+    if j is None:
+        return False
+    if j != r:
+        q[r], q[j] = q[j], q[r]
+        for x in rows:
+            x[r], x[j] = x[j], x[r]
+    row[:r] = [0] * r
+    return True
+
+
+_MATRIX = {GF2Field: GF2Matrix, GFpField: GFpMatrix, RationalField: RationalMatrix}

@@ -26,9 +26,6 @@ are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
-
-import numpy as np
 
 from .dense import (
     _TRI_BASE,
@@ -40,7 +37,6 @@ from .dense import (
     Permutation,
     check_cutoff,
     compose,
-    default_cutoff,
     hstack,
     matmul,
     permute,
@@ -48,15 +44,11 @@ from .dense import (
     vstack,
 )
 from .fields import (
-    GF2,
-    GFP,
     FieldContext,
     InternalInvariantViolation,
     SingularPivot,
     UnorderedField,
     ZeroPivot,
-    _ratio,
-    packed_ops,
 )
 
 SCALAR = "scalar"
@@ -262,7 +254,7 @@ def base_ldl(a: DenseMatrix) -> LDLResult:
     nonzero sub-diagonal in column-major order."""
     ctx = a.ctx
     n = a.nrows
-    cols = {}  # pivot order position -> {original index: value}
+    cols = []  # per pivot order position, {original index: value}
     blocks = []
     order = []
     ids = list(range(n))
@@ -276,8 +268,7 @@ def base_ldl(a: DenseMatrix) -> LDLResult:
                 break
         if piv is not None:
             l, d, s = vertex_eliminate(cur, piv)
-            k = len(order)
-            cols[k] = {ids[t]: l.get(t, 0) for t in range(m) if not ctx.is_zero(l.get(t, 0))}
+            cols.append(dict(col_support(l, 0, range(m), ids)))
             blocks.append(DBlock.scalar(d))
             order.append(ids[piv])
             ids = ids[:piv] + ids[piv + 1 :]
@@ -295,25 +286,34 @@ def base_ldl(a: DenseMatrix) -> LDLResult:
             break  # zero matrix; remaining indices are rank-deficient
         jj, ii = pair
         ee = edge_eliminate(cur, jj, ii)
-        k = len(order)
-        for c in (0, 1):
-            cols[k + c] = {
-                ids[t]: ee.cols.get(t, c)
-                for t in range(m)
-                if not ctx.is_zero(ee.cols.get(t, c))
-            }
+        cols += [dict(col_support(ee.cols, c, range(m), ids)) for c in (0, 1)]
         blocks.extend(ee.blocks)
         order.extend(ids[t] for t in ee.pivots)
         ids = [ids[t] for t in range(m) if t not in (jj, ii)]
         cur = ee.s
-    r = len(order)
-    fwd = order + ids
+    return _ldl_from_columns(ctx, order + ids, cols, blocks)
+
+
+def col_support(m: DenseMatrix, c: int, rows, ids) -> tuple:
+    """The pairs (ids[t], m[t][c]) over t in `rows` with a nonzero entry."""
+    ctx = m.ctx
+    out = []
+    for t in rows:
+        v = m.get(t, c)
+        if not ctx.is_zero(v):
+            out.append((ids[t], v))
+    return tuple(out)
+
+
+def _ldl_from_columns(ctx: FieldContext, fwd, cols, blocks) -> LDLResult:
+    """Reduced LDL whose column k holds cols[k] ({index: value}), the
+    indices placed by the order fwd."""
     pos = {v: t for t, v in enumerate(fwd)}
-    l = DenseMatrix.zeros(ctx, n, r)
-    for k in range(r):
-        for idx, val in cols[k].items():
+    l = DenseMatrix.zeros(ctx, len(fwd), len(cols))
+    for k, col in enumerate(cols):
+        for idx, val in col.items():
             l.set(pos[idx], k, val)
-    return LDLResult(Permutation(fwd), l, blocks, r)
+    return LDLResult(Permutation(fwd), l, blocks, len(cols))
 
 
 # -- fast LU -------------------------------------------------------------------
@@ -333,7 +333,7 @@ def fast_lu(a: DenseMatrix, cutoff: int | None = None) -> LUResult:
     m, n = a.nrows, a.ncols
     check_cutoff(cutoff)
     if cutoff is None:
-        cutoff = default_cutoff(a.ctx)
+        cutoff = a.ctx.default_cutoff
     # A single row needs no solve or product, whatever the cutoff.
     if m <= 1 or (m <= _TRI_BASE and (m + 1) // 2 <= cutoff):
         return _lu_rows(a)
@@ -384,116 +384,18 @@ def _lu_rows(a: DenseMatrix) -> LUResult:
     row-splitting recursion, and P lists the pivot rows and then the
     others, each ascending, as the recursion does.  With P, Q and r fixed
     the unit lower L and the upper U are unique: they are the recursion's
-    too.  Rows are kept in the current column order: packed over GF(2),
-    residues over GF(p), and over Q integers over one denominator per
-    row, scaled freely.  With a counter on, the ops the recursion would
-    meter are charged by `_charge_row_splitting`.
+    too.  The elimination itself is the field's `eliminate_rows`.  With a
+    counter on, the ops the recursion would meter are charged by
+    `_charge_row_splitting`.
     """
     ctx = a.ctx
-    m, n = a.nrows, a.ncols
-    q = list(range(n))
-    piv = []
-    lower = None
-    if ctx.kind == GF2:
-        rows = list(a._d)
-        urows, lower = [], []
-        for i in range(m):
-            row, bits = rows[i], 0
-            for s, u in enumerate(urows):
-                if row >> s & 1:
-                    row ^= u
-                    bits |= 1 << s
-            r = len(urows)
-            rest = row >> r
-            if rest:
-                j = r + (rest & -rest).bit_length() - 1
-                if j != r:
-                    q[r], q[j] = q[j], q[r]
-                    flip = 1 << r | 1 << j
-
-                    def swap(x):
-                        return x ^ flip if (x >> r ^ x >> j) & 1 else x
-
-                    rows[i + 1 :] = map(swap, rows[i + 1 :])
-                    urows = list(map(swap, urows))
-                    row ^= flip
-                urows.append(row)
-                bits |= 1 << r
-                piv.append(i)
-            lower.append(bits)
-    else:
-        gfp = ctx.kind == GFP
-        zero = 0 if gfp else ctx.zero
-        if gfp:
-            p = ctx.p
-            rows, dens = a._d.tolist(), [1] * m
-        else:
-            rows, dens = [], []
-            for row in a._d:
-                den = lcm(*(x.denominator for x in row))
-                rows.append([x.numerator * (den // x.denominator) for x in row])
-                dens.append(den)
-        # GF(p): heads[s] is the inverse of pivot s.  Q: pivot row s is
-        # urows[s] * g / e with heads[s] = (g, e).
-        urows, heads, lrows = [], [], []
-        for i in range(m):
-            row, den, mult = rows[i], dens[i], []
-            for s, u in enumerate(urows):
-                c = row[s]
-                if not c:
-                    mult.append(zero)
-                elif gfp:
-                    f = c * heads[s] % p
-                    row[s + 1 :] = [(x - f * y) % p for x, y in zip(row[s + 1 :], u[s + 1 :])]
-                    mult.append(f)
-                else:
-                    g, e = heads[s]
-                    us = u[s]
-                    mult.append(_ratio(c * e, den * us * g))
-                    row[s + 1 :] = [x * us - c * y for x, y in zip(row[s + 1 :], u[s + 1 :])]
-                    den *= us
-            r = len(urows)
-            j = next((t for t in range(r, n) if row[t]), None)
-            if j is not None:
-                if j != r:
-                    q[r], q[j] = q[j], q[r]
-                    for x in rows[i:] + urows:
-                        x[r], x[j] = x[j], x[r]
-                row[:r] = [0] * r
-                if gfp:
-                    heads.append(pow(row[r], p - 2, p))
-                else:
-                    g = gcd(*row[r:])
-                    row[r:] = [x // g for x in row[r:]]
-                    heads.append((g, den))
-                urows.append(row)
-                mult.append(ctx.one)
-                piv.append(i)
-            lrows.append(mult)
-    r = len(piv)
+    m = a.nrows
+    piv, q, l, u = a.eliminate_rows()
     pivots = set(piv)
-    order = piv + [i for i in range(m) if i not in pivots]
-    if ctx.kind == GF2:
-        l = DenseMatrix(ctx, m, r, [lower[i] for i in order])
-        u = DenseMatrix(ctx, r, n, urows)
-    else:
-        lpad = [lrows[i] + [zero] * (r - len(lrows[i])) for i in order]
-        if gfp:
-            l = DenseMatrix(ctx, m, r, np.array(lpad, dtype=np.int64).reshape(m, r))
-            u = DenseMatrix(ctx, r, n, np.array(urows, dtype=np.int64).reshape(r, n))
-        else:
-            l = DenseMatrix(ctx, m, r, lpad)
-            vals = [
-                [zero] * t + [_ratio(x * g, e) for x in row[t:]]
-                for t, (row, (g, e)) in enumerate(zip(urows, heads))
-            ]
-            u = DenseMatrix(ctx, r, n, vals)
     if ctx.counter is not None:
-        upper = urows
-        if ctx.kind != GF2:
-            upper = [sum(1 << c for c in range(t + 1, r) if row[c]) for t, row in enumerate(urows)]
-        _charge_row_splitting(ctx, m, n, pivots, upper, lower)
-    return LUResult(Permutation(order), Permutation(q), l, u, r)
+        _charge_row_splitting(ctx, m, a.ncols, pivots, u.nonzero_masks(), l.nonzero_masks())
+    order = piv + [i for i in range(m) if i not in pivots]
+    return LUResult(Permutation(order), Permutation(q), l.take_rows(order), u, len(piv))
 
 
 def _charge_row_splitting(ctx: FieldContext, m: int, n: int, pivots, upper, lower):
@@ -504,11 +406,9 @@ def _charge_row_splitting(ctx: FieldContext, m: int, n: int, pivots, upper, lowe
     U[o:o + r1, o:o + r1], a classical product of the nb = hi - mid bottom
     rows' multipliers of those pivots with their k = n - o - r1 trailing
     columns, and a `sub`; each is charged by its kernel's formula.
-    upper[t] has bit c set when U[t][c] != 0 (c past t and below the
-    rank); over GF(2), lower[i] has bit s set when row i's multiplier of
-    pivot s is nonzero.
+    upper[t] has bit c set when U[t][c] != 0, and lower[i] bit s when
+    row i's multiplier of pivot s is nonzero.
     """
-    gf2 = ctx.kind == GF2
     prefix = [0]
     for i in range(m):
         prefix.append(prefix[-1] + (i in pivots))
@@ -528,16 +428,10 @@ def _charge_row_splitting(ctx: FieldContext, m: int, n: int, pivots, upper, lowe
         inv += r1
         add += nnz * nb
         mul += (nnz + r1) * nb
-        w = packed_ops(k) if gf2 else k
         if r1 and k:
-            if gf2:
-                used = sum((lower[i] & band).bit_count() for i in range(mid, hi))
-                add += used * w
-                mul += used * w
-            else:
-                add += nb * k * (r1 - 1)
-                mul += nb * r1 * k
-        add += nb * w
+            used = sum((lower[i] & band).bit_count() for i in range(mid, hi))
+            ctx.count_product(nb, r1, k, used)
+        add += nb * ctx.row_ops(k)
     ctx.count_ops(add=add, mul=mul, inv=inv)
 
 
@@ -656,16 +550,13 @@ def natural_order_ldl(a: DenseMatrix) -> LDLResult:
     cur = a
     order = []
     tail = []
-    cols = {}
+    cols = []
     blocks = []
     while ids:
         m = len(ids)
         if not ctx.is_zero(cur.get(0, 0)):
             l, d, s = vertex_eliminate(cur, 0)
-            k = len(order)
-            cols[k] = {
-                ids[t]: l.get(t, 0) for t in range(m) if not ctx.is_zero(l.get(t, 0))
-            }
+            cols.append(dict(col_support(l, 0, range(m), ids)))
             blocks.append(DBlock.scalar(d))
             order.append(ids[0])
             ids = ids[1:]
@@ -683,25 +574,12 @@ def natural_order_ldl(a: DenseMatrix) -> LDLResult:
             cur = cur.take_rows(rest).take_cols(rest)
             continue
         ee = edge_eliminate(cur, 0, partner)
-        k = len(order)
-        for cdx in (0, 1):
-            cols[k + cdx] = {
-                ids[t]: ee.cols.get(t, cdx)
-                for t in range(m)
-                if not ctx.is_zero(ee.cols.get(t, cdx))
-            }
+        cols += [dict(col_support(ee.cols, c, range(m), ids)) for c in (0, 1)]
         blocks.extend(ee.blocks)
         order.extend(ids[t] for t in ee.pivots)
         ids = [ids[t] for t in range(m) if t not in (0, partner)]
         cur = ee.s
-    r = len(order)
-    fwd = order + tail
-    pos = {vid: t for t, vid in enumerate(fwd)}
-    l = DenseMatrix.zeros(ctx, n, r)
-    for k in range(r):
-        for idx, val in cols[k].items():
-            l.set(pos[idx], k, val)
-    return LDLResult(Permutation(fwd), l, blocks, r)
+    return _ldl_from_columns(ctx, order + tail, cols, blocks)
 
 
 # -- inertia -------------------------------------------------------------------

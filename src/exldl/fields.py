@@ -5,23 +5,27 @@ for GF(2), reduced residues in [0, p) for GF(p), and normalized
 `fractions.Fraction` (positive denominator) for the rationals.  Because
 canonical form is unique, equality of elements is equality of values.
 
-A `FieldContext` owns the semantics and routes every scalar operation,
-so an optional `OpCounter` can meter the exact number of field
-additions, multiplications, and inversions an algorithm performs.
-Conjugation is the identity on all three shipped fields but is kept as
-an explicit operation so that conjugate-symmetric formulas are written
-once.
+Each field is one `FieldContext` subclass here (`GF2Field`, `GFpField`,
+`RationalField`) that owns its semantics and routes every scalar
+operation, so an optional `OpCounter` can meter the exact number of
+field additions, multiplications, and inversions an algorithm performs.
+Its matrix class lives in `exldl.dense`; no other module branches on the
+field.  Conjugation is the identity on all three shipped fields but is
+kept as an explicit operation so that conjugate-symmetric formulas are
+written once.
 
-Counting conventions:
+Counting conventions (`count_product` and `row_ops` give the kernels'):
   * sub and neg count as one add, div as one mul plus one inv.
   * Matrix kernels meter semantically: a classical (m, k, n) product
     counts m*k*n muls and m*n*(k-1) adds no matter how it is computed.
   * GF(2) rows are bit-packed; one 64-bit word XOR counts as 64 adds,
-    so a packed row operation of width w counts 64*ceil(w/64).
+    so a packed row operation of width w counts 64*ceil(w/64), and a
+    product counts one such add and mul per nonzero of its left factor.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 try:
@@ -151,12 +155,27 @@ class OpCounter:
 
 
 class FieldContext:
-    """One of GF(2), GF(p) with p prime below 2**31, or the rationals."""
+    """One of GF(2), GF(p) with p prime below 2**31, or the rationals.
 
-    __slots__ = ("kind", "p", "counter")
+    `FieldContext(kind, p)` and the `gf2`, `gfp` and `rational`
+    constructors return the field's own subclass, which holds everything
+    the field decides: canonical elements (`el` canonicalizes an int, an
+    integer or "p/q" string, or a rational), the scalar operations, the
+    counting conventions of its matrix kernels, its default Strassen
+    cutoff and its spelling in the CLI.  The matrix class of each field
+    lives in `exldl.dense`.
+    """
 
-    def __init__(self, kind: str, p: int | None = None):
-        if kind not in (GF2, GFP, RATIONAL):
+    __slots__ = ("p", "counter")
+
+    kind = None  # "gf2", "gfp" or "rational", set by each subclass
+    zero = 0
+    one = 1
+    default_cutoff = 64  # Strassen cutoff when the caller gives none
+    mm_field = "integer"  # Matrix Market field of its entries
+
+    def __new__(cls, kind: str, p: int | None = None):
+        if kind not in _FIELDS:
             raise ValueError(f"unknown field kind {kind!r}")
         if kind == GFP:
             if p is None or p < 2 or p >= (1 << 31):
@@ -165,9 +184,13 @@ class FieldContext:
                 raise ValueError(f"GF(p) modulus {p} is not prime")
         elif p is not None:
             raise ValueError("modulus only applies to GF(p)")
-        self.kind = kind
+        self = object.__new__(_FIELDS[kind])
         self.p = p
         self.counter = None
+        return self
+
+    def __getnewargs__(self):
+        return (self.kind, self.p)
 
     @classmethod
     def gf2(cls) -> "FieldContext":
@@ -182,19 +205,22 @@ class FieldContext:
         return cls(RATIONAL)
 
     def __repr__(self):
-        if self.kind == GFP:
-            return f"FieldContext(GF({self.p}))"
         return f"FieldContext({self.kind})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldContext)
-            and self.kind == other.kind
-            and self.p == other.p
-        )
+        return type(self) is type(other) and self.p == other.p
 
     def __hash__(self):
         return hash((self.kind, self.p))
+
+    @property
+    def spec(self) -> str:
+        """The field as the CLI's --field spells it."""
+        return self.kind
+
+    def fmt(self, v) -> str:
+        """An element as the CLI writes it."""
+        return str(int(v))
 
     # -- counter ------------------------------------------------------
 
@@ -212,83 +238,58 @@ class FieldContext:
             c.mul += mul
             c.inv += inv
 
-    # -- canonical values ----------------------------------------------
+    def row_ops(self, width: int) -> int:
+        """Ops metered for one row operation (add or scaled add) of `width` columns."""
+        return width
 
-    @property
-    def zero(self):
-        return _ratio(0) if self.kind == RATIONAL else 0
+    def count_product(self, m: int, k: int, n: int, nnz: int):
+        """Charge a classical (m x k) @ (k x n) product whose left factor
+        has nnz nonzero entries: m*k*n muls and m*n*(k-1) adds."""
+        self.count_ops(mul=m * k * n, add=m * n * (k - 1) if k >= 1 else 0)
 
-    @property
-    def one(self):
-        return _ratio(1) if self.kind == RATIONAL else 1
+    # -- elements -------------------------------------------------------
 
-    def el(self, value):
-        """Canonicalize an int, "p/q" string, or rational into this field."""
-        if self.kind == RATIONAL:
-            if isinstance(value, str):
-                return _ratio(Fraction(value))
-            return _ratio(value)
+    def _int(self, value) -> int:
+        """An int, integer string or integral rational as an int."""
         if isinstance(value, str):
-            value = int(value)
-        elif value is not None and getattr(value, "denominator", 1) != 1:
+            return int(value)
+        if value is not None and getattr(value, "denominator", 1) != 1:
             raise EntryOutOfField(f"{value} is not an element of {self!r}")
-        if self.kind == GF2:
-            return int(value) & 1
-        return int(value) % self.p
+        return int(value)
 
-    # -- arithmetic ----------------------------------------------------
+    # Each field gives _add, _sub, _neg, _mul and _inverse; these meter them.
 
     def add(self, a, b):
         c = self.counter
         if c is not None:
             c.add += 1
-        if self.kind == GF2:
-            return a ^ b
-        if self.kind == GFP:
-            return (a + b) % self.p
-        return a + b
+        return self._add(a, b)
 
     def sub(self, a, b):
         c = self.counter
         if c is not None:
             c.add += 1
-        if self.kind == GF2:
-            return a ^ b
-        if self.kind == GFP:
-            return (a - b) % self.p
-        return a - b
+        return self._sub(a, b)
 
     def neg(self, a):
         c = self.counter
         if c is not None:
             c.add += 1
-        if self.kind == GF2:
-            return a
-        if self.kind == GFP:
-            return (-a) % self.p
-        return -a
+        return self._neg(a)
 
     def mul(self, a, b):
         c = self.counter
         if c is not None:
             c.mul += 1
-        if self.kind == GF2:
-            return a & b
-        if self.kind == GFP:
-            return a * b % self.p
-        return a * b
+        return self._mul(a, b)
 
     def inv(self, a):
-        if self.is_zero(a):
+        if a == 0:
             raise DivisionByZero("inversion of zero")
         c = self.counter
         if c is not None:
             c.inv += 1
-        if self.kind == GF2:
-            return 1
-        if self.kind == GFP:
-            return pow(a, self.p - 2, self.p)
-        return 1 / a
+        return self._inverse(a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -302,7 +303,100 @@ class FieldContext:
         return a == 0
 
     def is_ordered(self) -> bool:
-        return self.kind == RATIONAL
+        return False
+
+
+class GF2Field(FieldContext):
+    """GF(2): elements are the ints 0 and 1; matrices pack their rows."""
+
+    __slots__ = ()
+    kind = GF2
+    default_cutoff = 256
+
+    def row_ops(self, width: int) -> int:
+        return packed_ops(width)
+
+    def count_product(self, m: int, k: int, n: int, nnz: int):
+        # The packed product adds one row of b per nonzero entry of a.
+        w = packed_ops(n)
+        self.count_ops(add=nnz * w, mul=nnz * w)
+
+    def el(self, value):
+        return self._int(value) & 1
+
+    _add = _sub = staticmethod(operator.xor)
+    _mul = staticmethod(operator.and_)
+
+    def _neg(self, a):
+        return a
+
+    def _inverse(self, a):
+        return 1
+
+
+class GFpField(FieldContext):
+    """GF(p): elements are the residues 0..p-1 as ints."""
+
+    __slots__ = ()
+    kind = GFP
+
+    def __repr__(self):
+        return f"FieldContext(GF({self.p}))"
+
+    @property
+    def spec(self) -> str:
+        return f"gfp:{self.p}"
+
+    def el(self, value):
+        return self._int(value) % self.p
+
+    def _add(self, a, b):
+        return (a + b) % self.p
+
+    def _sub(self, a, b):
+        return (a - b) % self.p
+
+    def _neg(self, a):
+        return (-a) % self.p
+
+    def _mul(self, a, b):
+        return a * b % self.p
+
+    def _inverse(self, a):
+        return pow(a, self.p - 2, self.p)
+
+
+class RationalField(FieldContext):
+    """Q: elements are normalized exact rationals of type `_ratio`."""
+
+    __slots__ = ()
+    kind = RATIONAL
+    zero = _ratio(0)
+    one = _ratio(1)
+    mm_field = "rational"
+
+    def fmt(self, v) -> str:
+        num, den = v.numerator, v.denominator
+        return str(num) if den == 1 else f"{num}/{den}"
+
+    def el(self, value):
+        if isinstance(value, str):
+            return _ratio(Fraction(value))
+        return _ratio(value)
+
+    _add = staticmethod(operator.add)
+    _sub = staticmethod(operator.sub)
+    _neg = staticmethod(operator.neg)
+    _mul = staticmethod(operator.mul)
+
+    def _inverse(self, a):
+        return 1 / a
+
+    def is_ordered(self) -> bool:
+        return True
+
+
+_FIELDS = {GF2: GF2Field, GFP: GFpField, RATIONAL: RationalField}
 
 
 def op_count_snapshot(ctx: FieldContext) -> dict:

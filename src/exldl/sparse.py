@@ -24,8 +24,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dense import (
     LEFT,
     LOWER_UNIT,
@@ -40,24 +38,21 @@ from .dense import (
     vstack,
 )
 from .factor import (
-    ANTIDIAG,
     SCALAR,
     DBlock,
     LDLResult,
     LUResult,
+    col_support,
     d_size,
     d_solve_left,
     d_solve_right,
     fast_lu,
 )
 from .fields import (
-    GF2,
-    GFP,
     FieldContext,
     InconsistentSystem,
     InternalInvariantViolation,
     NotInSpan,
-    packed_ops,
 )
 from .saddle import (
     SaddleSystem,
@@ -149,6 +144,10 @@ class VertexElim:
     col: tuple  # ((index, value), ...) off-diagonal entries
     block: DBlock  # scalar
 
+    def columns(self):
+        """(pivot, off-diagonal entries) of each column, in pivot order."""
+        return ((self.pivot, self.col),)
+
 
 @dataclass(frozen=True)
 class EdgeElim:
@@ -156,6 +155,10 @@ class EdgeElim:
     col1: tuple  # off-diagonal entries of the first pivot's column
     col2: tuple
     block: DBlock  # antidiagonal
+
+    def columns(self):
+        """(pivot, off-diagonal entries) of each column, in pivot order."""
+        return tuple(zip(self.pivots, (self.col1, self.col2)))
 
 
 @dataclass(frozen=True)
@@ -165,11 +168,9 @@ class Peel:
 
 
 def _offdiag_count(tf) -> int:
-    if isinstance(tf, VertexElim):
-        return len(tf.col)
-    if isinstance(tf, EdgeElim):
-        return len(tf.col1) + len(tf.col2)
-    return len(tf.coeffs)
+    if isinstance(tf, Peel):
+        return len(tf.coeffs)
+    return sum(len(col) for _, col in tf.columns())
 
 
 class Transcript:
@@ -185,21 +186,11 @@ class Transcript:
 
     @property
     def pivot_order(self):
-        out = []
-        for tf in self.transforms:
-            if isinstance(tf, VertexElim):
-                out.append(tf.pivot)
-            elif isinstance(tf, EdgeElim):
-                out.extend(tf.pivots)
-        return out
+        return [p for tf in self.transforms if not isinstance(tf, Peel) for p, _ in tf.columns()]
 
     @property
     def dblocks(self):
-        return [
-            tf.block
-            for tf in self.transforms
-            if isinstance(tf, (VertexElim, EdgeElim))
-        ]
+        return [tf.block for tf in self.transforms if not isinstance(tf, Peel)]
 
     @property
     def peeled(self):
@@ -241,140 +232,70 @@ class Transcript:
         return sum(_offdiag_count(tf) for tf in self.transforms) + self.rank
 
 
-# -- row kits for transcript application ------------------------------------------
-
-
-class _RowKit:
-    """Per-field row vector helpers used by transcript application."""
-
-    def __init__(self, ctx: FieldContext, width: int):
-        self.ctx = ctx
-        self.width = width
-        self.kind = ctx.kind
-
-    def zero(self):
-        if self.kind == GF2:
-            return 0
-        if self.kind == GFP:
-            return np.zeros(self.width, dtype=np.int64)
-        return [self.ctx.zero] * self.width
-
-    def from_matrix_row(self, m: DenseMatrix, i: int):
-        if self.kind == GF2:
-            return m._d[i]
-        if self.kind == GFP:
-            return m._d[i].copy()
-        return list(m._d[i])
-
-    def add_scaled(self, dst, src, c):
-        ctx = self.ctx
-        if self.kind == GF2:
-            ctx.count_ops(add=packed_ops(self.width), mul=packed_ops(self.width))
-            return dst ^ src if (c & 1) else dst
-        ctx.count_ops(add=self.width, mul=self.width)
-        if self.kind == GFP:
-            return (dst + c * src) % ctx.p
-        return [a + c * b for a, b in zip(dst, src)]
-
-    def is_equal(self, a, b) -> bool:
-        if self.kind == GF2:
-            return a == b
-        if self.kind == GFP:
-            return bool(np.array_equal(a, b))
-        return a == b
-
-    def emit(self, rows_in_order) -> DenseMatrix:
-        out = DenseMatrix.zeros(self.ctx, len(rows_in_order), self.width)
-        if self.kind == GF2:
-            out._d = list(rows_in_order)
-        elif self.kind == GFP:
-            for i, r in enumerate(rows_in_order):
-                out._d[i, :] = r
-        else:
-            out._d = [list(r) for r in rows_in_order]
-        return out
-
-
 def apply_transcript(t: Transcript, x: DenseMatrix, mode: str) -> DenseMatrix:
     """Multiply by the transformation product, one transform at a time.
 
     L_times: (prod Q_i) x, taking x over pivot positions to vertex rows.
     Lh_times: (prod Q_i)^H x, taking x over vertex rows to pivot positions.
     solve_L: solve (prod Q_i) y = x; raises InconsistentSystem when x is
-    not in the range.
+    not in the range.  Rows are kept in x's row format (see `row`).
     """
     ctx = t.ctx
-    kit = _RowKit(ctx, x.ncols)
+    axpy = x.add_scaled_row
     pivots = t.pivot_order
     if mode == L_TIMES:
         if x.nrows != len(pivots):
             raise ValueError("input rows must match the rank")
-        state = {pid: kit.from_matrix_row(x, k) for k, pid in enumerate(pivots)}
+        state = {pid: x.row(k) for k, pid in enumerate(pivots)}
         for tf in reversed(t.transforms):
-            if isinstance(tf, VertexElim):
-                prow = state[tf.pivot]
-                for idx, val in tf.col:
-                    state[idx] = kit.add_scaled(state[idx], prow, val)
-            elif isinstance(tf, EdgeElim):
-                p1, p2 = tf.pivots
-                for prow, col in ((state[p1], tf.col1), (state[p2], tf.col2)):
-                    for idx, val in col:
-                        state[idx] = kit.add_scaled(state[idx], prow, val)
-            elif isinstance(tf, Peel):
-                acc = kit.zero()
+            if isinstance(tf, Peel):
+                acc = x.zero_row()
                 for idx, val in tf.coeffs:
-                    acc = kit.add_scaled(acc, state[idx], ctx.conj(val))
+                    acc = axpy(acc, state[idx], ctx.conj(val))
                 state[tf.target] = acc
-        return kit.emit([state.get(v, kit.zero()) for v in range(t.n)])
+                continue
+            for prow, col in [(state[p], col) for p, col in tf.columns()]:
+                for idx, val in col:
+                    state[idx] = axpy(state[idx], prow, val)
+        return x.with_rows([state[v] if v in state else x.zero_row() for v in range(t.n)])
     if mode == LH_TIMES:
         if x.nrows != t.n:
             raise ValueError("input rows must match the dimension")
-        state = {v: kit.from_matrix_row(x, v) for v in range(t.n)}
+        state = {v: x.row(v) for v in range(t.n)}
         out = {}
         for tf in t.transforms:
-            if isinstance(tf, VertexElim):
-                acc = state[tf.pivot]
-                for idx, val in tf.col:
-                    acc = kit.add_scaled(acc, state[idx], ctx.conj(val))
-                out[tf.pivot] = acc
-                state.pop(tf.pivot)
-            elif isinstance(tf, EdgeElim):
-                for piv, col in zip(tf.pivots, (tf.col1, tf.col2)):
-                    acc = state[piv]
-                    for idx, val in col:
-                        acc = kit.add_scaled(acc, state[idx], ctx.conj(val))
-                    out[piv] = acc
-                for piv in tf.pivots:
-                    state.pop(piv)
-            elif isinstance(tf, Peel):
+            if isinstance(tf, Peel):
                 trow = state.pop(tf.target)
                 for idx, val in tf.coeffs:
-                    state[idx] = kit.add_scaled(state[idx], trow, val)
-        return kit.emit([out[pid] for pid in pivots])
+                    state[idx] = axpy(state[idx], trow, val)
+                continue
+            for piv, col in tf.columns():
+                acc = state[piv]
+                for idx, val in col:
+                    acc = axpy(acc, state[idx], ctx.conj(val))
+                out[piv] = acc
+            for piv, _ in tf.columns():
+                state.pop(piv)
+        return x.with_rows([out[pid] for pid in pivots])
     if mode == SOLVE_L:
         if x.nrows != t.n:
             raise ValueError("input rows must match the dimension")
-        state = {v: kit.from_matrix_row(x, v) for v in range(t.n)}
+        state = {v: x.row(v) for v in range(t.n)}
         for tf in t.transforms:
-            if isinstance(tf, VertexElim):
-                prow = state[tf.pivot]
-                for idx, val in tf.col:
-                    state[idx] = kit.add_scaled(state[idx], prow, ctx.neg(val))
-            elif isinstance(tf, EdgeElim):
-                p1, p2 = tf.pivots
-                for prow, col in ((state[p1], tf.col1), (state[p2], tf.col2)):
-                    for idx, val in col:
-                        state[idx] = kit.add_scaled(state[idx], prow, ctx.neg(val))
-            elif isinstance(tf, Peel):
-                acc = kit.zero()
+            if isinstance(tf, Peel):
+                acc = x.zero_row()
                 for idx, val in tf.coeffs:
-                    acc = kit.add_scaled(acc, state[idx], ctx.conj(val))
-                if not kit.is_equal(acc, state[tf.target]):
+                    acc = axpy(acc, state[idx], ctx.conj(val))
+                if not x.same_row(acc, state[tf.target]):
                     raise InconsistentSystem(
                         f"row {tf.target} is not a consistent combination"
                     )
                 state.pop(tf.target)
-        return kit.emit([state[pid] for pid in pivots])
+                continue
+            for prow, col in [(state[p], col) for p, col in tf.columns()]:
+                for idx, val in col:
+                    state[idx] = axpy(state[idx], prow, ctx.neg(val))
+        return x.with_rows([state[pid] for pid in pivots])
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -394,20 +315,12 @@ def explicit_ldl_from_transcript(t: Transcript, a: SparseSym) -> LDLResult:
     pivots = t.pivot_order
     r = len(pivots)
     pos = {pid: k for k, pid in enumerate(pivots)}
+    cols = [col for tf in t.transforms if not isinstance(tf, Peel) for _, col in tf.columns()]
     l1 = DenseMatrix.identity(ctx, r)
-    k = 0
-    for tf in t.transforms:
-        if isinstance(tf, VertexElim):
-            for idx, val in tf.col:
-                if idx in pos:
-                    l1.set(pos[idx], k, val)
-            k += 1
-        elif isinstance(tf, EdgeElim):
-            for c, col in enumerate((tf.col1, tf.col2)):
-                for idx, val in col:
-                    if idx in pos:
-                        l1.set(pos[idx], k + c, val)
-            k += 2
+    for k, col in enumerate(cols):
+        for idx, val in col:
+            if idx in pos:
+                l1.set(pos[idx], k, val)
     peeled = t.peeled
     if peeled:
         rhs = DenseMatrix.zeros(ctx, len(peeled), r)
@@ -459,13 +372,17 @@ def peel_vertex(a_block: DenseMatrix, target: int, basis_cols) -> Peel:
 # -- the tree engine ----------------------------------------------------------------
 
 
-def _solve_dependent_coeffs(lu, t_index):
-    """x with (pivot columns) x = (column at Q position t_index), from the
-    factors of a rank-revealing LU."""
+def _peel_dependent(transcript: Transcript, cols: DenseMatrix, ids, cutoff) -> list:
+    """Peel the vertex ids[t] of every column t of `cols` outside the pivot
+    columns of its rank-revealing LU, as the combination of those that the
+    factors give; returns the pivot columns, ascending."""
+    lu = fast_lu(cols, cutoff)
     r = lu.r
-    ucol = lu.U.block(0, r, t_index, t_index + 1)
-    x = tri_solve(lu.U.block(0, r, 0, r), ucol, LEFT, UPPER)
-    return x
+    piv_ids = [ids[t] for t in lu.Q.fwd[:r]]
+    for t in range(r, len(ids)):
+        x = tri_solve(lu.U.block(0, r, 0, r), lu.U.block(0, r, t, t + 1), LEFT, UPPER)
+        transcript.append(Peel(ids[lu.Q.fwd[t]], col_support(x, 0, range(r), piv_ids)))
+    return sorted(lu.Q.fwd[:r])
 
 
 def _substep(
@@ -489,23 +406,11 @@ def _substep(
     # -- step 1: peel linearly dependent constraint rows
     k = len(b_ids)
     if k:
-        lu = fast_lu(brows.conj_transpose(), cutoff)
-        rb = lu.r
-        if rb < k:
-            piv_rows = [lu.Q.fwd[t] for t in range(rb)]
-            piv_ids = [b_ids[t] for t in piv_rows]
-            for t in range(rb, k):
-                x = _solve_dependent_coeffs(lu, t)
-                coeffs = tuple(
-                    (piv_ids[s], x.get(s, 0))
-                    for s in range(rb)
-                    if not ctx.is_zero(x.get(s, 0))
-                )
-                transcript.append(Peel(b_ids[lu.Q.fwd[t]], coeffs))
-            keep = sorted(piv_rows)
+        keep = _peel_dependent(transcript, brows.conj_transpose(), b_ids, cutoff)
+        if len(keep) < k:
             brows = brows.take_rows(keep)
             b_ids = [b_ids[t] for t in keep]
-            k = rb
+            k = len(keep)
 
     # -- step 2: constraint complementation against the eliminable columns.
     # The pivotable rows are found by an LU of the eliminable part; the
@@ -549,16 +454,8 @@ def _substep(
                 + [next_ids[f.P.fwd[s]] for s in range(i + 1, na)]
                 + [beta_ids[f.Q.fwd[s]] for s in range(i + 1, r1)]
             )
-            c1 = tuple(
-                (row_ids[s], cols.get(s, 0))
-                for s in range(len(row_ids))
-                if s != 0 and not ctx.is_zero(cols.get(s, 0))
-            )
-            c2 = tuple(
-                (row_ids[s], cols.get(s, 1))
-                for s in range(len(row_ids))
-                if s != 1 and not ctx.is_zero(cols.get(s, 1))
-            )
+            c1 = col_support(cols, 0, range(1, len(row_ids)), row_ids)
+            c2 = col_support(cols, 1, [0, *range(2, len(row_ids))], row_ids)
             if len(blks) == 1:
                 transcript.append(EdgeElim((row_ids[0], row_ids[1]), c1, c2, blks[0]))
             else:
@@ -625,32 +522,15 @@ def _substep(
         s_ifc = a22
     pos = 0
     for blk in res3.D:
+        # column c of the block: eliminable rows below it, then the interface
+        cc = [
+            col_support(l1, c, range(pos + blk.size, n1), elim_p1)
+            + col_support(xifc, c, range(len(ifc_ids)), ifc_ids)
+            for c in range(pos, pos + blk.size)
+        ]
         if blk.kind == SCALAR:
-            col = tuple(
-                (elim_p1[t], l1.get(t, pos))
-                for t in range(pos + 1, n1)
-                if not ctx.is_zero(l1.get(t, pos))
-            ) + tuple(
-                (ifc_ids[t], xifc.get(t, pos))
-                for t in range(len(ifc_ids))
-                if not ctx.is_zero(xifc.get(t, pos))
-            )
-            transcript.append(VertexElim(elim_p1[pos], col, blk))
+            transcript.append(VertexElim(elim_p1[pos], cc[0], blk))
         else:
-            cc = []
-            for cdx in (0, 1):
-                cc.append(
-                    tuple(
-                        (elim_p1[t], l1.get(t, pos + cdx))
-                        for t in range(pos + 2, n1)
-                        if not ctx.is_zero(l1.get(t, pos + cdx))
-                    )
-                    + tuple(
-                        (ifc_ids[t], xifc.get(t, pos + cdx))
-                        for t in range(len(ifc_ids))
-                        if not ctx.is_zero(xifc.get(t, pos + cdx))
-                    )
-                )
             transcript.append(
                 EdgeElim((elim_p1[pos], elim_p1[pos + 1]), cc[0], cc[1], blk)
             )
@@ -668,19 +548,7 @@ def _substep(
                 transcript.append(Peel(gid, ()))
             fmat = DenseMatrix.zeros(ctx, 0, gamma)
         else:
-            lu4 = fast_lu(gcols, cutoff)
-            r4 = lu4.r
-            piv = [lu4.Q.fwd[t] for t in range(r4)]
-            piv_ids = [gids[t] for t in piv]
-            for t in range(r4, len(gids)):
-                x = _solve_dependent_coeffs(lu4, t)
-                coeffs = tuple(
-                    (piv_ids[s], x.get(s, 0))
-                    for s in range(r4)
-                    if not ctx.is_zero(x.get(s, 0))
-                )
-                transcript.append(Peel(gids[lu4.Q.fwd[t]], coeffs))
-            keep = sorted(piv)
+            keep = _peel_dependent(transcript, gcols, gids, cutoff)
             carried_ids = [gids[t] for t in keep]
             fmat = gcols.take_cols(keep).conj_transpose()
     else:
@@ -797,6 +665,21 @@ class SparseLDLOutcome:
 EXPLICIT_CORANK_FACTOR = 4
 
 
+def _want_explicit(explicit: bool | None, corank: int, ntd: NormalizedTD) -> bool:
+    """`explicit` if given, else whether the corank allows recovery (with a
+    warning when it does not)."""
+    if explicit is not None:
+        return explicit
+    threshold = EXPLICIT_CORANK_FACTOR * max(ntd.td.max_bag(), 1)
+    if corank > threshold:
+        warnings.warn(
+            f"corank {corank} above the recovery threshold {threshold}; "
+            "returning the implicit transcript only",
+            stacklevel=3,
+        )
+    return corank <= threshold
+
+
 def sparse_ldl(
     a: SparseSym,
     td=None,
@@ -812,17 +695,8 @@ def sparse_ldl(
     apos = a.relabel(ntd.order)
     transcript, _, _ = tree_ldl(apos, ntd, 0, cutoff)
     r = transcript.rank
-    corank = a.n - r
-    threshold = EXPLICIT_CORANK_FACTOR * max(ntd.td.max_bag(), 1)
-    want_explicit = explicit if explicit is not None else corank <= threshold
-    if explicit is None and corank > threshold:
-        warnings.warn(
-            f"corank {corank} above the recovery threshold {threshold}; "
-            "returning the implicit transcript only",
-            stacklevel=2,
-        )
     result = None
-    if want_explicit:
+    if _want_explicit(explicit, a.n - r, ntd):
         res_pos = explicit_ldl_from_transcript(transcript, apos)
         fwd = [ntd.order.fwd[p] for p in res_pos.P.fwd]
         result = LDLResult(Permutation(fwd), res_pos.L, res_pos.D, res_pos.r)
@@ -886,17 +760,8 @@ def sparse_lu(
     r = len(pairs)
     row_peels = sum(1 for p in transcript.peeled if is_row_vertex(p))
     col_peels = transcript.peel_count - row_peels
-    corank = max(m, n) - r
-    threshold = EXPLICIT_CORANK_FACTOR * max(ntd.td.max_bag(), 1)
-    want_explicit = explicit if explicit is not None else corank <= threshold
-    if explicit is None and corank > threshold:
-        warnings.warn(
-            f"corank {corank} above the recovery threshold {threshold}; "
-            "returning the implicit transcript only",
-            stacklevel=2,
-        )
     lures = None
-    if want_explicit:
+    if _want_explicit(explicit, max(m, n) - r, ntd):
         expl = explicit_ldl_from_transcript(transcript, apos)
         vrow = {pid: t for t, pid in enumerate(expl.P.fwd)}
         pfwd, qfwd, lcols, urows = [], [], [], []
@@ -918,14 +783,8 @@ def sparse_lu(
                 pfwd.append(pos2orig[p] - n)
             else:
                 qfwd.append(pos2orig[p])
-        lmat = DenseMatrix.zeros(ctx, m, r)
+        lmat = expl.L.take_rows([vrow[ntd.order.inv[n + i]] for i in pfwd]).take_cols(lcols)
         umat = DenseMatrix.zeros(ctx, r, n)
-        for i, orig_row in enumerate(pfwd):
-            erow = vrow[ntd.order.inv[n + orig_row]]
-            for k in range(r):
-                v = expl.L.get(erow, lcols[k])
-                if not ctx.is_zero(v):
-                    lmat.set(i, k, v)
         for j, orig_col in enumerate(qfwd):
             erow = vrow[ntd.order.inv[orig_col]]
             for k in range(r):

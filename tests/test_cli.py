@@ -5,7 +5,6 @@ import pytest
 
 from exldl.cli import (
     MODES,
-    fmt_el,
     main,
     mm_to_dense,
     mm_to_sparse_sym,
@@ -236,9 +235,9 @@ def test_reverify_all_dense_modes(tmp_path):
 
 
 def test_fmt_el():
-    assert fmt_el(QQ, QQ.el("2/4")) == "1/2"
-    assert fmt_el(QQ, QQ.el(3)) == "3"
-    assert fmt_el(GF7, 5) == "5"
+    assert QQ.fmt(QQ.el("2/4")) == "1/2"
+    assert QQ.fmt(QQ.el(3)) == "3"
+    assert GF7.fmt(5) == "5"
 
 
 @pytest.mark.parametrize(
@@ -264,31 +263,58 @@ def test_cmd_malformed_input_is_an_input_error(tmp_path, capsys, field, header, 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_reverify_rejects_tampered_factors(tmp_path, mode):
-    rng = random.Random(5)
+    """Wrong factors fail the check and malformed ones are rejected while
+    reading: a repeated P entry, an L entry outside L (row or column 999,
+    or a negative row that would wrap onto a real entry), a zero D block,
+    and for LU a repeated Q entry."""
     symmetric = mode in ("dense-ldl", "sparse-ldl", "saddle")
-    a = rand_symmetric(GF7, rng, 6) if symmetric else rand_matrix(GF7, rng, 5, 7)
-    write_matrix_market(tmp_path / "a.mtx", a, symmetric=symmetric)
-    argv = ["--field", "gfp:7", "--mode", mode, "--matrix", str(tmp_path / "a.mtx")]
-    if mode == "saddle":
-        write_matrix_market(tmp_path / "b.mtx", rand_matrix(GF7, rng, 3, 6))
-        argv += ["--matrix-b", str(tmp_path / "b.mtx")]
-    if mode.startswith("sparse"):
-        argv.append("--greedy-td")
-    out = tmp_path / "out.json"
-    assert main(argv + ["--verify", "--out", str(out)]) == 0
-    assert reverify_json(out)
+    p_key = "P_full" if mode == "saddle" else "P"
 
-    def bump_l(factors):
+    def bump_l(ctx, factors):
         entry = factors["L"][-1]
-        entry[2] = str((int(entry[2]) + 1) % 7)
+        entry[2] = ctx.fmt(ctx.add(ctx.el(entry[2]), ctx.one))
 
-    def swap_p(factors):
-        p = factors["P_full" if mode == "saddle" else "P"]
+    def swap_p(ctx, factors):
+        p = factors[p_key]
         p[0], p[-1] = p[-1], p[0]
 
-    for tamper in (bump_l, swap_p):
-        payload = json.loads(out.read_text())
-        tamper(payload["factors"])
-        bad = tmp_path / f"{tamper.__name__}.json"
-        bad.write_text(json.dumps(payload))
-        assert not reverify_json(bad), tamper.__name__
+    def repeat_p(ctx, factors):
+        factors[p_key][-1] = factors[p_key][0]
+
+    def l_row_999(ctx, factors):
+        factors["L"][-1][0] = 999
+
+    def l_col_999(ctx, factors):
+        factors["L"].append([0, 999, "1"])
+
+    def l_row_negative(ctx, factors):
+        factors["L"][-1][0] -= len(factors[p_key])
+
+    def zero_d_or_repeat_q(ctx, factors):
+        if "D" in factors:
+            blk = factors["D"][0]
+            blk["d" if blk["kind"] == "scalar" else "a12"] = "0"
+        else:
+            factors["Q"][-1] = factors["Q"][0]
+
+    tampers = (bump_l, swap_p, repeat_p, l_row_999, l_col_999, l_row_negative, zero_d_or_repeat_q)
+    for spec in ("gfp:7", "gf2", "rational"):
+        ctx = parse_field(spec)
+        rng = random.Random(5)
+        a = rand_symmetric(ctx, rng, 6) if symmetric else rand_matrix(ctx, rng, 5, 7)
+        write_matrix_market(tmp_path / "a.mtx", a, symmetric=symmetric)
+        argv = ["--field", spec, "--mode", mode, "--matrix", str(tmp_path / "a.mtx")]
+        if mode == "saddle":
+            write_matrix_market(tmp_path / "b.mtx", rand_matrix(ctx, rng, 3, 6))
+            argv += ["--matrix-b", str(tmp_path / "b.mtx")]
+        if mode.startswith("sparse"):
+            argv.append("--greedy-td")
+        out = tmp_path / "out.json"
+        assert main(argv + ["--verify", "--out", str(out)]) == 0
+        assert reverify_json(out)
+        for tamper in tampers:
+            payload = json.loads(out.read_text())
+            tamper(ctx, payload["factors"])
+            bad = tmp_path / f"{tamper.__name__}.json"
+            bad.write_text(json.dumps(payload))
+            assert not reverify_json(bad), (spec, tamper.__name__)

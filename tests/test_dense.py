@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from exldl import dense
@@ -404,3 +405,44 @@ def test_gf2_factors_keep_packed_rows(gf2_route):
         lu = fast_lu(DenseMatrix(GF2, m, n, gf2_rows(rng, m, n)), cutoff)
         assert_packed(lu.L)
         assert_packed(lu.U)
+
+
+# -- storage formats, as the benchmark and the kernels rely on them --------------
+
+
+def assert_storage(ctx, m):
+    """`_d` in the field's format: packed ints below 1 << ncols over GF(2),
+    a C-contiguous int64 array over GF(p), rows of the context's rational
+    type over Q."""
+    assert isinstance(m, DenseMatrix) and m.ctx == ctx
+    assert type(m) is type(DenseMatrix.zeros(ctx, 0, 0))
+    if ctx.kind == "gf2":
+        assert_packed(m)
+    elif ctx.kind == "gfp":
+        assert m._d.dtype == np.int64 and m._d.flags["C_CONTIGUOUS"]
+        assert m._d.shape == m.shape
+    else:
+        assert len(m._d) == m.nrows and all(len(row) == m.ncols for row in m._d)
+        assert all(type(v) is type(ctx.one) for row in m._d for v in row)
+
+
+@pytest.mark.parametrize("kctx", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_storage_format_of_constructors_and_kernels(kctx):
+    rng = random.Random(59)
+    a = mixed_matrix(kctx, rng, 20, 20)
+    lower = triangular(kctx, rng, 20, LOWER)
+    made = {
+        "DenseMatrix": DenseMatrix(kctx, 0, 0, DenseMatrix.zeros(kctx, 0, 0)._d),
+        "zeros": DenseMatrix.zeros(kctx, 3, 70),
+        "from_rows": DenseMatrix.from_rows(kctx, [[1, 0, 1], [0, 1, 1]]),
+        "identity": DenseMatrix.identity(kctx, 4),
+        "block": a.block(2, 9, 3, 17),
+        "take_rows": a.take_rows([5, 1, 1, 19]),
+        "take_cols": a.take_cols([19, 0, 3, 3, 7]),
+        "take_none": a.take_rows([]).take_cols([]),
+        "matmul": matmul(a, a, cutoff=4),
+        "tri_solve": tri_solve(lower, a, LEFT, LOWER, cutoff=8),
+        "tri_solve_right": tri_solve(lower, a.block(0, 3, 0, 20), RIGHT, LOWER, cutoff=8),
+    }
+    for m in made.values():
+        assert_storage(kctx, m)

@@ -125,3 +125,33 @@ def test_gf2_packed_rows_match_scalar():
         for i in range(11)
     ]
     assert got == want
+
+
+CONTRACT_FIELDS = [("gf2", None, "gf2"), ("gfp", 7, "gfp:7"),
+                   ("gfp", 2147483647, "gfp:2147483647"), ("rational", None, "rational")]
+
+
+@pytest.mark.parametrize("kind, p, spec", CONTRACT_FIELDS, ids=[c[2] for c in CONTRACT_FIELDS])
+def test_context_contract(kind, p, spec):
+    # What the benchmark and the CLI read of a context.
+    import pickle
+
+    from exldl.cli import parse_field
+
+    named = {"gf2": FieldContext.gf2, "gfp": lambda: FieldContext.gfp(p),
+             "rational": FieldContext.rational}[kind]()
+    ctx = FieldContext(kind, p)
+    ways = [ctx, named, parse_field(spec), pickle.loads(pickle.dumps(ctx))]
+    for other in ways:
+        assert other == ctx and hash(other) == hash(ctx)
+        assert type(other) is type(ctx) and other.kind == kind and other.p == p
+        assert other.spec == spec
+    assert ctx != FieldContext.gfp(3)
+    assert kind in ("gf2", "gfp", "rational")
+    counter = ctx.enable_counter()
+    assert ctx.counter is counter
+    assert (counter.add, counter.mul, counter.inv) == (0, 0, 0)
+    ctx.mul(ctx.one, ctx.one)
+    assert counter.mul == 1
+    ctx.disable_counter()
+    assert ctx.counter is None
