@@ -46,7 +46,7 @@ from .sparse import (
     sparse_lu,
     transcript_reconstruct,
 )
-from .treedec import read_td
+from .treedec import read_td, validate_td
 
 
 def parse_field(spec: str) -> FieldContext:
@@ -354,13 +354,20 @@ def _load_saddle(args, ctx) -> SaddleSystem:
     return SaddleSystem(a, b)
 
 
-def _load_td(args, n):
+def _load_td(args, n, pattern):
+    """The --td decomposition, checked against the n vertices and the
+    off-diagonal (u, v) pattern of the matrix the mode factors."""
     if args.td:
         td = read_td(args.td)
         if td.n != n:
             raise ParseError(
                 f"{args.td}: decomposition covers {td.n} vertices, expected {n}"
             )
+        report = validate_td(td, pattern)
+        if not report.ok:
+            kind, what = report.violations[0][:2]
+            what = f"({what[0] + 1}, {what[1] + 1})" if kind == "edge-uncovered" else what + 1
+            raise ParseError(f"{args.td}: does not decompose the matrix: {kind} {what}")
         return td
     if args.greedy_td:
         return None  # the pipeline builds one
@@ -404,7 +411,7 @@ def _transcript_parts(ctx, out):
 
 
 def _sparse_ldl(a, args, ctx, check):
-    out = sparse_ldl(a, _load_td(args, a.n), cutoff=args.strassen_cutoff)
+    out = sparse_ldl(a, _load_td(args, a.n, a.edges()), cutoff=args.strassen_cutoff)
     tkeys, nnz, factors = _transcript_parts(ctx, out)
     keys = {"n": a.n, "rank": out.rank, "peel_count": out.peel_count, **tkeys}
     factors["D"] = [_dblock_json(ctx, b) for b in out.transcript.dblocks]
@@ -422,10 +429,12 @@ def _sparse_ldl(a, args, ctx, check):
 
 
 def _sparse_lu(b, args, ctx, check):
-    out = sparse_lu(b, _load_td(args, b.nrows + b.ncols), cutoff=args.strassen_cutoff)
+    m, n = b.nrows, b.ncols
+    emb = ((j, n + i) for i in range(m) for j in range(n) if not ctx.is_zero(b.get(i, j)))
+    out = sparse_lu(b, _load_td(args, n + m, emb), cutoff=args.strassen_cutoff)
     tkeys, nnz, factors = _transcript_parts(ctx, out)
     peels = out.row_peels + out.col_peels
-    keys = {"m": b.nrows, "n": b.ncols, "rank": out.rank, "peel_count": peels,
+    keys = {"m": m, "n": n, "rank": out.rank, "peel_count": peels,
             "row_peels": out.row_peels, "col_peels": out.col_peels, **tkeys}
     if out.explicit is not None:
         factors.update(lu_to_json(ctx, out.explicit))

@@ -34,7 +34,7 @@ from .dense import (
     tri_solve,
     vstack,
 )
-from .factor import DBlock, LDLResult, fast_ldl, fast_lu
+from .factor import DBlock, LDLResult, _ldl_from_columns, col_support, fast_ldl, fast_lu
 from .fields import DimensionMismatch, ResidualLeakage, ZeroB11
 
 
@@ -286,6 +286,29 @@ def partial_skeleton(f: PartialLDL, k: int, ctx):
     return kmat, a11, b11
 
 
+def pair_columns(f: PartialLDL, k: int, a_ids, b_ids):
+    """Pair k of a partial LDL as LDL columns over the caller's ids.
+
+    a_ids[t] names A row t and b_ids[t] constraint row t of the system
+    (before P and Q).  Returns ((A pivot id, constraint pivot id),
+    (column 1, column 2), D blocks): each column holds the (id, value)
+    pairs of its nonzero entries on the rows still active at step k,
+    without the unit entry on its own pivot, and the D blocks are one
+    antidiagonal block or two scalar ones (see skeleton_to_ldl_columns).
+    """
+    n, m = f.L.nrows, f.U.ncols
+    kmat, a11, b11 = partial_skeleton(f, k, f.L.ctx)
+    cols, blks = skeleton_to_ldl_columns(kmat, a11, b11, n - k)
+    row_ids = (
+        [a_ids[f.P.fwd[k]], b_ids[f.Q.fwd[k]]]
+        + [a_ids[f.P.fwd[t]] for t in range(k + 1, n)]
+        + [b_ids[f.Q.fwd[t]] for t in range(k + 1, m)]
+    )
+    c1 = col_support(cols, 0, range(1, len(row_ids)), row_ids)
+    c2 = col_support(cols, 1, [0, *range(2, len(row_ids))], row_ids)
+    return (row_ids[0], row_ids[1]), (c1, c2), blks
+
+
 def complete_saddle_ldl(system: SaddleSystem, f: PartialLDL) -> LDLResult:
     """Full LDL of the (n+m) saddle matrix: convert each constraint pair
     through the skeleton form, then append the LDL of the residual Schur
@@ -294,35 +317,13 @@ def complete_saddle_ldl(system: SaddleSystem, f: PartialLDL) -> LDLResult:
     n, m, r = system.n, system.m, f.r
     resid = residual_schur(system, f)
     res2 = fast_ldl(resid)
-    fwd = []
+    fwd, cols, blocks = [], [], []
     for k in range(r):
-        fwd.append(f.P.fwd[k])
-        fwd.append(n + f.Q.fwd[k])
-    fwd += [f.P.fwd[r + res2.P.fwd[t]] for t in range(n - r)]
-    fwd += [n + f.Q.fwd[t] for t in range(r, m)]
-    pos = {v: i for i, v in enumerate(fwd)}
-    rank = 2 * r + res2.r
-    l = DenseMatrix.zeros(ctx, n + m, rank)
-    blocks = []
-    for k in range(r):
-        kmat, a11, b11 = partial_skeleton(f, k, ctx)
-        cols, blks = skeleton_to_ldl_columns(kmat, a11, b11, n - k)
+        pivots, pair, blks = pair_columns(f, k, range(n), range(n, n + m))
+        fwd.extend(pivots)
+        cols.extend({p: ctx.one, **dict(col)} for p, col in zip(pivots, pair))
         blocks.extend(blks)
-        row_ids = (
-            [f.P.fwd[k], n + f.Q.fwd[k]]
-            + [f.P.fwd[t] for t in range(k + 1, n)]
-            + [n + f.Q.fwd[t] for t in range(k + 1, m)]
-        )
-        for local, gid in enumerate(row_ids):
-            for c in (0, 1):
-                v = cols.get(local, c)
-                if not ctx.is_zero(v):
-                    l.set(pos[gid], 2 * k + c, v)
-    for t in range(n - r):
-        gid = f.P.fwd[r + res2.P.fwd[t]]
-        for c in range(res2.r):
-            v = res2.L.get(t, c)
-            if not ctx.is_zero(v):
-                l.set(pos[gid], 2 * r + c, v)
+    tail = [f.P.fwd[r + t] for t in res2.P.fwd]
+    cols.extend(dict(col_support(res2.L, c, range(n - r), tail)) for c in range(res2.r))
     blocks.extend(res2.D)
-    return LDLResult(Permutation(fwd), l, blocks, rank)
+    return _ldl_from_columns(ctx, fwd + tail + [n + f.Q.fwd[t] for t in range(r, m)], cols, blocks)

@@ -49,18 +49,13 @@ from .factor import (
     fast_lu,
 )
 from .fields import (
+    DimensionMismatch,
     FieldContext,
     InconsistentSystem,
     InternalInvariantViolation,
     NotInSpan,
 )
-from .saddle import (
-    SaddleSystem,
-    partial_skeleton,
-    residual_schur,
-    schilders_partial_ldl,
-    skeleton_to_ldl_columns,
-)
+from .saddle import SaddleSystem, pair_columns, residual_schur, schilders_partial_ldl
 from .treedec import NormalizedTD, greedy_td, normalize_td
 
 L_TIMES = "L_times"
@@ -372,17 +367,19 @@ def peel_vertex(a_block: DenseMatrix, target: int, basis_cols) -> Peel:
 # -- the tree engine ----------------------------------------------------------------
 
 
-def _peel_dependent(transcript: Transcript, cols: DenseMatrix, ids, cutoff) -> list:
-    """Peel the vertex ids[t] of every column t of `cols` outside the pivot
-    columns of its rank-revealing LU, as the combination of those that the
-    factors give; returns the pivot columns, ascending."""
-    lu = fast_lu(cols, cutoff)
+def _peel_dependent(transcript: Transcript, rows: DenseMatrix, ids, cutoff):
+    """Peel the vertex ids[t] of every row t of `rows` outside the pivot
+    rows of a rank-revealing LU of rows^H, as the combination of those
+    that the factors give; returns the kept rows and their ids, in their
+    given order."""
+    lu = fast_lu(rows.conj_transpose(), cutoff)
     r = lu.r
     piv_ids = [ids[t] for t in lu.Q.fwd[:r]]
     for t in range(r, len(ids)):
         x = tri_solve(lu.U.block(0, r, 0, r), lu.U.block(0, r, t, t + 1), LEFT, UPPER)
         transcript.append(Peel(ids[lu.Q.fwd[t]], col_support(x, 0, range(r), piv_ids)))
-    return sorted(lu.Q.fwd[:r])
+    keep = sorted(lu.Q.fwd[:r])
+    return rows.take_rows(keep), [ids[t] for t in keep]
 
 
 def _substep(
@@ -397,20 +394,21 @@ def _substep(
 ):
     """One bag: peel dependent constraint rows, complement the constraints
     against the to-be-eliminated columns, factor the remaining local block,
-    peel or carry the leftovers.  Returns (S over the last `gamma` ids in
-    their given order, carried rows as (ids, DenseMatrix over interface))."""
+    peel or carry the leftovers.
+
+    The frontal `af` and the columns of `brows` follow `fids`, whose last
+    `gamma` ids are the interface and the others are eliminable; the
+    rows of `brows` are the constraint vertices `b_ids`.  Returns (S over
+    the interface, carried rows F over the interface, their ids), with
+    the interface in its given order."""
     nf = len(fids)
     e = nf - gamma
     iface = fids[e:]
 
     # -- step 1: peel linearly dependent constraint rows
+    if b_ids:
+        brows, b_ids = _peel_dependent(transcript, brows, b_ids, cutoff)
     k = len(b_ids)
-    if k:
-        keep = _peel_dependent(transcript, brows.conj_transpose(), b_ids, cutoff)
-        if len(keep) < k:
-            brows = brows.take_rows(keep)
-            b_ids = [b_ids[t] for t in keep]
-            k = len(keep)
 
     # -- step 2: constraint complementation against the eliminable columns.
     # The pivotable rows are found by an LU of the eliminable part; the
@@ -429,13 +427,9 @@ def _substep(
         beta = sorted(lu1.Q.fwd[t] for t in range(r1))
         unpiv = [t for t in range(k) if t not in set(beta)]
         ku = len(unpiv)
-        next_ids = list(fids) + [b_ids[t] for t in unpiv]
+        next_ids = fids + [b_ids[t] for t in unpiv]
         na = nf + ku
-        a_ext = DenseMatrix.zeros(ctx, na, na)
-        a_ext.set_block(0, 0, af)
-        bun = brows.take_rows(unpiv)
-        a_ext.set_block(nf, 0, bun)
-        a_ext.set_block(0, nf, bun.conj_transpose())
+        a_ext = SaddleSystem(af, brows.take_rows(unpiv)).dense()
         b_ext = hstack([brows.take_rows(beta), DenseMatrix.zeros(ctx, r1, ku)])
         system = SaddleSystem(a_ext, b_ext)
         f = schilders_partial_ldl(system, cutoff)
@@ -447,27 +441,20 @@ def _substep(
             )
         beta_ids = [b_ids[t] for t in beta]
         for i in range(r1):
-            kmat, a11, b11 = partial_skeleton(f, i, ctx)
-            cols, blks = skeleton_to_ldl_columns(kmat, a11, b11, na - i)
-            row_ids = (
-                [next_ids[f.P.fwd[i]], beta_ids[f.Q.fwd[i]]]
-                + [next_ids[f.P.fwd[s]] for s in range(i + 1, na)]
-                + [beta_ids[f.Q.fwd[s]] for s in range(i + 1, r1)]
-            )
-            c1 = col_support(cols, 0, range(1, len(row_ids)), row_ids)
-            c2 = col_support(cols, 1, [0, *range(2, len(row_ids))], row_ids)
+            (pa, pb), (c1, c2), blks = pair_columns(f, i, next_ids, beta_ids)
             if len(blks) == 1:
-                transcript.append(EdgeElim((row_ids[0], row_ids[1]), c1, c2, blks[0]))
+                transcript.append(EdgeElim((pa, pb), c1, c2, blks[0]))
             else:
-                transcript.append(VertexElim(row_ids[0], c1, blks[0]))
-                transcript.append(VertexElim(row_ids[1], c2, blks[1]))
+                transcript.append(VertexElim(pa, c1, blks[0]))
+                transcript.append(VertexElim(pb, c2, blks[1]))
         resid = residual_schur(system, f)
         resid_ids = [next_ids[f.P.fwd[t]] for t in range(r1, na)]
     else:
         resid = af
-        resid_ids = list(fids)
+        resid_ids = fids
 
-    # -- step 3: factor the remaining eliminable block
+    # -- step 3: factor the remaining eliminable block.  One gather puts
+    # resid in [eliminable | interface | constraint] order.
     eset = set(fids[:e])
     iset = set(iface)
     elim_loc, ifc_loc, b_loc = [], [], []
@@ -479,37 +466,37 @@ def _substep(
         else:
             b_loc.append(t)
     # the non-pivot tail of the LU keeps original order, so the interface
-    # comes back in the caller's order; later slices rely on it
-    if [resid_ids[t] for t in ifc_loc] != list(iface):
+    # comes back in the caller's order; S and F rely on it
+    if [resid_ids[t] for t in ifc_loc] != iface:
         raise InternalInvariantViolation("interface order not preserved")
-    if b_loc:
-        if not resid.take_rows(b_loc).take_cols(b_loc + elim_loc).is_zero():
+    order = elim_loc + ifc_loc + b_loc
+    g = resid.take_rows(order).take_cols(order)
+    n1 = len(elim_loc)
+    ni = n1 + gamma
+    nr = len(order)
+    if r1:
+        if not (g.block(ni, nr, 0, n1).is_zero() and g.block(ni, nr, ni, nr).is_zero()):
             raise InternalInvariantViolation(
                 "constraint rows keep eliminable or mutual couplings"
             )
-        bt2 = resid.take_rows(b_loc).take_cols(ifc_loc)
+        bt2 = g.block(ni, nr, n1, ni)
         bt2_ids = [resid_ids[t] for t in b_loc]
-    elif r1:
-        bt2 = DenseMatrix.zeros(ctx, 0, gamma)
-        bt2_ids = []
     else:
         bt2 = brows.block(0, k, e, nf)
-        bt2_ids = list(b_ids)
-    y11 = resid.take_rows(elim_loc).take_cols(elim_loc)
-    y12 = resid.take_rows(elim_loc).take_cols(ifc_loc)
-    a22 = resid.take_rows(ifc_loc).take_cols(ifc_loc)
-    ifc_ids = [resid_ids[t] for t in ifc_loc]
+        bt2_ids = b_ids
+    y11 = g.block(0, n1, 0, n1)
+    y12 = g.block(0, n1, n1, ni)
+    a22 = g.block(n1, ni, n1, ni)
     elim_ids = [resid_ids[t] for t in elim_loc]
     from .factor import fast_ldl
 
     res3 = fast_ldl(y11, cutoff)
     ell = res3.r
-    n1 = len(elim_ids)
     elim_p1 = [elim_ids[res3.P.fwd[t]] for t in range(n1)]
     l1 = res3.L
     c = y12.take_rows(res3.P.fwd)
-    c1 = c.block(0, ell, 0, len(ifc_ids))
-    c2 = c.block(ell, n1, 0, len(ifc_ids))
+    c1 = c.block(0, ell, 0, gamma)
+    c2 = c.block(ell, n1, 0, gamma)
     if ell:
         tmat = tri_solve(l1.block(0, ell, 0, ell), c1, LEFT, LOWER_UNIT)
         u2 = d_solve_left(ctx, res3.D, tmat)
@@ -517,7 +504,7 @@ def _substep(
         z12 = c2.sub(matmul(l1.block(ell, n1, 0, ell), tmat, cutoff))
         s_ifc = a22.sub(matmul(tmat.conj_transpose(), u2, cutoff))
     else:
-        xifc = DenseMatrix.zeros(ctx, len(ifc_ids), 0)
+        xifc = DenseMatrix.zeros(ctx, gamma, 0)
         z12 = c2
         s_ifc = a22
     pos = 0
@@ -525,7 +512,7 @@ def _substep(
         # column c of the block: eliminable rows below it, then the interface
         cc = [
             col_support(l1, c, range(pos + blk.size, n1), elim_p1)
-            + col_support(xifc, c, range(len(ifc_ids)), ifc_ids)
+            + col_support(xifc, c, range(gamma), iface)
             for c in range(pos, pos + blk.size)
         ]
         if blk.kind == SCALAR:
@@ -537,29 +524,11 @@ def _substep(
         pos += blk.size
 
     # -- step 4: peel dependents among leftover rows, carry the rest
-    leftover_elim = elim_p1[ell:]
-    gcols = hstack([bt2.conj_transpose(), z12.conj_transpose()])
-    gids = bt2_ids + leftover_elim
-    carried_ids = []
+    gids = bt2_ids + elim_p1[ell:]
+    grows = vstack([bt2, z12])
     if gids:
-        if gcols.nrows == 0:
-            # no interface: every leftover row is entirely zero
-            for gid in gids:
-                transcript.append(Peel(gid, ()))
-            fmat = DenseMatrix.zeros(ctx, 0, gamma)
-        else:
-            keep = _peel_dependent(transcript, gcols, gids, cutoff)
-            carried_ids = [gids[t] for t in keep]
-            fmat = gcols.take_cols(keep).conj_transpose()
-    else:
-        fmat = DenseMatrix.zeros(ctx, 0, gamma)
-
-    # reorder the interface block back to the caller's order
-    want = {v: t for t, v in enumerate(ifc_ids)}
-    sel = [want[v] for v in iface]
-    s_out = s_ifc.take_rows(sel).take_cols(sel)
-    f_out = fmat.take_cols(sel) if fmat.nrows else DenseMatrix.zeros(ctx, 0, gamma)
-    return s_out, f_out, carried_ids
+        grows, gids = _peel_dependent(transcript, grows, gids, cutoff)
+    return s_ifc, grows, gids
 
 
 def tree_ldl_substep(a: DenseMatrix, b: DenseMatrix, gamma: int, cutoff=None):
@@ -588,9 +557,7 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
     transcript = Transcript(ctx, n)
     root_iface = bag_pos[td.root][len(bag_pos[td.root]) - gamma :] if gamma else []
 
-    def frontal(node, iface):
-        ids = bag_pos[node]
-        iset = set(iface)
+    def frontal(ids, iset):
         nf = len(ids)
         out = DenseMatrix.zeros(ctx, nf, nf)
         for li, u in enumerate(ids):
@@ -606,10 +573,12 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
         return out
 
     def rec(node, iface):
-        ids = bag_pos[node]
+        # eliminable ids first, the interface (ascending, as in the bag) last
+        iset = set(iface)
+        ids = [v for v in bag_pos[node] if v not in iset] + iface
         nf = len(ids)
         loc = {v: t for t, v in enumerate(ids)}
-        af = frontal(node, iface)
+        af = frontal(ids, iset)
         rows_mats = []
         rows_ids = []
         for child in td.children[node]:
@@ -631,19 +600,7 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
             brows = vstack(rows_mats)
         else:
             brows = DenseMatrix.zeros(ctx, 0, nf)
-        # interface columns must come last in the frontal ordering
-        eset = set(iface)
-        order = [t for t, v in enumerate(ids) if v not in eset] + [
-            t for t, v in enumerate(ids) if v in eset
-        ]
-        if order != list(range(nf)):
-            af = af.take_rows(order).take_cols(order)
-            brows = brows.take_cols(order)
-            ids = [ids[t] for t in order]
-        s_out, f_out, carried = _substep(
-            ctx, transcript, af, ids, brows, rows_ids, len(iface), cutoff
-        )
-        return s_out, f_out, carried
+        return _substep(ctx, transcript, af, ids, brows, rows_ids, len(iface), cutoff)
 
     s, f, carried = rec(td.root, root_iface)
     if gamma == 0:
@@ -691,6 +648,8 @@ def sparse_ldl(
     tree factorization, and explicit recovery when the corank allows."""
     if td is None:
         td = greedy_td(a.n, a.edges())
+    elif td.n != a.n:
+        raise DimensionMismatch(f"decomposition of {td.n} vertices for a matrix of {a.n}")
     ntd = normalize_td(td, tau)
     apos = a.relabel(ntd.order)
     transcript, _, _ = tree_ldl(apos, ntd, 0, cutoff)
@@ -741,6 +700,8 @@ def sparse_lu(
                 emb.set(j, n + i, ctx.conj(v))
     if td is None:
         td = greedy_td(n + m, emb.edges())
+    elif td.n != n + m:
+        raise DimensionMismatch(f"decomposition of {td.n} vertices for an embedding of {n + m}")
     ntd = normalize_td(td, tau)
     apos = emb.relabel(ntd.order)
     transcript, _, _ = tree_ldl(apos, ntd, 0, cutoff)

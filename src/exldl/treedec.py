@@ -330,6 +330,8 @@ def read_td(path) -> TreeDecomposition:
                     nbags, _, n = int(parts[2]), int(parts[3]), int(parts[4])
                 except ValueError:
                     raise ParseError(f"line {lineno}: bad header numbers") from None
+                if nbags < 1:
+                    raise ParseError(f"line {lineno}: a decomposition needs a bag")
                 bags = [frozenset()] * nbags
             elif parts[0] == "b":
                 if bags is None:
@@ -356,7 +358,7 @@ def read_td(path) -> TreeDecomposition:
                 edges.append((u - 1, v - 1))
     if bags is None:
         raise ParseError("missing 's td' header")
-    if len(edges) != nbags - 1 and nbags > 0:
+    if len(edges) != nbags - 1:
         raise ParseError(f"expected {nbags - 1} tree edges, found {len(edges)}")
     return TreeDecomposition.build(n, bags, edges, root=0)
 

@@ -261,6 +261,39 @@ def test_cmd_malformed_input_is_an_input_error(tmp_path, capsys, field, header, 
     assert not out.exists()
 
 
+PATH6 = [f"{i + 1} {i} 1" for i in range(1, 6)]  # the path 1-2-3-4-5-6
+BAND34 = ["1 1 1", "1 2 2", "2 2 3", "2 3 1", "3 3 5", "3 4 2"]
+
+
+@pytest.mark.parametrize(
+    "mode, header, body, td",
+    [
+        # edge (3, 4) is in no bag
+        ("sparse-ldl", "symmetric", PATH6,
+         ["s td 4 2 6", "b 1 1 2", "b 2 2 3", "b 3 4 5", "b 4 5 6", "1 2", "2 3", "3 4"]),
+        # the bags holding vertex 3 (1 and 4) are not connected
+        ("sparse-ldl", "symmetric", PATH6,
+         ["s td 4 3 6", "b 1 3 4 6", "b 2 4 5 6", "b 3 1 2", "b 4 2 3", "1 2", "2 3", "3 4"]),
+        ("sparse-ldl", "symmetric", PATH6, ["s td 0 0 6"]),
+        # embedding edges (1, 5) and (2, 5) of B[1][1] and B[1][2] are in no bag
+        ("sparse-lu", "general", BAND34,
+         ["s td 3 4 7", "b 1 1 2", "b 2 2 3 6", "b 3 3 4 5 7", "1 2", "2 3"]),
+    ],
+)
+def test_cmd_rejects_td_that_does_not_decompose(tmp_path, capsys, mode, header, body, td):
+    p = tmp_path / "m.mtx"
+    size = "6 6 5" if mode == "sparse-ldl" else "3 4 6"
+    write_mm(p, [f"%%MatrixMarket matrix coordinate integer {header}", size] + body)
+    t = tmp_path / "m.td"
+    t.write_text("\n".join(td) + "\n")
+    out = tmp_path / "out.json"
+    argv = ["--field", "gfp:7", "--mode", mode, "--matrix", str(p), "--td", str(t)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_reverify_rejects_tampered_factors(tmp_path, mode):
     """Wrong factors fail the check and malformed ones are rejected while

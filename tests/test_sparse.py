@@ -3,7 +3,7 @@ import random
 import pytest
 
 from exldl.dense import DenseMatrix, matmul
-from exldl.fields import InconsistentSystem, NotInSpan
+from exldl.fields import DimensionMismatch, InconsistentSystem, NotInSpan
 from exldl.oracle import oracle_rank, oracle_verify_ldl, oracle_verify_lu
 from exldl.sparse import (
     EdgeElim,
@@ -447,6 +447,15 @@ def test_corank_warning():
         out = sparse_ldl(a, td, tau=2)
     assert out.explicit is None
     assert out.rank == 2
+
+
+def test_decomposition_size_must_match():
+    a, td = path_graph(GF7, 6)
+    small = TreeDecomposition.build(5, td.bags[:4], [(i, i + 1) for i in range(3)])
+    with pytest.raises(DimensionMismatch):
+        sparse_ldl(a, small)
+    with pytest.raises(DimensionMismatch):
+        sparse_lu(bidiagonal(GF7, 3, 4), td)
 
 
 def test_apply_cost_scales_linearly():
