@@ -46,7 +46,7 @@ from .sparse import (
     sparse_lu,
     transcript_reconstruct,
 )
-from .treedec import read_td, validate_td
+from .treedec import read_td
 
 
 def parse_field(spec: str) -> FieldContext:
@@ -354,21 +354,10 @@ def _load_saddle(args, ctx) -> SaddleSystem:
     return SaddleSystem(a, b)
 
 
-def _load_td(args, n, pattern):
-    """The --td decomposition, checked against the n vertices and the
-    off-diagonal (u, v) pattern of the matrix the mode factors."""
+def _load_td(args):
+    """The --td decomposition; the pipeline checks it against the matrix."""
     if args.td:
-        td = read_td(args.td)
-        if td.n != n:
-            raise ParseError(
-                f"{args.td}: decomposition covers {td.n} vertices, expected {n}"
-            )
-        report = validate_td(td, pattern)
-        if not report.ok:
-            kind, what = report.violations[0][:2]
-            what = f"({what[0] + 1}, {what[1] + 1})" if kind == "edge-uncovered" else what + 1
-            raise ParseError(f"{args.td}: does not decompose the matrix: {kind} {what}")
-        return td
+        return read_td(args.td)
     if args.greedy_td:
         return None  # the pipeline builds one
     raise ParseError("sparse modes need --td or --greedy-td")
@@ -411,7 +400,7 @@ def _transcript_parts(ctx, out):
 
 
 def _sparse_ldl(a, args, ctx, check):
-    out = sparse_ldl(a, _load_td(args, a.n, a.edges()), cutoff=args.strassen_cutoff)
+    out = sparse_ldl(a, _load_td(args), cutoff=args.strassen_cutoff)
     tkeys, nnz, factors = _transcript_parts(ctx, out)
     keys = {"n": a.n, "rank": out.rank, "peel_count": out.peel_count, **tkeys}
     factors["D"] = [_dblock_json(ctx, b) for b in out.transcript.dblocks]
@@ -430,8 +419,7 @@ def _sparse_ldl(a, args, ctx, check):
 
 def _sparse_lu(b, args, ctx, check):
     m, n = b.nrows, b.ncols
-    emb = ((j, n + i) for i in range(m) for j in range(n) if not ctx.is_zero(b.get(i, j)))
-    out = sparse_lu(b, _load_td(args, n + m, emb), cutoff=args.strassen_cutoff)
+    out = sparse_lu(b, _load_td(args), cutoff=args.strassen_cutoff)
     tkeys, nnz, factors = _transcript_parts(ctx, out)
     peels = out.row_peels + out.col_peels
     keys = {"m": m, "n": n, "rank": out.rank, "peel_count": peels,

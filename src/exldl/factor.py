@@ -109,7 +109,7 @@ def d_inverse(ctx: FieldContext, blocks):
     return out
 
 
-def d_mul_left(ctx: FieldContext, blocks, m: DenseMatrix) -> DenseMatrix:
+def d_mul_left(blocks, m: DenseMatrix) -> DenseMatrix:
     """D @ m for block-diagonal D."""
     order = []
     factors = []
@@ -129,17 +129,17 @@ def d_mul_left(ctx: FieldContext, blocks, m: DenseMatrix) -> DenseMatrix:
     return m.take_rows(order).scale_rows(factors)
 
 
-def d_solve_left(ctx: FieldContext, blocks, m: DenseMatrix) -> DenseMatrix:
-    return d_mul_left(ctx, d_inverse(ctx, blocks), m)
+def d_solve_left(blocks, m: DenseMatrix) -> DenseMatrix:
+    return d_mul_left(d_inverse(m.ctx, blocks), m)
 
 
-def d_mul_right(ctx: FieldContext, m: DenseMatrix, blocks) -> DenseMatrix:
+def d_mul_right(m: DenseMatrix, blocks) -> DenseMatrix:
     # m @ D = (D^H m^H)^H and D^H = D for legal blocks.
-    return d_mul_left(ctx, blocks, m.conj_transpose()).conj_transpose()
+    return d_mul_left(blocks, m.conj_transpose()).conj_transpose()
 
 
-def d_solve_right(ctx: FieldContext, m: DenseMatrix, blocks) -> DenseMatrix:
-    return d_mul_right(ctx, m, d_inverse(ctx, blocks))
+def d_solve_right(m: DenseMatrix, blocks) -> DenseMatrix:
+    return d_mul_right(m, d_inverse(m.ctx, blocks))
 
 
 @dataclass
@@ -469,7 +469,7 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
     d1 = top.D
     c = at.block(0, r1, r1, n)
     w = tri_solve(l11, c, LEFT, LOWER_UNIT, cutoff)
-    v = d_solve_left(ctx, d1, w)
+    v = d_solve_left(d1, w)
     bmat = at.block(r1, n, r1, n).sub(matmul(w.conj_transpose(), v, cutoff))
     if 3 * r1 >= n:
         res2 = fast_ldl(bmat, cutoff)
@@ -505,21 +505,21 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
     dim3 = q - rb
     a12h = ahat.block(0, r1, r1, r1 + dim2)
     a13h = ahat.block(0, r1, r1 + dim2, n)
-    l21 = d_solve_left(ctx, d1, tri_solve(l11, a12h, LEFT, LOWER_UNIT, cutoff)).conj_transpose()
-    l31 = d_solve_left(ctx, d1, tri_solve(l11, a13h, LEFT, LOWER_UNIT, cutoff)).conj_transpose()
+    l21 = d_solve_left(d1, tri_solve(l11, a12h, LEFT, LOWER_UNIT, cutoff)).conj_transpose()
+    l31 = d_solve_left(d1, tri_solve(l11, a13h, LEFT, LOWER_UNIT, cutoff)).conj_transpose()
     l22 = res2.L
     lt22 = l22.block(0, r2, 0, r2)
     rblk = ahat.block(r1, r1 + dim2, r1 + dim2, n)
-    r2blk = rblk.sub(matmul(d_mul_right(ctx, l21, d1), l31.conj_transpose(), cutoff))
+    r2blk = rblk.sub(matmul(d_mul_right(l21, d1), l31.conj_transpose(), cutoff))
     t = tri_solve(lt22, r2blk.block(0, r2, 0, dim3), LEFT, LOWER_UNIT, cutoff)
-    t = d_solve_left(ctx, res2.D, t)
+    t = d_solve_left(res2.D, t)
     l32 = t.conj_transpose()
-    check = matmul(d_mul_right(ctx, l22.block(r2, dim2, 0, r2), res2.D), t, cutoff)
+    check = matmul(d_mul_right(l22.block(r2, dim2, 0, r2), res2.D), t, cutoff)
     if check != r2blk.block(r2, dim2, 0, dim3):
         raise InternalInvariantViolation("inconsistent rows in bordered LDL branch")
     res33 = ahat.block(r1 + dim2, n, r1 + dim2, n)
-    res33 = res33.sub(matmul(d_mul_right(ctx, l31, d1), l31.conj_transpose(), cutoff))
-    res33 = res33.sub(matmul(d_mul_right(ctx, l32, res2.D), l32.conj_transpose(), cutoff))
+    res33 = res33.sub(matmul(d_mul_right(l31, d1), l31.conj_transpose(), cutoff))
+    res33 = res33.sub(matmul(d_mul_right(l32, res2.D), l32.conj_transpose(), cutoff))
     if not res33.is_zero():
         raise InternalInvariantViolation("nonzero trailing residual in bordered LDL branch")
     r = r1 + r2

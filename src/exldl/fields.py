@@ -88,6 +88,10 @@ class UnorderedField(ExactLinAlgError):
     pass
 
 
+class InvalidDecomposition(ExactLinAlgError):
+    """A tree decomposition that does not decompose the matrix given."""
+
+
 class ParseError(ExactLinAlgError, ValueError):
     pass
 

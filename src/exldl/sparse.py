@@ -53,10 +53,11 @@ from .fields import (
     FieldContext,
     InconsistentSystem,
     InternalInvariantViolation,
+    InvalidDecomposition,
     NotInSpan,
 )
 from .saddle import SaddleSystem, pair_columns, residual_schur, schilders_partial_ldl
-from .treedec import NormalizedTD, greedy_td, normalize_td
+from .treedec import NormalizedTD, greedy_td, normalize_td, validate_td
 
 L_TIMES = "L_times"
 LH_TIMES = "Lh_times"
@@ -323,7 +324,7 @@ def explicit_ldl_from_transcript(t: Transcript, a: SparseSym) -> LDLResult:
             for j, pid in enumerate(pivots):
                 rhs.set(i, j, a.get(v, pid))
         xd = tri_solve(l1.conj_transpose(), rhs, RIGHT, UPPER_UNIT)
-        x = d_solve_right(ctx, xd, t.dblocks)
+        x = d_solve_right(xd, t.dblocks)
         l = vstack([l1, x])
     else:
         l = l1
@@ -383,7 +384,6 @@ def _peel_dependent(transcript: Transcript, rows: DenseMatrix, ids, cutoff):
 
 
 def _substep(
-    ctx,
     transcript: Transcript,
     af: DenseMatrix,
     fids: list,
@@ -401,6 +401,7 @@ def _substep(
     rows of `brows` are the constraint vertices `b_ids`.  Returns (S over
     the interface, carried rows F over the interface, their ids), with
     the interface in its given order."""
+    ctx = af.ctx
     nf = len(fids)
     e = nf - gamma
     iface = fids[e:]
@@ -499,7 +500,7 @@ def _substep(
     c2 = c.block(ell, n1, 0, gamma)
     if ell:
         tmat = tri_solve(l1.block(0, ell, 0, ell), c1, LEFT, LOWER_UNIT)
-        u2 = d_solve_left(ctx, res3.D, tmat)
+        u2 = d_solve_left(res3.D, tmat)
         xifc = u2.conj_transpose()
         z12 = c2.sub(matmul(l1.block(ell, n1, 0, ell), tmat, cutoff))
         s_ifc = a22.sub(matmul(tmat.conj_transpose(), u2, cutoff))
@@ -537,7 +538,7 @@ def tree_ldl_substep(a: DenseMatrix, b: DenseMatrix, gamma: int, cutoff=None):
     t = Transcript(a.ctx, a.nrows + b.nrows)
     fids = list(range(a.nrows))
     b_ids = list(range(a.nrows, a.nrows + b.nrows))
-    s, f, _ = _substep(a.ctx, t, a, fids, b, b_ids, gamma, cutoff)
+    s, f, _ = _substep(t, a, fids, b, b_ids, gamma, cutoff)
     return t.transforms, s, f
 
 
@@ -600,7 +601,7 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
             brows = vstack(rows_mats)
         else:
             brows = DenseMatrix.zeros(ctx, 0, nf)
-        return _substep(ctx, transcript, af, ids, brows, rows_ids, len(iface), cutoff)
+        return _substep(transcript, af, ids, brows, rows_ids, len(iface), cutoff)
 
     s, f, carried = rec(td.root, root_iface)
     if gamma == 0:
@@ -637,6 +638,25 @@ def _want_explicit(explicit: bool | None, corank: int, ntd: NormalizedTD) -> boo
     return corank <= threshold
 
 
+def _factor_along(a: SparseSym, td, tau, cutoff):
+    """Normalize `td` (greedy when None, else checked against the pattern
+    of `a`), relabel `a` to its order and factor it along the tree.
+    Returns (ntd, relabeled a, transcript)."""
+    if td is None:
+        td = greedy_td(a.n, a.edges())
+    else:
+        if td.n != a.n:
+            raise DimensionMismatch(f"decomposition of {td.n} vertices for a pattern of {a.n}")
+        report = validate_td(td, a.edges())
+        if not report.ok:
+            kind, what = report.violations[0][:2]
+            raise InvalidDecomposition(f"not a tree decomposition of the matrix: {kind} {what}")
+    ntd = normalize_td(td, tau)
+    apos = a.relabel(ntd.order)
+    transcript, _, _ = tree_ldl(apos, ntd, 0, cutoff)
+    return ntd, apos, transcript
+
+
 def sparse_ldl(
     a: SparseSym,
     td=None,
@@ -644,15 +664,10 @@ def sparse_ldl(
     cutoff=None,
     explicit: bool | None = None,
 ) -> SparseLDLOutcome:
-    """Full pipeline: tree decomposition (greedy if absent), normalization,
-    tree factorization, and explicit recovery when the corank allows."""
-    if td is None:
-        td = greedy_td(a.n, a.edges())
-    elif td.n != a.n:
-        raise DimensionMismatch(f"decomposition of {td.n} vertices for a matrix of {a.n}")
-    ntd = normalize_td(td, tau)
-    apos = a.relabel(ntd.order)
-    transcript, _, _ = tree_ldl(apos, ntd, 0, cutoff)
+    """Full pipeline: tree decomposition (greedy if absent, else checked
+    against the pattern of `a`), normalization, tree factorization, and
+    explicit recovery when the corank allows."""
+    ntd, apos, transcript = _factor_along(a, td, tau, cutoff)
     r = transcript.rank
     result = None
     if _want_explicit(explicit, a.n - r, ntd):
@@ -698,13 +713,7 @@ def sparse_lu(
             v = b.get(i, j)
             if not ctx.is_zero(v):
                 emb.set(j, n + i, ctx.conj(v))
-    if td is None:
-        td = greedy_td(n + m, emb.edges())
-    elif td.n != n + m:
-        raise DimensionMismatch(f"decomposition of {td.n} vertices for an embedding of {n + m}")
-    ntd = normalize_td(td, tau)
-    apos = emb.relabel(ntd.order)
-    transcript, _, _ = tree_ldl(apos, ntd, 0, cutoff)
+    ntd, apos, transcript = _factor_along(emb, td, tau, cutoff)
     pos2orig = ntd.order.fwd
 
     def is_row_vertex(p):

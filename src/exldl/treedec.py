@@ -2,11 +2,12 @@
 
 A decomposition stores bags (vertex sets over 0..n-1) and a rooted tree
 over bag ids.  Normalization re-roots at bag 0, merges bags until the
-per-bag eliminated-vertex sets reach the target size, makes the tree
-full binary by inserting copy bags, and derives the elimination
-post-ordering: a DFS post-order over bags emitting, per bag, the
-vertices whose highest containing bag it is, with the intra-bag order
-following the four membership classes against the two children.
+per-bag eliminated-vertex sets reach the target size, gives every bag
+at most two children by a left comb of copy bags under each bag with
+more, and derives the elimination post-ordering: a DFS post-order over
+bags emitting, per bag, the vertices whose highest containing bag it
+is, with the intra-bag order following the four membership classes
+against the two children (a missing child counts as an empty bag).
 
 File format (PACE 2017 style): header "s td <bags> <width+1> <n>",
 bag lines "b <id> <v...>", one "<id> <id>" line per tree edge,
@@ -19,7 +20,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .dense import Permutation
-from .fields import ParseError
+from .fields import InvalidDecomposition, ParseError
 
 
 @dataclass
@@ -64,9 +65,6 @@ class TreeDecomposition:
 
     def max_bag(self) -> int:
         return max((len(b) for b in self.bags), default=0)
-
-    def width(self) -> int:
-        return self.max_bag() - 1
 
     def depths(self):
         d = [0] * self.nbags
@@ -156,10 +154,11 @@ def _rho_sets(td: TreeDecomposition):
     root_bag = [-1] * td.n
     for v in range(td.n):
         if not holding[v]:
-            raise ParseError(f"vertex {v} appears in no bag")
+            raise InvalidDecomposition(f"vertex {v} appears in no bag")
         best = min(holding[v], key=lambda i: depths[i])
         ties = [i for i in holding[v] if depths[i] == depths[best]]
-        assert len(ties) == 1, "connectivity forces a unique highest bag"
+        if len(ties) != 1:
+            raise InvalidDecomposition(f"vertex {v} has {len(ties)} highest bags {ties}")
         rho[best].add(v)
         root_bag[v] = best
     return rho, root_bag
@@ -226,7 +225,8 @@ def merge_bags(td: TreeDecomposition, tau: int) -> TreeDecomposition:
 
 
 def binarize(td: TreeDecomposition) -> TreeDecomposition:
-    """Insert copy bags so every internal node has exactly two children."""
+    """Give every bag at most two children: a bag with more keeps its
+    first child and hangs the others off a left comb of copy bags."""
     bags = [frozenset(b) for b in td.bags]
     parent = list(td.parent)
     children = [list(c) for c in td.children]
@@ -241,12 +241,7 @@ def binarize(td: TreeDecomposition) -> TreeDecomposition:
     while stack:
         u = stack.pop()
         kids = children[u]
-        if len(kids) == 1:
-            # duplicate the node's own bag as a second (leaf) child
-            c = new_bag(bags[u], u)
-            children[u] = [kids[0], c]
-        elif len(kids) > 2:
-            # left comb of copy bags
+        if len(kids) > 2:
             first, rest = kids[0], kids[1:]
             carrier = new_bag(bags[u], u)
             children[u] = [first, carrier]
@@ -266,8 +261,7 @@ def binarize(td: TreeDecomposition) -> TreeDecomposition:
 
 @dataclass
 class NormalizedTD:
-    td: TreeDecomposition  # full binary
-    rho: list  # per-bag eliminated vertex sets
+    td: TreeDecomposition  # at most two children per bag
     order: Permutation  # position -> original vertex id
     tau: int  # merge target (input max bag size unless overridden)
 
@@ -275,27 +269,21 @@ class NormalizedTD:
     def n(self) -> int:
         return self.td.n
 
-    def position(self):
-        return self.order.inv  # original vertex id -> position
+
+# membership (in the first child, in the second) -> rank inside a bag
+_CLASS = {(True, False): 0, (True, True): 1, (False, True): 2, (False, False): 3}
 
 
 def post_order(td: TreeDecomposition, rho) -> Permutation:
     """Elimination order: DFS post-order over bags emitting each bag's
-    eliminated set, ordered inside internal bags by the four membership
-    classes against the children (ties by vertex index)."""
+    eliminated set, ordered by membership in its children (only the
+    first, both, only the second, neither; a missing child is an empty
+    bag), ties by vertex index."""
     out = []
+    empty = frozenset()
     for u in td.postorder_bags():
-        kids = td.children[u]
-        vs = rho[u]
-        if len(kids) == 2:
-            y, z = td.bags[kids[0]], td.bags[kids[1]]
-            cls = {}
-            for v in vs:
-                in_y, in_z = v in y, v in z
-                cls[v] = 0 if in_y and not in_z else 1 if in_y and in_z else 2 if in_z else 3
-            out.extend(sorted(vs, key=lambda v: (cls[v], v)))
-        else:
-            out.extend(sorted(vs))
+        y, z = ([td.bags[c] for c in td.children[u]] + [empty, empty])[:2]
+        out.extend(sorted(rho[u], key=lambda v: (_CLASS[v in y, v in z], v)))
     return Permutation(out)
 
 
@@ -303,11 +291,9 @@ def normalize_td(td: TreeDecomposition, tau: int | None = None) -> NormalizedTD:
     """Root at bag 0, merge, binarize, and derive the post-ordering."""
     if tau is None:
         tau = td.max_bag()
-    merged = merge_bags(td, tau)
-    binary = binarize(merged)
+    binary = binarize(merge_bags(td, tau))
     rho, _ = _rho_sets(binary)
-    order = post_order(binary, rho)
-    return NormalizedTD(binary, rho, order, tau)
+    return NormalizedTD(binary, post_order(binary, rho), tau)
 
 
 # -- PACE 2017 I/O ------------------------------------------------------------

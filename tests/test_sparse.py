@@ -3,7 +3,7 @@ import random
 import pytest
 
 from exldl.dense import DenseMatrix, matmul
-from exldl.fields import DimensionMismatch, InconsistentSystem, NotInSpan
+from exldl.fields import DimensionMismatch, InconsistentSystem, InvalidDecomposition, NotInSpan
 from exldl.oracle import oracle_rank, oracle_verify_ldl, oracle_verify_lu
 from exldl.sparse import (
     EdgeElim,
@@ -456,6 +456,33 @@ def test_decomposition_size_must_match():
         sparse_ldl(a, small)
     with pytest.raises(DimensionMismatch):
         sparse_lu(bidiagonal(GF7, 3, 4), td)
+
+
+@pytest.mark.parametrize(
+    "bags",
+    [
+        [{1}, {0}, {2}],  # edge (0, 1) in no bag: factored as rank 1 with 2 peels
+        [{1}, {0}, {0}],  # vertex 0 has two highest bags
+    ],
+)
+def test_rejects_decomposition_of_another_pattern(bags):
+    a = SparseSym.from_entries(GF7, 3, [(0, 1, 1), (1, 1, 2)])
+    td = TreeDecomposition.build(3, bags, [(0, 1), (0, 2)])
+    with pytest.raises(InvalidDecomposition):
+        sparse_ldl(a, td)
+
+
+def test_sparse_lu_rejects_decomposition_of_another_pattern():
+    # the embedding edges (2, 6) and (3, 6) of row 2 are in no bag
+    td = TreeDecomposition.build(7, [set(range(6)), {6}], [(0, 1)])
+    with pytest.raises(InvalidDecomposition):
+        sparse_lu(bidiagonal(GF7, 3, 4), td)
+
+
+def test_normalize_rejects_two_highest_bags():
+    td = TreeDecomposition.build(3, [{1}, {0}, {0}], [(0, 1), (0, 2)])
+    with pytest.raises(InvalidDecomposition):
+        normalize_td(td)
 
 
 def test_apply_cost_scales_linearly():

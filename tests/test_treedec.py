@@ -129,6 +129,31 @@ def test_binarize_shapes():
     assert already.nbags == b.nbags
 
 
+def strip_td(k):
+    """3 x k grid, vertex (r, c) -> 3 * c + r, with sliding-window bags."""
+    bags = [set(range(v, v + 4)) for v in range(3 * k - 3)]
+    return TreeDecomposition.build(3 * k, bags, [(i, i + 1) for i in range(len(bags) - 1)])
+
+
+def test_binarize_keeps_one_child_bags():
+    td = path_td(6)
+    b = binarize(td)
+    assert b.nbags == td.nbags
+    assert b.children == td.children
+
+
+@pytest.mark.parametrize("td", [path_td(40), strip_td(30)], ids=["path", "strip"])
+def test_normalize_adds_no_bags_without_branching(td):
+    assert normalize_td(td).td.nbags == merge_bags(td, td.max_bag()).nbags
+
+
+def test_post_order_one_child_shared_first():
+    # the root keeps 2 and 3 in common with its only child
+    td = TreeDecomposition.build(5, [{0, 1, 2, 3}, {2, 3, 4}], [(0, 1)])
+    rho, _ = _rho_sets(td)
+    assert list(post_order(td, rho).fwd) == [4, 2, 3, 0, 1]
+
+
 def test_post_order_partition():
     rng = random.Random(9)
     graph, td = random_partial_ktree(rng, 30, 2)
