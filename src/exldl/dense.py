@@ -35,6 +35,7 @@ Over an exact field the result is bit-identical regardless of the cutoff.
 
 from __future__ import annotations
 
+import functools
 from math import gcd, lcm
 from operator import mul
 
@@ -75,6 +76,14 @@ class Permutation:
             seen[v] = True
         self.fwd = fwd
         self._inv = None
+
+    @classmethod
+    def _of(cls, fwd: tuple) -> "Permutation":
+        """The permutation fwd, which the caller built as one: unchecked."""
+        self = object.__new__(cls)
+        self.fwd = fwd
+        self._inv = None
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -119,7 +128,20 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(p.fwd[j] for j in q.fwd)
 
 
-class DenseMatrix:
+class _FieldDispatch(type):
+    """Metaclass of `DenseMatrix` alone: calling the base class builds the
+    matrix class of ctx's field.  The field classes take `_Direct`, whose
+    plain `type.__call__` keeps their own constructions free of dispatch."""
+
+    def __call__(cls, ctx, *args):
+        return _MATRIX[type(ctx)](ctx, *args)
+
+
+class _Direct(_FieldDispatch):
+    __call__ = type.__call__
+
+
+class DenseMatrix(metaclass=_FieldDispatch):
     """Row-major exact matrix over one FieldContext.
 
     `DenseMatrix(ctx, nrows, ncols, data)` and the constructors give an
@@ -129,8 +151,11 @@ class DenseMatrix:
       * `_substitute(out, left, forward, order, dinv)`, the substitution
         of `_tri_solve_base` in place on out, returning the number of
         couplings (nonzero off-diagonal entries of the triangle);
-      * `eliminate_rows()`, the elimination of `factor._lu_rows`: (pivot
-        rows, column order q, L with rows in the original order, U);
+      * `eliminate_rows()`, the elimination of `factor._lu_rows`: (row
+        order, the pivot rows and then the others, each ascending; column
+        order q; L with rows in that order; U);
+      * `from_entries(ctx, rows, ncols)`, the matrix of these lists of
+        canonical elements, and `column(j)`, the entries of column j;
       * rows for `sparse.apply_transcript`: `row(i)`, `zero_row()`,
         `add_scaled_row(dst, src, c)` (dst + c src, metered as one row
         operation), `same_row(a, b)` and `with_rows(rows)`, a matrix of
@@ -138,9 +163,6 @@ class DenseMatrix:
     """
 
     __slots__ = ("ctx", "nrows", "ncols", "_d")
-
-    def __new__(cls, ctx: FieldContext = None, *args):  # no arguments when unpickled
-        return object.__new__(_MATRIX[type(ctx)] if cls is DenseMatrix else cls)
 
     def __init__(self, ctx: FieldContext, nrows: int, ncols: int, data):
         self.ctx = ctx
@@ -163,16 +185,17 @@ class DenseMatrix:
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, rows) -> "DenseMatrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
+        rows = [[ctx.el(v) for v in r] for r in rows]
         ncols = len(rows[0]) if rows else 0
-        out = cls.zeros(ctx, nrows, ncols)
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise DimensionMismatch("ragged rows")
-            for j, v in enumerate(row):
-                out.set(i, j, ctx.el(v))
-        return out
+        if any(len(row) != ncols for row in rows):
+            raise DimensionMismatch("ragged rows")
+        return cls.from_entries(ctx, rows, ncols)
+
+    @classmethod
+    def from_entries(cls, ctx: FieldContext, rows, ncols: int) -> "DenseMatrix":
+        """The matrix of ncols columns whose rows are these lists of
+        canonical elements of ctx (unchecked: the kernels' own results)."""
+        return _MATRIX[type(ctx)].from_entries(ctx, rows, ncols)
 
     @property
     def shape(self):
@@ -482,7 +505,7 @@ def _gf2_pack(bits: np.ndarray) -> list:
     return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
 
 
-class GF2Matrix(DenseMatrix):
+class GF2Matrix(DenseMatrix, metaclass=_Direct):
     """GF(2): `_d` is a list of one int per row, bit j = column j, each
     below 1 << ncols."""
 
@@ -501,8 +524,22 @@ class GF2Matrix(DenseMatrix):
         else:
             self._d[i] &= ~(1 << j)
 
+    @classmethod
+    def from_entries(cls, ctx, rows, ncols):
+        packed = []
+        for row in rows:
+            acc = 0
+            for j, v in enumerate(row):
+                if v:
+                    acc |= 1 << j
+            packed.append(acc)
+        return cls(ctx, len(packed), ncols, packed)
+
     def to_lists(self):
         return [[(r >> j) & 1 for j in range(self.ncols)] for r in self._d]
+
+    def column(self, j):
+        return [(r >> j) & 1 for r in self._d]
 
     def is_zero(self):
         return not any(self._d)
@@ -642,7 +679,9 @@ class GF2Matrix(DenseMatrix):
                 piv.append(i)
             lower.append(bits)
         r = len(piv)
-        return piv, q, GF2Matrix(self.ctx, m, r, lower), GF2Matrix(self.ctx, r, n, urows)
+        order = _pivots_first(piv, m)
+        l = GF2Matrix(self.ctx, m, r, [lower[i] for i in order])
+        return order, q, l, GF2Matrix(self.ctx, r, n, urows)
 
     def row(self, i):
         return self._d[i]
@@ -656,7 +695,7 @@ class GF2Matrix(DenseMatrix):
         return GF2Matrix(self.ctx, len(rows), self.ncols, list(rows))
 
 
-class GFpMatrix(DenseMatrix):
+class GFpMatrix(DenseMatrix, metaclass=_Direct):
     """GF(p): `_d` is a C-contiguous (nrows, ncols) int64 array of residues."""
 
     __slots__ = ()
@@ -671,8 +710,16 @@ class GFpMatrix(DenseMatrix):
     def set(self, i, j, v):
         self._d[i, j] = v
 
+    @classmethod
+    def from_entries(cls, ctx, rows, ncols):
+        rows = list(rows)
+        return cls(ctx, len(rows), ncols, np.array(rows, dtype=np.int64).reshape(len(rows), ncols))
+
     def to_lists(self):
         return self._d.tolist()
+
+    def column(self, j):
+        return self._d[:, j].tolist()
 
     def _same_data(self, other):
         return bool(np.array_equal(self._d, other._d))
@@ -684,12 +731,12 @@ class GFpMatrix(DenseMatrix):
         return GFpMatrix(self.ctx, r1 - r0, c1 - c0, self._d[r0:r1, c0:c1].copy())
 
     def take_rows(self, idx):
-        idx = list(idx)
-        return GFpMatrix(self.ctx, len(idx), self.ncols, self._d[idx, :].copy())
+        d = self._d.take(list(idx), axis=0)
+        return GFpMatrix(self.ctx, len(d), self.ncols, d)
 
     def take_cols(self, idx):
-        idx = list(idx)
-        return GFpMatrix(self.ctx, self.nrows, len(idx), self._d[:, idx].copy())
+        d = self._d.take(list(idx), axis=1)
+        return GFpMatrix(self.ctx, self.nrows, d.shape[1], d)
 
     def set_block(self, r0, c0, m):
         self._d[r0 : r0 + m.nrows, c0 : c0 + m.ncols] = m._d
@@ -736,27 +783,34 @@ class GFpMatrix(DenseMatrix):
         return GFpMatrix(ctx, m, n, acc)
 
     def _substitute(self, out, left, forward, order, dinv):
-        # Whole numpy rows of X (columns for X l = b).  One row product
-        # stays below 2^63 if n (p-1)^2 does; otherwise reduce after every
-        # coupling, where c * x < 2^62 always holds.
-        coef, deps = _couplings(self, left, forward)
+        # Whole numpy rows of X (columns for X l = b), with dinv folded
+        # into b and into the couplings: x_i = dinv_i b_i - sum_t
+        # (dinv_i c_it) x_t.  One row product stays below 2^63 if
+        # n (p-1)^2 does; otherwise reduce after every coupling, where
+        # c * x < 2^62 always holds.
         p = self.ctx.p
+        coef = self._d if left else self._d.T
+        coef = coef * _strict_triangle(self.nrows, forward)
         x = out._d if left else out._d.T
+        if dinv is not None:
+            dv = np.array(dinv, dtype=np.int64).reshape(-1, 1)
+            x[:] = x * dv % p
+            coef = coef * dv % p
         whole = self.nrows * (p - 1) * (p - 1) < 1 << 63
+        coupled = coef.any(axis=1).tolist()
         for i in order:
-            ts = deps[i]
-            acc = x[i]
-            if ts:
-                cv = np.array([coef[i][t] for t in ts], dtype=np.int64)
-                if whole:
-                    acc = (acc - cv @ x[ts]) % p
-                else:
-                    for c, t in zip(cv, ts):
-                        acc = (acc - c * x[t]) % p
-            if dinv is not None:
-                acc = acc * dinv[i] % p
-            x[i] = acc
-        return sum(map(len, deps))
+            if not coupled[i]:
+                continue
+            if whole:  # over the unknowns solved before i, rows of out
+                ts = slice(0, i) if forward else slice(i + 1, None)
+                c = coef[i, ts]
+                x[i] = (x[i] - (c @ x[ts] if left else out._d[:, ts] @ c)) % p
+            else:
+                acc = x[i]
+                for t in np.flatnonzero(coef[i]).tolist():
+                    acc = (acc - coef[i, t] * x[t]) % p
+                x[i] = acc
+        return int(np.count_nonzero(coef))
 
     def eliminate_rows(self):
         # rows are residue lists, in the current column order
@@ -770,19 +824,22 @@ class GFpMatrix(DenseMatrix):
                 c = row[s]
                 if c:
                     c = c * inverses[s] % p
-                    row[s + 1 :] = [(x - c * y) % p for x, y in zip(row[s + 1 :], u[s + 1 :])]
+                    if s + 1 < n:
+                        row[s + 1 :] = [(x - c * y) % p for x, y in zip(row[s + 1 :], u[s + 1 :])]
                 mult.append(c)
             r = len(urows)
-            if _pivot_into(r, row, rows[i:] + urows, q):
+            if r < n and any(row[r:]):
+                _pivot_into(r, row, rows[i:] + urows, q)
                 inverses.append(pow(row[r], p - 2, p))
                 urows.append(row)
                 mult.append(1)
                 piv.append(i)
             lrows.append(mult)
         r = len(piv)
-        lpad = [x + [0] * (r - len(x)) for x in lrows]
+        order = _pivots_first(piv, m)
+        lpad = [lrows[i] + [0] * (r - len(lrows[i])) for i in order]
         l = GFpMatrix(self.ctx, m, r, np.array(lpad, dtype=np.int64).reshape(m, r))
-        return piv, q, l, GFpMatrix(self.ctx, r, n, np.array(urows, dtype=np.int64).reshape(r, n))
+        return order, q, l, GFpMatrix(self.ctx, r, n, np.array(urows, dtype=np.int64).reshape(r, n))
 
     def row(self, i):
         return self._d[i].copy()
@@ -800,7 +857,7 @@ class GFpMatrix(DenseMatrix):
         return GFpMatrix(self.ctx, len(rows), self.ncols, data)
 
 
-class RationalMatrix(DenseMatrix):
+class RationalMatrix(DenseMatrix, metaclass=_Direct):
     """Q: `_d` is a list of rows, each a list of the context's rational type."""
 
     __slots__ = ()
@@ -816,8 +873,16 @@ class RationalMatrix(DenseMatrix):
     def set(self, i, j, v):
         self._d[i][j] = v
 
+    @classmethod
+    def from_entries(cls, ctx, rows, ncols):
+        rows = [list(r) for r in rows]
+        return cls(ctx, len(rows), ncols, rows)
+
     def to_lists(self):
         return [list(r) for r in self._d]
+
+    def column(self, j):
+        return [row[j] for row in self._d]
 
     def is_zero(self):
         return all(all(v == 0 for v in row) for row in self._d)
@@ -974,7 +1039,8 @@ class RationalMatrix(DenseMatrix):
                 row[s + 1 :] = [x * us - c * y for x, y in zip(row[s + 1 :], u[s + 1 :])]
                 den *= us
             r = len(urows)
-            if _pivot_into(r, row, rows[i:] + urows, q):
+            if any(row[r:]):
+                _pivot_into(r, row, rows[i:] + urows, q)
                 g = gcd(*row[r:])
                 row[r:] = [x // g for x in row[r:]]
                 heads.append((g, den))
@@ -983,12 +1049,13 @@ class RationalMatrix(DenseMatrix):
                 piv.append(i)
             lrows.append(mult)
         r = len(piv)
-        l = RationalMatrix(ctx, m, r, [x + [zero] * (r - len(x)) for x in lrows])
+        order = _pivots_first(piv, m)
+        l = RationalMatrix(ctx, m, r, [lrows[i] + [zero] * (r - len(lrows[i])) for i in order])
         vals = [
             [zero] * t + [_ratio(x * g, e) for x in row[t:]]
             for t, (row, (g, e)) in enumerate(zip(urows, heads))
         ]
-        return piv, q, l, RationalMatrix(ctx, r, n, vals)
+        return order, q, l, RationalMatrix(ctx, r, n, vals)
 
     def row(self, i):
         return list(self._d[i])
@@ -999,6 +1066,15 @@ class RationalMatrix(DenseMatrix):
 
     def with_rows(self, rows):
         return RationalMatrix(self.ctx, len(rows), self.ncols, [list(r) for r in rows])
+
+
+@functools.cache
+def _strict_triangle(n: int, lower: bool) -> np.ndarray:
+    """The int64 0/1 mask of the strict lower (or upper) n x n triangle."""
+    mask = np.tri(n, k=-1, dtype=np.int64)
+    mask = mask if lower else np.ascontiguousarray(mask.T)
+    mask.setflags(write=False)  # shared by every caller
+    return mask
 
 
 def _couplings(l: DenseMatrix, left: bool, forward: bool):
@@ -1015,19 +1091,22 @@ def _couplings(l: DenseMatrix, left: bool, forward: bool):
     return coef, deps
 
 
-def _pivot_into(r: int, row: list, rows, q: list) -> bool:
+def _pivots_first(piv: list, m: int) -> list:
+    """The pivot rows piv, then the other rows of 0..m-1 ascending."""
+    rest = set(range(m)).difference(piv)
+    return piv + sorted(rest)
+
+
+def _pivot_into(r: int, row: list, rows, q: list):
     """Row-by-row LU over entry lists: swap the first nonzero entry of
-    `row` at or past column r into column r, in every list of `rows` and
-    in the column order q, and zero row[:r].  False if there is none."""
-    j = next((t for t in range(r, len(row)) if row[t]), None)
-    if j is None:
-        return False
+    `row` at or past column r (there is one) into column r, in every list
+    of `rows` and in the column order q, and zero row[:r]."""
+    j = next(t for t in range(r, len(row)) if row[t])
     if j != r:
         q[r], q[j] = q[j], q[r]
         for x in rows:
             x[r], x[j] = x[j], x[r]
     row[:r] = [0] * r
-    return True
 
 
 _MATRIX = {GF2Field: GF2Matrix, GFpField: GFpMatrix, RationalField: RationalMatrix}

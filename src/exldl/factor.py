@@ -175,6 +175,77 @@ def unreduced_ldl(res: LDLResult, n: int):
 
 
 # -- elimination primitives ---------------------------------------------------
+#
+# The eliminations work on entry lists (the rows of a matrix as lists of
+# canonical elements) with unmetered field operations, and charge the ops
+# of their matrix form: scaling each elimination column, and one classical
+# (k x 1) @ (1 x k) product and one k x k subtraction per rank-1 update of
+# the k remaining indices.
+
+
+def _sub_outer(ctx, rows, rest, x, y):
+    """rows[i][j] - x[i] conj(y[j]) over i, j in rest; x is indexed like
+    rest, y like rows.  Metered as that product and subtraction."""
+    k = len(rest)
+    conj, sub, mul = ctx.conj, ctx._sub, ctx._mul
+    yc = [conj(y[j]) for j in rest]
+    out = []
+    for xi, i in zip(x, rest):
+        row = rows[i]
+        if xi:
+            out.append([sub(row[j], mul(xi, c)) for j, c in zip(rest, yc)])
+        else:
+            out.append([row[j] for j in rest])
+    if ctx.counter is not None and k:
+        ctx.count_product(k, 1, k, sum(1 for v in x if v))
+        ctx.count_ops(add=k * ctx.row_ops(k))
+    return out
+
+
+def _vertex_lists(ctx, rows, i: int):
+    """`vertex_eliminate` on entry lists: (l, d, s) with l a list."""
+    m = len(rows)
+    d = rows[i][i]
+    if not d:
+        raise ZeroPivot(f"zero diagonal pivot at {i}")
+    dinv = ctx.inv(d)
+    col = [row[i] for row in rows]
+    l = [ctx._mul(v, dinv) for v in col]
+    ctx.count_ops(mul=ctx.scale_ops(m))
+    rest = [t for t in range(m) if t != i]
+    return l, d, _sub_outer(ctx, rows, rest, [l[t] for t in rest], col)
+
+
+def _edge_lists(ctx, rows, i: int, j: int):
+    """`edge_eliminate` on entry lists: (pivots, the two columns as lists,
+    blocks, s)."""
+    m = len(rows)
+    aii, ajj = rows[i][i], rows[j][j]
+    aij, aji = rows[i][j], rows[j][i]
+    det = ctx.sub(ctx.mul(aii, ajj), ctx.mul(aij, aji))
+    if ctx.is_zero(det):
+        raise SingularPivot(f"singular 2x2 pivot at ({i}, {j})")
+    if aii or ajj:
+        first, second = (i, j) if aii else (j, i)
+        l1, d1, s1 = _vertex_lists(ctx, rows, first)
+        rest1 = [t for t in range(m) if t != first]
+        l2s, d2, s = _vertex_lists(ctx, s1, rest1.index(second))
+        l2 = [ctx.zero] * m
+        for t, v in zip(rest1, l2s):
+            l2[t] = v
+        return (first, second), (l1, l2), [DBlock.scalar(d1), DBlock.scalar(d2)], s
+    # the duplicated inversions are the matrix form's, metered as such
+    inv_ji, inv_ij = ctx.inv(aji), ctx.inv(aij)
+    ctx.count_ops(inv=2, mul=ctx.scale_ops(4 * m - 4))
+    u = [row[i] for row in rows]
+    v = [row[j] for row in rows]
+    c1 = [ctx._mul(x, inv_ji) for x in v]
+    c2 = [ctx._mul(x, inv_ij) for x in u]
+    rest = [t for t in range(m) if t not in (i, j)]
+    s = _sub_outer(ctx, rows, rest, [ctx._mul(u[t], inv_ji) for t in rest], v)
+    s = _sub_outer(ctx, s, range(len(rest)), [ctx._mul(v[t], inv_ij) for t in rest],
+                   [u[t] for t in rest])
+    return (i, j), (c1, c2), [DBlock.antidiag(aij, aji)], s
 
 
 def vertex_eliminate(a: DenseMatrix, i: int):
@@ -185,18 +256,8 @@ def vertex_eliminate(a: DenseMatrix, i: int):
     remaining indices in original order.
     """
     ctx = a.ctx
-    n = a.nrows
-    d = a.get(i, i)
-    if ctx.is_zero(d):
-        raise ZeroPivot(f"zero diagonal pivot at {i}")
-    dinv = ctx.inv(d)
-    col = a.block(0, n, i, i + 1)
-    l = col.scale(dinv)
-    rest = [t for t in range(n) if t != i]
-    lr = l.take_rows(rest)
-    cr = col.take_rows(rest).conj_transpose()
-    s = a.take_rows(rest).take_cols(rest).sub(matmul(lr, cr))
-    return l, d, s
+    l, d, s = _vertex_lists(ctx, a.to_lists(), i)
+    return a.from_entries(ctx, [[v] for v in l], 1), d, a.from_entries(ctx, s, a.nrows - 1)
 
 
 @dataclass
@@ -216,34 +277,9 @@ def edge_eliminate(a: DenseMatrix, i: int, j: int) -> EdgeElimination:
     pivots.
     """
     ctx = a.ctx
-    n = a.nrows
-    aii, ajj = a.get(i, i), a.get(j, j)
-    aij, aji = a.get(i, j), a.get(j, i)
-    det = ctx.sub(ctx.mul(aii, ajj), ctx.mul(aij, aji))
-    if ctx.is_zero(det):
-        raise SingularPivot(f"singular 2x2 pivot at ({i}, {j})")
-    if not ctx.is_zero(aii) or not ctx.is_zero(ajj):
-        first, second = (i, j) if not ctx.is_zero(aii) else (j, i)
-        l1, d1, s1 = vertex_eliminate(a, first)
-        rest1 = [t for t in range(n) if t != first]
-        k1 = rest1.index(second)
-        l2s, d2, s = vertex_eliminate(s1, k1)
-        l2 = DenseMatrix.zeros(ctx, n, 1)
-        for t, v in zip(rest1, l2s.to_lists()):
-            l2.set(t, 0, v[0])
-        cols = hstack([l1, l2])
-        blocks = [DBlock.scalar(d1), DBlock.scalar(d2)]
-        return EdgeElimination((first, second), cols, blocks, s)
-    u = a.block(0, n, i, i + 1)
-    v = a.block(0, n, j, j + 1)
-    c1 = v.scale(ctx.inv(aji))
-    c2 = u.scale(ctx.inv(aij))
-    rest = [t for t in range(n) if t not in (i, j)]
-    ur, vr = u.take_rows(rest), v.take_rows(rest)
-    s = a.take_rows(rest).take_cols(rest)
-    s = s.sub(matmul(ur.scale(ctx.inv(aji)), vr.conj_transpose()))
-    s = s.sub(matmul(vr.scale(ctx.inv(aij)), ur.conj_transpose()))
-    return EdgeElimination((i, j), hstack([c1, c2]), [DBlock.antidiag(aij, aji)], s)
+    pivots, (c1, c2), blocks, s = _edge_lists(ctx, a.to_lists(), i, j)
+    cols = a.from_entries(ctx, list(zip(c1, c2)), 2)
+    return EdgeElimination(pivots, cols, blocks, a.from_entries(ctx, s, a.nrows - 2))
 
 
 # -- base-case LDL ------------------------------------------------------------
@@ -253,67 +289,53 @@ def base_ldl(a: DenseMatrix) -> LDLResult:
     """Direct LDL by pivot search: first nonzero diagonal entry, else first
     nonzero sub-diagonal in column-major order."""
     ctx = a.ctx
-    n = a.nrows
+    rows = a.to_lists()
     cols = []  # per pivot order position, {original index: value}
     blocks = []
     order = []
-    ids = list(range(n))
-    cur = a
+    ids = list(range(a.nrows))
     while ids:
         m = len(ids)
-        piv = None
-        for t in range(m):
-            if not ctx.is_zero(cur.get(t, t)):
-                piv = t
-                break
+        piv = next((t for t in range(m) if rows[t][t]), None)
         if piv is not None:
-            l, d, s = vertex_eliminate(cur, piv)
-            cols.append(dict(col_support(l, 0, range(m), ids)))
+            l, d, rows = _vertex_lists(ctx, rows, piv)
+            cols.append(_support(l, ids))
             blocks.append(DBlock.scalar(d))
             order.append(ids[piv])
-            ids = ids[:piv] + ids[piv + 1 :]
-            cur = s
+            del ids[piv]
             continue
-        pair = None
-        for jj in range(m):
-            for ii in range(jj + 1, m):
-                if not ctx.is_zero(cur.get(ii, jj)):
-                    pair = (jj, ii)
-                    break
-            if pair:
-                break
+        pair = next(((jj, ii) for jj in range(m) for ii in range(jj + 1, m) if rows[ii][jj]), None)
         if pair is None:
             break  # zero matrix; remaining indices are rank-deficient
-        jj, ii = pair
-        ee = edge_eliminate(cur, jj, ii)
-        cols += [dict(col_support(ee.cols, c, range(m), ids)) for c in (0, 1)]
-        blocks.extend(ee.blocks)
-        order.extend(ids[t] for t in ee.pivots)
-        ids = [ids[t] for t in range(m) if t not in (jj, ii)]
-        cur = ee.s
+        pivots, pcols, pblocks, rows = _edge_lists(ctx, rows, *pair)
+        cols += [_support(c, ids) for c in pcols]
+        blocks.extend(pblocks)
+        order.extend(ids[t] for t in pivots)
+        ids = [ids[t] for t in range(m) if t not in pair]
     return _ldl_from_columns(ctx, order + ids, cols, blocks)
+
+
+def _support(col, ids) -> dict:
+    """{ids[t]: col[t]} over the nonzero entries of the list col."""
+    return {ids[t]: v for t, v in enumerate(col) if v}
 
 
 def col_support(m: DenseMatrix, c: int, rows, ids) -> tuple:
     """The pairs (ids[t], m[t][c]) over t in `rows` with a nonzero entry."""
-    ctx = m.ctx
-    out = []
-    for t in rows:
-        v = m.get(t, c)
-        if not ctx.is_zero(v):
-            out.append((ids[t], v))
-    return tuple(out)
+    col = m.column(c)
+    return tuple((ids[t], col[t]) for t in rows if col[t])
 
 
 def _ldl_from_columns(ctx: FieldContext, fwd, cols, blocks) -> LDLResult:
     """Reduced LDL whose column k holds cols[k] ({index: value}), the
     indices placed by the order fwd."""
     pos = {v: t for t, v in enumerate(fwd)}
-    l = DenseMatrix.zeros(ctx, len(fwd), len(cols))
+    r = len(cols)
+    lrows = [[ctx.zero] * r for _ in fwd]
     for k, col in enumerate(cols):
         for idx, val in col.items():
-            l.set(pos[idx], k, val)
-    return LDLResult(Permutation(fwd), l, blocks, len(cols))
+            lrows[pos[idx]][k] = val
+    return LDLResult(Permutation(fwd), DenseMatrix.from_entries(ctx, lrows, r), blocks, r)
 
 
 # -- fast LU -------------------------------------------------------------------
@@ -389,13 +411,14 @@ def _lu_rows(a: DenseMatrix) -> LUResult:
     `_charge_row_splitting`.
     """
     ctx = a.ctx
-    m = a.nrows
-    piv, q, l, u = a.eliminate_rows()
-    pivots = set(piv)
+    order, q, l, u = a.eliminate_rows()
+    r = u.nrows
     if ctx.counter is not None:
-        _charge_row_splitting(ctx, m, a.ncols, pivots, u.nonzero_masks(), l.nonzero_masks())
-    order = piv + [i for i in range(m) if i not in pivots]
-    return LUResult(Permutation(order), Permutation(q), l.take_rows(order), u, len(piv))
+        lower = [0] * a.nrows
+        for i, mask in zip(order, l.nonzero_masks()):
+            lower[i] = mask
+        _charge_row_splitting(ctx, a.nrows, a.ncols, set(order[:r]), u.nonzero_masks(), lower)
+    return LUResult(Permutation._of(tuple(order)), Permutation._of(tuple(q)), l, u, r)
 
 
 def _charge_row_splitting(ctx: FieldContext, m: int, n: int, pivots, upper, lower):
@@ -545,40 +568,30 @@ def natural_order_ldl(a: DenseMatrix) -> LDLResult:
     an entirely zero row are skipped to the tail.
     """
     ctx = a.ctx
-    n = a.nrows
-    ids = list(range(n))
-    cur = a
+    rows = a.to_lists()
+    ids = list(range(a.nrows))
     order = []
     tail = []
     cols = []
     blocks = []
     while ids:
         m = len(ids)
-        if not ctx.is_zero(cur.get(0, 0)):
-            l, d, s = vertex_eliminate(cur, 0)
-            cols.append(dict(col_support(l, 0, range(m), ids)))
+        if rows[0][0]:
+            l, d, rows = _vertex_lists(ctx, rows, 0)
+            cols.append(_support(l, ids))
             blocks.append(DBlock.scalar(d))
-            order.append(ids[0])
-            ids = ids[1:]
-            cur = s
+            order.append(ids.pop(0))
             continue
-        partner = None
-        for t in range(1, m):
-            if not ctx.is_zero(cur.get(t, 0)):
-                partner = t
-                break
+        partner = next((t for t in range(1, m) if rows[t][0]), None)
         if partner is None:
-            tail.append(ids[0])
-            ids = ids[1:]
-            rest = list(range(1, m))
-            cur = cur.take_rows(rest).take_cols(rest)
+            tail.append(ids.pop(0))
+            rows = [row[1:] for row in rows[1:]]
             continue
-        ee = edge_eliminate(cur, 0, partner)
-        cols += [dict(col_support(ee.cols, c, range(m), ids)) for c in (0, 1)]
-        blocks.extend(ee.blocks)
-        order.extend(ids[t] for t in ee.pivots)
+        pivots, pcols, pblocks, rows = _edge_lists(ctx, rows, 0, partner)
+        cols += [_support(c, ids) for c in pcols]
+        blocks.extend(pblocks)
+        order.extend(ids[t] for t in pivots)
         ids = [ids[t] for t in range(m) if t not in (0, partner)]
-        cur = ee.s
     return _ldl_from_columns(ctx, order + tail, cols, blocks)
 
 

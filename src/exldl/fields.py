@@ -14,13 +14,16 @@ field.  Conjugation is the identity on all three shipped fields but is
 kept as an explicit operation so that conjugate-symmetric formulas are
 written once.
 
-Counting conventions (`count_product` and `row_ops` give the kernels'):
+Counting conventions (`count_product`, `row_ops` and `scale_ops` give the
+kernels'):
   * sub and neg count as one add, div as one mul plus one inv.
   * Matrix kernels meter semantically: a classical (m, k, n) product
     counts m*k*n muls and m*n*(k-1) adds no matter how it is computed.
+  * Scaling a matrix counts one mul per entry.
   * GF(2) rows are bit-packed; one 64-bit word XOR counts as 64 adds,
-    so a packed row operation of width w counts 64*ceil(w/64), and a
-    product counts one such add and mul per nonzero of its left factor.
+    so a packed row operation of width w counts 64*ceil(w/64), a
+    product counts one such add and mul per nonzero of its left factor,
+    and scaling counts nothing.
 """
 
 from __future__ import annotations
@@ -251,6 +254,10 @@ class FieldContext:
         has nnz nonzero entries: m*k*n muls and m*n*(k-1) adds."""
         self.count_ops(mul=m * k * n, add=m * n * (k - 1) if k >= 1 else 0)
 
+    def scale_ops(self, entries: int) -> int:
+        """Muls metered for scaling `entries` matrix entries."""
+        return entries
+
     # -- elements -------------------------------------------------------
 
     def _int(self, value) -> int:
@@ -324,6 +331,10 @@ class GF2Field(FieldContext):
         # The packed product adds one row of b per nonzero entry of a.
         w = packed_ops(n)
         self.count_ops(add=nnz * w, mul=nnz * w)
+
+    def scale_ops(self, entries: int) -> int:
+        # Scaling by 0 or 1 clears or copies a matrix.
+        return 0
 
     def el(self, value):
         return self._int(value) & 1

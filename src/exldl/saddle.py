@@ -28,7 +28,6 @@ from .dense import (
     UPPER_UNIT,
     DenseMatrix,
     Permutation,
-    hstack,
     matmul,
     permute,
     tri_solve,
@@ -188,24 +187,22 @@ def schilders_partial_ldl(system: SaddleSystem, cutoff: int | None = None) -> Pa
     a21 = ap.block(r, n, 0, r)
     l1 = lu.L.block(0, r, 0, r)
     l2 = lu.L.block(r, n, 0, r)
+    l1h = l1.conj_transpose()
     wa = tri_solve(l1, a11, LEFT, LOWER_UNIT, cutoff)
-    w = tri_solve(l1.conj_transpose(), wa, RIGHT, UPPER_UNIT, cutoff)
-    dvals = [ctx.neg(w.get(i, i)) for i in range(r)]
-    wl = DenseMatrix.zeros(ctx, r, r)
+    w = tri_solve(l1h, wa, RIGHT, UPPER_UNIT, cutoff).to_lists()
+    dvals = [ctx.neg(w[i][i]) for i in range(r)]
+    wl = [row[: i + 1] + [ctx.zero] * (r - i - 1) for i, row in enumerate(w)]
+    lw = matmul(l1, l1.from_entries(ctx, wl, r), cutoff)
+    y1 = lw.to_lists()
     for i in range(r):
-        for j in range(i + 1):
-            wl.set(i, j, w.get(i, j))
-    y1 = matmul(l1, wl, cutoff)
-    for i in range(r):
-        y1.set(i, i, ctx.add(y1.get(i, i), dvals[i]))
-    # Y2 = (A21 - L2 ((Y1^H - D) + D L1^H)) L1^-H
-    t = y1.conj_transpose()
-    for i in range(r):
-        t.set(i, i, ctx.sub(t.get(i, i), dvals[i]))
-    dl1h = l1.conj_transpose().scale_rows(dvals)
-    y2 = a21.sub(matmul(l2, t.add(dl1h), cutoff))
-    y2 = tri_solve(l1.conj_transpose(), y2, RIGHT, UPPER_UNIT, cutoff)
-    y = vstack([y1, y2])
+        y1[i][i] = ctx.add(y1[i][i], dvals[i])
+    # Y2 = (A21 - L2 ((Y1^H - D) + D L1^H)) L1^-H, where Y1^H - D = (L1 Wl)^H
+    # exactly; the subtraction is metered all the same
+    ctx.count_ops(add=r)
+    dl1h = l1h.scale_rows(dvals)
+    y2 = a21.sub(matmul(l2, lw.conj_transpose().add(dl1h), cutoff))
+    y2 = tri_solve(l1h, y2, RIGHT, UPPER_UNIT, cutoff)
+    y = vstack([lw.from_entries(ctx, y1, r), y2])
     return PartialLDL(lu.P, lu.Q, y, lu.L, lu.U, dvals, r)
 
 
@@ -217,18 +214,41 @@ def residual_schur(system: SaddleSystem, f: PartialLDL) -> DenseMatrix:
     ctx = system.A.ctx
     n, r = system.n, f.r
     ap = permute(system.A, f.P, f.P)
-    v = f.Y.copy()
+    v = f.Y.to_lists()
     for i in range(r):
-        v.set(i, i, ctx.sub(v.get(i, i), f.D[i]))
+        v[i][i] = ctx.sub(v[i][i], f.D[i])
+    v = f.Y.from_entries(ctx, v, r)
     lh = f.L.conj_transpose()
     resid = ap.sub(matmul(v, lh))
     resid = resid.sub(matmul(f.L, v.conj_transpose()))
     resid = resid.sub(matmul(_scale_cols(f.L, f.D), lh))
-    for i in range(n):
-        for j in range(n):
-            if (i < r or j < r) and resid.get(i, j) != 0:
-                raise ResidualLeakage(f"partial LDL residual leaks at ({i}, {j})")
+    if not (resid.block(0, r, 0, n).is_zero() and resid.block(r, n, 0, r).is_zero()):
+        rows = resid.to_lists()
+        i, j = next((i, j) for i in range(n) for j in range(n) if (i < r or j < r) and rows[i][j])
+        raise ResidualLeakage(f"partial LDL residual leaks at ({i}, {j})")
     return resid.block(r, n, r, n)
+
+
+def _skeleton_columns(ctx, k1: list, k2: list, a11, b11):
+    """`skeleton_to_ldl_columns` on the skeleton's two columns as lists,
+    already in the shifted row order: (column 1, column 2, D blocks),
+    metered as the column operations of the matrix form."""
+    if ctx.is_zero(b11):
+        raise ZeroB11("skeleton conversion needs a nonzero constraint pivot")
+    rows = len(k1)
+    mul = ctx._mul
+    if ctx.is_zero(a11):
+        binv = ctx.inv(b11)
+        ctx.count_ops(mul=ctx.scale_ops(rows))
+        return k2, [mul(x, binv) for x in k1], [DBlock.antidiag(ctx.conj(b11), b11)]
+    # c2 = (k1 - k2 a11) / b11 and c1 = k2 + c2 b11 / conj(a11)
+    binv = ctx.inv(b11)
+    c2 = [mul(ctx._sub(x, mul(y, a11)), binv) for x, y in zip(k1, k2)]
+    beta = ctx.mul(b11, ctx.inv(ctx.conj(a11)))
+    c1 = [ctx._add(y, mul(x, beta)) for x, y in zip(c2, k2)]
+    d2 = ctx.neg(ctx.mul(b11, ctx.mul(ctx.inv(ctx.conj(a11)), ctx.conj(b11))))
+    ctx.count_ops(mul=ctx.scale_ops(3 * rows), add=2 * rows * ctx.row_ops(1))
+    return c1, c2, [DBlock.scalar(ctx.conj(a11)), DBlock.scalar(d2)]
 
 
 def skeleton_to_ldl_columns(k: DenseMatrix, a11, b11, n_rows_a: int):
@@ -245,45 +265,12 @@ def skeleton_to_ldl_columns(k: DenseMatrix, a11, b11, n_rows_a: int):
     pivot block.
     """
     ctx = k.ctx
-    if ctx.is_zero(b11):
-        raise ZeroB11("skeleton conversion needs a nonzero constraint pivot")
-    rows = k.nrows
-    shift = [0, n_rows_a] + list(range(1, n_rows_a)) + list(range(n_rows_a + 1, rows))
-    ks = k.take_rows(shift)
-    kcol1 = ks.block(0, rows, 0, 1)
-    kcol2 = ks.block(0, rows, 1, 2)
-    if ctx.is_zero(a11):
-        c2 = kcol1.scale(ctx.inv(b11))
-        return hstack([kcol2, c2]), [DBlock.antidiag(ctx.conj(b11), b11)]
-    c2 = kcol1.sub(kcol2.scale(a11)).scale(ctx.inv(b11))
-    beta = ctx.mul(b11, ctx.inv(ctx.conj(a11)))
-    c1 = kcol2.add(c2.scale(beta))
-    d2 = ctx.neg(ctx.mul(b11, ctx.mul(ctx.inv(ctx.conj(a11)), ctx.conj(b11))))
-    return hstack([c1, c2]), [DBlock.scalar(ctx.conj(a11)), DBlock.scalar(d2)]
-
-
-def partial_skeleton(f: PartialLDL, k: int, ctx):
-    """Skeleton matrix, current pivot values, and row identities of pair k.
-
-    Rows cover the still-active part of the system at step k: A rows at
-    permuted positions k.., then constraint rows at permuted positions
-    k..; returns (K, a11, b11).
-    """
-    n = f.L.nrows
-    m = f.U.ncols
-    na = n - k
-    nb = m - k
-    kmat = DenseMatrix.zeros(ctx, na + nb, 2)
-    a11 = ctx.neg(f.D[k])
-    kmat.set(0, 0, a11)
-    kmat.set(0, 1, ctx.one)
-    for t in range(k + 1, n):
-        kmat.set(t - k, 0, f.Y.get(t, k))
-        kmat.set(t - k, 1, f.L.get(t, k))
-    for t in range(k, m):
-        kmat.set(na + t - k, 0, ctx.conj(f.U.get(k, t)))
-    b11 = ctx.conj(f.U.get(k, k))
-    return kmat, a11, b11
+    rows = k.to_lists()
+    shift = [0, n_rows_a] + list(range(1, n_rows_a)) + list(range(n_rows_a + 1, k.nrows))
+    c1, c2, blocks = _skeleton_columns(
+        ctx, [rows[t][0] for t in shift], [rows[t][1] for t in shift], a11, b11
+    )
+    return k.from_entries(ctx, list(zip(c1, c2)), 2), blocks
 
 
 def pair_columns(f: PartialLDL, k: int, a_ids, b_ids):
@@ -295,18 +282,28 @@ def pair_columns(f: PartialLDL, k: int, a_ids, b_ids):
     pairs of its nonzero entries on the rows still active at step k,
     without the unit entry on its own pivot, and the D blocks are one
     antidiagonal block or two scalar ones (see skeleton_to_ldl_columns).
+
+    The skeleton of pair k, in the shifted row order [pivot A, pivot B,
+    A rows k+1.., constraint rows k+1..], has the columns [-D[k],
+    conj(U[k][k]), Y[k+1:, k], conj(U[k][k+1:])] and [1, 0, L[k+1:, k],
+    0...].
     """
+    ctx = f.L.ctx
     n, m = f.L.nrows, f.U.ncols
-    kmat, a11, b11 = partial_skeleton(f, k, f.L.ctx)
-    cols, blks = skeleton_to_ldl_columns(kmat, a11, b11, n - k)
+    a11 = ctx.neg(f.D[k])
+    urow = [ctx.conj(v) for v in f.U.to_lists()[k][k:]]
+    k1 = [a11, urow[0]] + f.Y.column(k)[k + 1 :] + urow[1:]
+    k2 = [ctx.one, ctx.zero] + f.L.column(k)[k + 1 :] + [ctx.zero] * (m - k - 1)
+    c1, c2, blks = _skeleton_columns(ctx, k1, k2, a11, urow[0])
+    pfwd, qfwd = f.P.fwd, f.Q.fwd
     row_ids = (
-        [a_ids[f.P.fwd[k]], b_ids[f.Q.fwd[k]]]
-        + [a_ids[f.P.fwd[t]] for t in range(k + 1, n)]
-        + [b_ids[f.Q.fwd[t]] for t in range(k + 1, m)]
+        [a_ids[pfwd[k]], b_ids[qfwd[k]]]
+        + [a_ids[pfwd[t]] for t in range(k + 1, n)]
+        + [b_ids[qfwd[t]] for t in range(k + 1, m)]
     )
-    c1 = col_support(cols, 0, range(1, len(row_ids)), row_ids)
-    c2 = col_support(cols, 1, [0, *range(2, len(row_ids))], row_ids)
-    return (row_ids[0], row_ids[1]), (c1, c2), blks
+    col1 = tuple((row_ids[t], c1[t]) for t in range(1, len(row_ids)) if c1[t])
+    col2 = tuple((row_ids[t], c2[t]) for t in [0, *range(2, len(row_ids))] if c2[t])
+    return (row_ids[0], row_ids[1]), (col1, col2), blks
 
 
 def complete_saddle_ldl(system: SaddleSystem, f: PartialLDL) -> LDLResult:

@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 from .dense import (
+    _TRI_BASE,
     LEFT,
     LOWER_UNIT,
     RIGHT,
@@ -46,6 +47,7 @@ from .factor import (
     d_size,
     d_solve_left,
     d_solve_right,
+    fast_ldl,
     fast_lu,
 )
 from .fields import (
@@ -375,11 +377,23 @@ def _peel_dependent(transcript: Transcript, rows: DenseMatrix, ids, cutoff):
     given order."""
     lu = fast_lu(rows.conj_transpose(), cutoff)
     r = lu.r
-    piv_ids = [ids[t] for t in lu.Q.fwd[:r]]
-    for t in range(r, len(ids)):
-        x = tri_solve(lu.U.block(0, r, 0, r), lu.U.block(0, r, t, t + 1), LEFT, UPPER)
-        transcript.append(Peel(ids[lu.Q.fwd[t]], col_support(x, 0, range(r), piv_ids)))
-    keep = sorted(lu.Q.fwd[:r])
+    q = lu.Q.fwd
+    piv_ids = [ids[t] for t in q[:r]]
+    u11 = lu.U.block(0, r, 0, r)
+    # One base-case solve (r <= _TRI_BASE) of every dependent meters what
+    # a solve per dependent would, but for the r inversions each of those
+    # makes: they are charged here.  Above it, GF(2) packed products and
+    # Strassen products are not linear in the number of right-hand sides,
+    # so each dependent is solved alone.
+    step = max(len(ids) - r, 1) if r <= _TRI_BASE else 1
+    for t0 in range(r, len(ids), step):
+        x = tri_solve(u11, lu.U.block(0, r, t0, t0 + step), LEFT, UPPER)
+        rows.ctx.count_ops(inv=r * (step - 1))
+        xs = x.to_lists()
+        for c in range(step):
+            coeffs = tuple((pid, row[c]) for pid, row in zip(piv_ids, xs) if row[c])
+            transcript.append(Peel(ids[q[t0 + c]], coeffs))
+    keep = sorted(q[:r])
     return rows.take_rows(keep), [ids[t] for t in keep]
 
 
@@ -425,8 +439,8 @@ def _substep(
         lu1 = fast_lu(b1ext.conj_transpose(), cutoff)
         r1 = lu1.r
     if r1:
-        beta = sorted(lu1.Q.fwd[t] for t in range(r1))
-        unpiv = [t for t in range(k) if t not in set(beta)]
+        beta = sorted(lu1.Q.fwd[:r1])
+        unpiv = sorted(set(range(k)).difference(beta))
         ku = len(unpiv)
         next_ids = fids + [b_ids[t] for t in unpiv]
         na = nf + ku
@@ -471,7 +485,8 @@ def _substep(
     if [resid_ids[t] for t in ifc_loc] != iface:
         raise InternalInvariantViolation("interface order not preserved")
     order = elim_loc + ifc_loc + b_loc
-    g = resid.take_rows(order).take_cols(order)
+    # without step 2, resid is the frontal, already in that order
+    g = resid.take_rows(order).take_cols(order) if r1 else resid
     n1 = len(elim_loc)
     ni = n1 + gamma
     nr = len(order)
@@ -489,8 +504,6 @@ def _substep(
     y12 = g.block(0, n1, n1, ni)
     a22 = g.block(n1, ni, n1, ni)
     elim_ids = [resid_ids[t] for t in elim_loc]
-    from .factor import fast_ldl
-
     res3 = fast_ldl(y11, cutoff)
     ell = res3.r
     elim_p1 = [elim_ids[res3.P.fwd[t]] for t in range(n1)]
@@ -559,18 +572,19 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
     root_iface = bag_pos[td.root][len(bag_pos[td.root]) - gamma :] if gamma else []
 
     def frontal(ids, iset):
+        """Entry lists of a over ids, without interface-interface entries."""
         nf = len(ids)
-        out = DenseMatrix.zeros(ctx, nf, nf)
+        out = [[ctx.zero] * nf for _ in range(nf)]
         for li, u in enumerate(ids):
             for lj in range(li, nf):
                 v = ids[lj]
                 if u in iset and v in iset:
                     continue
                 val = a.get(u, v)
-                if not ctx.is_zero(val):
-                    out.set(li, lj, val)
+                if val:
+                    out[li][lj] = val
                     if lj != li:
-                        out.set(lj, li, ctx.conj(val))
+                        out[lj][li] = ctx.conj(val)
         return out
 
     def rec(node, iface):
@@ -580,28 +594,32 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
         nf = len(ids)
         loc = {v: t for t, v in enumerate(ids)}
         af = frontal(ids, iset)
-        rows_mats = []
-        rows_ids = []
+        brows, rows_ids = [], []
         for child in td.children[node]:
             child_iface = sorted(set(bag_pos[node]) & set(bag_pos[child]))
             s_c, b_c, bid_c = rec(child, child_iface)
-            for t in range(len(child_iface)):
-                for s in range(len(child_iface)):
-                    v = s_c.get(t, s)
-                    if not ctx.is_zero(v):
-                        li, lj = loc[child_iface[t]], loc[child_iface[s]]
-                        af.set(li, lj, ctx.add(af.get(li, lj), v))
-            if b_c.nrows:
-                ext = DenseMatrix.zeros(ctx, b_c.nrows, nf)
-                for s in range(len(child_iface)):
-                    ext.set_block(0, loc[child_iface[s]], b_c.block(0, b_c.nrows, s, s + 1))
-                rows_mats.append(ext)
-                rows_ids.extend(bid_c)
-        if rows_mats:
-            brows = vstack(rows_mats)
-        else:
-            brows = DenseMatrix.zeros(ctx, 0, nf)
-        return _substep(transcript, af, ids, brows, rows_ids, len(iface), cutoff)
+            at = [loc[v] for v in child_iface]
+            # extend-add: S into the frontal, the carried rows widened to it
+            for li, srow in zip(at, s_c.to_lists()):
+                arow = af[li]
+                for lj, v in zip(at, srow):
+                    if v:
+                        arow[lj] = ctx.add(arow[lj], v)
+            for crow in b_c.to_lists():
+                ext = [ctx.zero] * nf
+                for lj, v in zip(at, crow):
+                    ext[lj] = v
+                brows.append(ext)
+            rows_ids.extend(bid_c)
+        return _substep(
+            transcript,
+            DenseMatrix.from_entries(ctx, af, nf),
+            ids,
+            DenseMatrix.from_entries(ctx, brows, nf),
+            rows_ids,
+            len(iface),
+            cutoff,
+        )
 
     s, f, carried = rec(td.root, root_iface)
     if gamma == 0:
@@ -708,10 +726,9 @@ def sparse_lu(
     ctx = b.ctx
     m, n = b.nrows, b.ncols
     emb = SparseSym(ctx, n + m)
-    for i in range(m):
-        for j in range(n):
-            v = b.get(i, j)
-            if not ctx.is_zero(v):
+    for i, row in enumerate(b.to_lists()):
+        for j, v in enumerate(row):
+            if v:
                 emb.set(j, n + i, ctx.conj(v))
     ntd, apos, transcript = _factor_along(emb, td, tau, cutoff)
     pos2orig = ntd.order.fwd
@@ -754,14 +771,14 @@ def sparse_lu(
             else:
                 qfwd.append(pos2orig[p])
         lmat = expl.L.take_rows([vrow[ntd.order.inv[n + i]] for i in pfwd]).take_cols(lcols)
-        umat = DenseMatrix.zeros(ctx, r, n)
-        for j, orig_col in enumerate(qfwd):
-            erow = vrow[ntd.order.inv[orig_col]]
-            for k in range(r):
-                ccol, factor = urows[k]
-                v = expl.L.get(erow, ccol)
-                if not ctx.is_zero(v):
-                    umat.set(k, j, ctx.mul(factor, ctx.conj(v)))
+        erows = [vrow[ntd.order.inv[c]] for c in qfwd]
+        ulists = []
+        for ccol, factor in urows:
+            col = expl.L.column(ccol)
+            ulists.append(
+                [ctx.mul(factor, ctx.conj(col[e])) if col[e] else ctx.zero for e in erows]
+            )
+        umat = DenseMatrix.from_entries(ctx, ulists, n)
         lures = LUResult(Permutation(pfwd), Permutation(qfwd), lmat, umat, r)
     return SparseLUOutcome(
         transcript, ntd.order, ntd, r, row_peels, col_peels, lures

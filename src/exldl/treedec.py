@@ -172,6 +172,12 @@ def merge_bags(td: TreeDecomposition, tau: int) -> TreeDecomposition:
     2*tau); step 3 merges children into parents under the same threshold
     (growth capped at 3*tau).
     """
+    return _merge_bags(td, tau)[0]
+
+
+def _merge_bags(td: TreeDecomposition, tau: int):
+    """merge_bags, with the eliminated-vertex sets of the merged bags (those
+    of `_rho_sets`, kept up to date through the merges)."""
     bags = [set(b) for b in td.bags]
     parent = list(td.parent)
     children = [list(c) for c in td.children]
@@ -221,7 +227,8 @@ def merge_bags(td: TreeDecomposition, tau: int) -> TreeDecomposition:
     new_bags = [frozenset(bags[i]) for i in keep]
     new_parent = [remap[parent[i]] if parent[i] >= 0 else -1 for i in keep]
     new_children = [[remap[c] for c in children[i] if alive[c]] for i in keep]
-    return TreeDecomposition(td.n, new_bags, new_parent, new_children, remap[td.root])
+    merged = TreeDecomposition(td.n, new_bags, new_parent, new_children, remap[td.root])
+    return merged, [rho[i] for i in keep]
 
 
 def binarize(td: TreeDecomposition) -> TreeDecomposition:
@@ -291,8 +298,11 @@ def normalize_td(td: TreeDecomposition, tau: int | None = None) -> NormalizedTD:
     """Root at bag 0, merge, binarize, and derive the post-ordering."""
     if tau is None:
         tau = td.max_bag()
-    binary = binarize(merge_bags(td, tau))
-    rho, _ = _rho_sets(binary)
+    merged, rho = _merge_bags(td, tau)
+    binary = binarize(merged)
+    # the copy bags binarize appends hold their parent's vertices: they
+    # eliminate none
+    rho += [set() for _ in range(binary.nbags - merged.nbags)]
     return NormalizedTD(binary, post_order(binary, rho), tau)
 
 

@@ -1,4 +1,5 @@
-"""Golden digests of the tree engine and the saddle completion.
+"""Golden digests of the tree engine, the saddle completion and the small
+dense kernels the bag step calls.
 
 The inputs come from a fixed formula, not a random generator.  Each case
 runs one call over one field at one Strassen cutoff and hashes what it
@@ -7,6 +8,10 @@ interface Schur complement S and carried rows F, and the op counts.  A
 change that alters any of them, or the field operations it spends, changes
 its SHA-256.  The inputs have zero diagonals, so the bag step reaches its
 constraint complementation (step 2) and peels with nonzero coefficients.
+The kernel cases run `base_ldl`, `natural_order_ldl`, `fast_ldl`,
+`fast_lu`, `tri_solve`, `_peel_dependent` and `schilders_partial_ldl` ->
+`residual_schur` -> `pair_columns` on inputs of at most 9 rows, and check
+that they reach the branches named in `test_kernel_golden`.
 """
 
 import hashlib
@@ -15,9 +20,18 @@ import pytest
 
 from exldl import sparse
 from exldl.cli import parse_field
-from exldl.dense import DenseMatrix
-from exldl.saddle import SaddleSystem, complete_saddle_ldl, schilders_partial_ldl
-from exldl.sparse import Peel, SparseSym, VertexElim, sparse_ldl, sparse_lu, tree_ldl
+from exldl.dense import LEFT, LOWER, LOWER_UNIT, RIGHT, UPPER, UPPER_UNIT, DenseMatrix, tri_solve
+from exldl.factor import ANTIDIAG, base_ldl, fast_ldl, fast_lu, natural_order_ldl
+from exldl.fields import ResidualLeakage
+from exldl.saddle import (
+    PartialLDL,
+    SaddleSystem,
+    complete_saddle_ldl,
+    pair_columns,
+    residual_schur,
+    schilders_partial_ldl,
+)
+from exldl.sparse import Peel, SparseSym, Transcript, VertexElim, sparse_ldl, sparse_lu, tree_ldl
 from exldl.treedec import TreeDecomposition, normalize_td
 
 FIELDS = ("gf2", "gfp:7", "gfp:2147483647", "rational")
@@ -252,3 +266,258 @@ def test_engine_golden(spec, cutoff, monkeypatch):
         isinstance(tf, Peel) and tf.coeffs for t in transcripts for tf in t.transforms
     ), "no peel with nonzero coefficients"
     assert got == GOLDEN[f"{spec} {cutoff}"]
+
+
+# -- the small dense kernels the bag step calls --------------------------------------
+#
+# Every input has at most 9 rows and columns, the sizes of the frontals and
+# constraint blocks the tree engine hands to these kernels.
+
+
+def from_lists(ctx, rows):
+    return DenseMatrix.from_rows(ctx, [[ctx.el(v) for v in row] for row in rows])
+
+
+def folded_sym(ctx, n, k, salt):
+    """Symmetric n x n with index i a copy of index i % k: rank at most k."""
+    base = dense_sym(ctx, k, salt)
+    rows = [[base.get(i % k, j % k) for j in range(n)] for i in range(n)]
+    return DenseMatrix.from_rows(ctx, rows)
+
+
+def bordered(ctx, n, salt):
+    """Symmetric n x n whose leading n - n//3 block has rank 2 (one coupled
+    pair) while its trailing rows couple to all of it: fast_ldl takes its
+    bordered branch (3 r1 < n)."""
+    n1 = n - n // 3
+    a = DenseMatrix.zeros(ctx, n, n)
+    a.set(0, 1, ctx.one)
+    a.set(1, 0, ctx.one)
+    for i in range(n):
+        for j in range(max(i, n1), n):
+            v = value(ctx, i, j, salt) or ctx.one
+            a.set(i, j, v)
+            a.set(j, i, ctx.conj(v))
+    return a
+
+
+def ldl_inputs(ctx):
+    yield from_lists(ctx, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])  # antidiagonal pivot
+    yield from_lists(ctx, [[1, 1, 0], [1, 0, 0], [0, 0, 0]])  # zero Schur complement
+    yield from_lists(ctx, [[0, 0], [0, 5]])
+    for n in range(1, 10):
+        yield dense_sym(ctx, n, n)
+    for n in (4, 6, 8):
+        a = dense_sym(ctx, n, n + 20)
+        for i in range(n):
+            a.set(i, i, ctx.zero)
+        yield a
+    yield folded_sym(ctx, 7, 3, 1)
+    yield folded_sym(ctx, 9, 4, 2)
+    yield bordered(ctx, 7, 3)
+    yield bordered(ctx, 9, 4)
+
+
+def tri_inputs(ctx):
+    for n in (1, 4, 9):
+        for shape in (LOWER, LOWER_UNIT, UPPER, UPPER_UNIT):
+            lower = shape in (LOWER, LOWER_UNIT)
+            l = DenseMatrix.from_rows(ctx, [
+                [ctx.el(2 * (i % 3) + 1) if i == j else
+                 value(ctx, i, j, n) if (j < i) == lower else ctx.zero
+                 for j in range(n)]
+                for i in range(n)
+            ])
+            yield l, dense(ctx, n, 3, n + 1), LEFT, shape
+            yield l, dense(ctx, 3, n, n + 2), RIGHT, shape
+
+
+def dependent_rows(ctx, salt):
+    """Six rows of rank 3 (rows 1, 4 and 5 combine the others), then one
+    zero row."""
+    r0, r1, r2 = ([value(ctx, i, j, salt) for j in range(7)] for i in range(3))
+    rows = [r0, [x + y for x, y in zip(r0, r1)], r1, r2,
+            [2 * x + y for x, y in zip(r0, r2)], [x - y for x, y in zip(r1, r2)], [0] * 7]
+    return from_lists(ctx, rows)
+
+
+def small_saddles(ctx):
+    """A system with a unit diagonal in A, one with A = 0 (every pair has
+    a11 = 0) and one whose B has rank 2."""
+    a = dense_sym(ctx, 6, 8)
+    for i in range(6):
+        a.set(i, i, ctx.one)
+    yield SaddleSystem(a, dense(ctx, 3, 6, 9))
+    yield SaddleSystem(DenseMatrix.zeros(ctx, 5, 5), dense(ctx, 2, 5, 10))
+    b = dense(ctx, 2, 7, 12)
+    yield SaddleSystem(dense_sym(ctx, 7, 11), DenseMatrix.from_rows(ctx, b.to_lists() * 2))
+
+
+def lu(ctx, res):
+    return (res.P.fwd, res.Q.fwd, mat(ctx, res.L), mat(ctx, res.U), res.r)
+
+
+def run_kernels(ctx, cutoff, reached):
+    """(name, serialized result) of each group of kernel calls; `reached`
+    collects the branches the inputs took."""
+    out = []
+    for a in ldl_inputs(ctx):
+        if a.nrows <= 3:
+            res = base_ldl(a)
+            reached.update({b.kind for b in res.D})
+            if res.r < a.nrows:
+                reached.add("zero-break")
+            out.append(ldl(ctx, res))
+    yield "base-ldl", out
+
+    yield "natural-ldl", [ldl(ctx, natural_order_ldl(a)) for a in ldl_inputs(ctx)]
+
+    out = []
+    for a in ldl_inputs(ctx):
+        n = a.nrows
+        n1 = n - n // 3
+        if n > 3 and 3 * fast_ldl(a.block(0, n1, 0, n1)).r < n:
+            reached.add("bordered")
+        out.append(ldl(ctx, fast_ldl(a, cutoff)))
+    yield "fast-ldl", out
+
+    shapes = [(1, 4), (3, 3), (4, 6), (6, 4), (7, 9), (9, 5), (9, 9)]
+    mats = [dense(ctx, m, n, m + n) for m, n in shapes]
+    mats += [dependent_rows(ctx, 5), dependent_rows(ctx, 6).conj_transpose(),
+             DenseMatrix.zeros(ctx, 3, 4)]
+    yield "fast-lu", [lu(ctx, fast_lu(b, cutoff)) for b in mats]
+
+    yield "tri-solve", [mat(ctx, tri_solve(*args, cutoff)) for args in tri_inputs(ctx)]
+
+    out = []
+    for rows in (dependent_rows(ctx, 7), dependent_rows(ctx, 8), DenseMatrix.zeros(ctx, 2, 3),
+                 dense(ctx, 3, 6, 9)):
+        t = Transcript(ctx, 30)
+        kept, ids = sparse._peel_dependent(t, rows, list(range(20, 20 + rows.nrows)), cutoff)
+        if sum(isinstance(tf, Peel) for tf in t.transforms) >= 2:
+            reached.add("two-peels")
+        out.append((transcript(ctx, t), mat(ctx, kept), ids))
+    yield "peel-dependent", out
+
+    out = []
+    for system in small_saddles(ctx):
+        n, m = system.n, system.m
+        f = schilders_partial_ldl(system, cutoff)
+        pairs = []
+        for k in range(f.r):
+            pivots, cols, blks = pair_columns(f, k, range(n), range(n, n + m))
+            reached.add("a11-zero" if blks[0].kind == ANTIDIAG else "a11-nonzero")
+            pairs.append((pivots, [entries(ctx, c) for c in cols], [blk(ctx, b) for b in blks]))
+        partial = (f.P.fwd, f.Q.fwd, mat(ctx, f.Y), mat(ctx, f.L), mat(ctx, f.U),
+                   [ctx.fmt(d) for d in f.D], f.r)
+        out.append((partial, mat(ctx, residual_schur(system, f)), pairs))
+        if f.r:
+            bad = f.L.copy()
+            i = min(n - 1, f.r)
+            bad.set(i, 0, ctx.el(bad.get(i, 0) + 1))
+            try:
+                residual_schur(system, PartialLDL(f.P, f.Q, f.Y, bad, f.U, f.D, f.r))
+            except ResidualLeakage as exc:
+                out.append(str(exc))
+    yield "saddle-trio", out
+
+
+def kernel_digests(spec, cutoff):
+    """(name -> SHA-256 of result and op counts, branches reached)."""
+    ctx = parse_field(spec)
+    counter = ctx.enable_counter()
+    reached = set()
+    out = {}
+    try:
+        for name, result in run_kernels(ctx, cutoff, reached):
+            text = repr((result, counter.snapshot()))
+            counter.reset()
+            out[name] = hashlib.sha256(text.encode()).hexdigest()
+    finally:
+        ctx.disable_counter()
+    return out, reached
+
+
+# SHA-256 of each kernel group's results and op counts, recorded like GOLDEN.
+KERNEL_GOLDEN = {
+    "gf2 None": {
+        "base-ldl": "6847a6d894bc5339dd69968b03946864b2510fc5aaffe3286a976336ccb9150f",
+        "natural-ldl": "b2c0a0e4cd3c4172561f88c5879c7612063afe9a44655a2400244783f0384669",
+        "fast-ldl": "c3419b67c95e75f5645ca37d16bdc5319ad248d7d46dcb77981684f5c1e53622",
+        "fast-lu": "72b17c520732efc2f63756aa53cdbbbe6e67fa99fe7cba31e0fbf79927b2be76",
+        "tri-solve": "f414aee10828db41f1d04c27f834a1165ba3ef0ec4fad6f05aa7310a52db2710",
+        "peel-dependent": "c13ecdb799ce28d211d35d44bc89e6bb96fba6bc5863eb4af812f16343ed9029",
+        "saddle-trio": "73de352eedb7bfa58e977623190122453c69811059e63680a8fdd3de554f682c",
+    },
+    "gf2 2": {
+        "base-ldl": "6847a6d894bc5339dd69968b03946864b2510fc5aaffe3286a976336ccb9150f",
+        "natural-ldl": "b2c0a0e4cd3c4172561f88c5879c7612063afe9a44655a2400244783f0384669",
+        "fast-ldl": "0847c40b38d2ce125e8cea37b15e111953e67964bf891d10d58658681802f93f",
+        "fast-lu": "13de3c5202ab87ffc51a7467bcd12e9325c8b7b912e54d7e6e1913ef44eca87f",
+        "tri-solve": "f414aee10828db41f1d04c27f834a1165ba3ef0ec4fad6f05aa7310a52db2710",
+        "peel-dependent": "c13ecdb799ce28d211d35d44bc89e6bb96fba6bc5863eb4af812f16343ed9029",
+        "saddle-trio": "12799b54eea209a2ceeca287f6132f3e6aa6519880d6da3f08fdcca51cc1d866",
+    },
+    "gfp:7 None": {
+        "base-ldl": "65eeae4d33bac6e7854d4df3e5ec4ec6cbc6aaae7513f401560e45bab44ffba6",
+        "natural-ldl": "3f2dad5414484359ddaab569cf27a4681f5b4dc2fd8ee82ba8485b40f4f785ea",
+        "fast-ldl": "8a091413d58e460473d47a992a8c347ded9ebfda70f90a66b7e0634f7388764b",
+        "fast-lu": "cbd8b42000fead6bac0868181077f30a72112003236a05020a1179365197eb8c",
+        "tri-solve": "d6b86a1d2942c9e8b8b524ce489eb05ba6ce518729af9995ec3de89b6429061a",
+        "peel-dependent": "33204d9d066e3f3ff0686712acbb2278dabe6deb6b478f2dd3ae27c03d2ab928",
+        "saddle-trio": "b28f3c8f852002769646280be3e62751f073e5261d9c84a3434d61a84615924b",
+    },
+    "gfp:7 2": {
+        "base-ldl": "65eeae4d33bac6e7854d4df3e5ec4ec6cbc6aaae7513f401560e45bab44ffba6",
+        "natural-ldl": "3f2dad5414484359ddaab569cf27a4681f5b4dc2fd8ee82ba8485b40f4f785ea",
+        "fast-ldl": "088c1e5486940763d97523d0db3ff136262b32187c1028c6565351fdd130c5cf",
+        "fast-lu": "33b5af4feddd710e48801d2f36314d166ffdc048428758817a2a03c626bbb4c7",
+        "tri-solve": "d6b86a1d2942c9e8b8b524ce489eb05ba6ce518729af9995ec3de89b6429061a",
+        "peel-dependent": "246f956ea5fdd013d62abea602391f84a891fdba3b34f7bef3368483c75d5857",
+        "saddle-trio": "3bc008d3b7afb0729ec7c65785975f518e8e660f58ec5195a3392b830b588b89",
+    },
+    "gfp:2147483647 None": {
+        "base-ldl": "7344c0d4093605c67cda683cd8a3ddd53dd35eaf86ca556c358f76816679c26a",
+        "natural-ldl": "73625d4d227f16133f45279295d5b58da4581b1d7b9b4c55e4664cd3a2a6ad38",
+        "fast-ldl": "8e3c083ecb3963ffa4c147fd5f4a0e31264521d97aaeb4df2685dc72feca0aa9",
+        "fast-lu": "fead2c662e35484977a4484f88f588a4f182ad05900e5982c712ac52a816112e",
+        "tri-solve": "69b3cce0168771e97d648c6b22616ab6e405c00cf5a50670f900fc022b81d4d9",
+        "peel-dependent": "78c62d86cdf0544fc38195477298636de419facabac6a562d274157ee1b635c3",
+        "saddle-trio": "7ea9efb51cd777bca15af4472ba786b302f9b2ee515eebd47586ff8bf931318e",
+    },
+    "gfp:2147483647 2": {
+        "base-ldl": "7344c0d4093605c67cda683cd8a3ddd53dd35eaf86ca556c358f76816679c26a",
+        "natural-ldl": "73625d4d227f16133f45279295d5b58da4581b1d7b9b4c55e4664cd3a2a6ad38",
+        "fast-ldl": "f274735901d6e3813a9fc7cd4235c1afe17ee2102515737c28fcd3ae7c0d9c22",
+        "fast-lu": "fe7c7bb60ff78b129c569aab2e2fdeaa235c712993ea0352befce9b2686347a2",
+        "tri-solve": "69b3cce0168771e97d648c6b22616ab6e405c00cf5a50670f900fc022b81d4d9",
+        "peel-dependent": "d5d67f2bda88de230095257d4890925a29cbc2ce955695da69f1c9878f12b205",
+        "saddle-trio": "1f6bb5b339783668a265ed0fa8b386c5e11c35084e47132332b39977f525c646",
+    },
+    "rational None": {
+        "base-ldl": "214085da7329cd358fce59a8a8fb0c214864e8143b3bf093f402a79cb7b09928",
+        "natural-ldl": "67ef4f0b4884554b2b7042b4e0486c2d90b55fb2711f62f3c9c017ef7f588f53",
+        "fast-ldl": "d53dc9aa60ddb84dff3fa7f2b7f8e540dc3fe6eb1ca247680b70952d71790e6a",
+        "fast-lu": "75216ea03221c50e6239e3d666c088e6de16279715d6f7de5fe02140164c9f86",
+        "tri-solve": "9b5a85a9211cf0b619caadab79c2a6530fc3eeb1cbdfcb4b06deef430e75a967",
+        "peel-dependent": "664185afde549bdafd8ecd553799e9a4f0d27522bf995ad9e86552fb454cfb68",
+        "saddle-trio": "88dbd4cc0530aba362721137a10f5732220df85cbd8997522a7e84f8b0825657",
+    },
+    "rational 2": {
+        "base-ldl": "214085da7329cd358fce59a8a8fb0c214864e8143b3bf093f402a79cb7b09928",
+        "natural-ldl": "67ef4f0b4884554b2b7042b4e0486c2d90b55fb2711f62f3c9c017ef7f588f53",
+        "fast-ldl": "755dbe032e212d589b6c4274ee315ab4c8811be767fcabcf345f5535cd7602b4",
+        "fast-lu": "ea3620926ffc9e8719ff820e1f373269b077a32c9016519e31f028faa660f0fa",
+        "tri-solve": "9b5a85a9211cf0b619caadab79c2a6530fc3eeb1cbdfcb4b06deef430e75a967",
+        "peel-dependent": "8268945c9f6a6212205415353c136de322aa62bdb3d87174138b3ab16f4c6e28",
+        "saddle-trio": "d30d497a6e69c5feafa284572c313d5f4340d3e7dd5c25d9fcf8b98f9797e33f",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_kernel_golden(spec, cutoff):
+    got, reached = kernel_digests(spec, cutoff)
+    assert reached >= {"antidiag", "zero-break", "bordered", "two-peels", "a11-zero", "a11-nonzero"}
+    assert got == KERNEL_GOLDEN[f"{spec} {cutoff}"]

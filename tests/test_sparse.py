@@ -546,3 +546,39 @@ def test_identity_bordered_block_stays_sparse(rng):
     out = check_sparse_ldl(big, td)
     assert out.transcript.max_offdiag() <= 2 * out.ntd.td.max_bag()
     assert out.rank == oracle_rank(big.densify())
+
+
+@pytest.mark.parametrize("rank", [3, 20], ids=["base-solve", "recursive-solve"])
+@pytest.mark.parametrize("cutoff", [None, 2])
+def test_peel_dependent_matches_a_solve_per_dependent(ctx, rank, cutoff):
+    # The peels, and the ops charged for them, are those of one triangular
+    # solve per dependent row, whether the rank is within the base-case
+    # solve (one solve for all dependents) or above it.
+    from exldl.dense import LEFT, UPPER, tri_solve
+    from exldl.factor import fast_lu
+    from exldl.sparse import Transcript, _peel_dependent
+
+    rng = random.Random(rank)
+    base = rand_matrix(ctx, rng, rank, rank + 4).to_lists()
+    rows = base + [[ctx.add(x, y) for x, y in zip(base[i], base[i - 1])] for i in range(3)]
+    rows = DenseMatrix.from_rows(ctx, rows)
+    ids = list(range(100, 100 + rows.nrows))
+    counter = ctx.enable_counter()
+    try:
+        t = Transcript(ctx, 200)
+        kept, kept_ids = _peel_dependent(t, rows, ids, cutoff)
+        got = (t.transforms, kept, kept_ids, counter.snapshot())
+        counter.reset()
+        lu = fast_lu(rows.conj_transpose(), cutoff)
+        r, q = lu.r, lu.Q.fwd
+        peels = []
+        for c in range(r, len(ids)):
+            x = tri_solve(lu.U.block(0, r, 0, r), lu.U.block(0, r, c, c + 1), LEFT, UPPER)
+            coeffs = tuple((ids[q[s]], x.get(s, 0)) for s in range(r) if x.get(s, 0))
+            peels.append(Peel(ids[q[c]], coeffs))
+        keep = sorted(q[:r])
+        want = (peels, rows.take_rows(keep), [ids[s] for s in keep], counter.snapshot())
+    finally:
+        ctx.disable_counter()
+    assert r == oracle_rank(rows) and len(peels) >= 3
+    assert got == want
