@@ -20,12 +20,27 @@ column over one common denominator.  Every result entry is normalised
 once, into the context's rational type.  GF(p) substitution works on
 whole numpy rows, GF(2) substitution on packed rows.
 
-GF(2) column gathers (`take_cols`, so `permute`) and transposes of more
-than `_GF2_BIT_LOOP_MAX` entries unpack the packed rows into a uint8 bit
-array (`int.to_bytes` and `np.unpackbits`), index or transpose it in
-numpy and pack it back (`np.packbits` and `int.from_bytes`), in the
-spirit of M4RI's bit-matrix transposes and column swaps; smaller ones
-move one bit at a time, which is cheaper below numpy's per-call cost.
+Above `_CROSSOVER` (256) entries the GF(2) and GF(p) kernels work on
+whole numpy arrays (a GF(2) product counts the nonzeros of its left
+factor, a GF(p) product all its entries); below it numpy's per-call cost
+outweighs the work, and the cheap routes stay.
+  * GF(2) column gathers (`take_cols`, so `permute`), transposes and
+    classical products unpack the packed rows into a uint8 bit array
+    (`int.to_bytes` and `np.unpackbits`), index, transpose or multiply
+    it in numpy and pack the result back (`np.packbits` and
+    `int.from_bytes`), in the spirit of M4RI; a product is a float32
+    BLAS product of the bits, exact while k < 2^24, taken mod 2.  Smaller
+    ones move one bit, or XOR one packed row, at a time.
+  * GF(p) classical products run on float64 BLAS (`_blas_product`): a
+    float64 sum of integers below 2^53 is exact in any summation order
+    and with any number of threads, so one product serves while
+    k (p-1)^2 < 2^53, and 16-bit limbs of both factors serve beyond, as
+    in FFLAS's delayed reduction.  Smaller ones are one int64 product.
+  * GF(p) row elimination (`eliminate_rows`) runs right-looking on the
+    int64 array, one outer-product update per pivot; smaller inputs are
+    eliminated as residue lists.
+GF(p) substitution at n (p-1)^2 >= 2^63 splits its couplings into 16-bit
+limbs at every size.
 
 Multiplication uses Strassen recursion above a configurable cutoff
 (7 multiplies per level, zero-padding odd dimensions, rectangles tiled
@@ -477,12 +492,13 @@ def _tri_solve_base(l: DenseMatrix, b: DenseMatrix, side: str, shape: str) -> De
 
 # -- field backends ---------------------------------------------------------
 
-# Column gathers and transposes of GF(2) matrices with at most this many
-# entries run per bit in Python; larger ones go through a uint8 bit array,
-# whose numpy calls cost 10-15 us per call whatever the size.  Replaying the
-# calls of one pass of each benchmark workload, this threshold was within 5%
-# of the fastest of 64, 128, 512 and either route for every size.
-_GF2_BIT_LOOP_MAX = 256
+# The GF(2) and GF(p) kernels below take their whole-array routes when the
+# input has more than this many entries; a product counts the entries of its
+# left factor, over GF(2) its nonzeros (the XORs of the per-bit loop).
+# Replaying the calls of one pass of each benchmark workload, every array
+# route broke even with its cheap route near this size, and these rules came
+# within 1 ms per pass of taking the faster route call by call.
+_CROSSOVER = 256
 
 
 def _gf2_unpack(rows, ncols: int) -> np.ndarray:
@@ -557,7 +573,7 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
 
     def take_cols(self, idx):
         idx = list(idx)
-        if self.nrows * len(idx) > _GF2_BIT_LOOP_MAX:
+        if self.nrows * len(idx) > _CROSSOVER:
             bits = np.take(_gf2_unpack(self._d, self.ncols), idx, axis=1)
             return GF2Matrix(self.ctx, self.nrows, len(idx), _gf2_pack(bits))
         rows = []
@@ -595,7 +611,7 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
         return GF2Matrix(self.ctx, self.nrows, self.ncols, rows)
 
     def conj_transpose(self):
-        if self.nrows * self.ncols > _GF2_BIT_LOOP_MAX:
+        if self.nrows * self.ncols > _CROSSOVER:
             bits = _gf2_unpack(self._d, self.ncols)
             cols = _gf2_pack(np.ascontiguousarray(bits.T))
             return GF2Matrix(self.ctx, self.ncols, self.nrows, cols)
@@ -610,21 +626,26 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
         return GF2Matrix(self.ctx, self.ncols, self.nrows, cols)
 
     def _mm_classical(self, b):
-        """self @ b, one XOR of a packed row of b per nonzero of self."""
-        brows = b._d
-        rows = []
-        used = 0
-        for r in self._d:
-            acc = 0
-            rr = r
-            while rr:
-                lsb = rr & -rr
-                acc ^= brows[lsb.bit_length() - 1]
-                rr ^= lsb
-                used += 1
-            rows.append(acc)
-        self.ctx.count_product(self.nrows, self.ncols, b.ncols, used)
-        return GF2Matrix(self.ctx, self.nrows, b.ncols, rows)
+        """self @ b, one XOR of a packed row of b per nonzero of self; with
+        more than `_CROSSOVER` nonzeros, a float32 product of the unpacked
+        bits, whose sums (at most k < 2^24) are exact, taken mod 2."""
+        m, k, n = self.nrows, self.ncols, b.ncols
+        used = sum(r.bit_count() for r in self._d)
+        if used > _CROSSOVER and k < 1 << 24:
+            prod = _gf2_unpack(self._d, k).astype(np.float32) @ _gf2_unpack(b._d, n).astype(np.float32)
+            rows = _gf2_pack(prod.astype(np.int32) & 1)
+        else:
+            brows = b._d
+            rows = []
+            for r in self._d:
+                acc = 0
+                while r:
+                    lsb = r & -r
+                    acc ^= brows[lsb.bit_length() - 1]
+                    r ^= lsb
+                rows.append(acc)
+        self.ctx.count_product(m, k, n, used)
+        return GF2Matrix(self.ctx, m, n, rows)
 
     def _substitute(self, out, left, forward, order, dinv):
         n = self.nrows
@@ -768,54 +789,52 @@ class GFpMatrix(DenseMatrix, metaclass=_Direct):
         return GFpMatrix(self.ctx, self.ncols, self.nrows, self._d.T.copy())
 
     def _mm_classical(self, b):
-        """self @ b by int64 products, the inner dimension chunked so that
-        accumulation cannot overflow."""
+        """self @ b: one int64 product below the crossover when its sums
+        cannot overflow, else `_blas_product`."""
         ctx, p = self.ctx, self.ctx.p
         m, k, n = self.nrows, self.ncols, b.ncols
         ctx.count_product(m, k, n, None)
-        chunk = max(1, (1 << 62) // ((p - 1) * (p - 1) + 1))
-        if k <= chunk:
+        if m * k <= _CROSSOVER and k * (p - 1) ** 2 < 1 << 63:
             return GFpMatrix(ctx, m, n, (self._d @ b._d) % p)
-        acc = np.zeros((m, n), dtype=np.int64)
-        for k0 in range(0, k, chunk):
-            k1 = min(k, k0 + chunk)
-            acc = (acc + self._d[:, k0:k1] @ b._d[k0:k1, :]) % p
-        return GFpMatrix(ctx, m, n, acc)
+        return GFpMatrix(ctx, m, n, _blas_product(self._d, b._d, p))
 
     def _substitute(self, out, left, forward, order, dinv):
         # Whole numpy rows of X (columns for X l = b), with dinv folded
         # into b and into the couplings: x_i = dinv_i b_i - sum_t
-        # (dinv_i c_it) x_t.  One row product stays below 2^63 if
-        # n (p-1)^2 does; otherwise reduce after every coupling, where
-        # c * x < 2^62 always holds.
+        # (dinv_i c_it) x_t, one row product over the unknowns solved
+        # before i.  That product stays below 2^63 if n (p-1)^2 does;
+        # otherwise the couplings are split into 16-bit limbs (p < 2^31),
+        # whose two products stay below n 2^47.
         p = self.ctx.p
+        n = self.nrows
         coef = self._d if left else self._d.T
-        coef = coef * _strict_triangle(self.nrows, forward)
+        coef = coef * _strict_triangle(n, forward)
         x = out._d if left else out._d.T
         if dinv is not None:
             dv = np.array(dinv, dtype=np.int64).reshape(-1, 1)
             x[:] = x * dv % p
             coef = coef * dv % p
-        whole = self.nrows * (p - 1) * (p - 1) < 1 << 63
+        limbs = None if n * (p - 1) ** 2 < 1 << 63 else (coef >> 16, coef & 0xFFFF)
         coupled = coef.any(axis=1).tolist()
         for i in order:
             if not coupled[i]:
                 continue
-            if whole:  # over the unknowns solved before i, rows of out
-                ts = slice(0, i) if forward else slice(i + 1, None)
+            # over the unknowns solved before i, rows of out
+            ts = slice(0, i) if forward else slice(i + 1, None)
+            if limbs is None:
                 c = coef[i, ts]
                 x[i] = (x[i] - (c @ x[ts] if left else out._d[:, ts] @ c)) % p
             else:
-                acc = x[i]
-                for t in np.flatnonzero(coef[i]).tolist():
-                    acc = (acc - coef[i, t] * x[t]) % p
-                x[i] = acc
+                xs = x[ts]
+                x[i] = (x[i] - (limbs[0][i, ts] @ xs % p << 16) - limbs[1][i, ts] @ xs) % p
         return int(np.count_nonzero(coef))
 
     def eliminate_rows(self):
+        m, n = self.nrows, self.ncols
+        if m * n > _CROSSOVER:
+            return self._eliminate_array()
         # rows are residue lists, in the current column order
         p = self.ctx.p
-        m, n = self.nrows, self.ncols
         q = list(range(n))
         piv, rows, urows, inverses, lrows = [], self._d.tolist(), [], [], []
         for i in range(m):
@@ -830,7 +849,7 @@ class GFpMatrix(DenseMatrix, metaclass=_Direct):
             r = len(urows)
             if r < n and any(row[r:]):
                 _pivot_into(r, row, rows[i:] + urows, q)
-                inverses.append(pow(row[r], p - 2, p))
+                inverses.append(pow(row[r], -1, p))
                 urows.append(row)
                 mult.append(1)
                 piv.append(i)
@@ -840,6 +859,41 @@ class GFpMatrix(DenseMatrix, metaclass=_Direct):
         lpad = [lrows[i] + [0] * (r - len(lrows[i])) for i in order]
         l = GFpMatrix(self.ctx, m, r, np.array(lpad, dtype=np.int64).reshape(m, r))
         return order, q, l, GFpMatrix(self.ctx, r, n, np.array(urows, dtype=np.int64).reshape(r, n))
+
+    def _eliminate_array(self):
+        """`eliminate_rows` right-looking on the whole array: once row i
+        is reduced against the pivots before it and becomes pivot r, every
+        later row takes its multiplier of pivot r and one outer-product
+        update.  Each row meets the pivots in the same order and with the
+        same multipliers as in the row-by-row elimination, and a column
+        swap acts alike on the updated and the raw rows, so P, Q, L and U
+        are the same."""
+        p = self.ctx.p
+        m, n = self.nrows, self.ncols
+        a = self._d.copy()
+        q = np.arange(n)
+        mult = np.zeros((m, min(m, n)), dtype=np.int64)
+        piv = []
+        for i in range(m):
+            r = len(piv)
+            if r == n:
+                break
+            rest = np.flatnonzero(a[i, r:])
+            if not len(rest):
+                continue
+            j = r + int(rest[0])
+            if j != r:
+                a[:, [r, j]] = a[:, [j, r]]
+                q[[r, j]] = q[[j, r]]
+            piv.append(i)
+            c = a[i + 1 :, r] * pow(int(a[i, r]), -1, p) % p
+            mult[i + 1 :, r] = c
+            a[i + 1 :, r + 1 :] = (a[i + 1 :, r + 1 :] - np.outer(c, a[i, r + 1 :])) % p
+        r = len(piv)
+        mult[piv, range(r)] = 1
+        order = _pivots_first(piv, m)
+        l = GFpMatrix(self.ctx, m, r, mult[order, :r])
+        return order, q.tolist(), l, GFpMatrix(self.ctx, r, n, np.triu(a[piv]))
 
     def row(self, i):
         return self._d[i].copy()
@@ -1075,6 +1129,30 @@ def _strict_triangle(n: int, lower: bool) -> np.ndarray:
     mask = mask if lower else np.ascontiguousarray(mask.T)
     mask.setflags(write=False)  # shared by every caller
     return mask
+
+
+def _blas_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p of two int64 arrays of residues, on float64 BLAS.
+
+    A float64 sum of integers below 2^53 is exact in any order and on any
+    number of threads, so one product serves while k (p-1)^2 < 2^53.
+    Otherwise both factors are split into 16-bit limbs (p < 2^31): the four
+    limb products have sums below k 2^32, exact for k up to 2^21 at a time,
+    and are recombined mod p in int64.
+    """
+    k = a.shape[1]
+    if k * (p - 1) ** 2 < 1 << 53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    r32 = (1 << 32) % p
+    for k0 in range(0, k, 1 << 21):
+        ak, bk = a[:, k0 : k0 + (1 << 21)], b[k0 : k0 + (1 << 21)]
+        a1, a0 = (ak >> 16).astype(np.float64), (ak & 0xFFFF).astype(np.float64)
+        b1, b0 = (bk >> 16).astype(np.float64), (bk & 0xFFFF).astype(np.float64)
+        hi = (a1 @ b1).astype(np.int64) % p
+        mid = ((a1 @ b0).astype(np.int64) + (a0 @ b1).astype(np.int64)) % p
+        out = (out + hi * r32 + (mid << 16) + (a0 @ b0).astype(np.int64)) % p
+    return out
 
 
 def _couplings(l: DenseMatrix, left: bool, forward: bool):

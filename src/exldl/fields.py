@@ -378,7 +378,7 @@ class GFpField(FieldContext):
         return a * b % self.p
 
     def _inverse(self, a):
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
 
 class RationalField(FieldContext):

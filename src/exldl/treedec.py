@@ -134,10 +134,12 @@ def validate_td(td: TreeDecomposition, pattern) -> TDReport:
         if len(seen) != len(ids):
             violations.append(("vertex-bags-disconnected", v, sorted(set(ids) - seen)))
             break
+    # an edge is covered when the bag sets of its ends intersect
+    bag_sets = {v: set(ids) for v, ids in holding.items()}
     for u, v in pattern:
         if u == v:
             continue
-        if not any(v in td.bags[i] for i in holding.get(u, ())):
+        if bag_sets.get(u, set()).isdisjoint(bag_sets.get(v, ())):
             violations.append(("edge-uncovered", (u, v)))
             break
     return TDReport(not violations, violations)

@@ -21,7 +21,7 @@ from exldl.dense import (
     tri_solve,
 )
 from exldl.factor import fast_ldl, fast_lu
-from exldl.fields import DimensionMismatch, FieldContext, SingularDiagonal
+from exldl.fields import DimensionMismatch, FieldContext, SingularDiagonal, packed_ops
 
 from conftest import GF2, GF7, GF1009, QQ, rand_matrix, rand_symmetric
 
@@ -334,14 +334,14 @@ GF2_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 257, 512]
 
 
 # "bits" and "array" force one route for every shape; "default" splits at
-# dense._GF2_BIT_LOOP_MAX, which the heights and widths above straddle
+# dense._CROSSOVER, which the heights and widths above straddle
 # (3 x 9 and 1 x 256 per bit, 29 x 9 and 1 x 257 through the bit array).
 @pytest.fixture(params=["default", "bits", "array"])
 def gf2_route(request, monkeypatch):
     if request.param == "bits":
-        monkeypatch.setattr(dense, "_GF2_BIT_LOOP_MAX", 10**9)
+        monkeypatch.setattr(dense, "_CROSSOVER", 10**9)
     elif request.param == "array":
-        monkeypatch.setattr(dense, "_GF2_BIT_LOOP_MAX", -1)
+        monkeypatch.setattr(dense, "_CROSSOVER", -1)
     return request.param
 
 
@@ -405,6 +405,168 @@ def test_gf2_factors_keep_packed_rows(gf2_route):
         lu = fast_lu(DenseMatrix(GF2, m, n, gf2_rows(rng, m, n)), cutoff)
         assert_packed(lu.L)
         assert_packed(lu.U)
+
+
+# -- the array routes of the GF(2) and GF(p) kernels against Python ints -------
+
+GF_23 = FieldContext.gfp(8388593)  # 128 (p-1)^2 < 2^53 < 129 (p-1)^2
+
+# "cheap" keeps the per-bit loops, the int64 products and the list
+# elimination at every size, "array" takes the whole-array route at every
+# size, and "default" splits at dense._CROSSOVER.
+ROUTES = {"default": None, "cheap": 10**9, "array": -1}
+
+
+@pytest.fixture(params=list(ROUTES))
+def route(request, monkeypatch):
+    if ROUTES[request.param] is not None:
+        monkeypatch.setattr(dense, "_CROSSOVER", ROUTES[request.param])
+    return request.param
+
+
+def metered(ctx, fn, *args):
+    """fn(*args) and the ops it metered."""
+    ctx.enable_counter()
+    try:
+        return fn(*args), ctx.counter.snapshot()
+    finally:
+        ctx.disable_counter()
+
+
+def test_gf2_matmul_matches_parity_reference(route):
+    rng = random.Random(61)
+    for m in GF2_HEIGHTS:
+        for k in GF2_WIDTHS:
+            for n in (1, 9, 65, 257):
+                arows, brows = gf2_rows(rng, m, k), gf2_rows(rng, k, n)
+                a, b = DenseMatrix(GF2, m, k, list(arows)), DenseMatrix(GF2, k, n, list(brows))
+                c, counts = metered(GF2, matmul, a, b, 10**9)
+                bcols = ref_transpose_bits(brows, n)
+                want = [sum(((r & col).bit_count() & 1) << j for j, col in enumerate(bcols))
+                        for r in arows]
+                assert c._d == want, (m, k, n)
+                assert_packed(c)
+                used = sum(r.bit_count() for r in arows) if k else 0
+                w = used * packed_ops(n)
+                assert counts == {"add": w, "mul": w, "inv": 0}
+
+
+def extreme_residues(ctx, rng, m, n):
+    """Residues that are mostly p - 1, p - 2 or 0: the largest row sums."""
+    p = ctx.p
+    rows = [[rng.choice((p - 1, p - 1, p - 2, 0, rng.randrange(p))) for _ in range(n)]
+            for _ in range(m)]
+    return DenseMatrix(ctx, m, n, np.array(rows, dtype=np.int64).reshape(m, n))
+
+
+@pytest.mark.parametrize("kctx,inner", [
+    (GF7, (1, 17, 300)),
+    (GF1009, (1, 17, 300)),
+    (GF_23, (127, 128, 129)),  # one float64 product up to k = 128, limbs above
+    (GF_BIG, (0, 1, 2, 40)),
+])
+def test_gfp_matmul_matches_integer_reference(route, kctx, inner):
+    rng = random.Random(repr(("gfp", kctx.p, inner)))
+    for k in inner:
+        for m, n in ((1, 1), (3, 20), (20, 3), (24, 24)):
+            a, b = extreme_residues(kctx, rng, m, k), extreme_residues(kctx, rng, k, n)
+            if k:  # one entry at the largest odd sum, which float64 cannot hold past 2^53
+                a._d[0] = kctx.p - 2
+                b._d[:, 0] = kctx.p - 2
+            c, counts = metered(kctx, matmul, a, b, 10**9)
+            bcols = list(zip(*b.to_lists())) if k else [()] * n
+            want = [[sum(x * y for x, y in zip(row, col)) % kctx.p for col in bcols]
+                    for row in a.to_lists()]
+            assert c.to_lists() == want, (m, k, n)
+            assert_storage(kctx, c)
+            if k:
+                assert counts == {"add": m * n * (k - 1), "mul": m * k * n, "inv": 0}
+
+
+def test_gfp_blas_product_chunks_long_inner_dimensions():
+    # The low limbs' sum over k = 2^21 + 1025 inner indices is odd and above
+    # 2^53, so it is exact only in chunks of at most 2^21.
+    p = GF_BIG.p
+    k = (1 << 21) + 1025
+    v = 0x7FFEFFFF  # below p, low limb 0xFFFF
+    a = np.full((1, k), v, dtype=np.int64)
+    a[0, :7] = [0, 1, p - 1, p - 2, 12345, 1 << 16, (1 << 16) - 1]
+    b = np.full((k, 1), v, dtype=np.int64)
+    b[-5:, 0] = [p - 1, 3, 0, 1 << 30, 65535]
+    ends = [*range(7), *range(k - 5, k)]  # where a or b differ from v
+    want = ((k - len(ends)) * v * v + sum(int(a[0, t]) * int(b[t, 0]) for t in ends)) % p
+    assert dense._blas_product(a, b, p).tolist() == [[want]]
+
+
+def elimination_inputs(ctx, rng):
+    yield mixed_matrix(ctx, rng, 16, 40)
+    yield mixed_matrix(ctx, rng, 20, 14)  # every column a pivot before the last row
+    yield DenseMatrix(ctx, 3, 100, np.array(
+        [[rng.randrange(ctx.p) for _ in range(100)] for _ in range(3)], dtype=np.int64))
+    g, h = mixed_matrix(ctx, rng, 16, 5), mixed_matrix(ctx, rng, 5, 30)
+    yield matmul(g, h)  # rank at most 5
+    yield DenseMatrix.zeros(ctx, 16, 0)
+    yield DenseMatrix.zeros(ctx, 16, 20)
+
+
+@pytest.mark.parametrize("kctx", [GF7, GF1009, GF_BIG], ids=["gf7", "gf1009", "gf2^31-1"])
+def test_gfp_eliminate_rows_same_on_both_routes(kctx, monkeypatch):
+    rng = random.Random(67)
+    for a in elimination_inputs(kctx, rng):
+        got = []
+        for bound in (10**9, -1):
+            monkeypatch.setattr(dense, "_CROSSOVER", bound)
+            order, q, l, u = a.eliminate_rows()
+            assert_storage(kctx, l)
+            assert_storage(kctx, u)
+            got.append((order, q, l.shape, l.to_lists(), u.shape, u.to_lists()))
+        assert got[0] == got[1], a.shape
+        # P A Q^T = L U, L unit lower trapezoidal and U upper, in Python ints
+        order, q, _, ll, _, uu = got[0]
+        r = len(uu)
+        rows = a.to_lists()
+        pa = [[rows[i][j] for j in q] for i in order]
+        lu_rows = [[sum(ll[i][t] * uu[t][j] for t in range(r)) % kctx.p for j in range(a.ncols)]
+                   for i in range(a.nrows)]
+        assert pa == lu_rows
+        assert all(ll[i][i] == 1 and not any(ll[i][i + 1 :]) for i in range(r))
+        assert all(not any(uu[t][:t]) and uu[t][t] for t in range(r))
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("shape", [LOWER, LOWER_UNIT, UPPER, UPPER_UNIT])
+def test_gfp_big_substitution_matches_scalar_reference(route, side, shape):
+    # n (p-1)^2 >= 2^63 from n = 2 on: the couplings go in 16-bit limbs.
+    rng = random.Random(71)
+    p = GF_BIG.p
+    for n in (2, 9, 16, 40):
+        l = extreme_residues(GF_BIG, rng, n, n)
+        lower = shape in (LOWER, LOWER_UNIT)
+        for i in range(n):
+            for j in range(n):
+                if (j > i) if lower else (j < i):
+                    l.set(i, j, 0)
+            l.set(i, i, 1 if shape in (LOWER_UNIT, UPPER_UNIT) else p - 1 - i)
+        b = extreme_residues(GF_BIG, rng, *((n, 7) if side == LEFT else (7, n)))
+        x = tri_solve(l, b, side, shape, cutoff=8)
+        assert x.to_lists() == ref_tri_solve(GF_BIG, l, b, side, shape), n
+        assert_storage(GF_BIG, x)
+
+
+def test_factor_op_counts_same_on_both_routes(monkeypatch):
+    rng = random.Random(73)
+    for kctx in (GF2, GF1009, GF_BIG):
+        for n, cutoff in ((40, None), (40, 8), (70, None)):
+            a = mixed_matrix(kctx, rng, n, n)
+            s = rand_symmetric(kctx, rng, n)
+            got = []
+            for bound in (10**9, -1):
+                monkeypatch.setattr(dense, "_CROSSOVER", bound)
+                lu, lu_counts = metered(kctx, fast_lu, a, cutoff)
+                ldl, ldl_counts = metered(kctx, fast_ldl, s, cutoff)
+                got.append((lu.P, lu.Q, lu.L, lu.U, lu.r, lu_counts,
+                            ldl.P, ldl.L, ldl.D, ldl.r, ldl_counts))
+            assert got[0] == got[1], (kctx, n, cutoff)
 
 
 # -- storage formats, as the benchmark and the kernels rely on them --------------

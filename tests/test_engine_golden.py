@@ -11,7 +11,10 @@ constraint complementation (step 2) and peels with nonzero coefficients.
 The kernel cases run `base_ldl`, `natural_order_ldl`, `fast_ldl`,
 `fast_lu`, `tri_solve`, `_peel_dependent` and `schilders_partial_ldl` ->
 `residual_schur` -> `pair_columns` on inputs of at most 9 rows, and check
-that they reach the branches named in `test_kernel_golden`.
+that they reach the branches named in `test_kernel_golden`.  The large
+kernel cases run `fast_ldl`, `fast_lu`, `tri_solve` and
+`schilders_partial_ldl` -> `complete_saddle_ldl` at n = 40 and 64 over
+GF(2) and GF(p), where the dense kernels cross to whole arrays.
 """
 
 import hashlib
@@ -20,7 +23,9 @@ import pytest
 
 from exldl import sparse
 from exldl.cli import parse_field
-from exldl.dense import LEFT, LOWER, LOWER_UNIT, RIGHT, UPPER, UPPER_UNIT, DenseMatrix, tri_solve
+from exldl.dense import (
+    _CROSSOVER, LEFT, LOWER, LOWER_UNIT, RIGHT, UPPER, UPPER_UNIT, DenseMatrix, tri_solve,
+)
 from exldl.factor import ANTIDIAG, base_ldl, fast_ldl, fast_lu, natural_order_ldl
 from exldl.fields import ResidualLeakage
 from exldl.saddle import (
@@ -521,3 +526,141 @@ def test_kernel_golden(spec, cutoff):
     got, reached = kernel_digests(spec, cutoff)
     assert reached >= {"antidiag", "zero-break", "bordered", "two-peels", "a11-zero", "a11-nonzero"}
     assert got == KERNEL_GOLDEN[f"{spec} {cutoff}"]
+
+
+# -- the dense kernels above the crossover -------------------------------------------
+#
+# At n = 40 and 64 the GF(2) and GF(p) kernels take their whole-array
+# routes (BLAS products, array elimination, limb-split substitution at
+# p = 2^31 - 1), which the inputs of at most 9 rows above never reach.
+
+LARGE_FIELDS = ("gf2", "gfp:1009", "gfp:2147483647")
+LARGE_CUTOFFS = (None, 8)
+
+
+def triangle(ctx, n, shape, salt):
+    lower = shape in (LOWER, LOWER_UNIT)
+    return DenseMatrix.from_rows(ctx, [
+        [ctx.el(2 * (i % 3) + 1) if i == j else
+         value(ctx, i, j, salt) if (j < i) == lower else ctx.zero
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def run_large_kernels(ctx, cutoff):
+    """(name, serialized result) of each group of calls at n = 40 and 64."""
+    for n in (40, 64):
+        yield f"fast-ldl-{n}", [ldl(ctx, fast_ldl(a, cutoff))
+                                for a in (dense_sym(ctx, n, n), folded_sym(ctx, n, n // 5, 1))]
+        mats = (dense(ctx, n, n, n), dense(ctx, n // 2, n + 8, 3), folded_sym(ctx, n, n // 4, 2))
+        yield f"fast-lu-{n}", [lu(ctx, fast_lu(b, cutoff)) for b in mats]
+        out = []
+        for shape in (LOWER, LOWER_UNIT, UPPER, UPPER_UNIT):
+            l = triangle(ctx, n, shape, n)
+            out.append(mat(ctx, tri_solve(l, dense(ctx, n, n, 5), LEFT, shape, cutoff)))
+            out.append(mat(ctx, tri_solve(l, dense(ctx, 9, n, 6), RIGHT, shape, cutoff)))
+        yield f"tri-solve-{n}", out
+        system = SaddleSystem(dense_sym(ctx, n, 7), dense(ctx, n // 4, n, 8))
+        f = schilders_partial_ldl(system, cutoff)
+        partial = (f.P.fwd, f.Q.fwd, mat(ctx, f.Y), mat(ctx, f.L), mat(ctx, f.U),
+                   [ctx.fmt(d) for d in f.D], f.r)
+        yield f"saddle-{n}", (partial, ldl(ctx, complete_saddle_ldl(system, f)))
+
+
+# SHA-256 of each group's results and op counts, recorded like GOLDEN.
+LARGE_KERNEL_GOLDEN = {
+    "gf2 None": {
+        "fast-ldl-40": "695f9897e7cfb14b3cc18fdfcb337bdad9cede2e106d353e707788f26df94579",
+        "fast-lu-40": "50c250e6cf608c8d3dc98f4307af3df4c793b285613e8bd1135f90e8fba3d022",
+        "tri-solve-40": "93be2fb9c95e0014fcb5aa9a6095b6145b63254ff47c96efe39cc9d07319f624",
+        "saddle-40": "b58bb1ca994ddd9f393b5a12fceb2b574c236ddc557f4881b807e3d7c98ac83d",
+        "fast-ldl-64": "82281b6bc4b3b6f67513f9231b80552a45162c464a4fbab6ef43c43062944b08",
+        "fast-lu-64": "a61fa4557454cb62b2852b10207b3184db22bdf97b80de1da9b7962b938e11dc",
+        "tri-solve-64": "be7741ef1a1b8cdcaa810bc75f6e983089f2b9cb88701c79ce29cf5cebadc233",
+        "saddle-64": "ac3b5c36981cb4f0b4ae1f6228125e3c952ee9b03a0939b1af421fcc1e331134",
+    },
+    "gf2 8": {
+        "fast-ldl-40": "7ddfb77780b5bb3bc98e75b852d7d6c15f2247e150e2828f3d68cefc4030a8ef",
+        "fast-lu-40": "775ac900ae3ca8372d64f29af7f254c2042db0e0df88e34f20c4e5e702ea1ad9",
+        "tri-solve-40": "c87cef497b449db2b1af56afc8576b8ea0df966a9367fed5d6eb0199ea62082c",
+        "saddle-40": "b751c4cf05db34363b60386f989d9850841396bc1747b9bd02c6e902ad968a5f",
+        "fast-ldl-64": "d771412f424c492899f2be703bfb08c3cb6af68bd1228c091a3da6b040572308",
+        "fast-lu-64": "25f340450e774a438856ac8c323d7cbb74f657ebc37aeaa9c747582458a8393c",
+        "tri-solve-64": "f28bfdd3849b5bde1b457db39a9ae1e409914d754f94efdc72faca22f7334da5",
+        "saddle-64": "164d4f8a40e3c16c2454391eb1cc34c3d5003e94144c30e8e8ada0baea25768b",
+    },
+    "gfp:1009 None": {
+        "fast-ldl-40": "f231ea48d1d137ff73bfd3a3fa468ca81e1f02bb830e2e4d9a0e54aa800c445c",
+        "fast-lu-40": "6e3d2ca489f31c7caa3ffb7f18edfb28b5db33bfe3e8fecc47a5fd36368cfef7",
+        "tri-solve-40": "fe76b3ca37242e3008c90ed4423fdfe3de54854fc607e423dc3e5b68f16ff8f2",
+        "saddle-40": "b735485654db6d5af26edff4fc9d9c56d23574b164852b163f1431421ad9e69b",
+        "fast-ldl-64": "a29fa97addfce32c1d6688a923ad161df1d2a2666c47627f4539278b545ccc54",
+        "fast-lu-64": "2fa47bd9a2ece39beeca38d79e78d51dca27df2224913e6c3dfaaee5bb510023",
+        "tri-solve-64": "3b8acfd5fce0994bd59f1941290ade8cb5b7c04a36f48b315e958007b369331d",
+        "saddle-64": "a8e58bdf16db87de3dfe6391b4ecfeaf1b9170a3ecea5dc0df23b2430ec0d568",
+    },
+    "gfp:1009 8": {
+        "fast-ldl-40": "c4982de306d06af539dc79785fbc7950d4c58092c7ac53bc4ffac3f78a285f08",
+        "fast-lu-40": "e42876bcfb3e006474ddaabc46c74de1cc30da25de0663875495270b5f77a0c6",
+        "tri-solve-40": "4f7169175f4576d3f16aa4b69470aead5f2a3e61994b31610ec67eca1399a0c4",
+        "saddle-40": "1d50a89679b0de6b1f12f8e9934940dcd0dfdfc3b6b1106b05e034815ec78e52",
+        "fast-ldl-64": "5863e39fefe8ac2e66bae03d3900e08fa6f2aa8dc1b411a037d0d6aff4885cf2",
+        "fast-lu-64": "ceb6277f962e1022ff33fb7be4457021403a2587cc880091eb4d2d9f42b4b4ce",
+        "tri-solve-64": "f6c66ad532e25e9957b04b158b639d69b0e5f3eec6cbbe6bc01ef35e90edfe80",
+        "saddle-64": "f72fed0d6d160a75fe5868d91f3ca041e941b472e63bb844d70f2a8362267542",
+    },
+    "gfp:2147483647 None": {
+        "fast-ldl-40": "72cb7971ab970a7d02004718e88c8d76a2b57bb789f4b97e32fdf89f9baf67a1",
+        "fast-lu-40": "83a6e21793a24de62c1779abf41b21323086ef093b726c1cd6bb3c817201b8be",
+        "tri-solve-40": "c9d993e43b612e1c2493ffd8343214aecf5ce0c2f0aa11f569bdbcd85f498566",
+        "saddle-40": "1256eba8c6e180f99ebed00d6b99acc5e49cfcdffb724652f124ba0308878d1d",
+        "fast-ldl-64": "ebc1dceb7c5f956dc9fc2a5ff1db5afcdc266580e19f88dc8d238f5f5d819c54",
+        "fast-lu-64": "a9340f312c6fd6435977096090e8a6399527af11f8434c951cc2810a2d18c028",
+        "tri-solve-64": "f8a4abb011817db331211a1bad160f1199f52744db6d78399a4d425eb67e5a64",
+        "saddle-64": "cffef0c9a2e4bd58ae8d6c9419d5e1ab006cce872005786a1b377f712732fd19",
+    },
+    "gfp:2147483647 8": {
+        "fast-ldl-40": "bf38caa25026c63de89b87e7c44c27fad7bacdc5f4b544744755f51225f17216",
+        "fast-lu-40": "7970781516342e7e59c0ac73b82b8de622dbb5e346d3c75b92862f66ecf83e92",
+        "tri-solve-40": "1c6e75956d82a347c275a0a9d6858c0c4024b9313df328245ac8c984cb847b22",
+        "saddle-40": "083e9512ac0a4d6dd99a9bb07e5b0d265295a777fe7aa0fcfecfd066106ee679",
+        "fast-ldl-64": "64657597dc3645a4f6a346fcbf4c03264a92a1e2bd058634ccb690a766e5305b",
+        "fast-lu-64": "05db6adcd61fd65dec3642424286d68206838bb90adc75811693c1b35d97d0c3",
+        "tri-solve-64": "93d0855103a5423d8cee79e8aa01279deb383f8a77a9aec109d71a1b66ce3c06",
+        "saddle-64": "7acb0f87526679f0525ca96dd47a5ccf482de368d71063b9d43052d3bd8e364a",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", LARGE_FIELDS)
+@pytest.mark.parametrize("cutoff", LARGE_CUTOFFS)
+def test_large_kernel_golden(spec, cutoff, monkeypatch):
+    ctx = parse_field(spec)
+    cls = type(DenseMatrix.zeros(ctx, 0, 0))
+    product, eliminate = cls._mm_classical, cls.eliminate_rows
+    largest = {"product": 0, "elimination": 0}  # nonzeros of a left factor, entries of an input
+
+    def sized_product(a, b):
+        nonzeros = sum(mask.bit_count() for mask in a.nonzero_masks())
+        largest["product"] = max(largest["product"], nonzeros)
+        return product(a, b)
+
+    def sized_elimination(a):
+        largest["elimination"] = max(largest["elimination"], a.nrows * a.ncols)
+        return eliminate(a)
+
+    monkeypatch.setattr(cls, "_mm_classical", sized_product)
+    monkeypatch.setattr(cls, "eliminate_rows", sized_elimination)
+    counter = ctx.enable_counter()
+    got = {}
+    try:
+        for name, result in run_large_kernels(ctx, cutoff):
+            got[name] = hashlib.sha256(repr((result, counter.snapshot())).encode()).hexdigest()
+            counter.reset()
+    finally:
+        ctx.disable_counter()
+    assert largest["elimination"] > _CROSSOVER, largest
+    if cutoff is None:  # Strassen leaves at cutoff 8 keep GF(2) products below it
+        assert largest["product"] > _CROSSOVER, largest
+    assert got == LARGE_KERNEL_GOLDEN[f"{spec} {cutoff}"]

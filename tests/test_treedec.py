@@ -383,3 +383,19 @@ def test_validate_td_matches_quadratic_reference():
         assert (rep.ok, rep.violations) == _validate_td_reference(td, pattern)
         kinds.update(v[0] for v in rep.violations)
     assert kinds == {"vertex-uncovered", "vertex-bags-disconnected", "edge-uncovered"}
+
+
+def test_validate_td_edge_check_with_a_vertex_in_many_bags():
+    # Vertex 0 is in every bag of a path of bags {0, i, i + 1}; every edge
+    # of the fan and the path is covered except (2, 9), which the report
+    # names, and not the uncovered (3, 7) after it.
+    n = 40
+    td = TreeDecomposition.build(n, [{0, i, i + 1} for i in range(1, n - 1)],
+                                 [(i, i + 1) for i in range(n - 3)])
+    fan = [(0, i) for i in range(1, n)] + [(i, 0) for i in range(1, n)]
+    pattern = fan + path_pattern(n) + [(2, 9), (3, 7), (5, 6)]
+    assert validate_td(td, fan + path_pattern(n)).ok
+    rep = validate_td(td, pattern)
+    assert not rep.ok
+    assert rep.violations == [("edge-uncovered", (2, 9))]
+    assert (rep.ok, rep.violations) == _validate_td_reference(td, pattern)
