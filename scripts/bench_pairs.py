@@ -11,8 +11,9 @@ For each `--run WORKLOAD:SEED` and each metric the JSON written to `--out`
 gives both sides' runs, medians and quartiles, and the number of pairs the
 change won by the metric's direction in BENCHMARK.json (ties count for
 neither side).  It also records the stamp `run.py` prints, the parent
-commit, this checkout's commit, whether its tree differed from it, and a
-digest of its `src/` files.
+commit, and for the change: the commit this checkout is based on, the
+files that differ from it, as `git status` lists them (none when the
+change is that commit), and a digest of its `src/` files.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
-                          text=True).stdout.strip()
+                          text=True).stdout
 
 
 def src_digest(checkout: Path) -> str:
@@ -98,10 +99,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     report = {
-        "parent": git("rev-parse", args.parent),
+        "parent": git("rev-parse", args.parent).strip(),
         "change": {
-            "commit": git("rev-parse", "HEAD"),
-            "tree_differs": bool(git("status", "--porcelain")),
+            "base_commit": git("rev-parse", "HEAD").strip(),
+            "uncommitted_files": [line[3:] for line in git("status", "--porcelain").splitlines()],
             "src_sha256": src_digest(ROOT),
         },
         "pairs": args.pairs,

@@ -26,9 +26,10 @@ factor, a GF(p) product all its entries); below it numpy's per-call cost
 outweighs the work, and the cheap routes stay.
   * GF(2) column gathers (`take_cols`, so `permute`), transposes and
     classical products unpack the packed rows into a uint8 bit array
-    (`int.to_bytes` and `np.unpackbits`), index, transpose or multiply
-    it in numpy and pack the result back (`np.packbits` and
-    `int.from_bytes`), in the spirit of M4RI; a product is a float32
+    (`int.to_bytes`, or one uint64 array for rows of at most 64 bits,
+    and `np.unpackbits`), index, transpose or multiply it in numpy and
+    pack the result back (`np.packbits`, then `int.from_bytes` or the
+    uint64 array), in the spirit of M4RI; a product is a float32
     BLAS product of the bits, exact while k < 2^24, taken mod 2.  Smaller
     ones move one bit, or XOR one packed row, at a time.
   * GF(p) classical products run on float64 BLAS (`_blas_product`): a
@@ -39,6 +40,9 @@ outweighs the work, and the cheap routes stay.
   * GF(p) row elimination (`eliminate_rows`) runs right-looking on the
     int64 array, one outer-product update per pivot; smaller inputs are
     eliminated as residue lists.
+  * GF(2) substitution for X l = b transposes X to packed columns and
+    XORs one packed column per coupling, as l X = b does with rows;
+    smaller ones flip each row's bits by parity, one unknown at a time.
 GF(p) substitution at n (p-1)^2 >= 2^63 splits its couplings into 16-bit
 limbs at every size.
 
@@ -169,6 +173,8 @@ class DenseMatrix(metaclass=_FieldDispatch):
       * `eliminate_rows()`, the elimination of `factor._lu_rows`: (row
         order, the pivot rows and then the others, each ascending; column
         order q; L with rows in that order; U);
+      * `schur()`, the symmetric Schur complement that `factor._ldl_flat`
+        eliminates pivots from (see `_GF2Schur` and the classes after it);
       * `from_entries(ctx, rows, ncols)`, the matrix of these lists of
         canonical elements, and `column(j)`, the entries of column j;
       * rows for `sparse.apply_transcript`: `row(i)`, `zero_row()`,
@@ -503,10 +509,14 @@ _CROSSOVER = 256
 
 def _gf2_unpack(rows, ncols: int) -> np.ndarray:
     """(len(rows), ncols) uint8 array of the bits of packed GF(2) rows;
-    every row must be below 1 << ncols."""
-    nbytes = (ncols + 7) // 8
-    buf = b"".join([r.to_bytes(nbytes, "little") for r in rows])
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    every row must be below 1 << ncols.  Rows of at most 64 bits go
+    through one uint64 array instead of one `to_bytes` each."""
+    if ncols <= 64:
+        packed = np.array(rows, dtype="<u8").view(np.uint8).reshape(len(rows), 8)
+    else:
+        nbytes = (ncols + 7) // 8
+        buf = b"".join([r.to_bytes(nbytes, "little") for r in rows])
+        packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
     return np.unpackbits(packed, axis=1, count=ncols, bitorder="little")
 
 
@@ -517,6 +527,10 @@ def _gf2_pack(bits: np.ndarray) -> list:
     nbytes = packed.shape[1]
     if not nbytes:
         return [0] * len(packed)
+    if nbytes <= 8:  # one uint64 per row
+        words = np.zeros((len(packed), 8), dtype=np.uint8)
+        words[:, :nbytes] = packed
+        return words.view("<u8").ravel().tolist()
     buf = packed.tobytes()
     return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
 
@@ -654,8 +668,10 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
             coef[i] & ((1 << i) - 1) if forward else coef[i] >> (i + 1) << (i + 1)
             for i in range(n)
         ]
-        x = out._d
-        if left:  # packed rows of X, one XOR per coupling
+        if left or out.nrows * n > _CROSSOVER:
+            # packed rows of X (of X^T for X l = b), one XOR per coupling
+            xt = out if left else out.conj_transpose()
+            x = xt._d
             for i in order:
                 acc = x[i]
                 mask = masks[i]
@@ -664,13 +680,19 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
                     acc ^= x[lsb.bit_length() - 1]
                     mask ^= lsb
                 x[i] = acc
+            if not left:
+                out._d[:] = xt.conj_transpose()._d
         else:  # each packed row of X: bit i flips on odd parity
+            x = out._d
             for r, row in enumerate(x):
                 for i in order:
                     if (row & masks[i]).bit_count() & 1:
                         row ^= 1 << i
                 x[r] = row
         return sum(mask.bit_count() for mask in masks)
+
+    def schur(self):
+        return _GF2Schur(self)
 
     def eliminate_rows(self):
         # rows stay packed, in the current column order
@@ -828,6 +850,9 @@ class GFpMatrix(DenseMatrix, metaclass=_Direct):
                 xs = x[ts]
                 x[i] = (x[i] - (limbs[0][i, ts] @ xs % p << 16) - limbs[1][i, ts] @ xs) % p
         return int(np.count_nonzero(coef))
+
+    def schur(self):
+        return _GFpSchur(self)
 
     def eliminate_rows(self):
         m, n = self.nrows, self.ncols
@@ -1066,6 +1091,9 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
             rows[:] = [list(row) for row in zip(*vecs)]
         return sum(map(len, deps))
 
+    def schur(self):
+        return _RationalSchur(self)
+
     def eliminate_rows(self):
         # rows are integers over one denominator each, scaled freely, in
         # the current column order
@@ -1073,11 +1101,8 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
         zero = ctx.zero
         m, n = self.nrows, self.ncols
         q = list(range(n))
-        piv, rows, dens = [], [], []
-        for row in self._d:
-            den = lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * (den // x.denominator) for x in row])
-            dens.append(den)
+        piv = []
+        rows, dens = _integer_rows(self._d)
         # Pivot row s is urows[s] * g / e with heads[s] = (g, e).
         urows, heads, lrows = [], [], []
         for i in range(m):
@@ -1120,6 +1145,178 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
 
     def with_rows(self, rows):
         return RationalMatrix(self.ctx, len(rows), self.ncols, [list(r) for r in rows])
+
+
+# -- symmetric Schur complements (the flat base of factor.fast_ldl) -----------
+#
+# `m.schur()` is a working copy of the symmetric matrix m that eliminates
+# pivots right-looking.  `alive` lists the indices not yet eliminated,
+# `nonzero(i, j)` tests an entry of the current Schur complement over
+# them, and `block(rows, cols)` copies one of its blocks out as a matrix.
+# `eliminate(pivots)` eliminates one pivot (k,) with S[k][k] != 0, or one
+# antidiagonal pair (i, j) with S[i][i] = S[j][j] = 0 and S[i][j] != 0,
+# updates every alive row, and returns the L columns ({index: entry},
+# unit at the pivot) and the D block's entries, (S[k][k],) or
+# (S[i][j], S[j][i]).  A pair's columns are column j over S[j][i] and
+# column i over S[i][j].  Updating whole rows keeps an eliminated column
+# zero in every alive row.
+
+
+class _GF2Schur:
+    """Packed rows: a pivot row is subtracted with one XOR."""
+
+    __slots__ = ("ctx", "rows", "alive")
+
+    def __init__(self, a):
+        self.ctx, self.rows, self.alive = a.ctx, list(a._d), list(range(a.nrows))
+
+    def nonzero(self, i, j):
+        return self.rows[i] >> j & 1
+
+    def block(self, rows, cols):
+        d = self.rows
+        packed = [sum((d[i] >> j & 1) << c for c, j in enumerate(cols)) for i in rows]
+        return GF2Matrix(self.ctx, len(rows), len(cols), packed)
+
+    def eliminate(self, pivots):
+        rows = self.rows
+        alive = self.alive = [t for t in self.alive if t not in pivots]
+        if len(pivots) == 1:
+            (k,) = pivots
+            pk, col = rows[k], {k: 1}
+            for t in alive:
+                if rows[t] >> k & 1:
+                    col[t] = 1
+                    rows[t] ^= pk
+            return [col], (1,)
+        i, j = pivots
+        ri, rj = rows[i], rows[j]
+        c1, c2 = {i: 1}, {j: 1}
+        for t in alive:
+            row = rows[t]
+            if row >> j & 1:
+                c1[t] = 1
+                rows[t] ^= ri
+            if row >> i & 1:
+                c2[t] = 1
+                rows[t] ^= rj
+        return [c1, c2], (1, 1)
+
+
+class _GFpSchur:
+    """Rows of residues as Python ints, each update reduced inline."""
+
+    __slots__ = ("ctx", "rows", "alive")
+
+    def __init__(self, a):
+        self.ctx, self.rows, self.alive = a.ctx, a._d.tolist(), list(range(a.nrows))
+
+    def nonzero(self, i, j):
+        return self.rows[i][j] != 0
+
+    def block(self, rows, cols):
+        d = self.rows
+        return GFpMatrix.from_entries(self.ctx, [[d[i][j] for j in cols] for i in rows], len(cols))
+
+    def eliminate(self, pivots):
+        p, rows = self.ctx.p, self.rows
+        alive = self.alive = [t for t in self.alive if t not in pivots]
+        if len(pivots) == 1:
+            (k,) = pivots
+            pk = rows[k]
+            dinv = pow(pk[k], -1, p)
+            col = {k: 1}
+            for t in alive:
+                row = rows[t]
+                if row[k]:
+                    c = col[t] = row[k] * dinv % p
+                    rows[t] = [(x - c * y) % p for x, y in zip(row, pk)]
+            return [col], (pk[k],)
+        i, j = pivots
+        ri, rj = rows[i], rows[j]
+        inv_ij, inv_ji = pow(ri[j], -1, p), pow(rj[i], -1, p)
+        c1, c2 = {i: 1}, {j: 1}
+        for t in alive:
+            row = rows[t]
+            if row[i] or row[j]:
+                a, b = row[j] * inv_ji % p, row[i] * inv_ij % p
+                if a:
+                    c1[t] = a
+                if b:
+                    c2[t] = b
+                rows[t] = [(x - a * y - b * z) % p for x, y, z in zip(row, ri, rj)]
+        return [c1, c2], (ri[j], rj[i])
+
+
+class _RationalSchur:
+    """Integer rows over one denominator each: an update is fraction-free
+    and then divided by the gcd of the row and its denominator."""
+
+    __slots__ = ("ctx", "rows", "dens", "alive")
+
+    def __init__(self, a):
+        self.ctx, self.alive = a.ctx, list(range(a.nrows))
+        self.rows, self.dens = _integer_rows(a._d)
+
+    def nonzero(self, i, j):
+        return self.rows[i][j] != 0
+
+    def block(self, rows, cols):
+        d, dens, zero = self.rows, self.dens, self.ctx.zero
+        vals = [[_ratio(d[i][j], dens[i]) if d[i][j] else zero for j in cols] for i in rows]
+        return RationalMatrix(self.ctx, len(rows), len(cols), vals)
+
+    def _set(self, t, row, den):
+        g = gcd(den, *row)
+        if den < 0:
+            g = -g
+        if g != 1:
+            row, den = [x // g for x in row], den // g
+        self.rows[t], self.dens[t] = row, den
+
+    def eliminate(self, pivots):
+        rows, dens, one = self.rows, self.dens, self.ctx.one
+        alive = self.alive = [t for t in self.alive if t not in pivots]
+        if len(pivots) == 1:
+            (k,) = pivots
+            pk, dk = rows[k], dens[k]
+            d = pk[k]
+            col = {k: one}
+            for t in alive:
+                row = rows[t]
+                c = row[k]
+                if c:
+                    col[t] = _ratio(c * dk, dens[t] * d)
+                    self._set(t, [x * d - c * y for x, y in zip(row, pk)], dens[t] * d)
+            return [col], (_ratio(d, dk),)
+        i, j = pivots
+        ri, rj = rows[i], rows[j]
+        nij, nji = ri[j], rj[i]
+        both = nij * nji
+        c1, c2 = {i: one}, {j: one}
+        for t in alive:
+            row = rows[t]
+            u, v = row[i], row[j]
+            if u or v:
+                dt = dens[t]
+                if v:
+                    c1[t] = _ratio(v * dens[j], dt * nji)
+                if u:
+                    c2[t] = _ratio(u * dens[i], dt * nij)
+                a, b = v * nji, u * nij
+                self._set(t, [x * both - a * y - b * z for x, y, z in zip(row, ri, rj)], dt * both)
+        return [c1, c2], (_ratio(nij, dens[i]), _ratio(nji, dens[j]))
+
+
+def _integer_rows(rows):
+    """(integer rows, denominators): each rational row as integers over
+    the lcm of its denominators."""
+    ints, dens = [], []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+        dens.append(den)
+    return ints, dens
 
 
 @functools.cache

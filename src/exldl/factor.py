@@ -10,7 +10,15 @@ triangular solve below it would be a base case and every product a
 classical one; such a block is eliminated row by row instead.  That
 gives the same pivots, hence the same (unique) L and U, and it charges
 the op counter exactly what the recursion's kernels would have metered,
-so results and counts do not depend on where the recursion stops.
+so results and counts do not depend on where the recursion stops.  The
+LDL likewise recurses until a block is small enough that every solve
+below it would be a base case and every product a classical one; on
+such a block `_ldl_flat` replays the recursion's pivot decisions
+without building matrices, eliminating each pivot from one Schur
+complement as soon as it is chosen.  A Schur complement does not depend
+on the order its pivots were eliminated in, and with P and the D blocks
+fixed L is unique, so the factors are the recursion's; the op counts
+are charged as for the LU.
 
 Conventions: an LDL result satisfies, entrywise and exactly,
     A[P.fwd[i]][P.fwd[j]] == (L D L^H)[i][j]
@@ -282,37 +290,7 @@ def edge_eliminate(a: DenseMatrix, i: int, j: int) -> EdgeElimination:
     return EdgeElimination(pivots, cols, blocks, a.from_entries(ctx, s, a.nrows - 2))
 
 
-# -- base-case LDL ------------------------------------------------------------
-
-
-def base_ldl(a: DenseMatrix) -> LDLResult:
-    """Direct LDL by pivot search: first nonzero diagonal entry, else first
-    nonzero sub-diagonal in column-major order."""
-    ctx = a.ctx
-    rows = a.to_lists()
-    cols = []  # per pivot order position, {original index: value}
-    blocks = []
-    order = []
-    ids = list(range(a.nrows))
-    while ids:
-        m = len(ids)
-        piv = next((t for t in range(m) if rows[t][t]), None)
-        if piv is not None:
-            l, d, rows = _vertex_lists(ctx, rows, piv)
-            cols.append(_support(l, ids))
-            blocks.append(DBlock.scalar(d))
-            order.append(ids[piv])
-            del ids[piv]
-            continue
-        pair = next(((jj, ii) for jj in range(m) for ii in range(jj + 1, m) if rows[ii][jj]), None)
-        if pair is None:
-            break  # zero matrix; remaining indices are rank-deficient
-        pivots, pcols, pblocks, rows = _edge_lists(ctx, rows, *pair)
-        cols += [_support(c, ids) for c in pcols]
-        blocks.extend(pblocks)
-        order.extend(ids[t] for t in pivots)
-        ids = [ids[t] for t in range(m) if t not in pair]
-    return _ldl_from_columns(ctx, order + ids, cols, blocks)
+# -- LDL from columns -----------------------------------------------------------
 
 
 def _support(col, ids) -> dict:
@@ -468,15 +446,23 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
     full-rank part first, take the Schur complement, and either recurse
     on it directly or (when the leading block is rank-deficient) bring
     the independent columns of its off-diagonal block forward with an LU
-    before recursing on the bordered core.
+    before recursing on the bordered core.  Once a block has n <=
+    `_TRI_BASE` rows and n // 2 is within the Strassen cutoff, every solve
+    below it is a base-case solve and every product a classical one (each
+    has a dimension of at most n // 2), and `_ldl_flat` replays the
+    recursion's pivot decisions on one Schur complement instead: it gives
+    the same P and D, hence the same L, and meters the same op counts.
     """
     ctx = a.ctx
     n = a.nrows
     if a.ncols != n:
         raise ValueError("LDL needs a square matrix")
     check_cutoff(cutoff)
-    if n <= 3:
-        return base_ldl(a)
+    if cutoff is None:
+        cutoff = ctx.default_cutoff
+    # Three rows or fewer are a leaf of the recursion, whatever the cutoff.
+    if n <= 3 or (n <= _TRI_BASE and n // 2 <= cutoff):
+        return _ldl_flat(a)
     s = n // 3
     n1 = n - s
     top = fast_ldl(a.block(0, n1, 0, n1), cutoff)
@@ -539,12 +525,12 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
     l32 = t.conj_transpose()
     check = matmul(d_mul_right(l22.block(r2, dim2, 0, r2), res2.D), t, cutoff)
     if check != r2blk.block(r2, dim2, 0, dim3):
-        raise InternalInvariantViolation("inconsistent rows in bordered LDL branch")
+        raise InternalInvariantViolation(_bordered_error("inconsistent rows", n, r1, s))
     res33 = ahat.block(r1 + dim2, n, r1 + dim2, n)
     res33 = res33.sub(matmul(d_mul_right(l31, d1), l31.conj_transpose(), cutoff))
     res33 = res33.sub(matmul(d_mul_right(l32, res2.D), l32.conj_transpose(), cutoff))
     if not res33.is_zero():
-        raise InternalInvariantViolation("nonzero trailing residual in bordered LDL branch")
+        raise InternalInvariantViolation(_bordered_error("nonzero trailing residual", n, r1, s))
     r = r1 + r2
     l = vstack(
         [
@@ -554,6 +540,171 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
         ]
     )
     return LDLResult(p, l, list(d1) + list(res2.D), r)
+
+
+def _bordered_error(what: str, n: int, r1: int, s: int) -> str:
+    return f"{what} in bordered LDL branch (n={n}, r1={r1}, s={s})"
+
+
+def _ldl_flat(a: DenseMatrix) -> LDLResult:
+    """fast_ldl of a block below its flat base: the recursion's pivot
+    decisions, replayed on one Schur complement.
+
+    The replay splits the indices as the recursion does (n1 = n -
+    floor(n/3)) and takes the bordered branch when 3 r1 < n, with the
+    pivot columns that the field's `eliminate_rows` finds in b12, as
+    `_lu_rows` does.  At three indices or fewer it searches as the
+    recursion's leaves do: the first nonzero diagonal entry, else the
+    first nonzero sub-diagonal entry in column-major order.  Each pivot is
+    eliminated from `a.schur()` as soon as it is chosen, right-looking, so
+    every decision reads the Schur complement the recursion would have
+    formed: a Schur complement does not depend on the order in which its
+    pivots were eliminated.  With P and the D blocks fixed, the unit lower
+    L is unique, so P, L, D and r are the recursion's.  With a counter on,
+    `_FlatLDL` charges what the recursion's kernels would have metered.
+    """
+    flat = _FlatLDL(a)
+    order = flat.node(list(range(a.nrows)))
+    return _ldl_from_columns(a.ctx, order, flat.cols, flat.blocks)
+
+
+def _bits(indices) -> int:
+    return sum(1 << t for t in indices)
+
+
+class _FlatLDL:
+    """`_ldl_flat`'s state: the Schur complement, the L columns and D
+    blocks of the pivots so far and, with a counter on, each L column's
+    nonzero rows as a bit mask."""
+
+    def __init__(self, a: DenseMatrix):
+        self.ctx = a.ctx
+        self.schur = a.schur()
+        self.cols, self.blocks = [], []
+        self.masks = None if a.ctx.counter is None else []
+
+    def pivot(self, pivots):
+        cols, vals = self.schur.eliminate(pivots)
+        self.cols += cols
+        self.blocks.append(DBlock.scalar(*vals) if len(vals) == 1 else DBlock.antidiag(*vals))
+        if self.masks is not None:
+            self.masks += [_bits(col) for col in cols]
+
+    def node(self, ids: list) -> list:
+        """Eliminate the pivots fast_ldl finds in the block over ids, and
+        return ids in its P order."""
+        n = len(ids)
+        if n <= 3:
+            return self.leaf(ids)
+        s = n // 3
+        n1 = n - s
+        k1 = len(self.cols)
+        top = self.node(ids[:n1])
+        r1 = len(self.cols) - k1
+        pivots, trail, nonpivots = top[:r1], ids[n1:], top[r1:]
+        if self.masks is not None:
+            self.charge_schur(k1, pivots, trail + nonpivots)
+        if 3 * r1 >= n:
+            return pivots + self.node(trail + nonpivots)
+        lu = _lu_rows(self.schur.block(trail, nonpivots))
+        cols = [nonpivots[c] for c in lu.Q.fwd]
+        mid, tail = trail + cols[: lu.r], cols[lu.r :]
+        k2 = len(self.cols)
+        sub = self.node(mid)
+        r2 = len(self.cols) - k2
+        nonzero = self.schur.nonzero
+        if any(nonzero(i, j) for i in sub[r2:] for j in tail):
+            raise InternalInvariantViolation(_bordered_error("inconsistent rows", n, r1, s))
+        if any(nonzero(i, j) for i in tail for j in tail):
+            raise InternalInvariantViolation(_bordered_error("nonzero trailing residual", n, r1, s))
+        if self.masks is not None:
+            self.charge_bordered(k1, pivots, k2, sub[:r2], sub[r2:], tail)
+        return pivots + sub + tail
+
+    def leaf(self, ids: list) -> list:
+        nonzero = self.schur.nonzero
+        order = []
+        while ids:
+            m = len(ids)
+            pair = next(((t,) for t in ids if nonzero(t, t)), None)
+            if pair is None:
+                pair = next(((j, i) for x, j in enumerate(ids) for i in ids[x + 1 :]
+                             if nonzero(i, j)), None)
+                if pair is None:
+                    break  # a zero Schur complement: the rest are rank-deficient
+                if not nonzero(*pair):
+                    raise SingularPivot(f"singular 2x2 pivot at {pair}")
+            self.pivot(pair)
+            order += pair
+            ids = [t for t in ids if t not in pair]
+            if self.masks is not None:
+                self.charge_leaf(m, len(pair), ids)
+        return order + ids
+
+    # -- what the recursion meters ----------------------------------------------
+
+    def nnz(self, k0: int, r: int, rows) -> int:
+        """The nonzeros of L in these rows and the columns k0..k0 + r."""
+        bits = _bits(rows)
+        return sum((mask & bits).bit_count() for mask in self.masks[k0 : k0 + r])
+
+    def charge_leaf(self, m: int, size: int, rest):
+        """`_vertex_lists` (size 1) or `_edge_lists` of a leaf's m x m
+        Schur complement; its update is one classical k x 1 x k product
+        and a k x k subtraction per column, over the k indices left."""
+        ctx = self.ctx
+        k = len(rest)
+        for c in range(len(self.masks) - size, len(self.masks)):
+            ctx.count_product(k, 1, k, self.nnz(c, 1, rest))
+        add = size * k * ctx.row_ops(k)
+        if size == 1:
+            ctx.count_ops(add=add, mul=ctx.scale_ops(m), inv=1)
+        else:  # the 2 x 2 determinant, and the matrix form's four inversions
+            ctx.count_ops(add=add + 1, mul=2 + ctx.scale_ops(4 * m - 4), inv=4)
+
+    def charge_solve(self, k0: int, pivots, nv: int):
+        """A base-case `tri_solve` with the unit lower L of these pivots
+        (columns k0 on), then `d_solve_left` with their D blocks, on nv
+        right-hand sides: one add and one mul per coupling and right-hand
+        side, one inversion per pivot and one scaling per entry."""
+        ctx = self.ctx
+        r = len(pivots)
+        couplings = self.nnz(k0, r, pivots) - r
+        ctx.count_ops(add=couplings * nv, mul=couplings * nv + ctx.scale_ops(r * nv), inv=r)
+
+    def charge_product(self, k0: int, r: int, rows, n: int, scaled: bool = True):
+        """A classical product of L[rows, k0:k0 + r], times its D blocks
+        when scaled (`d_mul_right`), with an r x n factor."""
+        ctx = self.ctx
+        if scaled:
+            ctx.count_ops(mul=ctx.scale_ops(r * len(rows)))
+        ctx.count_product(len(rows), r, n, self.nnz(k0, r, rows))
+
+    def charge_schur(self, k1: int, pivots, rest):
+        """The Schur complement of the leading block's pivots over the
+        rest: w = L11^-1 C, v = D1^-1 w, then B - w^H v."""
+        ctx = self.ctx
+        n2 = len(rest)
+        self.charge_solve(k1, pivots, n2)
+        self.charge_product(k1, len(pivots), rest, n2, scaled=False)
+        ctx.count_ops(add=n2 * ctx.row_ops(n2))
+
+    def charge_bordered(self, k1: int, pivots, k2: int, pivots2, nonpivots2, tail):
+        """The bordered branch after its core: L21 and L31 by solves, the
+        core-by-tail residual R, L32 from its pivot rows, the check
+        product on its other rows, and the two updates of the tail."""
+        ctx = self.ctx
+        r1, r2 = len(pivots), len(pivots2)
+        mid = pivots2 + nonpivots2
+        dim3 = len(tail)
+        self.charge_solve(k1, pivots, len(mid))
+        self.charge_solve(k1, pivots, dim3)
+        self.charge_product(k1, r1, mid, dim3)
+        self.charge_solve(k2, pivots2, dim3)
+        self.charge_product(k2, r2, nonpivots2, dim3)
+        self.charge_product(k1, r1, tail, dim3)
+        self.charge_product(k2, r2, tail, dim3)
+        ctx.count_ops(add=(len(mid) + 2 * dim3) * ctx.row_ops(dim3))
 
 
 # -- natural-order LDL (fill measurements) --------------------------------------

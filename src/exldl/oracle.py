@@ -11,7 +11,8 @@ denominator shared by the whole product over Q) and is compared with
 the target entry by cross-multiplication, with zero tolerance.  L D L^H
 is Hermitian once D is, so only its lower triangle is summed; each sum
 is compared with both mirrored entries of the target.  Inertia is
-checked through congruence invariance.  None of this code, the integer
+counted by the oracle's own symmetric elimination over Q and checked
+through congruence invariance.  None of this code, the integer
 clearing included, is shared with the fast factorization paths; these
 routines are meant for test sizes up to a few hundred.  Reference
 computations are metered coarsely (one row update of width w counts w
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .dense import DenseMatrix
-from .factor import ANTIDIAG, SCALAR, d_size, fast_ldl, inertia_from_D
+from .factor import ANTIDIAG, SCALAR, d_size
 from .fields import GF2, GFP, RATIONAL, FieldContext, UnorderedField, _ratio
 
 
@@ -486,16 +487,59 @@ def oracle_verify_partial_ldl(system, f) -> VerifyReport:
 # -- inertia through congruence -------------------------------------------------------
 
 
-def oracle_inertia_congruence(a: DenseMatrix, trials: int, seed: int = 0) -> VerifyReport:
-    """Inertia must be invariant under congruence by random invertible G."""
+def oracle_inertia(a: DenseMatrix) -> tuple:
+    """(positive, negative, zero) eigenvalue counts of a symmetric rational
+    matrix, by symmetric elimination on its integer form.
+
+    The matrix is cleared by one common denominator, a positive scale, and
+    each step is a congruence (Sylvester's law of inertia): a nonzero
+    diagonal pivot d counts as the sign of d and leaves |d| times its
+    Schur complement; when every diagonal entry is zero, a pair with
+    b = a_ij != 0 counts as one positive and one negative eigenvalue (the
+    block [[0, b], [b, 0]]) and leaves |b| times its Schur complement; a
+    zero matrix counts as zeros.  The entries are divided by their gcd
+    after each step.
+    """
     ctx = a.ctx
     if ctx.kind != RATIONAL:
-        raise UnorderedField("inertia congruence check needs the rationals")
+        raise UnorderedField("inertia needs the rationals")
+    rows = a.to_lists()
+    den = lcm(1, *(x.denominator for row in rows for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    pos = neg = 0
+    while m:
+        n = len(m)
+        k = next((i for i in range(n) if m[i][i]), None)
+        if k is not None:
+            d = m[k][k]
+            sign = 1 if d > 0 else -1
+            pos, neg = pos + (d > 0), neg + (d < 0)
+            rest = [t for t in range(n) if t != k]
+            m = [[sign * (d * m[x][y] - m[x][k] * m[k][y]) for y in rest] for x in rest]
+        else:
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            b = m[i][j]
+            sign = 1 if b > 0 else -1
+            pos, neg = pos + 1, neg + 1
+            rest = [t for t in range(n) if t not in pair]
+            m = [[sign * (b * m[x][y] - m[x][i] * m[j][y] - m[x][j] * m[i][y]) for y in rest]
+                 for x in rest]
+        g = gcd(*(v for row in m for v in row))
+        if g > 1:
+            m = [[v // g for v in row] for row in m]
+        ctx.count_ops(add=len(m) ** 2, mul=len(m) ** 2)
+    return pos, neg, len(m)
+
+
+def oracle_congruences(a: DenseMatrix, trials: int, seed: int = 0):
+    """G A G^H for `trials` random invertible integer G (entries -3..3)."""
+    ctx = a.ctx
     n = a.nrows
-    base_res = fast_ldl(a)
-    base = inertia_from_D(base_res.D, n, ctx)
     rng = random.Random(seed)
-    for t in range(trials):
+    for _ in range(trials):
         while True:
             g = DenseMatrix.from_rows(
                 ctx,
@@ -505,9 +549,16 @@ def oracle_inertia_congruence(a: DenseMatrix, trials: int, seed: int = 0) -> Ver
                 break
         glists = g.to_lists()
         gagh = _mm_lists(ctx, _mm_lists(ctx, glists, a.to_lists()), _conj_t_lists(ctx, glists))
-        cong = DenseMatrix.from_rows(ctx, gagh)
-        res = fast_ldl(cong)
-        got = inertia_from_D(res.D, n, ctx)
+        yield DenseMatrix.from_rows(ctx, gagh)
+
+
+def oracle_inertia_congruence(a: DenseMatrix, trials: int, seed: int = 0) -> VerifyReport:
+    """Inertia must be invariant under congruence by random invertible G."""
+    if a.ctx.kind != RATIONAL:
+        raise UnorderedField("inertia congruence check needs the rationals")
+    base = oracle_inertia(a)
+    for t, cong in enumerate(oracle_congruences(a, trials, seed)):
+        got = oracle_inertia(cong)
         if got != base:
             return _fail(f"inertia changed under congruence trial {t}: {base} -> {got}")
     return VerifyReport(True)

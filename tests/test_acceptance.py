@@ -14,9 +14,11 @@ import pytest
 
 from exldl.cli import main, reverify_json, write_matrix_market
 from exldl.dense import DenseMatrix, matmul
-from exldl.factor import fast_ldl, fast_lu, natural_order_ldl
+from exldl.factor import fast_ldl, fast_lu, inertia_from_D, natural_order_ldl
 from exldl.fields import op_count_snapshot
 from exldl.oracle import (
+    oracle_congruences,
+    oracle_inertia,
     oracle_inertia_congruence,
     oracle_rank,
     oracle_verify_ldl,
@@ -411,8 +413,12 @@ def test_criterion_10_inertia():
         a = small_symmetric(QQ, rng, n)
         rep = oracle_inertia_congruence(a, trials=10, seed=i)
         assert rep.ok, rep.first_violation
+        want = oracle_inertia(a)
+        for b in (a, *oracle_congruences(a, trials=10, seed=i)):
+            assert inertia_from_D(fast_ldl(b).D, n, QQ) == want
     elapsed = time.perf_counter() - t0
-    _passline(10, f"100 rational matrices invariant under 10 congruence trials each ({elapsed:.1f}s)")
+    _passline(10, f"100 rational matrices invariant under 10 congruence trials each, "
+                  f"fast_ldl's inertia equal to the oracle's on all ({elapsed:.1f}s)")
 
 
 # -- criterion 11 ----------------------------------------------------------------

@@ -451,6 +451,33 @@ def test_gf2_matmul_matches_parity_reference(route):
                 assert counts == {"add": w, "mul": w, "inv": 0}
 
 
+def parity_product(arows, brows, n):
+    """Packed rows of a b over GF(2) from packed rows, b of width n."""
+    bcols = ref_transpose_bits(brows, n)
+    return [sum(((r & col).bit_count() & 1) << j for j, col in enumerate(bcols)) for r in arows]
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("shape", [LOWER, LOWER_UNIT, UPPER, UPPER_UNIT])
+def test_gf2_tri_solve_matches_parity_reference(route, side, shape, monkeypatch):
+    # X l = b takes X^T through the XOR loop when X has more than
+    # _CROSSOVER entries: 29 rows against a base block of 9 or more.
+    rng = random.Random(67)
+    for n in (1, 9, 65, 257):
+        l = triangular(GF2, rng, n, shape)
+        for m in GF2_HEIGHTS:
+            dims = (n, m) if side == LEFT else (m, n)
+            brows = gf2_rows(rng, *dims)
+            b = DenseMatrix(GF2, *dims, list(brows))
+            x, counts = metered(GF2, tri_solve, l, b, side, shape)
+            assert_packed(x)
+            back = parity_product(l._d, x._d, m) if side == LEFT else parity_product(x._d, l._d, n)
+            assert back == brows, (n, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(dense, "_CROSSOVER", 10**9)
+                assert metered(GF2, tri_solve, l, b, side, shape) == (x, counts), (n, m)
+
+
 def extreme_residues(ctx, rng, m, n):
     """Residues that are mostly p - 1, p - 2 or 0: the largest row sums."""
     p = ctx.p

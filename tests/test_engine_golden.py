@@ -8,25 +8,30 @@ interface Schur complement S and carried rows F, and the op counts.  A
 change that alters any of them, or the field operations it spends, changes
 its SHA-256.  The inputs have zero diagonals, so the bag step reaches its
 constraint complementation (step 2) and peels with nonzero coefficients.
-The kernel cases run `base_ldl`, `natural_order_ldl`, `fast_ldl`,
-`fast_lu`, `tri_solve`, `_peel_dependent` and `schilders_partial_ldl` ->
-`residual_schur` -> `pair_columns` on inputs of at most 9 rows, and check
-that they reach the branches named in `test_kernel_golden`.  The large
-kernel cases run `fast_ldl`, `fast_lu`, `tri_solve` and
-`schilders_partial_ldl` -> `complete_saddle_ldl` at n = 40 and 64 over
-GF(2) and GF(p), where the dense kernels cross to whole arrays.
-"""
+The kernel cases run `fast_ldl` (on leaves of its recursion and on larger
+inputs), `natural_order_ldl`, `fast_lu`, `tri_solve`, `_peel_dependent`
+and `schilders_partial_ldl` -> `residual_schur` -> `pair_columns` on
+inputs of at most 9 rows, and check that they reach the branches named in
+`test_kernel_golden`.  The large kernel cases run `fast_ldl`, `fast_lu`,
+`tri_solve` and `schilders_partial_ldl` -> `complete_saddle_ldl` at
+n = 40 and 64 over GF(2) and GF(p), where the dense kernels cross to whole
+arrays.  The sweep runs `fast_ldl` at n = 0..20 and five cutoffs on
+inputs from a random generator seeded by the field's name, on both sides
+of its flat base."""
 
 import hashlib
+import random
+import zlib
 
 import pytest
 
-from exldl import sparse
+from exldl import factor, sparse
 from exldl.cli import parse_field
 from exldl.dense import (
-    _CROSSOVER, LEFT, LOWER, LOWER_UNIT, RIGHT, UPPER, UPPER_UNIT, DenseMatrix, tri_solve,
+    _CROSSOVER, _TRI_BASE, LEFT, LOWER, LOWER_UNIT, RIGHT, UPPER, UPPER_UNIT, DenseMatrix,
+    matmul, tri_solve,
 )
-from exldl.factor import ANTIDIAG, base_ldl, fast_ldl, fast_lu, natural_order_ldl
+from exldl.factor import ANTIDIAG, fast_ldl, fast_lu, natural_order_ldl
 from exldl.fields import ResidualLeakage
 from exldl.saddle import (
     PartialLDL,
@@ -367,8 +372,8 @@ def run_kernels(ctx, cutoff, reached):
     collects the branches the inputs took."""
     out = []
     for a in ldl_inputs(ctx):
-        if a.nrows <= 3:
-            res = base_ldl(a)
+        if a.nrows <= 3:  # a leaf of fast_ldl's recursion
+            res = fast_ldl(a, cutoff)
             reached.update({b.kind for b in res.D})
             if res.r < a.nrows:
                 reached.add("zero-break")
@@ -664,3 +669,131 @@ def test_large_kernel_golden(spec, cutoff, monkeypatch):
     if cutoff is None:  # Strassen leaves at cutoff 8 keep GF(2) products below it
         assert largest["product"] > _CROSSOVER, largest
     assert got == LARGE_KERNEL_GOLDEN[f"{spec} {cutoff}"]
+
+
+# -- fast_ldl on either side of its flat base ----------------------------------------
+#
+# n = 0..20 at five cutoffs: blocks of at most `_TRI_BASE` rows are
+# factored by the flat replay when the cutoff lets every product below
+# them be classical, and by the matrix recursion otherwise.
+
+SWEEP_FIELDS = ("gf2", "gfp:7", "gfp:1009", "gfp:2147483647", "rational")
+SWEEP_CUTOFFS = (None, 1, 2, 4, 8)
+
+
+def sweep_el(ctx, rng):
+    if ctx.is_ordered():
+        return ctx.el(f"{rng.randint(-4, 4)}/{rng.randint(1, 4)}")
+    return ctx.el(rng.randrange(ctx.p or 2))
+
+
+def sweep_sym(ctx, rng, n, density, diagonal=True):
+    rows = [[ctx.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if diagonal else i + 1, n):
+            if rng.random() < density:
+                v = sweep_el(ctx, rng)
+                rows[i][j], rows[j][i] = v, ctx.conj(v)
+    return DenseMatrix.from_entries(ctx, rows, n)
+
+
+def sweep_inputs(ctx):
+    """Per n = 0..20: a random symmetric matrix, one of planted rank
+    about n/4 (G S G^H), one 10-30% dense and one with a zero diagonal."""
+    rng = random.Random(zlib.crc32(ctx.spec.encode()))
+    for n in range(21):
+        yield sweep_sym(ctx, rng, n, 1.0)
+        k = max(1, n // 4)
+        g = DenseMatrix.from_entries(ctx, [[sweep_el(ctx, rng) for _ in range(k)]
+                                           for _ in range(n)], k)
+        yield matmul(matmul(g, sweep_sym(ctx, rng, k, 1.0)), g.conj_transpose())
+        yield sweep_sym(ctx, rng, n, 0.1 + 0.1 * (n % 3))
+        yield sweep_sym(ctx, rng, n, 0.5, diagonal=False)
+
+
+def sweep_digest(spec, cutoff):
+    """(SHA-256 of every fast_ldl result and its op counts, the results)."""
+    ctx = parse_field(spec)
+    counter = ctx.enable_counter()
+    out = []
+    try:
+        for a in sweep_inputs(ctx):
+            counter.reset()
+            res = fast_ldl(a, cutoff)
+            out.append((ldl(ctx, res), counter.snapshot()))
+    finally:
+        ctx.disable_counter()
+    return hashlib.sha256(repr(out).encode()).hexdigest(), out
+
+
+# SHA-256 of the sweep's results and op counts, keyed by "field cutoff", recorded
+# with the matrix recursion down to n <= 3 (before the flat base).
+SWEEP_GOLDEN = {
+    "gf2 None": "cf7965b5e627ade1bf43d5d12fdb2cbddbc7bcb1f82e1087be8a1eb5f72c687e",
+    "gf2 1": "cb0c897295b968ba9b5dca00306dd6886ec0418f4d3cb8e3b55626d5e5da7668",
+    "gf2 2": "238caddc0ba8a9fb1bc8f9b5454bc2f1c130ac6397d43686546d4da23f3b92ae",
+    "gf2 4": "ddb14ee9f745214517f90adc9ad84b4efa56758a7df7faeeb77b0c5c56bbe217",
+    "gf2 8": "65aea980244af799f82683dfe65deb3cd7c9be341575470a7c71ca8f97e45e35",
+    "gfp:7 None": "d1e78c267cef0519a10526d7abc243f7c0c78ecf7ae74ba7157682b0d8dc6f45",
+    "gfp:7 1": "a76319df2940efa275c14c91dc462acf639fc33a6a1ad893466064c45d86d485",
+    "gfp:7 2": "1274c68eedd14ed0978c9ce5f3428100dc07bfe1f2dd3cd853c41dc82e1c9060",
+    "gfp:7 4": "17814fdf65c183f51a2387aa45c5420be536deaf81e7614fb44895ad730b532d",
+    "gfp:7 8": "d1e78c267cef0519a10526d7abc243f7c0c78ecf7ae74ba7157682b0d8dc6f45",
+    "gfp:1009 None": "ebdde1d52f7a027eaf00732ef0bf1c8a2961ed69eee9c9dce5f1c2aeca4d2cee",
+    "gfp:1009 1": "2bccc83b8d602f232847136630e7e3d9f1019ce1d19066472d7aa3564891072d",
+    "gfp:1009 2": "ecae90d70be45d15078dcb1be86b1dffe61f60b446fa5a834947315bbbc465ab",
+    "gfp:1009 4": "9be402df5a19166ca094f64bd4c16f526d6c87db74fffe3fdf8ebdeca24a7b05",
+    "gfp:1009 8": "ebdde1d52f7a027eaf00732ef0bf1c8a2961ed69eee9c9dce5f1c2aeca4d2cee",
+    "gfp:2147483647 None": "35b40a5af07c4376a8df7b1d96729afa2f39ecf43e79c26a7509168b09848f0e",
+    "gfp:2147483647 1": "743da4004e2211fca888a7f05db1b93b4952938f8d208b59ee30c7272d571a08",
+    "gfp:2147483647 2": "eeec2d03ae1d8736d280d44fe3c6a9478da6fbcd8c72b0105bcda29f6aedbb3a",
+    "gfp:2147483647 4": "53db27b9e6ea1d6d6719c96a47f5dfc079f13d320783c18c1d50ff262626e7d2",
+    "gfp:2147483647 8": "35b40a5af07c4376a8df7b1d96729afa2f39ecf43e79c26a7509168b09848f0e",
+    "rational None": "ef7f9ddf7c7e79c8b670ea9f4c1faab16234e01163fa65e313fa7d5f56701229",
+    "rational 1": "3493bb60865ace6ad57713b8260971e0c25af2e8a5678c682c6b8812fb666b1c",
+    "rational 2": "a3b6107fc4544725e270b49cb23da03878f594e9812a8d47a26249c0ecea9219",
+    "rational 4": "58243145e337c7b18fc349921672c88f06e9c9fcb7df5e87b0d549b4de9a35f2",
+    "rational 8": "ef7f9ddf7c7e79c8b670ea9f4c1faab16234e01163fa65e313fa7d5f56701229",
+}
+
+
+@pytest.mark.parametrize("spec", SWEEP_FIELDS)
+@pytest.mark.parametrize("cutoff", SWEEP_CUTOFFS)
+def test_fast_ldl_sweep_golden(spec, cutoff, monkeypatch):
+    flat, lu_rows = factor._ldl_flat, factor._lu_rows
+    flat_sizes, bordered, inside = set(), set(), []
+
+    def traced_flat(a):
+        flat_sizes.add(a.nrows)
+        inside.append(a)
+        try:
+            return flat(a)
+        finally:
+            inside.pop()
+
+    def traced_lu_rows(a):  # fast_ldl's bordered branch, the only LU in the sweep
+        bordered.add("flat" if inside else "matrix")
+        return lu_rows(a)
+
+    monkeypatch.setattr(factor, "_ldl_flat", traced_flat)
+    monkeypatch.setattr(factor, "_lu_rows", traced_lu_rows)
+    got, results = sweep_digest(spec, cutoff)
+    # Blocks of at most _TRI_BASE rows and 2 cutoff + 1 take the flat base,
+    # larger ones (n = 17..20 always) the matrix recursion.
+    assert max(flat_sizes) == min(_TRI_BASE, 2 * (cutoff or parse_field(spec).default_cutoff) + 1)
+    assert bordered == ({"matrix"} if cutoff == 1 else {"flat", "matrix"})
+    assert any(b[0] == ANTIDIAG for (_, _, blocks, _), _ in results for b in blocks)
+    assert any(0 < r < len(p) for (p, _, _, r), _ in results)  # a zero Schur complement
+    assert got == SWEEP_GOLDEN[f"{spec} {cutoff}"]
+
+
+@pytest.mark.parametrize("spec", SWEEP_FIELDS)
+def test_flat_base_matches_the_matrix_recursion(spec, monkeypatch):
+    # Cutoff 1 keeps the flat base to the leaves; so does a base of 3 rows,
+    # which also keeps every product classical, so the op counts match too.
+    _, flat = sweep_digest(spec, None)
+    _, leaves = sweep_digest(spec, 1)
+    assert [res for res, _ in flat] == [res for res, _ in leaves]
+    monkeypatch.setattr(factor, "_TRI_BASE", 3)
+    _, matrix = sweep_digest(spec, None)
+    assert flat == matrix

@@ -8,7 +8,6 @@ from exldl import factor
 from exldl.dense import LEFT, LOWER_UNIT, DenseMatrix, matmul, permute, tri_invert, tri_solve
 from exldl.factor import (
     DBlock,
-    base_ldl,
     d_dense,
     edge_eliminate,
     fast_ldl,
@@ -131,14 +130,14 @@ def all_symmetric_gf2(n):
 
 def test_base_ldl_exhaustive_gf2_3x3():
     for a in all_symmetric_gf2(3):
-        res = base_ldl(a)
+        res = fast_ldl(a)
         rep = oracle_verify_ldl(a, res)
         assert rep.ok, rep.first_violation
 
 
 def test_base_ldl_trivial_cases():
-    assert base_ldl(DenseMatrix.from_rows(GF7, [[0]])).r == 0
-    res = base_ldl(DenseMatrix.from_rows(GF7, [[0, 0], [0, 5]]))
+    assert fast_ldl(DenseMatrix.from_rows(GF7, [[0]])).r == 0
+    res = fast_ldl(DenseMatrix.from_rows(GF7, [[0, 0], [0, 5]]))
     assert res.r == 1
     assert res.P.fwd[0] == 1
     assert res.D[0].d == 5

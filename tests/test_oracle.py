@@ -5,7 +5,9 @@ import pytest
 
 from exldl.dense import DenseMatrix, Permutation, matmul, permute
 from exldl.factor import LDLResult, LUResult, fast_ldl, fast_lu
-from exldl.oracle import oracle_rank, oracle_verify_ldl, oracle_verify_lu
+from exldl import oracle
+from exldl.fields import UnorderedField
+from exldl.oracle import oracle_inertia, oracle_rank, oracle_verify_ldl, oracle_verify_lu
 
 from conftest import GF2, GF7, QQ, planted_symmetric, rand_matrix, rand_symmetric
 
@@ -187,3 +189,37 @@ def test_verify_lu_rejects_corrupted_factor(ctx, which):
         rep = oracle_verify_lu(a, LUResult(res.P, res.Q, l, u, res.r), structural=False)
         ap = [[a.get(x, y) for y in res.Q.fwd] for x in res.P.fwd]
         check_rejection(rep, mismatches(ap, scalar_product(ctx, l.to_lists(), u.to_lists())))
+
+
+# -- inertia -------------------------------------------------------------------------
+
+
+def test_oracle_inertia_of_congruent_diagonals():
+    # G D G^H has the inertia of D for every invertible G (Sylvester).
+    rng = random.Random(19)
+    for signs in ((1, 1, -1, 0), (-1, -1, 0, 0, 0), (1,), (0, 0), (1, -1, 1, -1, 1, 0)):
+        n = len(signs)
+        d = DenseMatrix.zeros(QQ, n, n)
+        for i, s in enumerate(signs):
+            d.set(i, i, QQ.el(Fraction(s * rng.randint(1, 9), rng.randint(1, 5))))
+        while True:
+            g = rand_matrix(QQ, rng, n, n)
+            if oracle_rank(g) == n:
+                break
+        a = matmul(matmul(g, d), g.conj_transpose())
+        want = (signs.count(1), signs.count(-1), signs.count(0))
+        assert oracle_inertia(a) == want, signs
+
+
+def test_oracle_inertia_zero_diagonals_and_edges():
+    half = Fraction(3, 2)
+    assert oracle_inertia(DenseMatrix.from_rows(QQ, [[0, half], [half, 0]])) == (1, 1, 0)
+    assert oracle_inertia(DenseMatrix.from_rows(QQ, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])) == (1, 2, 0)
+    assert oracle_inertia(DenseMatrix.zeros(QQ, 3, 3)) == (0, 0, 3)
+    assert oracle_inertia(DenseMatrix.zeros(QQ, 0, 0)) == (0, 0, 0)
+    with pytest.raises(UnorderedField):
+        oracle_inertia(DenseMatrix.identity(GF7, 2))
+
+
+def test_oracle_inertia_shares_no_code_with_fast_ldl():
+    assert not {"fast_ldl", "inertia_from_D"} & set(vars(oracle))
