@@ -7,10 +7,9 @@ single word-parallel XOR; `GFpMatrix` a C-contiguous int64 numpy array of
 reduced residues; `RationalMatrix` a list of rows of the context's
 rational type.  `DenseMatrix(ctx, ...)` and its constructors build the
 class of ctx's field.  The rest of this module (Strassen, the
-`tri_solve`/`tri_invert` recursion, `permute`, `hstack`/`vstack`,
-`Permutation`) and every other module stay generic.  A new field is a
-context class in `fields.py` plus a matrix class here, entered in
-`_MATRIX`.
+`tri_solve` recursion, `permute`, `hstack`/`vstack`, `Permutation`) and
+every other module stay generic.  A new field is a context class in
+`fields.py` plus a matrix class here, entered in `_MATRIX`.
 
 Exact rationals are slow one operation at a time, so the rational kernels
 do their inner loops on Python ints: a product clears denominators per
@@ -173,8 +172,8 @@ class DenseMatrix(metaclass=_FieldDispatch):
       * `eliminate_rows()`, the elimination of `factor._lu_rows`: (row
         order, the pivot rows and then the others, each ascending; column
         order q; L with rows in that order; U);
-      * `schur()`, the symmetric Schur complement that `factor._ldl_flat`
-        eliminates pivots from (see `_GF2Schur` and the classes after it);
+      * `schur()`, the symmetric Schur complement that every elimination
+        of `factor` pivots on (see `_GF2Schur` and the classes after it);
       * `from_entries(ctx, rows, ncols)`, the matrix of these lists of
         canonical elements, and `column(j)`, the entries of column j;
       * rows for `sparse.apply_transcript`: `row(i)`, `zero_row()`,
@@ -382,60 +381,6 @@ def _is_lower(shape: str) -> bool:
 
 def _is_unit(shape: str) -> bool:
     return shape in (LOWER_UNIT, UPPER_UNIT)
-
-
-def tri_invert(l: DenseMatrix, shape: str, cutoff: int | None = None) -> DenseMatrix:
-    """Exact inverse of a triangular matrix of the stated shape."""
-    check_cutoff(cutoff)
-    n = l.nrows
-    if l.ncols != n:
-        raise DimensionMismatch("triangular inverse needs a square matrix")
-    if n <= _TRI_BASE:
-        return _tri_invert_base(l, shape)
-    h = n // 2
-    i11 = tri_invert(l.block(0, h, 0, h), shape, cutoff)
-    i22 = tri_invert(l.block(h, n, h, n), shape, cutoff)
-    out = l.zeros(l.ctx, n, n)
-    out.set_block(0, 0, i11)
-    out.set_block(h, h, i22)
-    if _is_lower(shape):
-        out.set_block(h, 0, matmul(i22, matmul(l.block(h, n, 0, h), i11, cutoff), cutoff).neg())
-    else:
-        out.set_block(0, h, matmul(i11, matmul(l.block(0, h, h, n), i22, cutoff), cutoff).neg())
-    return out
-
-
-def _tri_invert_base(l: DenseMatrix, shape: str) -> DenseMatrix:
-    ctx = l.ctx
-    n = l.nrows
-    lower = _is_lower(shape)
-    unit = _is_unit(shape)
-    dinv = []
-    for i in range(n):
-        d = l.get(i, i)
-        if ctx.is_zero(d):
-            raise SingularDiagonal(i)
-        dinv.append(ctx.one if unit else ctx.inv(d))
-    out = l.zeros(ctx, n, n)
-    order = range(n) if lower else range(n - 1, -1, -1)
-    for j in range(n):
-        # solve l x = e_j by substitution
-        x = [ctx.zero] * n
-        x[j] = dinv[j]
-        for i in order:
-            if (lower and i <= j) or (not lower and i >= j):
-                continue
-            s = ctx.zero
-            rng = range(j, i) if lower else range(i + 1, j + 1)
-            for t in rng:
-                if not ctx.is_zero(x[t]):
-                    s = ctx.add(s, ctx.mul(l.get(i, t), x[t]))
-            if not ctx.is_zero(s):
-                x[i] = ctx.mul(ctx.neg(s), dinv[i])
-        for i in range(n):
-            if not ctx.is_zero(x[i]):
-                out.set(i, j, x[i])
-    return out
 
 
 def tri_solve(
@@ -1147,7 +1092,7 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
         return RationalMatrix(self.ctx, len(rows), self.ncols, [list(r) for r in rows])
 
 
-# -- symmetric Schur complements (the flat base of factor.fast_ldl) -----------
+# -- symmetric Schur complements (factor's vertex and edge eliminations) ------
 #
 # `m.schur()` is a working copy of the symmetric matrix m that eliminates
 # pivots right-looking.  `alive` lists the indices not yet eliminated,

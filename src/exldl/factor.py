@@ -184,76 +184,55 @@ def unreduced_ldl(res: LDLResult, n: int):
 
 # -- elimination primitives ---------------------------------------------------
 #
-# The eliminations work on entry lists (the rows of a matrix as lists of
-# canonical elements) with unmetered field operations, and charge the ops
-# of their matrix form: scaling each elimination column, and one classical
-# (k x 1) @ (1 x k) product and one k x k subtraction per rank-1 update of
-# the k remaining indices.
+# Every symmetric elimination pivots on `a.schur()`, the field's working
+# copy of a symmetric matrix (see dense.py): a vertex step on one nonzero
+# diagonal entry, an edge step on an antidiagonal pair.  With a counter on,
+# `_charge_pivot` charges the ops of each step's matrix form: scaling its
+# elimination columns, and one classical (k x 1) @ (1 x k) product and one
+# k x k subtraction per column, over the k indices left.
 
 
-def _sub_outer(ctx, rows, rest, x, y):
-    """rows[i][j] - x[i] conj(y[j]) over i, j in rest; x is indexed like
-    rest, y like rows.  Metered as that product and subtraction."""
-    k = len(rest)
-    conj, sub, mul = ctx.conj, ctx._sub, ctx._mul
-    yc = [conj(y[j]) for j in rest]
-    out = []
-    for xi, i in zip(x, rest):
-        row = rows[i]
-        if xi:
-            out.append([sub(row[j], mul(xi, c)) for j, c in zip(rest, yc)])
-        else:
-            out.append([row[j] for j in rest])
-    if ctx.counter is not None and k:
-        ctx.count_product(k, 1, k, sum(1 for v in x if v))
-        ctx.count_ops(add=k * ctx.row_ops(k))
-    return out
+def _charge_pivot(ctx: FieldContext, m: int, nnz) -> None:
+    """Charge a vertex pivot (one column) or an antidiagonal pair (two) of
+    an m x m Schur complement; nnz lists each L column's nonzeros among
+    the indices left.  A pair's matrix form inverts its two entries twice."""
+    k = m - len(nnz)
+    for c in nnz:
+        ctx.count_product(k, 1, k, c)
+    add = len(nnz) * k * ctx.row_ops(k)
+    if len(nnz) == 1:
+        ctx.count_ops(add=add, mul=ctx.scale_ops(m), inv=1)
+    else:
+        ctx.count_ops(add=add, mul=ctx.scale_ops(4 * m - 4), inv=4)
 
 
-def _vertex_lists(ctx, rows, i: int):
-    """`vertex_eliminate` on entry lists: (l, d, s) with l a list."""
-    m = len(rows)
-    d = rows[i][i]
-    if not d:
-        raise ZeroPivot(f"zero diagonal pivot at {i}")
-    dinv = ctx.inv(d)
-    col = [row[i] for row in rows]
-    l = [ctx._mul(v, dinv) for v in col]
-    ctx.count_ops(mul=ctx.scale_ops(m))
-    rest = [t for t in range(m) if t != i]
-    return l, d, _sub_outer(ctx, rows, rest, [l[t] for t in rest], col)
+def _eliminate(schur, pivots, cols: list, blocks: list) -> list:
+    """Eliminate the vertex pivot (k,) or the antidiagonal pair (i, j) from
+    schur, append its L columns and D block, and return the columns."""
+    new, vals = schur.eliminate(pivots)
+    cols += new
+    blocks.append(DBlock.scalar(*vals) if len(vals) == 1 else DBlock.antidiag(*vals))
+    return new
 
 
-def _edge_lists(ctx, rows, i: int, j: int):
-    """`edge_eliminate` on entry lists: (pivots, the two columns as lists,
-    blocks, s)."""
-    m = len(rows)
-    aii, ajj = rows[i][i], rows[j][j]
-    aij, aji = rows[i][j], rows[j][i]
-    det = ctx.sub(ctx.mul(aii, ajj), ctx.mul(aij, aji))
-    if ctx.is_zero(det):
-        raise SingularPivot(f"singular 2x2 pivot at ({i}, {j})")
-    if aii or ajj:
-        first, second = (i, j) if aii else (j, i)
-        l1, d1, s1 = _vertex_lists(ctx, rows, first)
-        rest1 = [t for t in range(m) if t != first]
-        l2s, d2, s = _vertex_lists(ctx, s1, rest1.index(second))
-        l2 = [ctx.zero] * m
-        for t, v in zip(rest1, l2s):
-            l2[t] = v
-        return (first, second), (l1, l2), [DBlock.scalar(d1), DBlock.scalar(d2)], s
-    # the duplicated inversions are the matrix form's, metered as such
-    inv_ji, inv_ij = ctx.inv(aji), ctx.inv(aij)
-    ctx.count_ops(inv=2, mul=ctx.scale_ops(4 * m - 4))
-    u = [row[i] for row in rows]
-    v = [row[j] for row in rows]
-    c1 = [ctx._mul(x, inv_ji) for x in v]
-    c2 = [ctx._mul(x, inv_ij) for x in u]
-    rest = [t for t in range(m) if t not in (i, j)]
-    s = _sub_outer(ctx, rows, rest, [ctx._mul(u[t], inv_ji) for t in rest], v)
-    s = _sub_outer(ctx, s, range(len(rest)), [ctx._mul(v[t], inv_ij) for t in rest],
-                   [u[t] for t in rest])
-    return (i, j), (c1, c2), [DBlock.antidiag(aij, aji)], s
+def _eliminate_steps(schur, steps, ids, cols: list, blocks: list) -> list:
+    """`_eliminate` each pivot of steps in turn, charging it over the active
+    indices ids, and return the indices left.  The other alive indices of
+    schur have zero columns, so the L columns have no nonzeros among them."""
+    ctx = schur.ctx
+    for pivots in steps:
+        new = _eliminate(schur, pivots, cols, blocks)
+        if ctx.counter is not None:
+            _charge_pivot(ctx, len(ids), [len(c) - 1 for c in new])
+        ids = [t for t in ids if t not in pivots]
+    return ids
+
+
+def _columns(a: DenseMatrix, cols) -> DenseMatrix:
+    """The columns cols ({index: value}) over a's index set, as a matrix."""
+    zero = a.ctx.zero
+    rows = [[c.get(t, zero) for c in cols] for t in range(a.nrows)]
+    return a.from_entries(a.ctx, rows, len(cols))
 
 
 def vertex_eliminate(a: DenseMatrix, i: int):
@@ -263,9 +242,12 @@ def vertex_eliminate(a: DenseMatrix, i: int):
     index set (unit at i), the pivot, and the Schur complement over the
     remaining indices in original order.
     """
-    ctx = a.ctx
-    l, d, s = _vertex_lists(ctx, a.to_lists(), i)
-    return a.from_entries(ctx, [[v] for v in l], 1), d, a.from_entries(ctx, s, a.nrows - 1)
+    schur = a.schur()
+    if not schur.nonzero(i, i):
+        raise ZeroPivot(f"zero diagonal pivot at {i}")
+    cols, blocks = [], []
+    rest = _eliminate_steps(schur, [(i,)], range(a.nrows), cols, blocks)
+    return _columns(a, cols), blocks[0].d, schur.block(rest, rest)
 
 
 @dataclass
@@ -281,21 +263,22 @@ def edge_eliminate(a: DenseMatrix, i: int, j: int) -> EdgeElimination:
 
     A genuinely antidiagonal step needs both diagonal entries zero;
     otherwise the pair is normalized into the equivalent two vertex
-    eliminations so antidiagonal D blocks only arise from zero-diagonal
-    pivots.
+    eliminations, the nonzero diagonal first, so antidiagonal D blocks
+    only arise from zero-diagonal pivots.
     """
     ctx = a.ctx
-    pivots, (c1, c2), blocks, s = _edge_lists(ctx, a.to_lists(), i, j)
-    cols = a.from_entries(ctx, list(zip(c1, c2)), 2)
-    return EdgeElimination(pivots, cols, blocks, a.from_entries(ctx, s, a.nrows - 2))
+    aii, ajj = a.get(i, i), a.get(j, j)
+    det = ctx.sub(ctx.mul(aii, ajj), ctx.mul(a.get(i, j), a.get(j, i)))
+    if ctx.is_zero(det):
+        raise SingularPivot(f"singular 2x2 pivot at ({i}, {j})")
+    pivots = (j, i) if ajj and not aii else (i, j)  # a nonzero diagonal first
+    steps = [pivots[:1], pivots[1:]] if aii or ajj else [pivots]
+    schur, cols, blocks = a.schur(), [], []
+    rest = _eliminate_steps(schur, steps, range(a.nrows), cols, blocks)
+    return EdgeElimination(pivots, _columns(a, cols), blocks, schur.block(rest, rest))
 
 
 # -- LDL from columns -----------------------------------------------------------
-
-
-def _support(col, ids) -> dict:
-    """{ids[t]: col[t]} over the nonzero entries of the list col."""
-    return {ids[t]: v for t, v in enumerate(col) if v}
 
 
 def col_support(m: DenseMatrix, c: int, rows, ids) -> tuple:
@@ -584,9 +567,7 @@ class _FlatLDL:
         self.masks = None if a.ctx.counter is None else []
 
     def pivot(self, pivots):
-        cols, vals = self.schur.eliminate(pivots)
-        self.cols += cols
-        self.blocks.append(DBlock.scalar(*vals) if len(vals) == 1 else DBlock.antidiag(*vals))
+        cols = _eliminate(self.schur, pivots, self.cols, self.blocks)
         if self.masks is not None:
             self.masks += [_bits(col) for col in cols]
 
@@ -638,7 +619,11 @@ class _FlatLDL:
             order += pair
             ids = [t for t in ids if t not in pair]
             if self.masks is not None:
-                self.charge_leaf(m, len(pair), ids)
+                bits = _bits(ids)
+                nnz = [(c & bits).bit_count() for c in self.masks[-len(pair) :]]
+                _charge_pivot(self.ctx, m, nnz)
+                if len(pair) == 2:
+                    self.ctx.count_ops(add=1, mul=2)  # the 2 x 2 determinant
         return order + ids
 
     # -- what the recursion meters ----------------------------------------------
@@ -647,20 +632,6 @@ class _FlatLDL:
         """The nonzeros of L in these rows and the columns k0..k0 + r."""
         bits = _bits(rows)
         return sum((mask & bits).bit_count() for mask in self.masks[k0 : k0 + r])
-
-    def charge_leaf(self, m: int, size: int, rest):
-        """`_vertex_lists` (size 1) or `_edge_lists` of a leaf's m x m
-        Schur complement; its update is one classical k x 1 x k product
-        and a k x k subtraction per column, over the k indices left."""
-        ctx = self.ctx
-        k = len(rest)
-        for c in range(len(self.masks) - size, len(self.masks)):
-            ctx.count_product(k, 1, k, self.nnz(c, 1, rest))
-        add = size * k * ctx.row_ops(k)
-        if size == 1:
-            ctx.count_ops(add=add, mul=ctx.scale_ops(m), inv=1)
-        else:  # the 2 x 2 determinant, and the matrix form's four inversions
-            ctx.count_ops(add=add + 1, mul=2 + ctx.scale_ops(4 * m - 4), inv=4)
 
     def charge_solve(self, k0: int, pivots, nv: int):
         """A base-case `tri_solve` with the unit lower L of these pivots
@@ -719,30 +690,23 @@ def natural_order_ldl(a: DenseMatrix) -> LDLResult:
     an entirely zero row are skipped to the tail.
     """
     ctx = a.ctx
-    rows = a.to_lists()
+    schur = a.schur()
+    nonzero = schur.nonzero
     ids = list(range(a.nrows))
-    order = []
-    tail = []
-    cols = []
-    blocks = []
+    order, tail, cols, blocks = [], [], [], []
     while ids:
-        m = len(ids)
-        if rows[0][0]:
-            l, d, rows = _vertex_lists(ctx, rows, 0)
-            cols.append(_support(l, ids))
-            blocks.append(DBlock.scalar(d))
-            order.append(ids.pop(0))
-            continue
-        partner = next((t for t in range(1, m) if rows[t][0]), None)
-        if partner is None:
-            tail.append(ids.pop(0))
-            rows = [row[1:] for row in rows[1:]]
-            continue
-        pivots, pcols, pblocks, rows = _edge_lists(ctx, rows, 0, partner)
-        cols += [_support(c, ids) for c in pcols]
-        blocks.extend(pblocks)
-        order.extend(ids[t] for t in pivots)
-        ids = [ids[t] for t in range(m) if t not in (0, partner)]
+        k = ids[0]
+        if nonzero(k, k):
+            steps = [(k,)]
+        else:
+            partner = next((t for t in ids[1:] if nonzero(t, k)), None)
+            if partner is None:
+                tail.append(ids.pop(0))
+                continue
+            ctx.count_ops(add=1, mul=2)  # the 2 x 2 determinant
+            steps = [(partner,), (k,)] if nonzero(partner, partner) else [(k, partner)]
+        ids = _eliminate_steps(schur, steps, ids, cols, blocks)
+        order += [t for pivots in steps for t in pivots]
     return _ldl_from_columns(ctx, order + tail, cols, blocks)
 
 

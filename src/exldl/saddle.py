@@ -230,9 +230,16 @@ def residual_schur(system: SaddleSystem, f: PartialLDL) -> DenseMatrix:
 
 
 def _skeleton_columns(ctx, k1: list, k2: list, a11, b11):
-    """`skeleton_to_ldl_columns` on the skeleton's two columns as lists,
-    already in the shifted row order: (column 1, column 2, D blocks),
-    metered as the column operations of the matrix form."""
+    """Convert one rank-2 elimination skeleton into two unit-diagonal L
+    columns and matching D block(s): (column 1, column 2, D blocks).
+
+    k1 and k2 are the skeleton's columns as lists in the shifted row order
+    [pivot A, pivot B, other A rows..., other B rows...]: k1 holds [a11,
+    b11, the A column below the pivot, the current B column] and k2 holds
+    [1, 0, the paired elimination column, 0...].  A zero a11 yields one
+    antidiagonal block; otherwise the pair reduces to two scalar blocks
+    through the 2x2 factorization of the pivot block.  Metered as the
+    column operations of the matrix form."""
     if ctx.is_zero(b11):
         raise ZeroB11("skeleton conversion needs a nonzero constraint pivot")
     rows = len(k1)
@@ -251,28 +258,6 @@ def _skeleton_columns(ctx, k1: list, k2: list, a11, b11):
     return c1, c2, [DBlock.scalar(ctx.conj(a11)), DBlock.scalar(d2)]
 
 
-def skeleton_to_ldl_columns(k: DenseMatrix, a11, b11, n_rows_a: int):
-    """Convert one rank-2 elimination skeleton into two unit-diagonal L
-    columns and matching D block(s).
-
-    `k` is the skeleton with rows ordered [pivot A row, other A rows...,
-    pivot B row, other B rows...] (`n_rows_a` rows on the A side):
-    column 0 holds [a11, A column below the pivot, current B column] and
-    column 1 holds [1, paired elimination column, 0].  Returned columns
-    are in the shifted row order [pivot A, pivot B, other A..., other
-    B...].  A zero a11 yields one antidiagonal block; otherwise the pair
-    reduces to two scalar blocks through the 2x2 factorization of the
-    pivot block.
-    """
-    ctx = k.ctx
-    rows = k.to_lists()
-    shift = [0, n_rows_a] + list(range(1, n_rows_a)) + list(range(n_rows_a + 1, k.nrows))
-    c1, c2, blocks = _skeleton_columns(
-        ctx, [rows[t][0] for t in shift], [rows[t][1] for t in shift], a11, b11
-    )
-    return k.from_entries(ctx, list(zip(c1, c2)), 2), blocks
-
-
 def pair_columns(f: PartialLDL, k: int, a_ids, b_ids):
     """Pair k of a partial LDL as LDL columns over the caller's ids.
 
@@ -281,7 +266,7 @@ def pair_columns(f: PartialLDL, k: int, a_ids, b_ids):
     (column 1, column 2), D blocks): each column holds the (id, value)
     pairs of its nonzero entries on the rows still active at step k,
     without the unit entry on its own pivot, and the D blocks are one
-    antidiagonal block or two scalar ones (see skeleton_to_ldl_columns).
+    antidiagonal block or two scalar ones (see `_skeleton_columns`).
 
     The skeleton of pair k, in the shifted row order [pivot A, pivot B,
     A rows k+1.., constraint rows k+1..], has the columns [-D[k],

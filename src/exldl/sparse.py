@@ -545,16 +545,6 @@ def _substep(
     return s_ifc, grows, gids
 
 
-def tree_ldl_substep(a: DenseMatrix, b: DenseMatrix, gamma: int, cutoff=None):
-    """Public substep: local indices 0..dim(a)-1, constraint rows get ids
-    above them.  Returns (transform list, S, F)."""
-    t = Transcript(a.ctx, a.nrows + b.nrows)
-    fids = list(range(a.nrows))
-    b_ids = list(range(a.nrows, a.nrows + b.nrows))
-    s, f, _ = _substep(t, a, fids, b, b_ids, gamma, cutoff)
-    return t.transforms, s, f
-
-
 def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
     """Factor a post-ordered sparse symmetric matrix along the tree.
 

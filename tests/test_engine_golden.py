@@ -12,7 +12,10 @@ The kernel cases run `fast_ldl` (on leaves of its recursion and on larger
 inputs), `natural_order_ldl`, `fast_lu`, `tri_solve`, `_peel_dependent`
 and `schilders_partial_ldl` -> `residual_schur` -> `pair_columns` on
 inputs of at most 9 rows, and check that they reach the branches named in
-`test_kernel_golden`.  The large kernel cases run `fast_ldl`, `fast_lu`,
+`test_kernel_golden`.  The elimination cases run `vertex_eliminate` at
+every index and `edge_eliminate` at every ordered pair of those inputs,
+and check that they raise `ZeroPivot` and `SingularPivot` and eliminate
+both a normalised and an antidiagonal pair.  The large kernel cases run `fast_ldl`, `fast_lu`,
 `tri_solve` and `schilders_partial_ldl` -> `complete_saddle_ldl` at
 n = 40 and 64 over GF(2) and GF(p), where the dense kernels cross to whole
 arrays.  The sweep runs `fast_ldl` at n = 0..20 and five cutoffs on
@@ -31,8 +34,10 @@ from exldl.dense import (
     _CROSSOVER, _TRI_BASE, LEFT, LOWER, LOWER_UNIT, RIGHT, UPPER, UPPER_UNIT, DenseMatrix,
     matmul, tri_solve,
 )
-from exldl.factor import ANTIDIAG, fast_ldl, fast_lu, natural_order_ldl
-from exldl.fields import ResidualLeakage
+from exldl.factor import (
+    ANTIDIAG, SCALAR, edge_eliminate, fast_ldl, fast_lu, natural_order_ldl, vertex_eliminate,
+)
+from exldl.fields import ResidualLeakage, SingularPivot, ZeroPivot
 from exldl.saddle import (
     PartialLDL,
     SaddleSystem,
@@ -531,6 +536,86 @@ def test_kernel_golden(spec, cutoff):
     got, reached = kernel_digests(spec, cutoff)
     assert reached >= {"antidiag", "zero-break", "bordered", "two-peels", "a11-zero", "a11-nonzero"}
     assert got == KERNEL_GOLDEN[f"{spec} {cutoff}"]
+
+
+# -- the symmetric elimination steps -------------------------------------------------
+#
+# `vertex_eliminate(a, i)` at every i and `edge_eliminate(a, i, j)` at every
+# ordered pair (i = j included) of each `ldl_inputs` matrix: the result, or
+# the error raised, with each call's op counts.
+
+
+def typed(ctx, v):
+    return ctx.fmt(v), type(v).__name__
+
+
+def block_types(b):
+    return [type(v).__name__ for v in (b.d, b.a12, b.a21) if v is not None]
+
+
+def eliminations(ctx, reached):
+    """(name, serialized calls) of the vertex and the edge steps; `reached`
+    collects the errors raised and the kinds of pair eliminated."""
+    counter = ctx.counter
+    for name, step, arity in (("vertex", vertex_eliminate, 1), ("edge", edge_eliminate, 2)):
+        out = []
+        for a in ldl_inputs(ctx):
+            n = a.nrows
+            for args in ([(i,) for i in range(n)] if arity == 1 else
+                         [(i, j) for i in range(n) for j in range(n)]):
+                counter.reset()
+                try:
+                    res = step(a, *args)
+                except (ZeroPivot, SingularPivot) as exc:
+                    reached.add(type(exc).__name__)
+                    got = (type(exc).__name__, str(exc))
+                else:
+                    if arity == 1:
+                        l, d, s = res
+                        got = (mat(ctx, l), typed(ctx, d), mat(ctx, s))
+                    else:
+                        kinds = [b.kind for b in res.blocks]
+                        assert kinds in ([ANTIDIAG], [SCALAR, SCALAR])
+                        reached.add("antidiag-pair" if kinds == [ANTIDIAG] else "normalised-pair")
+                        got = (res.pivots, mat(ctx, res.cols), [blk(ctx, b) for b in res.blocks],
+                               [block_types(b) for b in res.blocks], mat(ctx, res.s))
+                out.append((args, got, counter.snapshot()))
+        yield name, out
+
+
+# SHA-256 of each field's vertex and edge steps and their op counts.
+ELIMINATION_GOLDEN = {
+    "gf2": {
+        "vertex": "cc0c7eff2cebc0846fcaa4b9cb4a59670b0b450d62154fc703d48db53cf8446a",
+        "edge": "2db074bd1ff79cb5f570fbfdd5da926fcbe21cdd8e0464525d494509dae3ac1a",
+    },
+    "gfp:7": {
+        "vertex": "f2365b7441f3e60c370b1cc062fb63c808b81ba305b83356252eb171f9af078a",
+        "edge": "3dda53c6661d1060354c8af5d3c8348a1515a89adea24aebd033bc296a87fa50",
+    },
+    "gfp:2147483647": {
+        "vertex": "ec896c3dbcf4417ca962ceb8a6dcbddef05d1d2ad0b4816f0b4f3b59739ec239",
+        "edge": "fd86b477429eaac9d0fb3a727f75e27c9bc02e5001bbafd451ec5bf25b386c61",
+    },
+    "rational": {
+        "vertex": "4caf88267c54726350757c04acbef91c5e2033429ee2b9690ae7782224fd70aa",
+        "edge": "c1983cb2070d2a0769db35298aa7b0cdfe165d3c1b443a682778fd525a490ba9",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_elimination_golden(spec):
+    ctx = parse_field(spec)
+    ctx.enable_counter()
+    reached = set()
+    try:
+        got = {name: hashlib.sha256(repr(out).encode()).hexdigest()
+               for name, out in eliminations(ctx, reached)}
+    finally:
+        ctx.disable_counter()
+    assert reached == {"ZeroPivot", "SingularPivot", "normalised-pair", "antidiag-pair"}
+    assert got == ELIMINATION_GOLDEN[spec]
 
 
 # -- the dense kernels above the crossover -------------------------------------------

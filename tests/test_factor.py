@@ -5,7 +5,7 @@ from zlib import crc32
 import pytest
 
 from exldl import factor
-from exldl.dense import LEFT, LOWER_UNIT, DenseMatrix, matmul, permute, tri_invert, tri_solve
+from exldl.dense import LEFT, LOWER_UNIT, DenseMatrix, matmul, permute, tri_solve
 from exldl.factor import (
     DBlock,
     d_dense,
@@ -20,7 +20,7 @@ from exldl.factor import (
 from exldl.fields import FieldContext, SingularPivot, UnorderedField, ZeroPivot, op_count_snapshot
 from exldl.oracle import oracle_rank, oracle_verify_ldl, oracle_verify_lu
 from exldl.saddle import SaddleSystem, schilders_partial_ldl
-from exldl.sparse import SparseSym, sparse_ldl, sparse_lu, tree_ldl, tree_ldl_substep
+from exldl.sparse import SparseSym, sparse_ldl, sparse_lu, tree_ldl
 from exldl.treedec import TreeDecomposition, normalize_td
 
 from conftest import GF2, GF7, GF1009, QQ, rand_el, rand_matrix, rand_symmetric
@@ -352,12 +352,10 @@ def _cutoff_calls():
     td = TreeDecomposition.build(2, [{0, 1}], [])
     return {
         "matmul": lambda c: matmul(a, a, c),
-        "tri_invert": lambda c: tri_invert(l, LOWER_UNIT, c),
         "tri_solve": lambda c: tri_solve(l, a, LEFT, LOWER_UNIT, c),
         "fast_lu": lambda c: fast_lu(a, c),
         "fast_ldl": lambda c: fast_ldl(a, c),
         "schilders_partial_ldl": lambda c: schilders_partial_ldl(SaddleSystem(a, l), c),
-        "tree_ldl_substep": lambda c: tree_ldl_substep(a, DenseMatrix.zeros(GF7, 0, 2), 0, c),
         "tree_ldl": lambda c: tree_ldl(sym, normalize_td(td), 0, c),
         "sparse_ldl": lambda c: sparse_ldl(sym, td, cutoff=c),
         "sparse_lu": lambda c: sparse_lu(a, cutoff=c),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exldl
 from exldl.fields import (
     GF2 as GF2_KIND,
     CounterDisabled,
@@ -155,3 +156,7 @@ def test_context_contract(kind, p, spec):
     assert counter.mul == 1
     ctx.disable_counter()
     assert ctx.counter is None
+
+
+def test_all_exports_resolve():
+    assert [name for name in exldl.__all__ if not hasattr(exldl, name)] == []

@@ -11,11 +11,11 @@ from exldl.oracle import (
 )
 from exldl.saddle import (
     SaddleSystem,
+    _skeleton_columns,
     complete_saddle_ldl,
     gamma_eliminate_partial,
     residual_schur,
     schilders_partial_ldl,
-    skeleton_to_ldl_columns,
 )
 
 from conftest import GF2, GF7, QQ, rand_matrix, rand_symmetric
@@ -113,18 +113,28 @@ def test_residual_leakage_detected(rng):
             residual_schur(s, broken)
 
 
+def skeleton_columns(k, a11, b11, n_rows_a):
+    """`_skeleton_columns` on the skeleton k, whose rows are [pivot A row,
+    other A rows..., pivot B row, other B rows...], shifted to [pivot A,
+    pivot B, other A..., other B...]: (the columns as a matrix, D blocks)."""
+    shift = [0, n_rows_a] + list(range(1, n_rows_a)) + list(range(n_rows_a + 1, k.nrows))
+    rows = k.take_rows(shift).to_lists()
+    c1, c2, blocks = _skeleton_columns(k.ctx, [r[0] for r in rows], [r[1] for r in rows], a11, b11)
+    return DenseMatrix.from_entries(k.ctx, list(zip(c1, c2)), 2), blocks
+
+
 def test_skeleton_zero_b11_rejected():
     from exldl.fields import ZeroB11
 
     k = DenseMatrix.from_rows(GF7, [[0, 1], [0, 0]])
     with pytest.raises(ZeroB11):
-        skeleton_to_ldl_columns(k, GF7.zero, GF7.zero, 1)
+        skeleton_columns(k, GF7.zero, GF7.zero, 1)
 
 
 def test_skeleton_case_zero_a11():
     # trivial skeleton: unit entries only
     k = DenseMatrix.from_rows(GF7, [[0, 1], [1, 0]])
-    cols, blocks = skeleton_to_ldl_columns(k, GF7.zero, GF7.one, 1)
+    cols, blocks = skeleton_columns(k, GF7.zero, GF7.one, 1)
     assert cols == DenseMatrix.identity(GF7, 2)
     assert blocks[0].kind == "antidiag"
     assert (blocks[0].a12, blocks[0].a21) == (1, 1)
@@ -139,7 +149,7 @@ def test_skeleton_case_nonzero_a11_identity():
         ctx, [[a11, 1], [4, 6], [1, 2], [b11, 0], [5, 0], [3, 0]]
     )
     # fix layout: rows 0..2 on the A side, rows 3..5 constraints; pivot values match
-    cols, blocks = skeleton_to_ldl_columns(k, a11, b11, 3)
+    cols, blocks = skeleton_columns(k, a11, b11, 3)
     d2 = DenseMatrix.from_rows(ctx, [[0, 1], [1, ctx.neg(a11)]])
     want = matmul(matmul(k, d2), k.conj_transpose())
     shift = [0, 3, 1, 2, 4, 5]

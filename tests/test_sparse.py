@@ -12,7 +12,9 @@ from exldl.sparse import (
     Peel,
     SOLVE_L,
     SparseSym,
+    Transcript,
     VertexElim,
+    _substep,
     apply_transcript,
     explicit_ldl_from_transcript,
     peel_vertex,
@@ -20,7 +22,6 @@ from exldl.sparse import (
     sparse_lu,
     transcript_reconstruct,
     tree_ldl,
-    tree_ldl_substep,
 )
 from exldl.treedec import TreeDecomposition, normalize_td
 
@@ -338,6 +339,15 @@ def test_rank_deficient_corank(ctx, rng):
     assert out.peel_count == 8 - out.rank
 
 
+def substep(a, b, gamma):
+    """One bag step on local indices 0..dim(a)-1, the constraint rows
+    numbered above them: (transforms, S, F)."""
+    t = Transcript(a.ctx, a.nrows + b.nrows)
+    s, f, _ = _substep(t, a, list(range(a.nrows)), b, list(range(a.nrows, a.nrows + b.nrows)),
+                       gamma, None)
+    return t.transforms, s, f
+
+
 def test_substep_public_surface(ctx, rng):
     # B empty, A full rank: plain dense partial factorization
     n = 6
@@ -345,13 +355,13 @@ def test_substep_public_surface(ctx, rng):
         a = rand_symmetric(ctx, rng, n)
         if oracle_rank(a) == n:
             break
-    tfs, s, f = tree_ldl_substep(a, DenseMatrix.zeros(ctx, 0, n), 2)
+    tfs, s, f = substep(a, DenseMatrix.zeros(ctx, 0, n), 2)
     assert f.nrows == 0
     assert s.shape == (2, 2)
     assert sum(1 for tf in tfs if not isinstance(tf, Peel)) > 0
     # B = identity: every eliminable row is complemented
     b = DenseMatrix.identity(ctx, n)
-    tfs, s, f = tree_ldl_substep(a, b, 0)
+    tfs, s, f = substep(a, b, 0)
     assert all(isinstance(tf, (EdgeElim, VertexElim, Peel)) for tf in tfs)
 
 
