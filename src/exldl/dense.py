@@ -7,9 +7,10 @@ single word-parallel XOR; `GFpMatrix` a C-contiguous int64 numpy array of
 reduced residues; `RationalMatrix` a list of rows of the context's
 rational type.  `DenseMatrix(ctx, ...)` and its constructors build the
 class of ctx's field.  The rest of this module (Strassen, the
-`tri_solve` recursion, `permute`, `hstack`/`vstack`, `Permutation`) and
-every other module stay generic.  A new field is a context class in
-`fields.py` plus a matrix class here, entered in `_MATRIX`.
+`tri_solve` recursion, `eliminate_rows`, `permute`, `hstack`/`vstack`,
+`Permutation`) and every other module stay generic.  A new field is a
+context class in `fields.py` plus a matrix class here, entered in
+`_MATRIX`, with the working copy its `schur()` returns.
 
 Exact rationals are slow one operation at a time, so the rational kernels
 do their inner loops on Python ints: a product clears denominators per
@@ -36,9 +37,9 @@ outweighs the work, and the cheap routes stay.
     and with any number of threads, so one product serves while
     k (p-1)^2 < 2^53, and 16-bit limbs of both factors serve beyond, as
     in FFLAS's delayed reduction.  Smaller ones are one int64 product.
-  * GF(p) row elimination (`eliminate_rows`) runs right-looking on the
-    int64 array, one outer-product update per pivot; smaller inputs are
-    eliminated as residue lists.
+  * GF(p) elimination (`schur()`, so `eliminate_rows` and the symmetric
+    pivots) runs on the int64 array, one outer-product update per pivot;
+    smaller inputs are eliminated as residue lists.
   * GF(2) substitution for X l = b transposes X to packed columns and
     XORs one packed column per coupling, as l X = b does with rows;
     smaller ones flip each row's bits by parity, one unknown at a time.
@@ -169,11 +170,10 @@ class DenseMatrix(metaclass=_FieldDispatch):
       * `_substitute(out, left, forward, order, dinv)`, the substitution
         of `_tri_solve_base` in place on out, returning the number of
         couplings (nonzero off-diagonal entries of the triangle);
-      * `eliminate_rows()`, the elimination of `factor._lu_rows`: (row
-        order, the pivot rows and then the others, each ascending; column
-        order q; L with rows in that order; U);
-      * `schur()`, the symmetric Schur complement that every elimination
-        of `factor` pivots on (see `_GF2Schur` and the classes after it);
+      * `schur()`, the working copy that every elimination pivots on:
+        `eliminate_rows()` here, the one of `factor._lu_rows`, and the
+        symmetric pivots of `factor` (see `_GF2Schur` and the classes
+        after it);
       * `from_entries(ctx, rows, ncols)`, the matrix of these lists of
         canonical elements, and `column(j)`, the entries of column j;
       * rows for `sparse.apply_transcript`: `row(i)`, `zero_row()`,
@@ -256,6 +256,36 @@ class DenseMatrix(metaclass=_FieldDispatch):
     @staticmethod
     def same_row(a, b) -> bool:
         return a == b
+
+    def eliminate_rows(self):
+        """The elimination of `factor._lu_rows`, right-looking on `schur()`:
+        row i, reduced by the pivots before it, becomes pivot r on its
+        first nonzero entry in the column order q, which is swapped into
+        place r, and reduces every later row at once.  Returns (row order,
+        the pivot rows and then the others, each ascending; q; L with rows
+        in that order; U)."""
+        ctx, m, n = self.ctx, self.nrows, self.ncols
+        s = self.schur()
+        q = list(range(n))
+        piv, rest, cols = [], [], []
+        for i in range(m):
+            r = len(piv)
+            j = s.first(i, q, r) if r < n else None
+            if j is None:
+                rest.append(i)
+            else:
+                q[r], q[j] = q[j], q[r]
+                cols.append(s.pivot(i, q[r], range(i + 1, m)))
+                piv.append(i)
+        r = len(piv)
+        order = piv + rest
+        pos = {i: t for t, i in enumerate(order)}
+        lower = [[ctx.zero] * r for _ in order]
+        for k, col in enumerate(cols):
+            lower[k][k] = ctx.one
+            for t, c in col.items():
+                lower[pos[t]][k] = c
+        return order, q, self.from_entries(ctx, lower, r), s.block(piv, q)
 
 
 def hstack(blocks) -> DenseMatrix:
@@ -491,9 +521,13 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
         return cls(ctx, nrows, ncols, [0] * nrows)
 
     def get(self, i, j):
+        if not 0 <= j < self.ncols:  # a packed row has no width to check it
+            raise IndexError(f"column {j} out of range for {self.ncols} columns")
         return (self._d[i] >> j) & 1
 
     def set(self, i, j, v):
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range for {self.ncols} columns")
         if v:
             self._d[i] |= 1 << j
         else:
@@ -556,14 +590,6 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
         return GF2Matrix(self.ctx, self.nrows, self.ncols, rows)
 
     sub = add
-
-    def neg(self):
-        return self.copy()
-
-    def scale(self, c):
-        if c & 1:
-            return self.copy()
-        return GF2Matrix.zeros(self.ctx, self.nrows, self.ncols)
 
     def scale_rows(self, factors):
         rows = [r if f & 1 else 0 for r, f in zip(self._d, factors)]
@@ -639,38 +665,6 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
     def schur(self):
         return _GF2Schur(self)
 
-    def eliminate_rows(self):
-        # rows stay packed, in the current column order
-        m, n = self.nrows, self.ncols
-        q = list(range(n))
-        piv = []
-        rows = list(self._d)
-        urows, lower = [], []
-        for i in range(m):
-            row, bits = rows[i], 0
-            for s, u in enumerate(urows):
-                if row >> s & 1:
-                    row ^= u
-                    bits |= 1 << s
-            r = len(urows)
-            rest = row >> r
-            if rest:
-                j = r + (rest & -rest).bit_length() - 1
-                if j != r:
-                    q[r], q[j] = q[j], q[r]
-                    flip = 1 << r | 1 << j  # swaps bits r and j where they differ
-                    rows[i + 1 :] = [x ^ flip if (x >> r ^ x >> j) & 1 else x for x in rows[i + 1 :]]
-                    urows = [x ^ flip if (x >> r ^ x >> j) & 1 else x for x in urows]
-                    row ^= flip
-                urows.append(row)
-                bits |= 1 << r
-                piv.append(i)
-            lower.append(bits)
-        r = len(piv)
-        order = _pivots_first(piv, m)
-        l = GF2Matrix(self.ctx, m, r, [lower[i] for i in order])
-        return order, q, l, GF2Matrix(self.ctx, r, n, urows)
-
     def row(self, i):
         return self._d[i]
 
@@ -739,14 +733,6 @@ class GFpMatrix(DenseMatrix, metaclass=_Direct):
         self.ctx.count_ops(add=self.nrows * self.ncols)
         return GFpMatrix(self.ctx, self.nrows, self.ncols, (self._d - other._d) % self.ctx.p)
 
-    def neg(self):
-        self.ctx.count_ops(add=self.nrows * self.ncols)
-        return GFpMatrix(self.ctx, self.nrows, self.ncols, (-self._d) % self.ctx.p)
-
-    def scale(self, c):
-        self.ctx.count_ops(mul=self.nrows * self.ncols)
-        return GFpMatrix(self.ctx, self.nrows, self.ncols, (self._d * c) % self.ctx.p)
-
     def scale_rows(self, factors):
         self.ctx.count_ops(mul=self.nrows * self.ncols)
         f = np.array(list(factors), dtype=np.int64).reshape(-1, 1)
@@ -797,73 +783,7 @@ class GFpMatrix(DenseMatrix, metaclass=_Direct):
         return int(np.count_nonzero(coef))
 
     def schur(self):
-        return _GFpSchur(self)
-
-    def eliminate_rows(self):
-        m, n = self.nrows, self.ncols
-        if m * n > _CROSSOVER:
-            return self._eliminate_array()
-        # rows are residue lists, in the current column order
-        p = self.ctx.p
-        q = list(range(n))
-        piv, rows, urows, inverses, lrows = [], self._d.tolist(), [], [], []
-        for i in range(m):
-            row, mult = rows[i], []
-            for s, u in enumerate(urows):
-                c = row[s]
-                if c:
-                    c = c * inverses[s] % p
-                    if s + 1 < n:
-                        row[s + 1 :] = [(x - c * y) % p for x, y in zip(row[s + 1 :], u[s + 1 :])]
-                mult.append(c)
-            r = len(urows)
-            if r < n and any(row[r:]):
-                _pivot_into(r, row, rows[i:] + urows, q)
-                inverses.append(pow(row[r], -1, p))
-                urows.append(row)
-                mult.append(1)
-                piv.append(i)
-            lrows.append(mult)
-        r = len(piv)
-        order = _pivots_first(piv, m)
-        lpad = [lrows[i] + [0] * (r - len(lrows[i])) for i in order]
-        l = GFpMatrix(self.ctx, m, r, np.array(lpad, dtype=np.int64).reshape(m, r))
-        return order, q, l, GFpMatrix(self.ctx, r, n, np.array(urows, dtype=np.int64).reshape(r, n))
-
-    def _eliminate_array(self):
-        """`eliminate_rows` right-looking on the whole array: once row i
-        is reduced against the pivots before it and becomes pivot r, every
-        later row takes its multiplier of pivot r and one outer-product
-        update.  Each row meets the pivots in the same order and with the
-        same multipliers as in the row-by-row elimination, and a column
-        swap acts alike on the updated and the raw rows, so P, Q, L and U
-        are the same."""
-        p = self.ctx.p
-        m, n = self.nrows, self.ncols
-        a = self._d.copy()
-        q = np.arange(n)
-        mult = np.zeros((m, min(m, n)), dtype=np.int64)
-        piv = []
-        for i in range(m):
-            r = len(piv)
-            if r == n:
-                break
-            rest = np.flatnonzero(a[i, r:])
-            if not len(rest):
-                continue
-            j = r + int(rest[0])
-            if j != r:
-                a[:, [r, j]] = a[:, [j, r]]
-                q[[r, j]] = q[[j, r]]
-            piv.append(i)
-            c = a[i + 1 :, r] * pow(int(a[i, r]), -1, p) % p
-            mult[i + 1 :, r] = c
-            a[i + 1 :, r + 1 :] = (a[i + 1 :, r + 1 :] - np.outer(c, a[i, r + 1 :])) % p
-        r = len(piv)
-        mult[piv, range(r)] = 1
-        order = _pivots_first(piv, m)
-        l = GFpMatrix(self.ctx, m, r, mult[order, :r])
-        return order, q.tolist(), l, GFpMatrix(self.ctx, r, n, np.triu(a[piv]))
+        return _GFpSchur(self) if self.nrows * self.ncols <= _CROSSOVER else _GFpArraySchur(self)
 
     def row(self, i):
         return self._d[i].copy()
@@ -937,15 +857,6 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
         self._binop_check(other)
         self.ctx.count_ops(add=self.nrows * self.ncols)
         rows = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._d, other._d)]
-        return RationalMatrix(self.ctx, self.nrows, self.ncols, rows)
-
-    def neg(self):
-        self.ctx.count_ops(add=self.nrows * self.ncols)
-        return RationalMatrix(self.ctx, self.nrows, self.ncols, [[-a for a in row] for row in self._d])
-
-    def scale(self, c):
-        self.ctx.count_ops(mul=self.nrows * self.ncols)
-        rows = [[a * c for a in row] for row in self._d]
         return RationalMatrix(self.ctx, self.nrows, self.ncols, rows)
 
     def scale_rows(self, factors):
@@ -1039,48 +950,6 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
     def schur(self):
         return _RationalSchur(self)
 
-    def eliminate_rows(self):
-        # rows are integers over one denominator each, scaled freely, in
-        # the current column order
-        ctx = self.ctx
-        zero = ctx.zero
-        m, n = self.nrows, self.ncols
-        q = list(range(n))
-        piv = []
-        rows, dens = _integer_rows(self._d)
-        # Pivot row s is urows[s] * g / e with heads[s] = (g, e).
-        urows, heads, lrows = [], [], []
-        for i in range(m):
-            row, den, mult = rows[i], dens[i], []
-            for s, u in enumerate(urows):
-                c = row[s]
-                if not c:
-                    mult.append(zero)
-                    continue
-                g, e = heads[s]
-                us = u[s]
-                mult.append(_ratio(c * e, den * us * g))
-                row[s + 1 :] = [x * us - c * y for x, y in zip(row[s + 1 :], u[s + 1 :])]
-                den *= us
-            r = len(urows)
-            if any(row[r:]):
-                _pivot_into(r, row, rows[i:] + urows, q)
-                g = gcd(*row[r:])
-                row[r:] = [x // g for x in row[r:]]
-                heads.append((g, den))
-                urows.append(row)
-                mult.append(ctx.one)
-                piv.append(i)
-            lrows.append(mult)
-        r = len(piv)
-        order = _pivots_first(piv, m)
-        l = RationalMatrix(ctx, m, r, [lrows[i] + [zero] * (r - len(lrows[i])) for i in order])
-        vals = [
-            [zero] * t + [_ratio(x * g, e) for x in row[t:]]
-            for t, (row, (g, e)) in enumerate(zip(urows, heads))
-        ]
-        return order, q, l, RationalMatrix(ctx, r, n, vals)
-
     def row(self, i):
         return list(self._d[i])
 
@@ -1092,165 +961,175 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
         return RationalMatrix(self.ctx, len(rows), self.ncols, [list(r) for r in rows])
 
 
-# -- symmetric Schur complements (factor's vertex and edge eliminations) ------
+# -- working copies for elimination (factor's LU and symmetric pivots) --------
 #
-# `m.schur()` is a working copy of the symmetric matrix m that eliminates
-# pivots right-looking.  `alive` lists the indices not yet eliminated,
-# `nonzero(i, j)` tests an entry of the current Schur complement over
-# them, and `block(rows, cols)` copies one of its blocks out as a matrix.
-# `eliminate(pivots)` eliminates one pivot (k,) with S[k][k] != 0, or one
-# antidiagonal pair (i, j) with S[i][i] = S[j][j] = 0 and S[i][j] != 0,
-# updates every alive row, and returns the L columns ({index: entry},
-# unit at the pivot) and the D block's entries, (S[k][k],) or
-# (S[i][j], S[j][i]).  A pair's columns are column j over S[j][i] and
-# column i over S[i][j].  Updating whole rows keeps an eliminated column
-# zero in every alive row.
+# `m.schur()` is a working copy S of m that every elimination pivots on,
+# right-looking: `eliminate_rows` here and the vertex and edge eliminations
+# of `factor`.  `pivot(k, c, rows)` subtracts S[t][c] / S[k][c] times row k
+# from each row t of `rows` with S[t][c] != 0 and returns those rows'
+# multipliers, {t: S[t][c] / S[k][c]}; the caller lists the rows that are
+# left.  `get(i, j)`
+# reads an entry of the current S and `nonzero(i, j)` tests one,
+# `first(i, q, r)` is the first position at or past r in the column order
+# q whose entry in row i is nonzero (None if there is none), and
+# `block(rows, cols)` copies a block out as a matrix.  Updating whole rows
+# keeps a pivot's column zero in every row it updated.
 
 
 class _GF2Schur:
     """Packed rows: a pivot row is subtracted with one XOR."""
 
-    __slots__ = ("ctx", "rows", "alive")
+    __slots__ = ("ctx", "rows", "ncols")
 
     def __init__(self, a):
-        self.ctx, self.rows, self.alive = a.ctx, list(a._d), list(range(a.nrows))
+        self.ctx, self.rows, self.ncols = a.ctx, list(a._d), a.ncols
 
-    def nonzero(self, i, j):
+    def get(self, i, j):
         return self.rows[i] >> j & 1
+
+    nonzero = get
+
+    def first(self, i, q, r):
+        row = self.rows[i]
+        if row:
+            for pos in range(r, len(q)):
+                if row >> q[pos] & 1:
+                    return pos
+        return None
 
     def block(self, rows, cols):
         d = self.rows
-        packed = [sum((d[i] >> j & 1) << c for c, j in enumerate(cols)) for i in rows]
-        return GF2Matrix(self.ctx, len(rows), len(cols), packed)
+        return GF2Matrix(self.ctx, len(rows), self.ncols, [d[i] for i in rows]).take_cols(cols)
 
-    def eliminate(self, pivots):
-        rows = self.rows
-        alive = self.alive = [t for t in self.alive if t not in pivots]
-        if len(pivots) == 1:
-            (k,) = pivots
-            pk, col = rows[k], {k: 1}
-            for t in alive:
-                if rows[t] >> k & 1:
-                    col[t] = 1
-                    rows[t] ^= pk
-            return [col], (1,)
-        i, j = pivots
-        ri, rj = rows[i], rows[j]
-        c1, c2 = {i: 1}, {j: 1}
-        for t in alive:
-            row = rows[t]
-            if row >> j & 1:
-                c1[t] = 1
-                rows[t] ^= ri
-            if row >> i & 1:
-                c2[t] = 1
-                rows[t] ^= rj
-        return [c1, c2], (1, 1)
+    def pivot(self, k, c, rows):
+        d = self.rows
+        pk, out = d[k], {}
+        for t in rows:
+            if d[t] >> c & 1:
+                d[t] ^= pk
+                out[t] = 1
+        return out
 
 
 class _GFpSchur:
     """Rows of residues as Python ints, each update reduced inline."""
 
-    __slots__ = ("ctx", "rows", "alive")
+    __slots__ = ("ctx", "rows")
 
     def __init__(self, a):
-        self.ctx, self.rows, self.alive = a.ctx, a._d.tolist(), list(range(a.nrows))
+        self.ctx, self.rows = a.ctx, a._d.tolist()
 
-    def nonzero(self, i, j):
-        return self.rows[i][j] != 0
+    def get(self, i, j):
+        return self.rows[i][j]
+
+    nonzero = get
+
+    def first(self, i, q, r):
+        return _first(self.rows[i], q, r)
 
     def block(self, rows, cols):
         d = self.rows
         return GFpMatrix.from_entries(self.ctx, [[d[i][j] for j in cols] for i in rows], len(cols))
 
-    def eliminate(self, pivots):
-        p, rows = self.ctx.p, self.rows
-        alive = self.alive = [t for t in self.alive if t not in pivots]
-        if len(pivots) == 1:
-            (k,) = pivots
-            pk = rows[k]
-            dinv = pow(pk[k], -1, p)
-            col = {k: 1}
-            for t in alive:
-                row = rows[t]
-                if row[k]:
-                    c = col[t] = row[k] * dinv % p
-                    rows[t] = [(x - c * y) % p for x, y in zip(row, pk)]
-            return [col], (pk[k],)
-        i, j = pivots
-        ri, rj = rows[i], rows[j]
-        inv_ij, inv_ji = pow(ri[j], -1, p), pow(rj[i], -1, p)
-        c1, c2 = {i: 1}, {j: 1}
-        for t in alive:
-            row = rows[t]
-            if row[i] or row[j]:
-                a, b = row[j] * inv_ji % p, row[i] * inv_ij % p
-                if a:
-                    c1[t] = a
-                if b:
-                    c2[t] = b
-                rows[t] = [(x - a * y - b * z) % p for x, y, z in zip(row, ri, rj)]
-        return [c1, c2], (ri[j], rj[i])
+    def pivot(self, k, c, rows):
+        p, d = self.ctx.p, self.rows
+        pk, out = d[k], {}
+        dinv = pow(pk[c], -1, p)
+        alone = pk.count(0) == len(pk) - 1  # an update only clears column c
+        for t in rows:
+            row = d[t]
+            if row[c]:
+                m = out[t] = row[c] * dinv % p
+                if alone:
+                    row[c] = 0
+                else:
+                    d[t] = [(x - m * y) % p for x, y in zip(row, pk)]
+        return out
+
+
+class _GFpArraySchur:
+    """The int64 array: a pivot updates all its rows with one outer product."""
+
+    __slots__ = ("ctx", "a")
+
+    def __init__(self, a):
+        self.ctx, self.a = a.ctx, a._d.copy()
+
+    def get(self, i, j):
+        return int(self.a[i, j])
+
+    nonzero = get
+
+    def first(self, i, q, r):
+        return _first(self.a[i].tolist(), q, r)
+
+    def block(self, rows, cols):
+        return GFpMatrix(self.ctx, len(rows), len(cols), self.a[np.ix_(rows, cols)])
+
+    def pivot(self, k, c, rows):
+        # a range of rows is updated as one slice, a multiplier of 0 included
+        p, a = self.ctx.p, self.a
+        if isinstance(rows, range):
+            ts = slice(rows.start, rows.stop)
+        else:
+            ts = np.asarray(rows, dtype=np.intp)
+        m = a[ts, c] * pow(int(a[k, c]), -1, p) % p
+        a[ts] = (a[ts] - np.outer(m, a[k])) % p
+        return {t: x for t, x in zip(rows, m.tolist()) if x}
 
 
 class _RationalSchur:
     """Integer rows over one denominator each: an update is fraction-free
     and then divided by the gcd of the row and its denominator."""
 
-    __slots__ = ("ctx", "rows", "dens", "alive")
+    __slots__ = ("ctx", "rows", "dens")
 
     def __init__(self, a):
-        self.ctx, self.alive = a.ctx, list(range(a.nrows))
+        self.ctx = a.ctx
         self.rows, self.dens = _integer_rows(a._d)
+
+    def get(self, i, j):
+        x = self.rows[i][j]
+        return _ratio(x, self.dens[i]) if x else self.ctx.zero
 
     def nonzero(self, i, j):
         return self.rows[i][j] != 0
+
+    def first(self, i, q, r):
+        return _first(self.rows[i], q, r)
 
     def block(self, rows, cols):
         d, dens, zero = self.rows, self.dens, self.ctx.zero
         vals = [[_ratio(d[i][j], dens[i]) if d[i][j] else zero for j in cols] for i in rows]
         return RationalMatrix(self.ctx, len(rows), len(cols), vals)
 
-    def _set(self, t, row, den):
-        g = gcd(den, *row)
-        if den < 0:
-            g = -g
-        if g != 1:
-            row, den = [x // g for x in row], den // g
-        self.rows[t], self.dens[t] = row, den
+    def pivot(self, k, c, rows):
+        d, dens = self.rows, self.dens
+        pk, dk, out = d[k], dens[k], {}
+        e = pk[c]
+        for t in rows:
+            row = d[t]
+            x = row[c]
+            if x:
+                out[t] = _ratio(x * dk, dens[t] * e)
+                den = dens[t] * e
+                row = [y * e - x * z for y, z in zip(row, pk)]
+                g = gcd(den, *row)
+                if den < 0:
+                    g = -g
+                if g != 1:
+                    row, den = [y // g for y in row], den // g
+                d[t], dens[t] = row, den
+        return out
 
-    def eliminate(self, pivots):
-        rows, dens, one = self.rows, self.dens, self.ctx.one
-        alive = self.alive = [t for t in self.alive if t not in pivots]
-        if len(pivots) == 1:
-            (k,) = pivots
-            pk, dk = rows[k], dens[k]
-            d = pk[k]
-            col = {k: one}
-            for t in alive:
-                row = rows[t]
-                c = row[k]
-                if c:
-                    col[t] = _ratio(c * dk, dens[t] * d)
-                    self._set(t, [x * d - c * y for x, y in zip(row, pk)], dens[t] * d)
-            return [col], (_ratio(d, dk),)
-        i, j = pivots
-        ri, rj = rows[i], rows[j]
-        nij, nji = ri[j], rj[i]
-        both = nij * nji
-        c1, c2 = {i: one}, {j: one}
-        for t in alive:
-            row = rows[t]
-            u, v = row[i], row[j]
-            if u or v:
-                dt = dens[t]
-                if v:
-                    c1[t] = _ratio(v * dens[j], dt * nji)
-                if u:
-                    c2[t] = _ratio(u * dens[i], dt * nij)
-                a, b = v * nji, u * nij
-                self._set(t, [x * both - a * y - b * z for x, y, z in zip(row, ri, rj)], dt * both)
-        return [c1, c2], (_ratio(nij, dens[i]), _ratio(nji, dens[j]))
+
+def _first(row, q, r):
+    """The first position at or past r in the column order q whose entry
+    in the list row is nonzero, or None."""
+    for pos in range(r, len(q)):
+        if row[q[pos]]:
+            return pos
+    return None
 
 
 def _integer_rows(rows):
@@ -1309,24 +1188,6 @@ def _couplings(l: DenseMatrix, left: bool, forward: bool):
         for i in range(n)
     ]
     return coef, deps
-
-
-def _pivots_first(piv: list, m: int) -> list:
-    """The pivot rows piv, then the other rows of 0..m-1 ascending."""
-    rest = set(range(m)).difference(piv)
-    return piv + sorted(rest)
-
-
-def _pivot_into(r: int, row: list, rows, q: list):
-    """Row-by-row LU over entry lists: swap the first nonzero entry of
-    `row` at or past column r (there is one) into column r, in every list
-    of `rows` and in the column order q, and zero row[:r]."""
-    j = next(t for t in range(r, len(row)) if row[t])
-    if j != r:
-        q[r], q[j] = q[j], q[r]
-        for x in rows:
-            x[r], x[j] = x[j], x[r]
-    row[:r] = [0] * r
 
 
 _MATRIX = {GF2Field: GF2Matrix, GFpField: GFpMatrix, RationalField: RationalMatrix}

@@ -170,18 +170,6 @@ class LUResult:
     r: int
 
 
-def unreduced_ldl(res: LDLResult, n: int):
-    """Pad a reduced LDL back to the square n x n form (L, D as matrices)."""
-    ctx = res.L.ctx
-    lfull = DenseMatrix.identity(ctx, n)
-    lfull.set_block(0, 0, res.L)
-    for i in range(res.r):
-        lfull.set(i, i, ctx.one)
-    dfull = DenseMatrix.zeros(ctx, n, n)
-    dfull.set_block(0, 0, res.d_dense())
-    return lfull, dfull
-
-
 # -- elimination primitives ---------------------------------------------------
 #
 # Every symmetric elimination pivots on `a.schur()`, the field's working
@@ -206,25 +194,37 @@ def _charge_pivot(ctx: FieldContext, m: int, nnz) -> None:
         ctx.count_ops(add=add, mul=ctx.scale_ops(4 * m - 4), inv=4)
 
 
-def _eliminate(schur, pivots, cols: list, blocks: list) -> list:
+def _eliminate(schur, pivots, alive, cols: list, blocks: list) -> list:
     """Eliminate the vertex pivot (k,) or the antidiagonal pair (i, j) from
-    schur, append its L columns and D block, and return the columns."""
-    new, vals = schur.eliminate(pivots)
+    schur, updating the rows alive (the pivots not among them), append its
+    L columns and D block, and return the columns.  A pair is two row
+    pivots, on S[i][j] and then on S[j][i]: with S symmetric and S[i][i] =
+    S[j][j] = 0 the first changes neither column i nor row j, so both give
+    the multipliers of the rank-2 update."""
+    one = schur.ctx.one
+    if len(pivots) == 1:
+        (k,) = pivots
+        new = [{k: one, **schur.pivot(k, k, alive)}]
+        blocks.append(DBlock.scalar(schur.get(k, k)))
+    else:
+        i, j = pivots
+        new = [{i: one, **schur.pivot(i, j, alive)}, {j: one, **schur.pivot(j, i, alive)}]
+        blocks.append(DBlock.antidiag(schur.get(i, j), schur.get(j, i)))
     cols += new
-    blocks.append(DBlock.scalar(*vals) if len(vals) == 1 else DBlock.antidiag(*vals))
     return new
 
 
 def _eliminate_steps(schur, steps, ids, cols: list, blocks: list) -> list:
-    """`_eliminate` each pivot of steps in turn, charging it over the active
-    indices ids, and return the indices left.  The other alive indices of
-    schur have zero columns, so the L columns have no nonzeros among them."""
+    """`_eliminate` each pivot of steps in turn over the active indices ids,
+    charging it, and return the indices left.  The other indices of schur
+    have zero columns, so the L columns have no nonzeros among them."""
     ctx = schur.ctx
     for pivots in steps:
-        new = _eliminate(schur, pivots, cols, blocks)
+        rest = [t for t in ids if t not in pivots]
+        new = _eliminate(schur, pivots, rest, cols, blocks)
         if ctx.counter is not None:
             _charge_pivot(ctx, len(ids), [len(c) - 1 for c in new])
-        ids = [t for t in ids if t not in pivots]
+        ids = rest
     return ids
 
 
@@ -367,9 +367,10 @@ def _lu_rows(a: DenseMatrix) -> LUResult:
     row-splitting recursion, and P lists the pivot rows and then the
     others, each ascending, as the recursion does.  With P, Q and r fixed
     the unit lower L and the upper U are unique: they are the recursion's
-    too.  The elimination itself is the field's `eliminate_rows`.  With a
-    counter on, the ops the recursion would meter are charged by
-    `_charge_row_splitting`.
+    too.  The elimination itself is `DenseMatrix.eliminate_rows`, which
+    runs this rule right-looking on the field's `schur()` working copy,
+    the one the symmetric pivots below use.  With a counter on, the ops
+    the recursion would meter are charged by `_charge_row_splitting`.
     """
     ctx = a.ctx
     order, q, l, u = a.eliminate_rows()
@@ -556,18 +557,20 @@ def _bits(indices) -> int:
 
 
 class _FlatLDL:
-    """`_ldl_flat`'s state: the Schur complement, the L columns and D
-    blocks of the pivots so far and, with a counter on, each L column's
-    nonzero rows as a bit mask."""
+    """`_ldl_flat`'s state: the Schur complement, the indices not yet
+    eliminated, the L columns and D blocks of the pivots so far and, with a
+    counter on, each L column's nonzero rows as a bit mask."""
 
     def __init__(self, a: DenseMatrix):
         self.ctx = a.ctx
         self.schur = a.schur()
+        self.alive = list(range(a.nrows))
         self.cols, self.blocks = [], []
         self.masks = None if a.ctx.counter is None else []
 
     def pivot(self, pivots):
-        cols = _eliminate(self.schur, pivots, self.cols, self.blocks)
+        self.alive = [t for t in self.alive if t not in pivots]
+        cols = _eliminate(self.schur, pivots, self.alive, self.cols, self.blocks)
         if self.masks is not None:
             self.masks += [_bits(col) for col in cols]
 

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -532,16 +533,45 @@ def test_gfp_blas_product_chunks_long_inner_dimensions():
 def elimination_inputs(ctx, rng):
     yield mixed_matrix(ctx, rng, 16, 40)
     yield mixed_matrix(ctx, rng, 20, 14)  # every column a pivot before the last row
-    yield DenseMatrix(ctx, 3, 100, np.array(
-        [[rng.randrange(ctx.p) for _ in range(100)] for _ in range(3)], dtype=np.int64))
+    yield rand_matrix(ctx, rng, 3, 100)
     g, h = mixed_matrix(ctx, rng, 16, 5), mixed_matrix(ctx, rng, 5, 30)
     yield matmul(g, h)  # rank at most 5
-    yield DenseMatrix.zeros(ctx, 16, 0)
-    yield DenseMatrix.zeros(ctx, 16, 20)
+    yield mixed_matrix(ctx, rng, 16, 1)
+    yield mixed_matrix(ctx, rng, 1, 300)
+    for m, n in ((0, 0), (0, 5), (16, 0), (16, 20)):
+        yield DenseMatrix.zeros(ctx, m, n)
 
 
-@pytest.mark.parametrize("kctx", [GF7, GF1009, GF_BIG], ids=["gf7", "gf1009", "gf2^31-1"])
+def ref_eliminate_rows(ctx, a):
+    """Row-by-row elimination on scalars: row i is reduced against the
+    pivots so far, in order, and becomes pivot r on its first nonzero
+    entry in the current column order q, which is swapped into place r."""
+    n = a.ncols
+    q = list(range(n))
+    urows, piv, lrows = [], [], []
+    for i, row in enumerate(a.to_lists()):
+        mult = []
+        for s, u in enumerate(urows):
+            c = ctx.mul(row[q[s]], ctx.inv(u[q[s]]))
+            row = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(row, u)]
+            mult.append(c)
+        r = len(urows)
+        j = next((t for t in range(r, n) if row[q[t]] != 0), None)
+        if j is not None:
+            q[r], q[j] = q[j], q[r]
+            urows.append(row)
+            piv.append(i)
+            mult.append(ctx.one)
+        lrows.append(mult + [ctx.zero] * (min(a.nrows, n) - len(mult)))
+    order = piv + [i for i in range(a.nrows) if i not in piv]
+    r = len(piv)
+    return order, q, [lrows[i][:r] for i in order], [[row[j] for j in q] for row in urows]
+
+
+@pytest.mark.parametrize("kctx", KERNEL_FIELDS, ids=KERNEL_IDS)
 def test_gfp_eliminate_rows_same_on_both_routes(kctx, monkeypatch):
+    """`eliminate_rows` on either side of the crossover (GF(p) and GF(2)
+    switch working copies, Q has one) against the scalar elimination."""
     rng = random.Random(67)
     for a in elimination_inputs(kctx, rng):
         got = []
@@ -552,16 +582,27 @@ def test_gfp_eliminate_rows_same_on_both_routes(kctx, monkeypatch):
             assert_storage(kctx, u)
             got.append((order, q, l.shape, l.to_lists(), u.shape, u.to_lists()))
         assert got[0] == got[1], a.shape
-        # P A Q^T = L U, L unit lower trapezoidal and U upper, in Python ints
-        order, q, _, ll, _, uu = got[0]
-        r = len(uu)
+        order, q, _, ll, (r, _), uu = got[0]
+        assert (order, q, ll, uu) == ref_eliminate_rows(kctx, a), a.shape
+        # P A Q^T = L U in exact arithmetic, L unit lower trapezoidal, U upper
         rows = a.to_lists()
         pa = [[rows[i][j] for j in q] for i in order]
-        lu_rows = [[sum(ll[i][t] * uu[t][j] for t in range(r)) % kctx.p for j in range(a.ncols)]
-                   for i in range(a.nrows)]
+        lu_rows = [[functools.reduce(kctx.add, [kctx.mul(ll[i][t], uu[t][j]) for t in range(r)],
+                                     kctx.zero) for j in range(a.ncols)] for i in range(a.nrows)]
         assert pa == lu_rows
         assert all(ll[i][i] == 1 and not any(ll[i][i + 1 :]) for i in range(r))
         assert all(not any(uu[t][:t]) and uu[t][t] for t in range(r))
+
+
+@pytest.mark.parametrize("kctx", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_get_and_set_reject_a_column_past_the_last(kctx):
+    a = DenseMatrix.identity(kctx, 3)
+    for j in (3, 7, 64):
+        with pytest.raises(IndexError):
+            a.get(0, j)
+        with pytest.raises(IndexError):
+            a.set(0, j, kctx.one)
+    assert a == DenseMatrix.identity(kctx, 3)
 
 
 @pytest.mark.parametrize("side", [LEFT, RIGHT])

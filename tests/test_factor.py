@@ -5,7 +5,7 @@ from zlib import crc32
 import pytest
 
 from exldl import factor
-from exldl.dense import LEFT, LOWER_UNIT, DenseMatrix, matmul, permute, tri_solve
+from exldl.dense import LEFT, LOWER_UNIT, DenseMatrix, matmul, tri_solve
 from exldl.factor import (
     DBlock,
     d_dense,
@@ -14,7 +14,6 @@ from exldl.factor import (
     fast_lu,
     inertia_from_D,
     natural_order_ldl,
-    unreduced_ldl,
     vertex_eliminate,
 )
 from exldl.fields import FieldContext, SingularPivot, UnorderedField, ZeroPivot, op_count_snapshot
@@ -192,14 +191,6 @@ def test_fast_ldl_rank_deficient_all_fields(ctx, rng):
         res = fast_ldl(a)
         rep = oracle_verify_ldl(a, res)
         assert rep.ok, rep.first_violation
-
-
-def test_unreduced_roundtrip(rng):
-    a = rand_symmetric(GF7, rng, 9)
-    res = fast_ldl(a)
-    lfull, dfull = unreduced_ldl(res, 9)
-    recon = matmul(matmul(lfull, dfull), lfull.conj_transpose())
-    assert recon == permute(a, res.P, res.P)
 
 
 # -- fast LU -------------------------------------------------------------------
