@@ -95,6 +95,7 @@ def read_matrix_market(path, ctx: FieldContext):
         )
     dims = None
     entries = []
+    seen = set()  # coordinates read so far; (i, j) and (j, i) are one if symmetric
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -121,6 +122,10 @@ def read_matrix_market(path, ctx: FieldContext):
             raise ParseError(f"{path}: line {lineno}: bad indices") from None
         if not (0 <= i < dims[0] and 0 <= j < dims[1]):
             raise ParseError(f"{path}: line {lineno}: index out of range")
+        key = (max(i, j), min(i, j)) if symmetry == "symmetric" else (i, j)
+        if key in seen:
+            raise ParseError(f"{path}: line {lineno}: repeated coordinate ({i + 1}, {j + 1})")
+        seen.add(key)
         if mmfield == "pattern":
             val = ctx.one
         else:

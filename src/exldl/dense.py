@@ -37,9 +37,10 @@ outweighs the work, and the cheap routes stay.
     and with any number of threads, so one product serves while
     k (p-1)^2 < 2^53, and 16-bit limbs of both factors serve beyond, as
     in FFLAS's delayed reduction.  Smaller ones are one int64 product.
-  * GF(p) elimination (`schur()`, so `eliminate_rows` and the symmetric
-    pivots) runs on the int64 array, one outer-product update per pivot;
-    smaller inputs are eliminated as residue lists.
+  * GF(p) elimination (`schur()`, so `eliminate_rows`, the symmetric
+    pivots and the saddle pair eliminations) runs on the int64 array, one
+    outer-product update per pivot; smaller inputs are eliminated as
+    residue lists.
   * GF(2) substitution for X l = b transposes X to packed columns and
     XORs one packed column per coupling, as l X = b does with rows;
     smaller ones flip each row's bits by parity, one unknown at a time.
@@ -171,8 +172,9 @@ class DenseMatrix(metaclass=_FieldDispatch):
         of `_tri_solve_base` in place on out, returning the number of
         couplings (nonzero off-diagonal entries of the triangle);
       * `schur()`, the working copy that every elimination pivots on:
-        `eliminate_rows()` here, the one of `factor._lu_rows`, and the
-        symmetric pivots of `factor` (see `_GF2Schur` and the classes
+        `eliminate_rows()` here, the one of `factor._lu_rows`, the
+        symmetric pivots of `factor` and the pair eliminations of
+        `saddle.gamma_eliminate_partial` (see `_GF2Schur` and the classes
         after it);
       * `from_entries(ctx, rows, ncols)`, the matrix of these lists of
         canonical elements, and `column(j)`, the entries of column j;
@@ -961,15 +963,15 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
         return RationalMatrix(self.ctx, len(rows), self.ncols, [list(r) for r in rows])
 
 
-# -- working copies for elimination (factor's LU and symmetric pivots) --------
+# -- working copies for elimination (LU, symmetric and saddle pivots) ----------
 #
 # `m.schur()` is a working copy S of m that every elimination pivots on,
-# right-looking: `eliminate_rows` here and the vertex and edge eliminations
-# of `factor`.  `pivot(k, c, rows)` subtracts S[t][c] / S[k][c] times row k
-# from each row t of `rows` with S[t][c] != 0 and returns those rows'
-# multipliers, {t: S[t][c] / S[k][c]}; the caller lists the rows that are
-# left.  `get(i, j)`
-# reads an entry of the current S and `nonzero(i, j)` tests one,
+# right-looking: `eliminate_rows` here, the vertex and edge eliminations
+# of `factor` and the constraint pairs of `saddle.gamma_eliminate_partial`.
+# `pivot(k, c, rows)` subtracts S[t][c] / S[k][c] times row k from each row
+# t of `rows` with S[t][c] != 0 and returns those rows' multipliers,
+# {t: S[t][c] / S[k][c]}; the caller lists the rows that are left.
+# `get(i, j)` reads an entry of the current S and `nonzero(i, j)` tests one,
 # `first(i, q, r)` is the first position at or past r in the column order
 # q whose entry in row i is nonzero (None if there is none), and
 # `block(rows, cols)` copies a block out as a matrix.  Updating whole rows

@@ -228,13 +228,6 @@ def _eliminate_steps(schur, steps, ids, cols: list, blocks: list) -> list:
     return ids
 
 
-def _columns(a: DenseMatrix, cols) -> DenseMatrix:
-    """The columns cols ({index: value}) over a's index set, as a matrix."""
-    zero = a.ctx.zero
-    rows = [[c.get(t, zero) for c in cols] for t in range(a.nrows)]
-    return a.from_entries(a.ctx, rows, len(cols))
-
-
 def vertex_eliminate(a: DenseMatrix, i: int):
     """Rank-1 symmetric elimination pivoting on a nonzero diagonal entry.
 
@@ -247,7 +240,7 @@ def vertex_eliminate(a: DenseMatrix, i: int):
         raise ZeroPivot(f"zero diagonal pivot at {i}")
     cols, blocks = [], []
     rest = _eliminate_steps(schur, [(i,)], range(a.nrows), cols, blocks)
-    return _columns(a, cols), blocks[0].d, schur.block(rest, rest)
+    return _from_columns(a.ctx, range(a.nrows), cols), blocks[0].d, schur.block(rest, rest)
 
 
 @dataclass
@@ -275,7 +268,8 @@ def edge_eliminate(a: DenseMatrix, i: int, j: int) -> EdgeElimination:
     steps = [pivots[:1], pivots[1:]] if aii or ajj else [pivots]
     schur, cols, blocks = a.schur(), [], []
     rest = _eliminate_steps(schur, steps, range(a.nrows), cols, blocks)
-    return EdgeElimination(pivots, _columns(a, cols), blocks, schur.block(rest, rest))
+    l = _from_columns(ctx, range(a.nrows), cols)
+    return EdgeElimination(pivots, l, blocks, schur.block(rest, rest))
 
 
 # -- LDL from columns -----------------------------------------------------------
@@ -287,16 +281,22 @@ def col_support(m: DenseMatrix, c: int, rows, ids) -> tuple:
     return tuple((ids[t], col[t]) for t in rows if col[t])
 
 
+def _from_columns(ctx: FieldContext, fwd, cols) -> DenseMatrix:
+    """The matrix whose column k holds cols[k] ({index: value}), the
+    indices placed in rows by the order fwd."""
+    pos = {v: t for t, v in enumerate(fwd)}
+    r = len(cols)
+    rows = [[ctx.zero] * r for _ in fwd]
+    for k, col in enumerate(cols):
+        for idx, val in col.items():
+            rows[pos[idx]][k] = val
+    return DenseMatrix.from_entries(ctx, rows, r)
+
+
 def _ldl_from_columns(ctx: FieldContext, fwd, cols, blocks) -> LDLResult:
     """Reduced LDL whose column k holds cols[k] ({index: value}), the
     indices placed by the order fwd."""
-    pos = {v: t for t, v in enumerate(fwd)}
-    r = len(cols)
-    lrows = [[ctx.zero] * r for _ in fwd]
-    for k, col in enumerate(cols):
-        for idx, val in col.items():
-            lrows[pos[idx]][k] = val
-    return LDLResult(Permutation(fwd), DenseMatrix.from_entries(ctx, lrows, r), blocks, r)
+    return LDLResult(Permutation(fwd), _from_columns(ctx, fwd, cols), blocks, len(cols))
 
 
 # -- fast LU -------------------------------------------------------------------

@@ -12,9 +12,11 @@ with V = Y - diag(D) on the leading r rows,
 
 where the residual is nonzero only in its trailing (n-r) x (n-r) block.
 Two constructions are provided: direct cross-boundary edge elimination
-(one constraint pivot at a time) and the LU-based null-space route in
-the style of Schilders' factorization.  Both verify against the same
-oracle and complete to a full LDL of the whole (n+m) system.
+(one constraint pivot at a time, on the `schur()` working copy of the
+saddle matrix that `factor`'s eliminations use) and the LU-based
+null-space route in the style of Schilders' factorization.  Both verify
+against the same oracle and complete to a full LDL of the whole (n+m)
+system.
 """
 
 from __future__ import annotations
@@ -33,7 +35,15 @@ from .dense import (
     tri_solve,
     vstack,
 )
-from .factor import DBlock, LDLResult, _ldl_from_columns, col_support, fast_ldl, fast_lu
+from .factor import (
+    DBlock,
+    LDLResult,
+    _from_columns,
+    _ldl_from_columns,
+    col_support,
+    fast_ldl,
+    fast_lu,
+)
 from .fields import DimensionMismatch, ResidualLeakage, ZeroB11
 
 
@@ -59,7 +69,10 @@ class SaddleSystem:
         return self.B.nrows
 
     def dense(self) -> DenseMatrix:
-        """Materialize the full (n+m) saddle matrix (tests and completion)."""
+        """Materialize the full (n+m) saddle matrix: the working copy of
+        `gamma_eliminate_partial`, the extended A block of the bag step's
+        constraint complementation in `sparse`, and the matrix a
+        completed LDL is checked against."""
         ctx = self.A.ctx
         n, m = self.n, self.m
         out = DenseMatrix.zeros(ctx, n + m, n + m)
@@ -93,82 +106,50 @@ def _scale_cols(m: DenseMatrix, factors) -> DenseMatrix:
 def gamma_eliminate_partial(system: SaddleSystem) -> PartialLDL:
     """Partial LDL by repeated cross-boundary edge elimination.
 
-    Pivots on the first nonzero of the (current) constraint block in
-    row-major order; each step eliminates one constraint row paired with
-    one A column, updating both blocks by the rank-2 Schur complement.
+    Each step pivots on the first nonzero b11 = B[bi][aj] of the current
+    constraint block in row-major order and eliminates the pair (aj, bi)
+    from the `schur()` working copy of the saddle matrix, the one the
+    pivots of `factor` use.  D = -a11, Y's column (column aj of A below
+    the pivot) and U's row (column aj of B, conjugated) are read first.
+    Then come two row pivots: on b11 over the other active rows, row aj
+    included since a11 may be nonzero, which reduces B by row bi and
+    clears column aj; and on conj(b11) in row aj over the A rows left,
+    whose multipliers are L's column.  Together they form the rank-2
+    Schur complement of the pivot pair, which keeps the constraint block
+    zero.  With a counter on, each step charges what the scalar rank-2
+    update meters over the na A and nb constraint indices active before
+    it: 3 na^2 + nf na adds, 6 na^2 + nf na + nb + nr + 2 muls and two
+    inversions, where B's column aj has nf nonzeros and its row bi nr,
+    besides the negation of a11.
     """
     ctx = system.A.ctx
     n, m = system.n, system.m
-    aw = system.A.to_lists()
-    bw = system.B.to_lists()
-    act_a = list(range(n))
-    act_b = list(range(m))
-    piv_a, piv_b = [], []
-    dvals = []
-    ycols, lcols, urows = [], [], []
+    s = system.dense().schur()
+    act_a, act_b = list(range(n)), list(range(m))
+    piv_a, piv_b, dvals, ycols, lcols, ucols = [], [], [], [], [], []
     while True:
-        pivot = None
-        for bi in act_b:
-            for aj in act_a:
-                if bw[bi][aj] != 0:
-                    pivot = (bi, aj)
-                    break
-            if pivot:
-                break
+        pivot = next(
+            ((bi, j) for bi in act_b if (j := s.first(n + bi, act_a, 0)) is not None), None
+        )
         if pivot is None:
             break
-        bi, aj = pivot
-        b11 = bw[bi][aj]
-        a11 = aw[aj][aj]
-        b11i = ctx.inv(b11)
-        b11ci = ctx.inv(ctx.conj(b11))
-        dvals.append(ctx.neg(a11))
-        ycols.append({u: aw[u][aj] for u in act_a if u != aj and aw[u][aj] != 0})
-        lcols.append(
-            {u: ctx.mul(ctx.conj(bw[bi][u]), b11ci) for u in act_a if bw[bi][u] != 0}
-        )
-        urows.append({v: ctx.conj(bw[v][aj]) for v in act_b if bw[v][aj] != 0})
-        acol = {u: aw[u][aj] for u in act_a}
-        brow = {u: bw[bi][u] for u in act_a}
-        # A' = A - acol b11^-1 brow - brow^H (b11^*)^-1 acol^H
-        #        + brow^H a11 (b11^* b11)^-1 brow
-        gamma = ctx.mul(a11, ctx.mul(b11ci, b11i))
-        for u in act_a:
-            au = acol[u]
-            buc = ctx.conj(brow[u])
-            row = aw[u]
-            for w in act_a:
-                val = row[w]
-                val = ctx.sub(val, ctx.mul(au, ctx.mul(b11i, brow[w])))
-                val = ctx.sub(val, ctx.mul(buc, ctx.mul(b11ci, ctx.conj(acol[w]))))
-                val = ctx.add(val, ctx.mul(buc, ctx.mul(gamma, brow[w])))
-                row[w] = val
-        for v in act_b:
-            f = ctx.mul(bw[v][aj], b11i)
-            if f != 0:
-                row = bw[v]
-                for w in act_a:
-                    row[w] = ctx.sub(row[w], ctx.mul(f, brow[w]))
+        bi, j = pivot
+        na, nb = len(act_a), len(act_b)
+        aj = act_a.pop(j)
+        act_b.remove(bi)
         piv_a.append(aj)
         piv_b.append(bi)
-        act_a.remove(aj)
-        act_b.remove(bi)
-    r = len(piv_a)
-    pfwd = piv_a + act_a
-    qfwd = piv_b + act_b
-    apos = {v: i for i, v in enumerate(pfwd)}
-    bpos = {v: i for i, v in enumerate(qfwd)}
-    y = DenseMatrix.zeros(ctx, n, r)
-    l = DenseMatrix.zeros(ctx, n, r)
-    u = DenseMatrix.zeros(ctx, r, m)
-    for k in range(r):
-        for idx, val in ycols[k].items():
-            y.set(apos[idx], k, val)
-        for idx, val in lcols[k].items():
-            l.set(apos[idx], k, val)
-        for idx, val in urows[k].items():
-            u.set(k, bpos[idx], val)
-    return PartialLDL(Permutation(pfwd), Permutation(qfwd), y, l, u, dvals, r)
+        dvals.append(ctx.neg(s.get(aj, aj)))
+        ycols.append({u: s.get(u, aj) for u in act_a if s.nonzero(u, aj)})
+        ucols.append({v: s.get(n + v, aj) for v in [bi, *act_b] if s.nonzero(n + v, aj)})
+        s.pivot(n + bi, aj, [aj, *act_a, *(n + v for v in act_b)])
+        lcols.append({aj: ctx.one, **s.pivot(aj, n + bi, act_a)})
+        nf, nr = len(ucols[-1]), len(lcols[-1])
+        ctx.count_ops(add=3 * na * na + nf * na, mul=6 * na * na + nf * na + nb + nr + 2, inv=2)
+    pfwd, qfwd = piv_a + act_a, piv_b + act_b
+    y, l = _from_columns(ctx, pfwd, ycols), _from_columns(ctx, pfwd, lcols)
+    u = _from_columns(ctx, qfwd, ucols).conj_transpose()
+    return PartialLDL(Permutation(pfwd), Permutation(qfwd), y, l, u, dvals, len(piv_a))
 
 
 def schilders_partial_ldl(system: SaddleSystem, cutoff: int | None = None) -> PartialLDL:
@@ -276,7 +257,7 @@ def pair_columns(f: PartialLDL, k: int, a_ids, b_ids):
     ctx = f.L.ctx
     n, m = f.L.nrows, f.U.ncols
     a11 = ctx.neg(f.D[k])
-    urow = [ctx.conj(v) for v in f.U.to_lists()[k][k:]]
+    urow = [ctx.conj(v) for v in f.U.block(k, k + 1, k, m).to_lists()[0]]
     k1 = [a11, urow[0]] + f.Y.column(k)[k + 1 :] + urow[1:]
     k2 = [ctx.one, ctx.zero] + f.L.column(k)[k + 1 :] + [ctx.zero] * (m - k - 1)
     c1, c2, blks = _skeleton_columns(ctx, k1, k2, a11, urow[0])

@@ -249,6 +249,8 @@ def test_fmt_el():
         ("gfp:7", "integer symmetric", ["2 3 1", "1 3 1"]),
         ("gfp:7", "integer general", ["-1 -1 0"]),
         ("gf2", "integer general", ["-1 -1 0"]),
+        ("gfp:7", "integer general", ["2 2 2", "1 1 1", "1 1 4"]),  # a repeated coordinate
+        ("gfp:7", "integer symmetric", ["2 2 2", "2 1 3", "1 2 5"]),  # (2, 1) is (1, 2)
     ],
 )
 def test_cmd_malformed_input_is_an_input_error(tmp_path, capsys, field, header, body):

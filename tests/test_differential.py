@@ -1,7 +1,8 @@
 """GF(2) has two backends: bit-packed rows (`gf2`) and int64 residues
 modulo 2 (`gfp:2`).  On the same input they must give the same factors,
-transcripts and transcript products.  Their op counts differ by design
-(packed rows are metered per 64-bit word), so only values are compared.
+saddle partial LDLs, transcripts and transcript products.  Their op
+counts differ by design (packed rows are metered per 64-bit word), so
+only values are compared.
 """
 
 import random
@@ -11,6 +12,9 @@ import pytest
 from exldl.dense import DenseMatrix
 from exldl.factor import fast_ldl, fast_lu
 from exldl.fields import FieldContext, InconsistentSystem
+from exldl.saddle import (
+    SaddleSystem, complete_saddle_ldl, gamma_eliminate_partial, schilders_partial_ldl,
+)
 from exldl.sparse import L_TIMES, LH_TIMES, SOLVE_L, SparseSym, apply_transcript, sparse_ldl
 
 PACKED = FieldContext.gf2()
@@ -48,6 +52,10 @@ def blocks(d):
 
 def ldl_values(res):
     return res.P.fwd, res.r, res.L.to_lists(), blocks(res.D)
+
+
+def partial_values(f):
+    return f.P.fwd, f.Q.fwd, f.r, f.Y.to_lists(), f.L.to_lists(), f.U.to_lists(), f.D
 
 
 @pytest.mark.parametrize("cutoff", [None, 2])
@@ -104,3 +112,26 @@ def test_sparse_ldl_and_transcripts_agree(cutoff):
         got = [apply_all(out.transcript, matrix(ctx, x, 3), matrix(ctx, y, 3))
                for ctx, out in zip((PACKED, RESIDUES), outs)]
         assert got[0] == got[1], entries
+
+
+@pytest.mark.parametrize("cutoff", [None, 2])
+def test_saddle_constructions_agree(cutoff):
+    """Both partial LDLs and their completions, with n + m up to 40: above
+    16 the saddle matrix passes `dense._CROSSOVER` and the GF(p) working
+    copy is an int64 array."""
+    rng = random.Random(f"saddle-{cutoff}")
+    sizes = 0
+    for _ in range(30):
+        n, m = rng.randint(0, 24), rng.randint(0, 16)
+        a, b = symmetric_rows(rng, n), random_rows(rng, m, n)
+        if m > 1 and rng.random() < 0.3:  # repeated rows: a rank-deficient B
+            b = [b[rng.randrange(m)] for _ in range(m)]
+        sizes = max(sizes, n + m)
+        systems = [SaddleSystem(matrix(ctx, a, n), matrix(ctx, b, n))
+                   for ctx in (PACKED, RESIDUES)]
+        for partial in (gamma_eliminate_partial, lambda s: schilders_partial_ldl(s, cutoff)):
+            packed, residues = (partial(s) for s in systems)
+            assert partial_values(packed) == partial_values(residues), (a, b)
+            full = [complete_saddle_ldl(s, f) for s, f in zip(systems, (packed, residues))]
+            assert ldl_values(full[0]) == ldl_values(full[1]), (a, b)
+    assert sizes > 16

@@ -15,7 +15,9 @@ inputs of at most 9 rows, and check that they reach the branches named in
 `test_kernel_golden`.  The elimination cases run `vertex_eliminate` at
 every index and `edge_eliminate` at every ordered pair of those inputs,
 and check that they raise `ZeroPivot` and `SingularPivot` and eliminate
-both a normalised and an antidiagonal pair.  The large kernel cases run `fast_ldl`, `fast_lu`,
+both a normalised and an antidiagonal pair.  The gamma cases run
+`gamma_eliminate_partial` on saddle systems on both sides of the
+crossover.  The large kernel cases run `fast_ldl`, `fast_lu`,
 `tri_solve` and `schilders_partial_ldl` -> `complete_saddle_ldl` at
 n = 40 and 64 over GF(2) and GF(p), where the dense kernels cross to whole
 arrays.  The sweep runs `fast_ldl` at n = 0..20 and five cutoffs on
@@ -42,12 +44,14 @@ from exldl.saddle import (
     PartialLDL,
     SaddleSystem,
     complete_saddle_ldl,
+    gamma_eliminate_partial,
     pair_columns,
     residual_schur,
     schilders_partial_ldl,
 )
 from exldl.sparse import Peel, SparseSym, Transcript, VertexElim, sparse_ldl, sparse_lu, tree_ldl
 from exldl.treedec import TreeDecomposition, normalize_td
+from test_saddle import example_fill_family
 
 FIELDS = ("gf2", "gfp:7", "gfp:2147483647", "rational")
 CUTOFFS = (None, 2)
@@ -616,6 +620,91 @@ def test_elimination_golden(spec):
         ctx.disable_counter()
     assert reached == {"ZeroPivot", "SingularPivot", "normalised-pair", "antidiag-pair"}
     assert got == ELIMINATION_GOLDEN[spec]
+
+
+# -- the direct saddle partial LDL ---------------------------------------------------
+#
+# `gamma_eliminate_partial` on systems with a zero B, a zero A, a low-rank B,
+# repeated B rows, n = 0, m = 0 and the fill family, on both sides of
+# `_CROSSOVER`: the saddle matrix of n + m <= 16 indices has at most 256
+# entries, so the GF(p) working copy is the residue lists below and the
+# int64 array above.
+
+
+def gamma_inputs(ctx):
+    yield SaddleSystem(dense_sym(ctx, 5, 30), DenseMatrix.zeros(ctx, 3, 5))
+    yield SaddleSystem(DenseMatrix.zeros(ctx, 5, 5), dense(ctx, 3, 5, 31))
+    yield SaddleSystem(dense_sym(ctx, 7, 32), dependent_rows(ctx, 33))
+    yield SaddleSystem(dense_sym(ctx, 6, 35), from_lists(ctx, dense(ctx, 3, 6, 34).to_lists() * 2))
+    yield SaddleSystem(DenseMatrix.zeros(ctx, 0, 0), DenseMatrix.zeros(ctx, 3, 0))
+    yield SaddleSystem(dense_sym(ctx, 4, 36), DenseMatrix.zeros(ctx, 0, 4))
+    for n in (3, 6, 9):
+        yield example_fill_family(ctx, None, n)
+    yield from saddles(ctx)
+    yield from small_saddles(ctx)
+    yield SaddleSystem(dense_sym(ctx, 14, 37), dense(ctx, 6, 14, 38))
+    a = dense_sym(ctx, 12, 39)
+    for i in range(12):
+        a.set(i, i, ctx.zero)
+    yield SaddleSystem(a, dense(ctx, 8, 12, 40, band=2))
+    yield SaddleSystem(dense_sym(ctx, 13, 41), from_lists(ctx, dense(ctx, 5, 13, 42).to_lists() * 2))
+    yield SaddleSystem(DenseMatrix.zeros(ctx, 11, 11), dependent_rows(ctx, 43).block(0, 7, 0, 6).pad(7, 11))
+
+
+def typed_mat(ctx, m):
+    return [[typed(ctx, v) for v in row] for row in m.to_lists()]
+
+
+def gamma_runs(ctx, reached):
+    """(group, serialized calls) below and above the crossover; `reached`
+    collects whether a pivot had a zero or a nonzero a11 = -D[k]."""
+    counter = ctx.counter
+    out = {"below": [], "above": []}
+    for system in gamma_inputs(ctx):
+        counter.reset()
+        f = gamma_eliminate_partial(system)
+        reached.update("a11-nonzero" if d else "a11-zero" for d in f.D)
+        group = "below" if (system.n + system.m) ** 2 <= _CROSSOVER else "above"
+        out[group].append((
+            f.P.fwd, f.Q.fwd, typed_mat(ctx, f.Y), typed_mat(ctx, f.L), typed_mat(ctx, f.U),
+            [typed(ctx, d) for d in f.D], f.r, counter.snapshot(),
+        ))
+    return out
+
+
+# SHA-256 of each field's gamma results and op counts, recorded like GOLDEN.
+GAMMA_GOLDEN = {
+    "gf2": {
+        "below": "69153692b87b04bb379de16986d9d071d930691b38a7b1d43104cd0cceb6f8d0",
+        "above": "bdc163eeb6b8eb00bea5a82051cbef6eb5d68d0daca9aab7e81c56a7d38d82d1",
+    },
+    "gfp:7": {
+        "below": "75d85d128196806ccfa6b95f4f9bb6e8a5a81b3de128e9a3be9797449b6ba379",
+        "above": "a552b1967885c67871f6b19d097d781eb99be0b4e1ea87874f48f0beb64273f9",
+    },
+    "gfp:2147483647": {
+        "below": "986ae4b9bcfd91f6e75f3fb54f518bf254a2a85a13c2e0bf000313ac9f78ef0c",
+        "above": "a68cfc07ed48443623f71a02ea034184fbf0271b3a08c15c86d93fcf7033da45",
+    },
+    "rational": {
+        "below": "1f0c05465cc80d827f572106b0b3a046f9cf40e90005db4a608c72e5aa2b8cab",
+        "above": "651df1e4f60284fc1d29fd3bf44bc9403cc312800c28a1d9fcb83a0471687654",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_gamma_golden(spec):
+    ctx = parse_field(spec)
+    ctx.enable_counter()
+    reached = set()
+    try:
+        got = {group: hashlib.sha256(repr(out).encode()).hexdigest()
+               for group, out in gamma_runs(ctx, reached).items()}
+    finally:
+        ctx.disable_counter()
+    assert reached == {"a11-zero", "a11-nonzero"}
+    assert got == GAMMA_GOLDEN[spec]
 
 
 # -- the dense kernels above the crossover -------------------------------------------
