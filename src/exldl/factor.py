@@ -547,7 +547,7 @@ def _ldl_flat(a: DenseMatrix) -> LDLResult:
     L is unique, so P, L, D and r are the recursion's.  With a counter on,
     `_FlatLDL` charges what the recursion's kernels would have metered.
     """
-    flat = _FlatLDL(a)
+    flat = _FlatLDL(a.schur(), list(range(a.nrows)))
     order = flat.node(list(range(a.nrows)))
     return _ldl_from_columns(a.ctx, order, flat.cols, flat.blocks)
 
@@ -559,14 +559,21 @@ def _bits(indices) -> int:
 class _FlatLDL:
     """`_ldl_flat`'s state: the Schur complement, the indices not yet
     eliminated, the L columns and D blocks of the pivots so far and, with a
-    counter on, each L column's nonzero rows as a bit mask."""
+    counter on, each L column's nonzero rows as a bit mask.
 
-    def __init__(self, a: DenseMatrix):
-        self.ctx = a.ctx
-        self.schur = a.schur()
-        self.alive = list(range(a.nrows))
+    It starts from a working copy `schur` and the rows `alive` that each
+    pivot updates.  `_ldl_flat` passes the whole matrix; the tree engine's
+    bag step (`sparse`) passes its copy with the eliminable rows and the
+    interface rows, and lets `node` decide over the eliminable ones only,
+    so the interface rows end up holding the L columns' interface entries
+    and the interface Schur complement."""
+
+    def __init__(self, schur, alive: list):
+        self.ctx = schur.ctx
+        self.schur = schur
+        self.alive = alive
         self.cols, self.blocks = [], []
-        self.masks = None if a.ctx.counter is None else []
+        self.masks = None if self.ctx.counter is None else []
 
     def pivot(self, pivots):
         self.alive = [t for t in self.alive if t not in pivots]
@@ -587,7 +594,7 @@ class _FlatLDL:
         r1 = len(self.cols) - k1
         pivots, trail, nonpivots = top[:r1], ids[n1:], top[r1:]
         if self.masks is not None:
-            self.charge_schur(k1, pivots, trail + nonpivots)
+            self.charge_schur(k1, pivots, trail + nonpivots, n - r1)
         if 3 * r1 >= n:
             return pivots + self.node(trail + nonpivots)
         lu = _lu_rows(self.schur.block(trail, nonpivots))
@@ -654,14 +661,15 @@ class _FlatLDL:
             ctx.count_ops(mul=ctx.scale_ops(r * len(rows)))
         ctx.count_product(len(rows), r, n, self.nnz(k0, r, rows))
 
-    def charge_schur(self, k1: int, pivots, rest):
-        """The Schur complement of the leading block's pivots over the
-        rest: w = L11^-1 C, v = D1^-1 w, then B - w^H v."""
+    def charge_schur(self, k1: int, pivots, rows, n: int):
+        """The Schur complement of the pivots (columns k1 on) on the rows
+        by n columns: w = L11^-1 C and v = D1^-1 w on n right-hand sides,
+        then B - w^H v, whose product's left factor is L on the rows.  In
+        the recursion the columns are the rows, all those left."""
         ctx = self.ctx
-        n2 = len(rest)
-        self.charge_solve(k1, pivots, n2)
-        self.charge_product(k1, len(pivots), rest, n2, scaled=False)
-        ctx.count_ops(add=n2 * ctx.row_ops(n2))
+        self.charge_solve(k1, pivots, n)
+        self.charge_product(k1, len(pivots), rows, n, scaled=False)
+        ctx.count_ops(add=len(rows) * ctx.row_ops(n))
 
     def charge_bordered(self, k1: int, pivots, k2: int, pivots2, nonpivots2, tail):
         """The bordered branch after its core: L21 and L31 by solves, the

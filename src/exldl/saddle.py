@@ -16,7 +16,9 @@ Two constructions are provided: direct cross-boundary edge elimination
 saddle matrix that `factor`'s eliminations use) and the LU-based
 null-space route in the style of Schilders' factorization.  Both verify
 against the same oracle and complete to a full LDL of the whole (n+m)
-system.
+system.  `eliminate_pair` (a pair's two row pivots) and `skeleton_pair`
+(a pair's skeleton as LDL columns over the caller's ids) are shared
+with the tree engine's bag step in `sparse`.
 """
 
 from __future__ import annotations
@@ -69,10 +71,14 @@ class SaddleSystem:
         return self.B.nrows
 
     def dense(self) -> DenseMatrix:
-        """Materialize the full (n+m) saddle matrix: the working copy of
-        `gamma_eliminate_partial`, the extended A block of the bag step's
-        constraint complementation in `sparse`, and the matrix a
-        completed LDL is checked against."""
+        """Materialize the full (n+m) saddle matrix: the matrix whose
+        `schur()` copy `gamma_eliminate_partial` pivots on, and the one a
+        completed LDL is checked against.  The tree engine's bag step in
+        `sparse` builds one of its frontal and constraint rows: below its
+        flat rule that copy is the bag's one working copy, on which both
+        its constraint pairs and its local LDL pivot; above it, the
+        matrix is the extended A block of its constraint
+        complementation."""
         ctx = self.A.ctx
         n, m = self.n, self.m
         out = DenseMatrix.zeros(ctx, n + m, n + m)
@@ -111,12 +117,10 @@ def gamma_eliminate_partial(system: SaddleSystem) -> PartialLDL:
     from the `schur()` working copy of the saddle matrix, the one the
     pivots of `factor` use.  D = -a11, Y's column (column aj of A below
     the pivot) and U's row (column aj of B, conjugated) are read first.
-    Then come two row pivots: on b11 over the other active rows, row aj
-    included since a11 may be nonzero, which reduces B by row bi and
-    clears column aj; and on conj(b11) in row aj over the A rows left,
-    whose multipliers are L's column.  Together they form the rank-2
-    Schur complement of the pivot pair, which keeps the constraint block
-    zero.  With a counter on, each step charges what the scalar rank-2
+    Then `eliminate_pair` makes the pair's two row pivots, on b11 and on
+    conj(b11), the rank-2 Schur complement of the pivot pair, which keeps
+    the constraint block zero; the second pivot's multipliers are L's
+    column.  With a counter on, each step charges what the scalar rank-2
     update meters over the na A and nb constraint indices active before
     it: 3 na^2 + nf na adds, 6 na^2 + nf na + nb + nr + 2 muls and two
     inversions, where B's column aj has nf nonzeros and its row bi nr,
@@ -142,14 +146,27 @@ def gamma_eliminate_partial(system: SaddleSystem) -> PartialLDL:
         dvals.append(ctx.neg(s.get(aj, aj)))
         ycols.append({u: s.get(u, aj) for u in act_a if s.nonzero(u, aj)})
         ucols.append({v: s.get(n + v, aj) for v in [bi, *act_b] if s.nonzero(n + v, aj)})
-        s.pivot(n + bi, aj, [aj, *act_a, *(n + v for v in act_b)])
-        lcols.append({aj: ctx.one, **s.pivot(aj, n + bi, act_a)})
+        mult = eliminate_pair(s, aj, n + bi, act_a, [n + v for v in act_b])
+        lcols.append({aj: ctx.one, **mult})
         nf, nr = len(ucols[-1]), len(lcols[-1])
         ctx.count_ops(add=3 * na * na + nf * na, mul=6 * na * na + nf * na + nb + nr + 2, inv=2)
     pfwd, qfwd = piv_a + act_a, piv_b + act_b
     y, l = _from_columns(ctx, pfwd, ycols), _from_columns(ctx, pfwd, lcols)
     u = _from_columns(ctx, qfwd, ucols).conj_transpose()
     return PartialLDL(Permutation(pfwd), Permutation(qfwd), y, l, u, dvals, len(piv_a))
+
+
+def eliminate_pair(s, a: int, b: int, rows_a, rows_b) -> dict:
+    """Eliminate the pair of A index a and constraint index b, whose entry
+    S[b][a] is nonzero, from the working copy s as two row pivots: on
+    S[b][a] over row a, the A rows rows_a and the constraint rows rows_b
+    (row a is included since S[a][a] may be nonzero), which reduces the
+    constraint rows by row b and clears column a; then on S[a][b] in row a
+    over rows_a.  Together they form the rank-2 Schur complement of the
+    pair, which keeps the constraint block zero.  Returns the second
+    pivot's multipliers, L's column over rows_a without its unit entry."""
+    s.pivot(b, a, [a, *rows_a, *rows_b])
+    return s.pivot(a, b, rows_a)
 
 
 def schilders_partial_ldl(system: SaddleSystem, cutoff: int | None = None) -> PartialLDL:
@@ -260,13 +277,23 @@ def pair_columns(f: PartialLDL, k: int, a_ids, b_ids):
     urow = [ctx.conj(v) for v in f.U.block(k, k + 1, k, m).to_lists()[0]]
     k1 = [a11, urow[0]] + f.Y.column(k)[k + 1 :] + urow[1:]
     k2 = [ctx.one, ctx.zero] + f.L.column(k)[k + 1 :] + [ctx.zero] * (m - k - 1)
-    c1, c2, blks = _skeleton_columns(ctx, k1, k2, a11, urow[0])
     pfwd, qfwd = f.P.fwd, f.Q.fwd
     row_ids = (
         [a_ids[pfwd[k]], b_ids[qfwd[k]]]
         + [a_ids[pfwd[t]] for t in range(k + 1, n)]
         + [b_ids[qfwd[t]] for t in range(k + 1, m)]
     )
+    return skeleton_pair(ctx, k1, k2, row_ids)
+
+
+def skeleton_pair(ctx, k1: list, k2: list, row_ids):
+    """One constraint pair's skeleton as LDL columns over the ids row_ids
+    of its rows, in the shifted row order of `_skeleton_columns` (k1[0] is
+    a11 and k1[1] b11).  Returns ((A pivot id, constraint pivot id),
+    (column 1, column 2), D blocks); each column holds the (id, value)
+    pairs of its nonzero entries, without the unit entry on its own
+    pivot."""
+    c1, c2, blks = _skeleton_columns(ctx, k1, k2, k1[0], k1[1])
     col1 = tuple((row_ids[t], c1[t]) for t in range(1, len(row_ids)) if c1[t])
     col2 = tuple((row_ids[t], c2[t]) for t in [0, *range(2, len(row_ids))] if c2[t])
     return (row_ids[0], row_ids[1]), (col1, col2), blks

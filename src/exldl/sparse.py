@@ -17,6 +17,18 @@ complements and delayed constraint rows upward, and each bag runs the
 four-phase substep (peel dependent constraint rows, complement the
 constraints against the to-be-eliminated columns, factor the remaining
 local block, peel or carry what is left).
+
+Steps 2 and 3 of a small bag, nf + k <= `_TRI_BASE` frontal and
+constraint rows with (nf + k) // 2 within the Strassen cutoff, run as
+pivots on one working copy: the `schur()` copy of the bag's extended
+saddle matrix.  The constraint pairs are two row pivots each, as in
+`saddle.gamma_eliminate_partial`, and the local LDL is `factor._FlatLDL`
+on the same copy, which leaves S and the carried rows' interface block
+in it.  Below that rule every product the matrix steps would make is
+classical and every solve a base case, so the flat steps give the same
+transforms, S and F, and charge the same op counts.  Larger bags run the
+matrix steps (`schilders_partial_ldl`, `residual_schur`, `fast_ldl`,
+solves and products), whose recursion keeps their cost O(tau^omega).
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ from .factor import (
     SCALAR,
     DBlock,
     LDLResult,
+    _FlatLDL,
     LUResult,
     col_support,
     d_size,
@@ -58,7 +71,14 @@ from .fields import (
     InvalidDecomposition,
     NotInSpan,
 )
-from .saddle import SaddleSystem, pair_columns, residual_schur, schilders_partial_ldl
+from .saddle import (
+    SaddleSystem,
+    eliminate_pair,
+    pair_columns,
+    residual_schur,
+    schilders_partial_ldl,
+    skeleton_pair,
+)
 from .treedec import NormalizedTD, greedy_td, normalize_td, validate_td
 
 L_TIMES = "L_times"
@@ -397,6 +417,42 @@ def _peel_dependent(transcript: Transcript, rows: DenseMatrix, ids, cutoff):
     return rows.take_rows(keep), [ids[t] for t in keep]
 
 
+def _flat_bag(nf: int, k: int, cutoff: int) -> bool:
+    """Whether a bag of nf frontal rows and k constraint rows takes the flat
+    steps: then each product of the matrix steps 2 and 3 has a dimension of
+    at most (nf + k) // 2, so is classical, and each of their solves is a
+    base case."""
+    return nf + k <= _TRI_BASE and (nf + k) // 2 <= cutoff
+
+
+def _bag_error(step: int, what: str, dims) -> InternalInvariantViolation:
+    nf, k, gamma, r1 = dims
+    return InternalInvariantViolation(
+        f"bag step {step}: {what} (nf={nf}, k={k}, gamma={gamma}, r1={r1})"
+    )
+
+
+def _append_pair(transcript: Transcript, pivots, cols, blks):
+    """A constraint pair as one edge elimination, or two vertex ones."""
+    if len(blks) == 1:
+        transcript.append(EdgeElim(pivots, *cols, blks[0]))
+    else:
+        transcript.append(VertexElim(pivots[0], cols[0], blks[0]))
+        transcript.append(VertexElim(pivots[1], cols[1], blks[1]))
+
+
+def _split_rest(rest, e: int, nf: int, dims):
+    """The extended system's indices left after step 2, in their order
+    there (the non-pivot tail of an LU, ascending), as eliminable,
+    interface and constraint indices.  The interface must come back in its
+    given order: S and F rely on it."""
+    elim = [t for t in rest if t < e]
+    ifc = [t for t in rest if e <= t < nf]
+    if ifc != list(range(e, nf)):
+        raise _bag_error(3, "interface order not preserved", dims)
+    return elim, ifc, [t for t in rest if t >= nf]
+
+
 def _substep(
     transcript: Transcript,
     af: DenseMatrix,
@@ -414,33 +470,168 @@ def _substep(
     `gamma` ids are the interface and the others are eliminable; the
     rows of `brows` are the constraint vertices `b_ids`.  Returns (S over
     the interface, carried rows F over the interface, their ids), with
-    the interface in its given order."""
-    ctx = af.ctx
+    the interface in its given order.
+
+    Steps 1 and 4 peel with an LU (`_peel_dependent`), and step 2 finds
+    the r1 constraint rows that pivot against the eliminable columns with
+    another.  Steps 2 and 3 then run in one of two ways, with the same
+    results and op counts.  A bag of nf + k <= `_TRI_BASE` rows with
+    (nf + k) // 2 within the Strassen cutoff (`_flat_bag`) takes
+    `_flat_steps`: pivots on one working copy of the bag's extended
+    saddle matrix.  A larger one takes `_matrix_steps`, whose solves and
+    products recurse, so its cost stays O(tau^omega)."""
     nf = len(fids)
     e = nf - gamma
-    iface = fids[e:]
 
     # -- step 1: peel linearly dependent constraint rows
     if b_ids:
         brows, b_ids = _peel_dependent(transcript, brows, b_ids, cutoff)
     k = len(b_ids)
 
-    # -- step 2: constraint complementation against the eliminable columns.
-    # The pivotable rows are found by an LU of the eliminable part; the
-    # complementation itself runs on the extended bordered system where the
-    # unpivoted constraint rows join the symmetric side as border vertices,
-    # so every transform column and every Schur update (interface entries
-    # of pivot rows included) is exact.
-    r1 = 0
+    # -- step 2: the constraint rows beta that pivot, found by an LU of
+    # the eliminable part; the others join the symmetric side as border
+    # vertices of the extended system, so every transform column and every
+    # Schur update (interface entries of pivot rows included) is exact.
+    beta = []
     if k and e:
-        b1ext = hstack(
-            [brows.block(0, k, 0, e), DenseMatrix.zeros(ctx, k, gamma)]
-        )
+        b1ext = hstack([brows.block(0, k, 0, e), DenseMatrix.zeros(af.ctx, k, gamma)])
         lu1 = fast_lu(b1ext.conj_transpose(), cutoff)
-        r1 = lu1.r
+        beta = sorted(lu1.Q.fwd[: lu1.r])
+    cut = af.ctx.default_cutoff if cutoff is None else cutoff
+    steps = _flat_steps if _flat_bag(nf, k, cut) else _matrix_steps
+    s_ifc, grows, gids = steps(
+        transcript, af, fids, brows, b_ids, beta, gamma, cutoff, (nf, k, gamma, len(beta))
+    )
+
+    # -- step 4: peel dependents among leftover rows, carry the rest
+    if gids:
+        grows, gids = _peel_dependent(transcript, grows, gids, cutoff)
+    return s_ifc, grows, gids
+
+
+def _flat_steps(transcript, af, fids, brows, b_ids, beta, gamma, cutoff, dims):
+    """Steps 2 and 3 of a bag as pivots on one working copy: the `schur()`
+    copy of its extended saddle matrix [[af, Bu^H, Bb^H], [Bu, 0, 0],
+    [Bb, 0, 0]], where Bu are the constraint rows that do not pivot and Bb
+    the r1 that do.  Returns (S, F, the ids of F's rows) before step 4.
+
+    Step 2 takes the pivot pairs (P.fwd[t], Q.fwd[t]) of the LU of
+    [Bb, 0]^H, as the matrix steps do.  For each it reads the skeleton
+    column k1 off the copy, makes the pair's two row pivots
+    (`eliminate_pair`), whose second multipliers give k2, and turns both
+    into transforms (`skeleton_pair`).  The copy's block on the A rows
+    left is then the residual of the complementation.  Step 3 runs
+    `_FlatLDL` on the same copy: its pivot decisions read the eliminable
+    indices left, and its pivots update the interface rows as well, so
+    its L columns carry their interface entries and the copy ends holding
+    the interface Schur complement S and the non-pivot rows' interface
+    block.  With a counter on, each step charges what the matrix steps'
+    solves, products, scalings and subtractions meter
+    (`_charge_complementation`, `_FlatLDL.charge_schur`)."""
+    ctx = af.ctx
+    nf = len(fids)
+    e = nf - gamma
+    k, r1 = len(b_ids), len(beta)
+    unpiv = [t for t in range(k) if t not in beta]
+    na = nf + len(unpiv)
+    ids = fids + [b_ids[t] for t in unpiv + beta]
+    s = SaddleSystem(af, brows.take_rows(unpiv + beta)).dense().schur()
+    rest = range(na)
     if r1:
-        beta = sorted(lu1.Q.fwd[:r1])
-        unpiv = sorted(set(range(k)).difference(beta))
+        lu = fast_lu(s.block(range(na), range(na, na + r1)), cutoff)
+        if lu.r != r1:
+            raise _bag_error(2, "complementation rank drifted", dims)
+        pfwd, qfwd = lu.P.fwd, lu.Q.fwd
+        if any(pfwd[t] >= e for t in range(r1)):
+            raise _bag_error(2, "complementation pivot outside the eliminable block", dims)
+        zero, one = ctx.zero, ctx.one
+        a11s, ynnz = [], []
+        for t in range(r1):
+            aj, bj = pfwd[t], na + qfwd[t]
+            rows_a = pfwd[t + 1 :]
+            rows_b = [na + v for v in qfwd[t + 1 :]]
+            rows = [aj, bj, *rows_a, *rows_b]
+            k1 = [s.get(u, aj) for u in rows]
+            mult = eliminate_pair(s, aj, bj, rows_a, rows_b)
+            k2 = [one, zero] + [mult.get(u, zero) for u in rows_a] + [zero] * len(rows_b)
+            if ctx.counter is not None:
+                a11s.append(k1[0])
+                ynnz.append(sum(1 for v in k1[2 : 2 + len(rows_a)] if v))
+            _append_pair(transcript, *skeleton_pair(ctx, k1, k2, [ids[u] for u in rows]))
+        if ctx.counter is not None:
+            _charge_complementation(ctx, na, lu.L.nonzero_masks(), a11s, ynnz)
+        rest = pfwd[r1:]
+    elim, ifc, brest = _split_rest(rest, e, nf, dims)
+    if r1 and any(s.nonzero(i, j) for i in brest for j in elim + brest):
+        raise _bag_error(3, "constraint rows keep eliminable or mutual couplings", dims)
+
+    # -- step 3: the local LDL of the eliminable block, on the same copy
+    flat = _FlatLDL(s, elim + ifc)
+    order = flat.node(elim)
+    ell = len(flat.cols)
+    pos = 0
+    for blk in flat.blocks:
+        after = order[pos + blk.size :] + ifc
+        cc = [
+            tuple((ids[t], v) for t in after if (v := col.get(t)))
+            for col in flat.cols[pos : pos + blk.size]
+        ]
+        if blk.kind == SCALAR:
+            transcript.append(VertexElim(ids[order[pos]], cc[0], blk))
+        else:
+            transcript.append(EdgeElim((ids[order[pos]], ids[order[pos + 1]]), *cc, blk))
+        pos += blk.size
+    if ell and flat.masks is not None:
+        flat.charge_schur(0, order[:ell], order[ell:] + ifc, gamma)
+    left = brest + order[ell:]
+    return s.block(ifc, ifc), s.block(left, ifc), [ids[t] for t in left]
+
+
+def _charge_complementation(ctx: FieldContext, n: int, lmasks, a11s, ynnz):
+    """Charge what step 2 of `_matrix_steps` meters besides its LU, on an
+    extended system of n A rows and r = len(a11s) pairs:
+      * `schilders_partial_ldl`: base-case solves with L1 on r right-hand
+        sides and with L1^H on r and on n - r, the classical products
+        L1 Wl and L2 (Y1^H - D + D L1^H), the scaling D L1^H, an r x r
+        and an (n - r) x r addition, and 3 r ops on r-vectors (negating
+        W's diagonal, adding D to Y's and the metered subtraction);
+      * `residual_schur`: r subtractions on V = Y - diag(D), the
+        classical n x r x n products with V, L and L D (scaled by r n
+        muls), and three n x n subtractions;
+      * `pair_columns`: the negation of each D entry.
+    lmasks are the LU's L rows as bit masks, a11s the pairs' entries -D
+    and ynnz the nonzeros of each Y column below its pivot; the left
+    factors' nonzeros, which GF(2) products are charged by, follow from
+    them."""
+    r = len(a11s)
+    l1 = sum(m.bit_count() for m in lmasks[:r])
+    l2 = sum(m.bit_count() for m in lmasks[r:])
+    couplings = l1 - r
+    dbits = sum(1 << t for t, a in enumerate(a11s) if a)
+    ctx.count_product(r, r, r, l1)
+    ctx.count_product(n - r, r, r, l2)
+    ctx.count_product(n, r, n, sum(ynnz) + dbits.bit_count())
+    ctx.count_product(n, r, n, l1 + l2)
+    ctx.count_product(n, r, n, sum((m & dbits).bit_count() for m in lmasks))
+    ctx.count_ops(
+        add=couplings * (n + r) + 5 * r + n * ctx.row_ops(r) + 3 * n * ctx.row_ops(n),
+        mul=couplings * (n + r) + ctx.scale_ops(r * r + r * n),
+    )
+
+
+def _matrix_steps(transcript, af, fids, brows, b_ids, beta, gamma, cutoff, dims):
+    """Steps 2 and 3 of a bag as matrix operations: the partial LDL of the
+    extended system (`schilders_partial_ldl`), its pairs as transforms
+    (`pair_columns`) and its residual (`residual_schur`), then `fast_ldl`
+    of the eliminable block left, two triangular solves and two products.
+    Returns (S, F, the ids of F's rows) before step 4."""
+    ctx = af.ctx
+    nf = len(fids)
+    e = nf - gamma
+    k, r1 = len(b_ids), len(beta)
+    iface = fids[e:]
+    if r1:
+        unpiv = [t for t in range(k) if t not in beta]
         ku = len(unpiv)
         next_ids = fids + [b_ids[t] for t in unpiv]
         na = nf + ku
@@ -449,61 +640,38 @@ def _substep(
         system = SaddleSystem(a_ext, b_ext)
         f = schilders_partial_ldl(system, cutoff)
         if f.r != r1:
-            raise InternalInvariantViolation("complementation rank drifted")
+            raise _bag_error(2, "complementation rank drifted", dims)
         if any(f.P.fwd[t] >= e for t in range(r1)):
-            raise InternalInvariantViolation(
-                "complementation pivot outside the eliminable block"
-            )
+            raise _bag_error(2, "complementation pivot outside the eliminable block", dims)
         beta_ids = [b_ids[t] for t in beta]
         for i in range(r1):
-            (pa, pb), (c1, c2), blks = pair_columns(f, i, next_ids, beta_ids)
-            if len(blks) == 1:
-                transcript.append(EdgeElim((pa, pb), c1, c2, blks[0]))
-            else:
-                transcript.append(VertexElim(pa, c1, blks[0]))
-                transcript.append(VertexElim(pb, c2, blks[1]))
+            _append_pair(transcript, *pair_columns(f, i, next_ids, beta_ids))
         resid = residual_schur(system, f)
-        resid_ids = [next_ids[f.P.fwd[t]] for t in range(r1, na)]
-    else:
-        resid = af
-        resid_ids = fids
-
-    # -- step 3: factor the remaining eliminable block.  One gather puts
-    # resid in [eliminable | interface | constraint] order.
-    eset = set(fids[:e])
-    iset = set(iface)
-    elim_loc, ifc_loc, b_loc = [], [], []
-    for t, rid in enumerate(resid_ids):
-        if rid in eset:
-            elim_loc.append(t)
-        elif rid in iset:
-            ifc_loc.append(t)
-        else:
-            b_loc.append(t)
-    # the non-pivot tail of the LU keeps original order, so the interface
-    # comes back in the caller's order; S and F rely on it
-    if [resid_ids[t] for t in ifc_loc] != iface:
-        raise InternalInvariantViolation("interface order not preserved")
-    order = elim_loc + ifc_loc + b_loc
-    # without step 2, resid is the frontal, already in that order
-    g = resid.take_rows(order).take_cols(order) if r1 else resid
-    n1 = len(elim_loc)
-    ni = n1 + gamma
-    nr = len(order)
-    if r1:
+        elim_loc, ifc_loc, b_loc = _split_rest(f.P.fwd[r1:], e, nf, dims)
+        # resid's rows follow P.fwd[r1:]
+        pos = {v: t for t, v in enumerate(f.P.fwd[r1:])}
+        order = [pos[v] for v in elim_loc + ifc_loc + b_loc]
+        g = resid.take_rows(order).take_cols(order)
+        elim_ids = [next_ids[v] for v in elim_loc]
+        n1 = len(elim_loc)
+        ni = n1 + gamma
+        nr = len(order)
         if not (g.block(ni, nr, 0, n1).is_zero() and g.block(ni, nr, ni, nr).is_zero()):
-            raise InternalInvariantViolation(
-                "constraint rows keep eliminable or mutual couplings"
-            )
+            raise _bag_error(3, "constraint rows keep eliminable or mutual couplings", dims)
         bt2 = g.block(ni, nr, n1, ni)
-        bt2_ids = [resid_ids[t] for t in b_loc]
+        bt2_ids = [next_ids[v] for v in b_loc]
     else:
+        # without step 2 the frontal is already in [eliminable | interface] order
+        g = af
+        elim_ids = fids[:e]
+        n1, ni = e, nf
         bt2 = brows.block(0, k, e, nf)
         bt2_ids = b_ids
+
+    # -- step 3: factor the remaining eliminable block
     y11 = g.block(0, n1, 0, n1)
     y12 = g.block(0, n1, n1, ni)
     a22 = g.block(n1, ni, n1, ni)
-    elim_ids = [resid_ids[t] for t in elim_loc]
     res3 = fast_ldl(y11, cutoff)
     ell = res3.r
     elim_p1 = [elim_ids[res3.P.fwd[t]] for t in range(n1)]
@@ -536,13 +704,7 @@ def _substep(
                 EdgeElim((elim_p1[pos], elim_p1[pos + 1]), cc[0], cc[1], blk)
             )
         pos += blk.size
-
-    # -- step 4: peel dependents among leftover rows, carry the rest
-    gids = bt2_ids + elim_p1[ell:]
-    grows = vstack([bt2, z12])
-    if gids:
-        grows, gids = _peel_dependent(transcript, grows, gids, cutoff)
-    return s_ifc, grows, gids
+    return s_ifc, vstack([bt2, z12]), bt2_ids + elim_p1[ell:]
 
 
 def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):

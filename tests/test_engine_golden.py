@@ -8,6 +8,8 @@ interface Schur complement S and carried rows F, and the op counts.  A
 change that alters any of them, or the field operations it spends, changes
 its SHA-256.  The inputs have zero diagonals, so the bag step reaches its
 constraint complementation (step 2) and peels with nonzero coefficients.
+The same calls and a random k-tree sweep give the same results and op
+counts when every bag takes the matrix steps instead of the flat ones.
 The kernel cases run `fast_ldl` (on leaves of its recursion and on larger
 inputs), `natural_order_ldl`, `fast_lu`, `tri_solve`, `_peel_dependent`
 and `schilders_partial_ldl` -> `residual_schur` -> `pair_columns` on
@@ -194,16 +196,17 @@ def run_calls(ctx, cutoff):
 
 
 def digests(spec, cutoff, monkeypatch):
-    """(name -> SHA-256 of result and op counts, step-2 runs, transcripts)."""
+    """(name -> SHA-256 of result and op counts, step-2 pairs, transcripts)."""
     ctx = parse_field(spec)
     counter = ctx.enable_counter()
     step2 = []
+    append_pair = sparse._append_pair
 
-    def counted(*args, **kwargs):
+    def counted(*args):  # each constraint pair of step 2, on either path
         step2.append(1)
-        return schilders_partial_ldl(*args, **kwargs)
+        return append_pair(*args)
 
-    monkeypatch.setattr(sparse, "schilders_partial_ldl", counted)
+    monkeypatch.setattr(sparse, "_append_pair", counted)
     out, transcripts = {}, []
     for name, result, t in run_calls(ctx, cutoff):
         text = repr((result, counter.snapshot()))
@@ -285,6 +288,130 @@ def test_engine_golden(spec, cutoff, monkeypatch):
         isinstance(tf, Peel) and tf.coeffs for t in transcripts for tf in t.transforms
     ), "no peel with nonzero coefficients"
     assert got == GOLDEN[f"{spec} {cutoff}"]
+
+
+# -- the flat bag step against the matrix steps --------------------------------------
+#
+# A bag of at most `_TRI_BASE` frontal and constraint rows, half of them within
+# the cutoff, runs steps 2 and 3 as pivots on one working copy
+# (`sparse._flat_steps`); others run them as matrix operations
+# (`sparse._matrix_steps`).  Both must give the same results and op counts.
+
+
+def typed_transcript(ctx, t):
+    def col(c):
+        return [(i, *typed(ctx, v)) for i, v in c]
+
+    out = []
+    for tf in t.transforms:
+        if isinstance(tf, Peel):
+            out.append(("peel", tf.target, col(tf.coeffs)))
+        elif isinstance(tf, VertexElim):
+            out.append(("vertex", tf.pivot, col(tf.col), blk(ctx, tf.block), block_types(tf.block)))
+        else:
+            out.append(("edge", tf.pivots, col(tf.col1), col(tf.col2), blk(ctx, tf.block),
+                        block_types(tf.block)))
+    return out
+
+
+def random_ktree(ctx, rng, n, width, density, diagonal):
+    """A random partial k-tree of this width on n vertices with its tree
+    decomposition: each edge holds a `sweep_el` entry with probability
+    density, and so does the diagonal when `diagonal`."""
+    bags = [list(range(width + 1))]
+    edges = []
+    pattern = {(i, j) for i in range(width + 1) for j in range(i + 1, width + 1)}
+    for v in range(width + 1, n):
+        host = rng.randrange(len(bags))
+        sub = rng.sample(bags[host], width)
+        bags.append(sorted(sub + [v]))
+        edges.append((host, len(bags) - 1))
+        pattern.update((u, v) for u in sub)
+    a = SparseSym(ctx, n)
+    for i, j in sorted(pattern):
+        if rng.random() < density:
+            a.set(i, j, sweep_el(ctx, rng))
+    if diagonal:
+        for i in range(n):
+            a.set(i, i, sweep_el(ctx, rng))
+    return a, TreeDecomposition.build(n, bags, edges)
+
+
+def ktree_sweep(ctx):
+    """Random partial k-trees of widths 2..5 and n up to 60, at two
+    densities, with and without a diagonal (many are rank-deficient)."""
+    rng = random.Random(zlib.crc32(ctx.spec.encode()))
+    for n, width in ((8, 2), (20, 3), (33, 4), (45, 5), (60, 3), (60, 4)):
+        for density in (0.4, 0.9):
+            for diagonal in (True, False):
+                yield random_ktree(ctx, rng, n, width, density, diagonal)
+
+
+def bag_step_results(spec):
+    """The engine golden calls, then sparse_ldl and tree_ldl with a
+    two-vertex interface on the k-tree sweep, at cutoffs None and 2: each
+    call's result with its transcript's entry types, and its op counts."""
+    ctx = parse_field(spec)
+    counter = ctx.enable_counter()
+    out, ranks = [], []
+    try:
+        for cutoff in CUTOFFS:
+            for name, result, t in run_calls(ctx, cutoff):
+                typed_t = typed_transcript(ctx, t) if t is not None else None
+                out.append((name, result, typed_t, counter.snapshot()))
+                counter.reset()
+            for a, td in ktree_sweep(ctx):
+                res = sparse_ldl(a, td, cutoff=cutoff, explicit=True)
+                ranks.append(res.rank < a.n)
+                explicit = (res.explicit.P.fwd, typed_mat(ctx, res.explicit.L),
+                            [blk(ctx, b) for b in res.explicit.D], res.explicit.r)
+                out.append((typed_transcript(ctx, res.transcript), res.order.fwd, explicit,
+                            counter.snapshot()))
+                counter.reset()
+                ntd = normalize_td(td)
+                t, s, f = tree_ldl(a.relabel(ntd.order), ntd, 2, cutoff)
+                out.append((typed_transcript(ctx, t), typed_mat(ctx, s), typed_mat(ctx, f),
+                            counter.snapshot()))
+                counter.reset()
+    finally:
+        ctx.disable_counter()
+    assert any(ranks) and not all(ranks), "the sweep needs full-rank and rank-deficient inputs"
+    return out
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_flat_bag_step_matches_the_matrix_steps(spec, monkeypatch):
+    # sparse.skeleton_pair and sparse._FlatLDL serve only the flat steps, the
+    # first for their constraint pairs (r1 > 0), the second for their local LDL
+    reached, in_ldl = set(), []
+    pair, lu_rows = sparse.skeleton_pair, factor._lu_rows
+
+    def traced_pair(ctx, k1, k2, row_ids):
+        reached.add("two scalars" if k1[0] else "antidiagonal")
+        return pair(ctx, k1, k2, row_ids)
+
+    class TracedFlatLDL(factor._FlatLDL):
+        def node(self, ids):
+            in_ldl.append(ids)
+            try:
+                return super().node(ids)
+            finally:
+                in_ldl.pop()
+
+    def traced_lu_rows(a):
+        if in_ldl:
+            reached.add("bordered")
+        return lu_rows(a)
+
+    monkeypatch.setattr(sparse, "skeleton_pair", traced_pair)
+    monkeypatch.setattr(sparse, "_FlatLDL", TracedFlatLDL)
+    monkeypatch.setattr(factor, "_lu_rows", traced_lu_rows)
+    flat = bag_step_results(spec)
+    assert reached == {"two scalars", "antidiagonal", "bordered"}
+    monkeypatch.setattr(sparse, "_flat_bag", lambda nf, k, cutoff: False)
+    monkeypatch.setattr(sparse, "_flat_steps", None)  # the matrix steps only
+    matrix = bag_step_results(spec)
+    assert flat == matrix
 
 
 # -- the small dense kernels the bag step calls --------------------------------------

@@ -1,9 +1,18 @@
 import random
+import re
 
 import pytest
 
+from exldl import factor, saddle, sparse
 from exldl.dense import DenseMatrix, matmul
-from exldl.fields import DimensionMismatch, InconsistentSystem, InvalidDecomposition, NotInSpan
+from exldl.factor import LUResult
+from exldl.fields import (
+    DimensionMismatch,
+    InconsistentSystem,
+    InternalInvariantViolation,
+    InvalidDecomposition,
+    NotInSpan,
+)
 from exldl.oracle import oracle_rank, oracle_verify_ldl, oracle_verify_lu
 from exldl.sparse import (
     EdgeElim,
@@ -363,6 +372,30 @@ def test_substep_public_surface(ctx, rng):
     b = DenseMatrix.identity(ctx, n)
     tfs, s, f = substep(a, b, 0)
     assert all(isinstance(tf, (EdgeElim, VertexElim, Peel)) for tf in tfs)
+
+
+@pytest.mark.parametrize("flat", [True, False])
+def test_bag_step_invariant_errors_name_the_step_and_sizes(flat, monkeypatch):
+    # A fast_lu whose third call in the bag (the LU of step 2's pivot rows,
+    # after step 1's and step 2's first) loses a pivot makes the bag step
+    # see its complementation rank drift, on either path.
+    real, calls = factor.fast_lu, []
+
+    def drifting(a, cutoff=None):
+        res = real(a, cutoff)
+        calls.append(a)
+        return res if len(calls) != 3 else LUResult(res.P, res.Q, res.L, res.U, res.r - 1)
+
+    monkeypatch.setattr(sparse, "fast_lu", drifting)
+    monkeypatch.setattr(saddle, "fast_lu", drifting)
+    if not flat:
+        monkeypatch.setattr(sparse, "_flat_bag", lambda nf, k, cutoff: False)
+    a = DenseMatrix.from_rows(GF7, [[1, 2, 0], [2, 0, 3], [0, 3, 1]])
+    b = DenseMatrix.from_rows(GF7, [[1, 0, 4]])
+    what = "bag step 2: complementation rank drifted (nf=3, k=1, gamma=1, r1=1)"
+    with pytest.raises(InternalInvariantViolation, match=re.escape(what)):
+        substep(a, b, 1)
+    assert len(calls) == 3
 
 
 def test_tree_ldl_gamma_partial(ctx, rng):
