@@ -73,12 +73,7 @@ class SaddleSystem:
     def dense(self) -> DenseMatrix:
         """Materialize the full (n+m) saddle matrix: the matrix whose
         `schur()` copy `gamma_eliminate_partial` pivots on, and the one a
-        completed LDL is checked against.  The tree engine's bag step in
-        `sparse` builds one of its frontal and constraint rows: below its
-        flat rule that copy is the bag's one working copy, on which both
-        its constraint pairs and its local LDL pivot; above it, the
-        matrix is the extended A block of its constraint
-        complementation."""
+        completed LDL is checked against."""
         ctx = self.A.ctx
         n, m = self.n, self.m
         out = DenseMatrix.zeros(ctx, n + m, n + m)

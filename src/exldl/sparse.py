@@ -10,25 +10,28 @@ A vertex is peeled when its remaining border column is a linear
 combination of other active columns; every vertex ends up either as an
 elimination pivot or peeled, so the peel count is n - rank(A).
 
-The tree engine is the multifrontal realization: each bag materializes
-only its dense frontal block plus the carried constraint rows, indexed
-by a global-to-local map; children pass their interface Schur
-complements and delayed constraint rows upward, and each bag runs the
-four-phase substep (peel dependent constraint rows, complement the
-constraints against the to-be-eliminated columns, factor the remaining
-local block, peel or carry what is left).
+The tree engine is the multifrontal realization.  Each bag assembles one
+matrix, its extended saddle matrix [[A_f, B^H], [B, 0]] over its frontal
+vertices and the constraint rows B its children carry, indexed by a
+global-to-local map, and runs all four steps of the substep on it (peel
+dependent constraint rows, complement the constraints against the
+to-be-eliminated columns, factor the remaining local block, peel or carry
+what is left).  A_f holds each stored entry of A, read once in the whole
+tree at the bag that eliminates its lower endpoint, plus the children's
+interface Schur complements S; B holds the rows F that they carry up.
 
 Steps 2 and 3 of a small bag, nf + k <= `_TRI_BASE` frontal and
 constraint rows with (nf + k) // 2 within the Strassen cutoff, run as
-pivots on one working copy: the `schur()` copy of the bag's extended
-saddle matrix.  The constraint pairs are two row pivots each, as in
+pivots on one working copy: the `schur()` copy of the bag matrix's kept
+rows.  The constraint pairs are two row pivots each, as in
 `saddle.gamma_eliminate_partial`, and the local LDL is `factor._FlatLDL`
 on the same copy, which leaves S and the carried rows' interface block
 in it.  Below that rule every product the matrix steps would make is
 classical and every solve a base case, so the flat steps give the same
 transforms, S and F, and charge the same op counts.  Larger bags run the
 matrix steps (`schilders_partial_ldl`, `residual_schur`, `fast_ldl`,
-solves and products), whose recursion keeps their cost O(tau^omega).
+solves and products) on blocks of the bag matrix, whose recursion keeps
+their cost O(tau^omega).
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .dense import (
     UPPER_UNIT,
     DenseMatrix,
     Permutation,
-    hstack,
     matmul,
     tri_solve,
     vstack,
@@ -390,12 +392,11 @@ def peel_vertex(a_block: DenseMatrix, target: int, basis_cols) -> Peel:
 # -- the tree engine ----------------------------------------------------------------
 
 
-def _peel_dependent(transcript: Transcript, rows: DenseMatrix, ids, cutoff):
-    """Peel the vertex ids[t] of every row t of `rows` outside the pivot
-    rows of a rank-revealing LU of rows^H, as the combination of those
-    that the factors give; returns the kept rows and their ids, in their
-    given order."""
-    lu = fast_lu(rows.conj_transpose(), cutoff)
+def _peel_dependent(transcript: Transcript, cols: DenseMatrix, ids, cutoff):
+    """Peel the vertex ids[t] of every column t of `cols` outside the pivot
+    columns of a rank-revealing LU of cols, as the combination of those
+    that the factors give; returns the kept columns' positions, ascending."""
+    lu = fast_lu(cols, cutoff)
     r = lu.r
     q = lu.Q.fwd
     piv_ids = [ids[t] for t in q[:r]]
@@ -408,13 +409,12 @@ def _peel_dependent(transcript: Transcript, rows: DenseMatrix, ids, cutoff):
     step = max(len(ids) - r, 1) if r <= _TRI_BASE else 1
     for t0 in range(r, len(ids), step):
         x = tri_solve(u11, lu.U.block(0, r, t0, t0 + step), LEFT, UPPER)
-        rows.ctx.count_ops(inv=r * (step - 1))
+        cols.ctx.count_ops(inv=r * (step - 1))
         xs = x.to_lists()
         for c in range(step):
             coeffs = tuple((pid, row[c]) for pid, row in zip(piv_ids, xs) if row[c])
             transcript.append(Peel(ids[q[t0 + c]], coeffs))
-    keep = sorted(q[:r])
-    return rows.take_rows(keep), [ids[t] for t in keep]
+    return sorted(q[:r])
 
 
 def _flat_bag(nf: int, k: int, cutoff: int) -> bool:
@@ -426,9 +426,9 @@ def _flat_bag(nf: int, k: int, cutoff: int) -> bool:
 
 
 def _bag_error(step: int, what: str, dims) -> InternalInvariantViolation:
-    nf, k, gamma, r1 = dims
+    node, nf, k, gamma, r1 = dims
     return InternalInvariantViolation(
-        f"bag step {step}: {what} (nf={nf}, k={k}, gamma={gamma}, r1={r1})"
+        f"bag step {step}: {what} (node={node}, nf={nf}, k={k}, gamma={gamma}, r1={r1})"
     )
 
 
@@ -453,40 +453,36 @@ def _split_rest(rest, e: int, nf: int, dims):
     return elim, ifc, [t for t in rest if t >= nf]
 
 
-def _substep(
-    transcript: Transcript,
-    af: DenseMatrix,
-    fids: list,
-    brows: DenseMatrix,
-    b_ids: list,
-    gamma: int,
-    cutoff,
-):
+def _substep(transcript: Transcript, m: DenseMatrix, ids: list, nf: int, gamma: int, cutoff,
+             node):
     """One bag: peel dependent constraint rows, complement the constraints
     against the to-be-eliminated columns, factor the remaining local block,
     peel or carry the leftovers.
 
-    The frontal `af` and the columns of `brows` follow `fids`, whose last
-    `gamma` ids are the interface and the others are eliminable; the
-    rows of `brows` are the constraint vertices `b_ids`.  Returns (S over
-    the interface, carried rows F over the interface, their ids), with
-    the interface in its given order.
+    `m` is the bag's extended saddle matrix [[af, B^H], [B, 0]] and ids[t]
+    the vertex of its index t: the first nf are the frontal's, whose last
+    `gamma` are the interface and the others eliminable, and the rest are
+    the constraint rows B that the children carry.  `node` is the bag in
+    the normalized decomposition, which errors name.  Returns (S over the
+    interface, carried rows F over the interface, their ids), with the
+    interface in its given order.
 
-    Steps 1 and 4 peel with an LU (`_peel_dependent`), and step 2 finds
-    the r1 constraint rows that pivot against the eliminable columns with
-    another.  Steps 2 and 3 then run in one of two ways, with the same
-    results and op counts.  A bag of nf + k <= `_TRI_BASE` rows with
-    (nf + k) // 2 within the Strassen cutoff (`_flat_bag`) takes
-    `_flat_steps`: pivots on one working copy of the bag's extended
-    saddle matrix.  A larger one takes `_matrix_steps`, whose solves and
-    products recurse, so its cost stays O(tau^omega)."""
-    nf = len(fids)
+    Every step reads blocks of m by index lists.  Step 1 peels with an LU
+    of m's block B^H (`_peel_dependent`), and step 2 finds the r1
+    constraint rows that pivot against the eliminable columns with an LU
+    of its eliminable rows.  Steps 2 and 3 then run in one of two ways,
+    with the same results and op counts.  A bag of nf + k <= `_TRI_BASE`
+    rows with (nf + k) // 2 within the Strassen cutoff (`_flat_bag`) takes
+    `_flat_steps`: pivots on one working copy of m's kept rows.  A larger
+    one takes `_matrix_steps`, whose solves and products recurse, so its
+    cost stays O(tau^omega).  Step 4 peels with an LU of F^H."""
     e = nf - gamma
 
     # -- step 1: peel linearly dependent constraint rows
-    if b_ids:
-        brows, b_ids = _peel_dependent(transcript, brows, b_ids, cutoff)
-    k = len(b_ids)
+    keep = []
+    if len(ids) > nf:
+        keep = _peel_dependent(transcript, m.block(0, nf, nf, m.ncols), ids[nf:], cutoff)
+    k = len(keep)
 
     # -- step 2: the constraint rows beta that pivot, found by an LU of
     # the eliminable part; the others join the symmetric side as border
@@ -494,26 +490,27 @@ def _substep(
     # Schur update (interface entries of pivot rows included) is exact.
     beta = []
     if k and e:
-        b1ext = hstack([brows.block(0, k, 0, e), DenseMatrix.zeros(af.ctx, k, gamma)])
-        lu1 = fast_lu(b1ext.conj_transpose(), cutoff)
-        beta = sorted(lu1.Q.fwd[: lu1.r])
-    cut = af.ctx.default_cutoff if cutoff is None else cutoff
+        lu1 = fast_lu(m.block(0, e, nf, m.ncols).take_cols(keep).pad(nf, k), cutoff)
+        beta = [nf + keep[t] for t in sorted(lu1.Q.fwd[: lu1.r])]
+    unpiv = [nf + t for t in keep if nf + t not in beta]
+    cut = m.ctx.default_cutoff if cutoff is None else cutoff
     steps = _flat_steps if _flat_bag(nf, k, cut) else _matrix_steps
-    s_ifc, grows, gids = steps(
-        transcript, af, fids, brows, b_ids, beta, gamma, cutoff, (nf, k, gamma, len(beta))
-    )
+    s_ifc, grows, gids = steps(transcript, m, ids, unpiv, beta, cutoff,
+                               (node, nf, k, gamma, len(beta)))
 
     # -- step 4: peel dependents among leftover rows, carry the rest
     if gids:
-        grows, gids = _peel_dependent(transcript, grows, gids, cutoff)
+        keep = _peel_dependent(transcript, grows.conj_transpose(), gids, cutoff)
+        grows, gids = grows.take_rows(keep), [gids[t] for t in keep]
     return s_ifc, grows, gids
 
 
-def _flat_steps(transcript, af, fids, brows, b_ids, beta, gamma, cutoff, dims):
+def _flat_steps(transcript, m, ids, unpiv, beta, cutoff, dims):
     """Steps 2 and 3 of a bag as pivots on one working copy: the `schur()`
-    copy of its extended saddle matrix [[af, Bu^H, Bb^H], [Bu, 0, 0],
-    [Bb, 0, 0]], where Bu are the constraint rows that do not pivot and Bb
-    the r1 that do.  Returns (S, F, the ids of F's rows) before step 4.
+    copy of m's kept rows and columns in the order frontal, unpiv, beta,
+    [[af, Bu^H, Bb^H], [Bu, 0, 0], [Bb, 0, 0]], where Bu are the
+    constraint rows that do not pivot and Bb the r1 that do.  Returns (S,
+    F, the ids of F's rows) before step 4.
 
     Step 2 takes the pivot pairs (P.fwd[t], Q.fwd[t]) of the LU of
     [Bb, 0]^H, as the matrix steps do.  For each it reads the skeleton
@@ -528,14 +525,13 @@ def _flat_steps(transcript, af, fids, brows, b_ids, beta, gamma, cutoff, dims):
     block.  With a counter on, each step charges what the matrix steps'
     solves, products, scalings and subtractions meter
     (`_charge_complementation`, `_FlatLDL.charge_schur`)."""
-    ctx = af.ctx
-    nf = len(fids)
+    ctx = m.ctx
+    _, nf, _, gamma, r1 = dims
     e = nf - gamma
-    k, r1 = len(b_ids), len(beta)
-    unpiv = [t for t in range(k) if t not in beta]
     na = nf + len(unpiv)
-    ids = fids + [b_ids[t] for t in unpiv + beta]
-    s = SaddleSystem(af, brows.take_rows(unpiv + beta)).dense().schur()
+    idx = [*range(nf), *unpiv, *beta]
+    ids = [ids[t] for t in idx]
+    s = m.take_rows(idx).take_cols(idx).schur()
     rest = range(na)
     if r1:
         lu = fast_lu(s.block(range(na), range(na, na + r1)), cutoff)
@@ -619,31 +615,28 @@ def _charge_complementation(ctx: FieldContext, n: int, lmasks, a11s, ynnz):
     )
 
 
-def _matrix_steps(transcript, af, fids, brows, b_ids, beta, gamma, cutoff, dims):
+def _matrix_steps(transcript, m, ids, unpiv, beta, cutoff, dims):
     """Steps 2 and 3 of a bag as matrix operations: the partial LDL of the
-    extended system (`schilders_partial_ldl`), its pairs as transforms
-    (`pair_columns`) and its residual (`residual_schur`), then `fast_ldl`
-    of the eliminable block left, two triangular solves and two products.
-    Returns (S, F, the ids of F's rows) before step 4."""
-    ctx = af.ctx
-    nf = len(fids)
+    extended system of m's blocks over the frontal and unpiv
+    (`schilders_partial_ldl`), its pairs as transforms (`pair_columns`)
+    and its residual (`residual_schur`), then `fast_ldl` of the eliminable
+    block left, two triangular solves and two products.  Returns (S, F,
+    the ids of F's rows) before step 4."""
+    ctx = m.ctx
+    _, nf, k, gamma, r1 = dims
     e = nf - gamma
-    k, r1 = len(b_ids), len(beta)
-    iface = fids[e:]
+    iface = ids[e:nf]
     if r1:
-        unpiv = [t for t in range(k) if t not in beta]
-        ku = len(unpiv)
-        next_ids = fids + [b_ids[t] for t in unpiv]
-        na = nf + ku
-        a_ext = SaddleSystem(af, brows.take_rows(unpiv)).dense()
-        b_ext = hstack([brows.take_rows(beta), DenseMatrix.zeros(ctx, r1, ku)])
-        system = SaddleSystem(a_ext, b_ext)
+        ext = [*range(nf), *unpiv]
+        next_ids = [ids[t] for t in ext]
+        # B's block on unpiv is m's zero constraint block
+        system = SaddleSystem(m.take_rows(ext).take_cols(ext), m.take_rows(beta).take_cols(ext))
         f = schilders_partial_ldl(system, cutoff)
         if f.r != r1:
             raise _bag_error(2, "complementation rank drifted", dims)
         if any(f.P.fwd[t] >= e for t in range(r1)):
             raise _bag_error(2, "complementation pivot outside the eliminable block", dims)
-        beta_ids = [b_ids[t] for t in beta]
+        beta_ids = [ids[t] for t in beta]
         for i in range(r1):
             _append_pair(transcript, *pair_columns(f, i, next_ids, beta_ids))
         resid = residual_schur(system, f)
@@ -661,12 +654,12 @@ def _matrix_steps(transcript, af, fids, brows, b_ids, beta, gamma, cutoff, dims)
         bt2 = g.block(ni, nr, n1, ni)
         bt2_ids = [next_ids[v] for v in b_loc]
     else:
-        # without step 2 the frontal is already in [eliminable | interface] order
-        g = af
-        elim_ids = fids[:e]
+        # without step 2 m's frontal is already in [eliminable | interface] order
+        g = m
+        elim_ids = ids[:e]
         n1, ni = e, nf
-        bt2 = brows.block(0, k, e, nf)
-        bt2_ids = b_ids
+        bt2 = m.take_rows(unpiv).block(0, k, e, nf)
+        bt2_ids = [ids[t] for t in unpiv]
 
     # -- step 3: factor the remaining eliminable block
     y11 = g.block(0, n1, 0, n1)
@@ -714,6 +707,14 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
     labels); `gamma` trailing positions are left untouched.  Returns the
     transcript plus the interface Schur complement and carried full-rank
     constraint rows (both empty when gamma = 0).
+
+    Each bag assembles its extended saddle matrix once and runs its step
+    (`_substep`) on it.  A's entries come from each eliminable vertex's
+    stored row: positions follow the elimination order and a row holds
+    the upper triangle, so each stored entry is read once, at the bag
+    that eliminates its lower endpoint, which must hold the other one
+    (else `InvalidDecomposition`).  The children's S are added to the
+    frontal and their carried rows F become B and B^H.
     """
     ctx = a.ctx
     n = a.n
@@ -723,55 +724,47 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
     transcript = Transcript(ctx, n)
     root_iface = bag_pos[td.root][len(bag_pos[td.root]) - gamma :] if gamma else []
 
-    def frontal(ids, iset):
-        """Entry lists of a over ids, without interface-interface entries."""
-        nf = len(ids)
-        out = [[ctx.zero] * nf for _ in range(nf)]
-        for li, u in enumerate(ids):
-            for lj in range(li, nf):
-                v = ids[lj]
-                if u in iset and v in iset:
-                    continue
-                val = a.get(u, v)
-                if val:
-                    out[li][lj] = val
-                    if lj != li:
-                        out[lj][li] = ctx.conj(val)
-        return out
-
     def rec(node, iface):
-        # eliminable ids first, the interface (ascending, as in the bag) last
+        # eliminable ids first, the interface (ascending, as in the bag)
+        # next, then the rows the children carry
         iset = set(iface)
         ids = [v for v in bag_pos[node] if v not in iset] + iface
         nf = len(ids)
         loc = {v: t for t, v in enumerate(ids)}
-        af = frontal(ids, iset)
-        brows, rows_ids = [], []
+        kids = []
         for child in td.children[node]:
             child_iface = sorted(set(bag_pos[node]) & set(bag_pos[child]))
-            s_c, b_c, bid_c = rec(child, child_iface)
-            at = [loc[v] for v in child_iface]
-            # extend-add: S into the frontal, the carried rows widened to it
+            s_c, f_c, fid_c = rec(child, child_iface)
+            kids.append(([loc[v] for v in child_iface], s_c, f_c))
+            ids += fid_c
+        size = len(ids)
+        rows = [[ctx.zero] * size for _ in range(size)]
+        for li in range(nf - len(iface)):
+            u = ids[li]
+            arow = rows[li]
+            for v, val in a.rows[u].items():
+                lj = loc.get(v)
+                if lj is None:
+                    raise InvalidDecomposition(
+                        f"entry ({u}, {v}) is in no bag: bag {node} eliminates {u} without {v}"
+                    )
+                arow[lj] = val
+                rows[lj][li] = ctx.conj(val)
+        # extend-add: S into the frontal, the carried rows into B and B^H
+        c = nf
+        for at, s_c, f_c in kids:
             for li, srow in zip(at, s_c.to_lists()):
-                arow = af[li]
+                arow = rows[li]
                 for lj, v in zip(at, srow):
                     if v:
                         arow[lj] = ctx.add(arow[lj], v)
-            for crow in b_c.to_lists():
-                ext = [ctx.zero] * nf
-                for lj, v in zip(at, crow):
-                    ext[lj] = v
-                brows.append(ext)
-            rows_ids.extend(bid_c)
-        return _substep(
-            transcript,
-            DenseMatrix.from_entries(ctx, af, nf),
-            ids,
-            DenseMatrix.from_entries(ctx, brows, nf),
-            rows_ids,
-            len(iface),
-            cutoff,
-        )
+            for frow in f_c.to_lists():
+                for lj, v in zip(at, frow):
+                    rows[c][lj] = v
+                    rows[lj][c] = ctx.conj(v)
+                c += 1
+        m = DenseMatrix.from_entries(ctx, rows, size)
+        return _substep(transcript, m, ids, nf, len(iface), cutoff, node)
 
     s, f, carried = rec(td.root, root_iface)
     if gamma == 0:

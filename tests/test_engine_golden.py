@@ -1,13 +1,16 @@
 """Golden digests of the tree engine, the saddle completion and the small
 dense kernels the bag step calls.
 
-The inputs come from a fixed formula, not a random generator.  Each case
-runs one call over one field at one Strassen cutoff and hashes what it
-returns: the transforms, the elimination order, the explicit factors, the
-interface Schur complement S and carried rows F, and the op counts.  A
-change that alters any of them, or the field operations it spends, changes
-its SHA-256.  The inputs have zero diagonals, so the bag step reaches its
-constraint complementation (step 2) and peels with nonzero coefficients.
+The inputs come from a fixed formula, not a random generator, but for two
+wide partial k-trees drawn from a generator seeded by the field's name,
+with bags wide enough for the matrix steps at the default cutoff.  Each
+case runs one call over one field at one Strassen cutoff and hashes what
+it returns: the transforms, the elimination order, the explicit factors,
+the interface Schur complement S and carried rows F, and the op counts.
+A change that alters any of them, or the field operations it spends,
+changes its SHA-256.  The fixed inputs have zero diagonals, so the bag
+step reaches its constraint complementation (step 2) and peels with
+nonzero coefficients.
 The same calls and a random k-tree sweep give the same results and op
 counts when every bag takes the matrix steps instead of the flat ones.
 The kernel cases run `fast_ldl` (on leaves of its recursion and on larger
@@ -188,6 +191,15 @@ def run_calls(ctx, cutoff):
     factors = (lu.P.fwd, lu.Q.fwd, mat(ctx, lu.L), mat(ctx, lu.U), lu.r)
     yield "band-lu", (transcript(ctx, t), out.order.fwd, factors), t
 
+    # bags of up to 13 frontal rows, several with carried rows that pivot:
+    # at the default cutoff these take the matrix steps
+    rng = random.Random(zlib.crc32(ctx.spec.encode()))
+    for n, width, density, diagonal in ((70, 10, 0.5, False), (70, 12, 0.9, True)):
+        a, td = random_ktree(ctx, rng, n, width, density, diagonal)
+        out = sparse_ldl(a, td, cutoff=cutoff, explicit=True)
+        t = out.transcript
+        yield f"wide-ldl-{width}", (transcript(ctx, t), out.order.fwd, ldl(ctx, out.explicit)), t
+
     results = []
     for system in saddles(ctx):
         f = schilders_partial_ldl(system, cutoff)
@@ -225,6 +237,8 @@ GOLDEN = {
         "ktree-ldl": "b4524d2fc831a0aa6863bce9fe7441235e289c7329b1bf9c258c0b00734d675b",
         "tree-ldl-gamma": "f53e3eb177f0875a4136ac5ec1c8c832740314f75f736cbe7e7145fd5a069d3b",
         "band-lu": "289cbed1505a7c2108aed2b8ee1de1d7fe2eb16c286d96115e263a00049c5b5c",
+        "wide-ldl-10": "d918a58c3d67cfa7e93321da34640809d094e02738acd2c874568b1fc4532b47",
+        "wide-ldl-12": "326c6a0229c4ee07c9b7895830c7105f322a77fbf4c96bd1115355aa17ee07b7",
         "saddle-complete": "6deee460b612aa72356f3749568942268e48726f50eae90ca5b495880991017f",
     },
     "gf2 2": {
@@ -232,6 +246,8 @@ GOLDEN = {
         "ktree-ldl": "e027d542a0e650608be373393c5df3a47ae96190d8e3aed2a0b2f24d90c49a75",
         "tree-ldl-gamma": "f53e3eb177f0875a4136ac5ec1c8c832740314f75f736cbe7e7145fd5a069d3b",
         "band-lu": "289cbed1505a7c2108aed2b8ee1de1d7fe2eb16c286d96115e263a00049c5b5c",
+        "wide-ldl-10": "9d1f0f48334b0df76787e2787693b95268d09a37307ffacd49017adf0e46ce5a",
+        "wide-ldl-12": "8db17a94248ff90ce82d73b0d4ece2189e8b01ffd768d0cd1ad1c41cc5c72a9b",
         "saddle-complete": "44322c9171929c5018403d2d300242899e4c31913bc36ed085c810de2b9f14e5",
     },
     "gfp:7 None": {
@@ -239,6 +255,8 @@ GOLDEN = {
         "ktree-ldl": "bc594977575a1e772ec5d596f21c271d4d2c6f2ee9dcf861f9a304c948b56125",
         "tree-ldl-gamma": "37c15a351b01213695536053c52b4a3028d6ae6a7f9df9d6cb107aa6fbba9e83",
         "band-lu": "9dd6d91ee46a3af95b8790d04297566bdb451b902e57d1a84e566b3295d21046",
+        "wide-ldl-10": "89fd0dca366fea0576e62f916ea7b24bd61f03ac119e4eaba03f01d3b1e56716",
+        "wide-ldl-12": "daa66ca75e8267d879e3aee358639f315f6033506e65f6f3fba77463fdf3fa89",
         "saddle-complete": "051a5ca45d882151908bd99c9eab2d72527f648138f194ec85c12dcdad653d16",
     },
     "gfp:7 2": {
@@ -246,6 +264,8 @@ GOLDEN = {
         "ktree-ldl": "25dc30288f6620256a73d6bdd96e1c2b6eae00336cf7f229e453ee3d88715347",
         "tree-ldl-gamma": "ee7949ca44bda523cbeb8434ef3d7218ee0ed9f6d0d32668a9c3dfc6925c05eb",
         "band-lu": "9dd6d91ee46a3af95b8790d04297566bdb451b902e57d1a84e566b3295d21046",
+        "wide-ldl-10": "1df52c5bbdc5531eac94e40edc649f9274553270247e0ca228cf0479fad20bb2",
+        "wide-ldl-12": "a4238823ebcc207d64d594d8b052c9924dbf5758ad7181ea3b9535a99c477f63",
         "saddle-complete": "e51d45ba3e33064e98c68e767b35b8296fa7c6a56abbd7bac4a158b635ee5d29",
     },
     "gfp:2147483647 None": {
@@ -253,6 +273,8 @@ GOLDEN = {
         "ktree-ldl": "5535b4ae9765dba2fa30416dc4e2c8f668ada51738be256044f3081a62fa3d64",
         "tree-ldl-gamma": "3d7fcdf2939dda236d4883da2d03a06ac4cfcd4ac414b204cfca1458bffaf32e",
         "band-lu": "64ad2e5594efc034d8156f9956e0122fcdee9c71ef78aef2e26a010e259cc35a",
+        "wide-ldl-10": "91a54b0ed6197ef10147df50246e63ddee5ce828f1e9a3bfbae9f56eec6ba16a",
+        "wide-ldl-12": "16becdf812f08cf31110c7f04f241c61a1934b80ce00a9d43c3605d2b30af4d2",
         "saddle-complete": "56b9419a0db81bfda424624df0967de9ec42c1b62fc418e5710185c7cb8ad904",
     },
     "gfp:2147483647 2": {
@@ -260,6 +282,8 @@ GOLDEN = {
         "ktree-ldl": "4546614a542406c0f9df91dd5fcddb915b7e3338d59b1e3c1628d94fa4318a71",
         "tree-ldl-gamma": "bbfc331b33f8f38d8764b3050155124b36efe6710718d3dd257b3dd65e784e5e",
         "band-lu": "64ad2e5594efc034d8156f9956e0122fcdee9c71ef78aef2e26a010e259cc35a",
+        "wide-ldl-10": "808c09c97e54a1000d6e6d48d4f998276be231c3190bc60493487a5388af301d",
+        "wide-ldl-12": "83bc3636a848aa534d614505264186f883ed6a60ff4be6ad082be541aa2fbc96",
         "saddle-complete": "64a9c981426240deddb291f20d19ee33e0954581e168c78a60bfc75e41735e40",
     },
     "rational None": {
@@ -267,6 +291,8 @@ GOLDEN = {
         "ktree-ldl": "e6a638ae76fc864fa9b0cdec06a432f6cf491833d096a4470e7dfccbd85fbd5a",
         "tree-ldl-gamma": "261ed304ccea66856f41aa39bdf39b311b5441bcadb15350c77fe5aa105ff977",
         "band-lu": "15f8cedd5e0f921f1e8ff5e683262b2712e1ce5123bf501e84e7d22cbb496b25",
+        "wide-ldl-10": "9b08134e291c96d49fd686b91943fef11dd741d75e604df7ec5f4b3825e8992f",
+        "wide-ldl-12": "b468874e930a8b85ec7ea6a2206d4708bfad46236a021d2c7caccf145271c005",
         "saddle-complete": "831b485c0220ea604594511060a8948701083f3bfad29590e9e2c900a22edf31",
     },
     "rational 2": {
@@ -274,6 +300,8 @@ GOLDEN = {
         "ktree-ldl": "0c81c5567a29eaaf64e237cd50508a07fa2d3f554d46f8f509c3567ff8878b89",
         "tree-ldl-gamma": "06e099a1bd322eef1ebe05eef99227dac88e5ac88889c7c5f3b83a4b3ba69b6b",
         "band-lu": "15f8cedd5e0f921f1e8ff5e683262b2712e1ce5123bf501e84e7d22cbb496b25",
+        "wide-ldl-10": "cd531f20e2ca9edafa19c7870f4c9da3549ca7f070a57dcba0603e78183e2545",
+        "wide-ldl-12": "9ae90864ebbb1fe358d844f6c11815d1b6015da6b83d5ea9055c682e5beceb13",
         "saddle-complete": "737d3168859cf69dae3965af4ffd3953203285a71605d76c67bc02fade2f3b63",
     },
 }
@@ -539,7 +567,9 @@ def run_kernels(ctx, cutoff, reached):
     for rows in (dependent_rows(ctx, 7), dependent_rows(ctx, 8), DenseMatrix.zeros(ctx, 2, 3),
                  dense(ctx, 3, 6, 9)):
         t = Transcript(ctx, 30)
-        kept, ids = sparse._peel_dependent(t, rows, list(range(20, 20 + rows.nrows)), cutoff)
+        ids = list(range(20, 20 + rows.nrows))
+        keep = sparse._peel_dependent(t, rows.conj_transpose(), ids, cutoff)
+        kept, ids = rows.take_rows(keep), [ids[s] for s in keep]
         if sum(isinstance(tf, Peel) for tf in t.transforms) >= 2:
             reached.add("two-peels")
         out.append((transcript(ctx, t), mat(ctx, kept), ids))

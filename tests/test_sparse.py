@@ -352,8 +352,8 @@ def substep(a, b, gamma):
     """One bag step on local indices 0..dim(a)-1, the constraint rows
     numbered above them: (transforms, S, F)."""
     t = Transcript(a.ctx, a.nrows + b.nrows)
-    s, f, _ = _substep(t, a, list(range(a.nrows)), b, list(range(a.nrows, a.nrows + b.nrows)),
-                       gamma, None)
+    m = saddle.SaddleSystem(a, b).dense()
+    s, f, _ = _substep(t, m, list(range(m.nrows)), a.nrows, gamma, None, 0)
     return t.transforms, s, f
 
 
@@ -392,7 +392,7 @@ def test_bag_step_invariant_errors_name_the_step_and_sizes(flat, monkeypatch):
         monkeypatch.setattr(sparse, "_flat_bag", lambda nf, k, cutoff: False)
     a = DenseMatrix.from_rows(GF7, [[1, 2, 0], [2, 0, 3], [0, 3, 1]])
     b = DenseMatrix.from_rows(GF7, [[1, 0, 4]])
-    what = "bag step 2: complementation rank drifted (nf=3, k=1, gamma=1, r1=1)"
+    what = "bag step 2: complementation rank drifted (node=0, nf=3, k=1, gamma=1, r1=1)"
     with pytest.raises(InternalInvariantViolation, match=re.escape(what)):
         substep(a, b, 1)
     assert len(calls) == 3
@@ -515,6 +515,19 @@ def test_rejects_decomposition_of_another_pattern(bags):
         sparse_ldl(a, td)
 
 
+def test_tree_ldl_rejects_an_entry_in_no_bag():
+    # the 4-cycle 0-1-2-3-0 along the path {0, 1}, {1, 2}, {2, 3}: no bag
+    # holds the edge (0, 3), so the matrix factored would lack it
+    a = SparseSym.from_entries(GF7, 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]
+                               + [(v, v, 2) for v in range(4)])
+    td = TreeDecomposition.build(4, [{0, 1}, {1, 2}, {2, 3}], [(0, 1), (1, 2)])
+    ntd = normalize_td(td)
+    p, q = ntd.order.inv[0], ntd.order.inv[3]
+    what = f"entry ({min(p, q)}, {max(p, q)}) is in no bag"
+    with pytest.raises(InvalidDecomposition, match=re.escape(what)):
+        tree_ldl(a.relabel(ntd.order), ntd)
+
+
 def test_sparse_lu_rejects_decomposition_of_another_pattern():
     # the embedding edges (2, 6) and (3, 6) of row 2 are in no bag
     td = TreeDecomposition.build(7, [set(range(6)), {6}], [(0, 1)])
@@ -609,8 +622,8 @@ def test_peel_dependent_matches_a_solve_per_dependent(ctx, rank, cutoff):
     counter = ctx.enable_counter()
     try:
         t = Transcript(ctx, 200)
-        kept, kept_ids = _peel_dependent(t, rows, ids, cutoff)
-        got = (t.transforms, kept, kept_ids, counter.snapshot())
+        keep = _peel_dependent(t, rows.conj_transpose(), ids, cutoff)
+        got = (t.transforms, rows.take_rows(keep), [ids[s] for s in keep], counter.snapshot())
         counter.reset()
         lu = fast_lu(rows.conj_transpose(), cutoff)
         r, q = lu.r, lu.Q.fwd
