@@ -13,7 +13,8 @@ change won by the metric's direction in BENCHMARK.json (ties count for
 neither side).  It also records the stamp `run.py` prints, the parent
 commit, and for the change: the commit this checkout is based on, the
 files that differ from it, as `git status` lists them (none when the
-change is that commit), and a digest of its `src/` files.
+change is that commit), and a digest of its `src/` files.  For both sides
+it records the line count of `src/exldl/*.py`, as `wc -l` gives it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ def src_digest(checkout: Path) -> str:
     for path in sorted((checkout / "src").rglob("*.py")):
         h.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def src_lines(checkout: Path) -> int:
+    """The lines of src/exldl/*.py, counted as `wc -l` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "exldl").glob("*.py"))
 
 
 def export(rev: str, dest: Path) -> None:
@@ -104,6 +110,7 @@ def main(argv=None) -> int:
             "base_commit": git("rev-parse", "HEAD").strip(),
             "uncommitted_files": [line[3:] for line in git("status", "--porcelain").splitlines()],
             "src_sha256": src_digest(ROOT),
+            "src_lines": src_lines(ROOT),
         },
         "pairs": args.pairs,
         "seconds": args.seconds,
@@ -113,6 +120,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp)
         export(args.parent, parent)
+        report["parent_src_lines"] = src_lines(parent)
         for spec in args.run:
             workload, seed = spec.rsplit(":", 1)
             runs = []

@@ -227,7 +227,9 @@ def _dblock_json(ctx, blk: DBlock):
 def _dblock_from_json(ctx, b) -> DBlock:
     if b["kind"] == "scalar":
         return DBlock.scalar(ctx.el(b["d"]))
-    return DBlock.antidiag(ctx.el(b["a12"]), ctx.el(b["a21"]))
+    if b["kind"] == "antidiag":
+        return DBlock.antidiag(ctx.el(b["a12"]), ctx.el(b["a21"]))
+    raise ParseError(f"unknown D block kind {b['kind']!r}")
 
 
 def ldl_to_json(ctx, res: LDLResult, p_key: str = "P") -> dict:
@@ -520,7 +522,8 @@ def run(args) -> tuple[int, dict]:
 def reverify_json(json_path) -> bool:
     """Independent re-verification of an emitted factors file: reread the
     input with the mode's loader, rebuild the explicit LDL or LU with the
-    reader that mirrors its writer, and run the mode's reference check."""
+    reader that mirrors its writer, and run the mode's reference check.
+    False when the file has no explicit factors or malformed ones."""
     with open(json_path) as fh:
         payload = json.load(fh)
     report = payload["report"]
@@ -530,11 +533,9 @@ def reverify_json(json_path) -> bool:
     load, _, read, check = _MODES[report["mode"]]
     ctx = parse_field(report["field"])
     x = load(argparse.Namespace(**payload["inputs"]), ctx)
-    if "L" not in factors:
-        return False
     try:
         res = read(ctx, factors, report["rank"])
-    except (ValueError, ZeroDivisionError):  # a bad P, Q, D, L or U entry
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):  # a missing or bad factor
         return False
     return check(x, res).ok
 

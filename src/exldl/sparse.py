@@ -13,25 +13,26 @@ elimination pivot or peeled, so the peel count is n - rank(A).
 The tree engine is the multifrontal realization.  Each bag assembles one
 matrix, its extended saddle matrix [[A_f, B^H], [B, 0]] over its frontal
 vertices and the constraint rows B its children carry, indexed by a
-global-to-local map, and runs all four steps of the substep on it (peel
-dependent constraint rows, complement the constraints against the
-to-be-eliminated columns, factor the remaining local block, peel or carry
-what is left).  A_f holds each stored entry of A, read once in the whole
-tree at the bag that eliminates its lower endpoint, plus the children's
-interface Schur complements S; B holds the rows F that they carry up.
+global-to-local map, into one `schur()` working copy, and runs all four
+steps of the substep on that copy by these bag indices (peel dependent
+constraint rows, complement the constraints against the to-be-eliminated
+columns, factor the remaining local block, peel or carry what is left).
+A_f holds each stored entry of A, read once in the whole tree at the bag
+that eliminates its lower endpoint, plus the children's interface Schur
+complements S; B holds the rows F that they carry up.
 
-Steps 2 and 3 of a small bag, nf + k <= `_TRI_BASE` frontal and
+Steps 2 and 3 of a small bag, nf + k <= `_TRI_BASE` frontal and kept
 constraint rows with (nf + k) // 2 within the Strassen cutoff, run as
-pivots on one working copy: the `schur()` copy of the bag matrix's kept
-rows.  The constraint pairs are two row pivots each, as in
-`saddle.gamma_eliminate_partial`, and the local LDL is `factor._FlatLDL`
-on the same copy, which leaves S and the carried rows' interface block
-in it.  Below that rule every product the matrix steps would make is
-classical and every solve a base case, so the flat steps give the same
-transforms, S and F, and charge the same op counts.  Larger bags run the
-matrix steps (`schilders_partial_ldl`, `residual_schur`, `fast_ldl`,
-solves and products) on blocks of the bag matrix, whose recursion keeps
-their cost O(tau^omega).
+pivots on the working copy itself.  The constraint pairs are two row
+pivots each, as in `saddle.gamma_eliminate_partial`, and the local LDL
+is `factor._FlatLDL` on the same copy, which leaves S and the carried
+rows' interface block in it; the rows step 1 peeled stay in it unread.
+Below that rule every product the matrix steps would make is classical
+and every solve a base case, so the flat steps give the same transforms,
+S and F, and charge the same op counts.  Larger bags run the matrix
+steps (`schilders_partial_ldl`, `residual_schur`, `fast_ldl`, solves and
+products) on blocks of the copy, whose recursion keeps their cost
+O(tau^omega).
 """
 
 from __future__ import annotations
@@ -343,10 +344,16 @@ def explicit_ldl_from_transcript(t: Transcript, a: SparseSym) -> LDLResult:
                 l1.set(pos[idx], k, val)
     peeled = t.peeled
     if peeled:
-        rhs = DenseMatrix.zeros(ctx, len(peeled), r)
-        for i, v in enumerate(peeled):
-            for j, pid in enumerate(pivots):
-                rhs.set(i, j, a.get(v, pid))
+        # A's peeled-by-pivot entries, from one pass over its stored rows
+        at = {v: i for i, v in enumerate(peeled)}
+        rows = [[ctx.zero] * r for _ in peeled]
+        for u, arow in enumerate(a.rows):
+            for w, val in arow.items():
+                if u in at and w in pos:
+                    rows[at[u]][pos[w]] = val
+                elif w in at and u in pos:
+                    rows[at[w]][pos[u]] = ctx.conj(val)
+        rhs = DenseMatrix.from_entries(ctx, rows, r)
         xd = tri_solve(l1.conj_transpose(), rhs, RIGHT, UPPER_UNIT)
         x = d_solve_right(xd, t.dblocks)
         l = vstack([l1, x])
@@ -453,36 +460,38 @@ def _split_rest(rest, e: int, nf: int, dims):
     return elim, ifc, [t for t in rest if t >= nf]
 
 
-def _substep(transcript: Transcript, m: DenseMatrix, ids: list, nf: int, gamma: int, cutoff,
-             node):
+def _substep(transcript: Transcript, s, ids: list, nf: int, gamma: int, cutoff, node):
     """One bag: peel dependent constraint rows, complement the constraints
     against the to-be-eliminated columns, factor the remaining local block,
     peel or carry the leftovers.
 
-    `m` is the bag's extended saddle matrix [[af, B^H], [B, 0]] and ids[t]
-    the vertex of its index t: the first nf are the frontal's, whose last
-    `gamma` are the interface and the others eliminable, and the rest are
-    the constraint rows B that the children carry.  `node` is the bag in
-    the normalized decomposition, which errors name.  Returns (S over the
-    interface, carried rows F over the interface, their ids), with the
-    interface in its given order.
+    `s` is the `schur()` working copy of the bag's extended saddle matrix
+    [[af, B^H], [B, 0]] and ids[t] the vertex of its index t: the first nf
+    are the frontal's, whose last `gamma` are the interface and the others
+    eliminable, and the rest are the constraint rows B that the children
+    carry.  `node` is the bag in the normalized decomposition, which errors
+    name.  Returns (S over the interface, carried rows F over the
+    interface, their ids), with the interface in its given order.
 
-    Every step reads blocks of m by index lists.  Step 1 peels with an LU
-    of m's block B^H (`_peel_dependent`), and step 2 finds the r1
+    Every step addresses s by these bag indices.  Step 1 peels with an LU
+    of its block B^H (`_peel_dependent`), and step 2 finds the r1
     constraint rows that pivot against the eliminable columns with an LU
     of its eliminable rows.  Steps 2 and 3 then run in one of two ways,
     with the same results and op counts.  A bag of nf + k <= `_TRI_BASE`
-    rows with (nf + k) // 2 within the Strassen cutoff (`_flat_bag`) takes
-    `_flat_steps`: pivots on one working copy of m's kept rows.  A larger
-    one takes `_matrix_steps`, whose solves and products recurse, so its
-    cost stays O(tau^omega).  Step 4 peels with an LU of F^H."""
+    kept rows with (nf + k) // 2 within the Strassen cutoff (`_flat_bag`)
+    takes `_flat_steps`: pivots on s itself, which leave the rows step 1
+    peeled unread.  A larger one takes `_matrix_steps`, whose solves and
+    products recurse on blocks of s, so its cost stays O(tau^omega).
+    Step 4 peels with an LU of F^H."""
     e = nf - gamma
 
     # -- step 1: peel linearly dependent constraint rows
-    keep = []
+    kept = []
     if len(ids) > nf:
-        keep = _peel_dependent(transcript, m.block(0, nf, nf, m.ncols), ids[nf:], cutoff)
-    k = len(keep)
+        keep = _peel_dependent(transcript, s.block(range(nf), range(nf, len(ids))), ids[nf:],
+                               cutoff)
+        kept = [nf + t for t in keep]
+    k = len(kept)
 
     # -- step 2: the constraint rows beta that pivot, found by an LU of
     # the eliminable part; the others join the symmetric side as border
@@ -490,12 +499,12 @@ def _substep(transcript: Transcript, m: DenseMatrix, ids: list, nf: int, gamma: 
     # Schur update (interface entries of pivot rows included) is exact.
     beta = []
     if k and e:
-        lu1 = fast_lu(m.block(0, e, nf, m.ncols).take_cols(keep).pad(nf, k), cutoff)
-        beta = [nf + keep[t] for t in sorted(lu1.Q.fwd[: lu1.r])]
-    unpiv = [nf + t for t in keep if nf + t not in beta]
-    cut = m.ctx.default_cutoff if cutoff is None else cutoff
+        lu1 = fast_lu(s.block(range(e), kept).pad(nf, k), cutoff)
+        beta = [kept[t] for t in sorted(lu1.Q.fwd[: lu1.r])]
+    unpiv = [t for t in kept if t not in beta]
+    cut = s.ctx.default_cutoff if cutoff is None else cutoff
     steps = _flat_steps if _flat_bag(nf, k, cut) else _matrix_steps
-    s_ifc, grows, gids = steps(transcript, m, ids, unpiv, beta, cutoff,
+    s_ifc, grows, gids = steps(transcript, s, ids, unpiv, beta, cutoff,
                                (node, nf, k, gamma, len(beta)))
 
     # -- step 4: peel dependents among leftover rows, carry the rest
@@ -505,47 +514,43 @@ def _substep(transcript: Transcript, m: DenseMatrix, ids: list, nf: int, gamma: 
     return s_ifc, grows, gids
 
 
-def _flat_steps(transcript, m, ids, unpiv, beta, cutoff, dims):
-    """Steps 2 and 3 of a bag as pivots on one working copy: the `schur()`
-    copy of m's kept rows and columns in the order frontal, unpiv, beta,
-    [[af, Bu^H, Bb^H], [Bu, 0, 0], [Bb, 0, 0]], where Bu are the
-    constraint rows that do not pivot and Bb the r1 that do.  Returns (S,
-    F, the ids of F's rows) before step 4.
+def _flat_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
+    """Steps 2 and 3 of a bag as pivots on its working copy s, by bag
+    indices: the A rows are the frontal's and unpiv, the constraint rows
+    that do not pivot, and beta are the r1 that do.  The rows step 1
+    peeled stay in s, neither read nor pivoted.  Returns (S, F, the ids
+    of F's rows) before step 4.
 
     Step 2 takes the pivot pairs (P.fwd[t], Q.fwd[t]) of the LU of
-    [Bb, 0]^H, as the matrix steps do.  For each it reads the skeleton
-    column k1 off the copy, makes the pair's two row pivots
-    (`eliminate_pair`), whose second multipliers give k2, and turns both
-    into transforms (`skeleton_pair`).  The copy's block on the A rows
+    [Bb, 0]^H, s's block on the A rows and beta, as the matrix steps do.
+    For each it reads the skeleton column k1 off s, makes the pair's two
+    row pivots (`eliminate_pair`), whose second multipliers give k2, and
+    turns both into transforms (`skeleton_pair`).  s's block on the A rows
     left is then the residual of the complementation.  Step 3 runs
-    `_FlatLDL` on the same copy: its pivot decisions read the eliminable
-    indices left, and its pivots update the interface rows as well, so
-    its L columns carry their interface entries and the copy ends holding
-    the interface Schur complement S and the non-pivot rows' interface
-    block.  With a counter on, each step charges what the matrix steps'
-    solves, products, scalings and subtractions meter
-    (`_charge_complementation`, `_FlatLDL.charge_schur`)."""
-    ctx = m.ctx
+    `_FlatLDL` on s: its pivot decisions read the eliminable indices left,
+    and its pivots update the interface rows as well, so its L columns
+    carry their interface entries and s ends holding the interface Schur
+    complement S and the non-pivot rows' interface block.  With a counter
+    on, each step charges what the matrix steps' solves, products,
+    scalings and subtractions meter (`_charge_complementation`,
+    `_FlatLDL.charge_schur`)."""
+    ctx = s.ctx
     _, nf, _, gamma, r1 = dims
     e = nf - gamma
-    na = nf + len(unpiv)
-    idx = [*range(nf), *unpiv, *beta]
-    ids = [ids[t] for t in idx]
-    s = m.take_rows(idx).take_cols(idx).schur()
-    rest = range(na)
+    rest = [*range(nf), *unpiv]
     if r1:
-        lu = fast_lu(s.block(range(na), range(na, na + r1)), cutoff)
+        lu = fast_lu(s.block(rest, beta), cutoff)
         if lu.r != r1:
             raise _bag_error(2, "complementation rank drifted", dims)
-        pfwd, qfwd = lu.P.fwd, lu.Q.fwd
+        pfwd = [rest[t] for t in lu.P.fwd]
+        qfwd = [beta[t] for t in lu.Q.fwd]
         if any(pfwd[t] >= e for t in range(r1)):
             raise _bag_error(2, "complementation pivot outside the eliminable block", dims)
         zero, one = ctx.zero, ctx.one
         a11s, ynnz = [], []
         for t in range(r1):
-            aj, bj = pfwd[t], na + qfwd[t]
-            rows_a = pfwd[t + 1 :]
-            rows_b = [na + v for v in qfwd[t + 1 :]]
+            aj, bj = pfwd[t], qfwd[t]
+            rows_a, rows_b = pfwd[t + 1 :], qfwd[t + 1 :]
             rows = [aj, bj, *rows_a, *rows_b]
             k1 = [s.get(u, aj) for u in rows]
             mult = eliminate_pair(s, aj, bj, rows_a, rows_b)
@@ -555,7 +560,7 @@ def _flat_steps(transcript, m, ids, unpiv, beta, cutoff, dims):
                 ynnz.append(sum(1 for v in k1[2 : 2 + len(rows_a)] if v))
             _append_pair(transcript, *skeleton_pair(ctx, k1, k2, [ids[u] for u in rows]))
         if ctx.counter is not None:
-            _charge_complementation(ctx, na, lu.L.nonzero_masks(), a11s, ynnz)
+            _charge_complementation(ctx, len(rest), lu.L.nonzero_masks(), a11s, ynnz)
         rest = pfwd[r1:]
     elim, ifc, brest = _split_rest(rest, e, nf, dims)
     if r1 and any(s.nonzero(i, j) for i in brest for j in elim + brest):
@@ -615,22 +620,22 @@ def _charge_complementation(ctx: FieldContext, n: int, lmasks, a11s, ynnz):
     )
 
 
-def _matrix_steps(transcript, m, ids, unpiv, beta, cutoff, dims):
-    """Steps 2 and 3 of a bag as matrix operations: the partial LDL of the
-    extended system of m's blocks over the frontal and unpiv
-    (`schilders_partial_ldl`), its pairs as transforms (`pair_columns`)
-    and its residual (`residual_schur`), then `fast_ldl` of the eliminable
-    block left, two triangular solves and two products.  Returns (S, F,
-    the ids of F's rows) before step 4."""
-    ctx = m.ctx
-    _, nf, k, gamma, r1 = dims
+def _matrix_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
+    """Steps 2 and 3 of a bag as matrix operations on blocks of its working
+    copy s, by bag indices: the partial LDL of the extended system over
+    the frontal and unpiv (`schilders_partial_ldl`), its pairs as
+    transforms (`pair_columns`) and its residual (`residual_schur`), then
+    `fast_ldl` of the eliminable block left, two triangular solves and two
+    products.  Returns (S, F, the ids of F's rows) before step 4."""
+    ctx = s.ctx
+    _, nf, _, gamma, r1 = dims
     e = nf - gamma
     iface = ids[e:nf]
     if r1:
         ext = [*range(nf), *unpiv]
         next_ids = [ids[t] for t in ext]
-        # B's block on unpiv is m's zero constraint block
-        system = SaddleSystem(m.take_rows(ext).take_cols(ext), m.take_rows(beta).take_cols(ext))
+        # B's block on unpiv is s's zero constraint block
+        system = SaddleSystem(s.block(ext, ext), s.block(beta, ext))
         f = schilders_partial_ldl(system, cutoff)
         if f.r != r1:
             raise _bag_error(2, "complementation rank drifted", dims)
@@ -639,32 +644,23 @@ def _matrix_steps(transcript, m, ids, unpiv, beta, cutoff, dims):
         beta_ids = [ids[t] for t in beta]
         for i in range(r1):
             _append_pair(transcript, *pair_columns(f, i, next_ids, beta_ids))
-        resid = residual_schur(system, f)
-        elim_loc, ifc_loc, b_loc = _split_rest(f.P.fwd[r1:], e, nf, dims)
-        # resid's rows follow P.fwd[r1:]
-        pos = {v: t for t, v in enumerate(f.P.fwd[r1:])}
-        order = [pos[v] for v in elim_loc + ifc_loc + b_loc]
-        g = resid.take_rows(order).take_cols(order)
-        elim_ids = [next_ids[v] for v in elim_loc]
-        n1 = len(elim_loc)
-        ni = n1 + gamma
-        nr = len(order)
-        if not (g.block(ni, nr, 0, n1).is_zero() and g.block(ni, nr, ni, nr).is_zero()):
+        # the residual's rows follow P.fwd[r1:]
+        g = residual_schur(system, f).schur()
+        rest = [ext[v] for v in f.P.fwd[r1:]]
+        elim, ifc, brest = _split_rest(rest, e, nf, dims)
+        at = {v: t for t, v in enumerate(rest)}
+        el, fc, bl = ([at[v] for v in part] for part in (elim, ifc, brest))
+        if any(g.nonzero(i, j) for i in bl for j in el + bl):
             raise _bag_error(3, "constraint rows keep eliminable or mutual couplings", dims)
-        bt2 = g.block(ni, nr, n1, ni)
-        bt2_ids = [next_ids[v] for v in b_loc]
     else:
-        # without step 2 m's frontal is already in [eliminable | interface] order
-        g = m
-        elim_ids = ids[:e]
-        n1, ni = e, nf
-        bt2 = m.take_rows(unpiv).block(0, k, e, nf)
-        bt2_ids = [ids[t] for t in unpiv]
+        # without step 2 the frontal is already in [eliminable | interface] order
+        g, elim, brest = s, range(e), unpiv
+        el, fc, bl = elim, range(e, nf), unpiv
+    y11, y12, a22, bt2 = g.block(el, el), g.block(el, fc), g.block(fc, fc), g.block(bl, fc)
+    n1 = len(elim)
+    elim_ids = [ids[t] for t in elim]
 
     # -- step 3: factor the remaining eliminable block
-    y11 = g.block(0, n1, 0, n1)
-    y12 = g.block(0, n1, n1, ni)
-    a22 = g.block(n1, ni, n1, ni)
     res3 = fast_ldl(y11, cutoff)
     ell = res3.r
     elim_p1 = [elim_ids[res3.P.fwd[t]] for t in range(n1)]
@@ -697,7 +693,7 @@ def _matrix_steps(transcript, m, ids, unpiv, beta, cutoff, dims):
                 EdgeElim((elim_p1[pos], elim_p1[pos + 1]), cc[0], cc[1], blk)
             )
         pos += blk.size
-    return s_ifc, vstack([bt2, z12]), bt2_ids + elim_p1[ell:]
+    return s_ifc, vstack([bt2, z12]), [ids[t] for t in brest] + elim_p1[ell:]
 
 
 def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
@@ -708,8 +704,8 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
     transcript plus the interface Schur complement and carried full-rank
     constraint rows (both empty when gamma = 0).
 
-    Each bag assembles its extended saddle matrix once and runs its step
-    (`_substep`) on it.  A's entries come from each eliminable vertex's
+    Each bag assembles its extended saddle matrix once, into its `schur()`
+    working copy, and runs its step (`_substep`) on it.  A's entries come from each eliminable vertex's
     stored row: positions follow the elimination order and a row holds
     the upper triangle, so each stored entry is read once, at the bag
     that eliminates its lower endpoint, which must hold the other one
@@ -763,8 +759,8 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
                     rows[c][lj] = v
                     rows[lj][c] = ctx.conj(v)
                 c += 1
-        m = DenseMatrix.from_entries(ctx, rows, size)
-        return _substep(transcript, m, ids, nf, len(iface), cutoff, node)
+        s = DenseMatrix.from_entries(ctx, rows, size).schur()
+        return _substep(transcript, s, ids, nf, len(iface), cutoff, node)
 
     s, f, carried = rec(td.root, root_iface)
     if gamma == 0:

@@ -251,18 +251,15 @@ def binarize(td: TreeDecomposition) -> TreeDecomposition:
         u = stack.pop()
         kids = children[u]
         if len(kids) > 2:
-            first, rest = kids[0], kids[1:]
-            carrier = new_bag(bags[u], u)
-            children[u] = [first, carrier]
-            cur = carrier
-            while len(rest) > 2:
+            cur = new_bag(bags[u], u)
+            children[u] = [kids[0], cur]
+            for c in kids[1:-2]:
                 nxt = new_bag(bags[u], cur)
-                children[cur] = [rest[0], nxt]
-                parent[rest[0]] = cur
-                rest = rest[1:]
+                children[cur] = [c, nxt]
+                parent[c] = cur
                 cur = nxt
-            children[cur] = list(rest)
-            for c in rest:
+            children[cur] = kids[-2:]
+            for c in kids[-2:]:
                 parent[c] = cur
         stack.extend(children[u])
     return TreeDecomposition(td.n, bags, parent, children, td.root)
@@ -330,17 +327,19 @@ def read_td(path) -> TreeDecomposition:
                     raise ParseError(f"line {lineno}: bad header numbers") from None
                 if nbags < 1:
                     raise ParseError(f"line {lineno}: a decomposition needs a bag")
-                bags = [frozenset()] * nbags
+                bags = [None] * nbags
             elif parts[0] == "b":
                 if bags is None:
                     raise ParseError(f"line {lineno}: bag before header")
                 try:
                     bid = int(parts[1])
                     vs = [int(v) for v in parts[2:]]
-                except ValueError:
+                except (ValueError, IndexError):
                     raise ParseError(f"line {lineno}: bad bag line") from None
                 if not 1 <= bid <= nbags:
                     raise ParseError(f"line {lineno}: bag id {bid} out of range")
+                if bags[bid - 1] is not None:
+                    raise ParseError(f"line {lineno}: bag {bid} given twice")
                 if any(not 1 <= v <= n for v in vs):
                     raise ParseError(f"line {lineno}: vertex out of range")
                 bags[bid - 1] = frozenset(v - 1 for v in vs)
@@ -358,7 +357,7 @@ def read_td(path) -> TreeDecomposition:
         raise ParseError("missing 's td' header")
     if len(edges) != nbags - 1:
         raise ParseError(f"expected {nbags - 1} tree edges, found {len(edges)}")
-    return TreeDecomposition.build(n, bags, edges, root=0)
+    return TreeDecomposition.build(n, [b or frozenset() for b in bags], edges, root=0)
 
 
 def write_td(path, td: TreeDecomposition):

@@ -301,7 +301,9 @@ def test_reverify_rejects_tampered_factors(tmp_path, mode):
     """Wrong factors fail the check and malformed ones are rejected while
     reading: a repeated P entry, an L entry outside L (row or column 999,
     or a negative row that would wrap onto a real entry), a zero D block,
-    and for LU a repeated Q entry."""
+    and for LU a repeated Q entry; a P entry that is not an int, a D block
+    of unknown kind (for LU a Q entry that is not an int), a missing D or
+    U, and a missing rank."""
     symmetric = mode in ("dense-ldl", "sparse-ldl", "saddle")
     p_key = "P_full" if mode == "saddle" else "P"
 
@@ -332,7 +334,22 @@ def test_reverify_rejects_tampered_factors(tmp_path, mode):
         else:
             factors["Q"][-1] = factors["Q"][0]
 
-    tampers = (bump_l, swap_p, repeat_p, l_row_999, l_col_999, l_row_negative, zero_d_or_repeat_q)
+    def p_not_int(ctx, factors):
+        factors[p_key][0] = float(factors[p_key][0])
+
+    def unknown_d_kind_or_q_not_int(ctx, factors):
+        if "D" in factors:
+            # antidiagonal blocks keep a12 and a21, so only their kind is wrong
+            for blk in [b for b in factors["D"] if b["kind"] == "antidiag"] or factors["D"][:1]:
+                blk["kind"] = "diagonal"
+        else:
+            factors["Q"][0] = str(factors["Q"][0])
+
+    def drop_d_or_u(ctx, factors):
+        del factors["D" if "D" in factors else "U"]
+
+    tampers = (bump_l, swap_p, repeat_p, l_row_999, l_col_999, l_row_negative, zero_d_or_repeat_q,
+               p_not_int, unknown_d_kind_or_q_not_int, drop_d_or_u)
     for spec in ("gfp:7", "gf2", "rational"):
         ctx = parse_field(spec)
         rng = random.Random(5)
@@ -353,3 +370,7 @@ def test_reverify_rejects_tampered_factors(tmp_path, mode):
             bad = tmp_path / f"{tamper.__name__}.json"
             bad.write_text(json.dumps(payload))
             assert not reverify_json(bad), (spec, tamper.__name__)
+        payload = json.loads(out.read_text())
+        del payload["report"]["rank"]
+        bad.write_text(json.dumps(payload))
+        assert not reverify_json(bad), (spec, "no rank")

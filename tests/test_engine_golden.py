@@ -410,9 +410,16 @@ def bag_step_results(spec):
 @pytest.mark.parametrize("spec", FIELDS)
 def test_flat_bag_step_matches_the_matrix_steps(spec, monkeypatch):
     # sparse.skeleton_pair and sparse._FlatLDL serve only the flat steps, the
-    # first for their constraint pairs (r1 > 0), the second for their local LDL
+    # first for their constraint pairs (r1 > 0), the second for their local LDL;
+    # some flat bags keep rows that step 1 peeled in their working copy
     reached, in_ldl = set(), []
-    pair, lu_rows = sparse.skeleton_pair, factor._lu_rows
+    pair, lu_rows, flat_steps = sparse.skeleton_pair, factor._lu_rows, sparse._flat_steps
+
+    def traced_flat_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
+        _, nf, k, _, _ = dims
+        if len(ids) > nf + k:
+            reached.add("stale rows")
+        return flat_steps(transcript, s, ids, unpiv, beta, cutoff, dims)
 
     def traced_pair(ctx, k1, k2, row_ids):
         reached.add("two scalars" if k1[0] else "antidiagonal")
@@ -434,8 +441,9 @@ def test_flat_bag_step_matches_the_matrix_steps(spec, monkeypatch):
     monkeypatch.setattr(sparse, "skeleton_pair", traced_pair)
     monkeypatch.setattr(sparse, "_FlatLDL", TracedFlatLDL)
     monkeypatch.setattr(factor, "_lu_rows", traced_lu_rows)
+    monkeypatch.setattr(sparse, "_flat_steps", traced_flat_steps)
     flat = bag_step_results(spec)
-    assert reached == {"two scalars", "antidiagonal", "bordered"}
+    assert reached == {"two scalars", "antidiagonal", "bordered", "stale rows"}
     monkeypatch.setattr(sparse, "_flat_bag", lambda nf, k, cutoff: False)
     monkeypatch.setattr(sparse, "_flat_steps", None)  # the matrix steps only
     matrix = bag_step_results(spec)

@@ -351,9 +351,10 @@ def test_rank_deficient_corank(ctx, rng):
 def substep(a, b, gamma):
     """One bag step on local indices 0..dim(a)-1, the constraint rows
     numbered above them: (transforms, S, F)."""
-    t = Transcript(a.ctx, a.nrows + b.nrows)
-    m = saddle.SaddleSystem(a, b).dense()
-    s, f, _ = _substep(t, m, list(range(m.nrows)), a.nrows, gamma, None, 0)
+    n = a.nrows + b.nrows
+    t = Transcript(a.ctx, n)
+    work = saddle.SaddleSystem(a, b).dense().schur()
+    s, f, _ = _substep(t, work, list(range(n)), a.nrows, gamma, None, 0)
     return t.transforms, s, f
 
 

@@ -217,6 +217,12 @@ def test_read_td_errors(tmp_path):
     p.write_text("b 1 1 2\n")
     with pytest.raises(ParseError):
         read_td(p)
+    p.write_text("s td 2 2 3\nb\nb 2 2 3\n1 2\n")
+    with pytest.raises(ParseError, match="bad bag line"):
+        read_td(p)
+    p.write_text("s td 2 2 3\nb 1 1 2\nb 1 2 3\n1 2\n")
+    with pytest.raises(ParseError, match="bag 1 given twice"):
+        read_td(p)
 
 
 def test_greedy_td_path():
