@@ -14,7 +14,10 @@ neither side).  It also records the stamp `run.py` prints, the parent
 commit, and for the change: the commit this checkout is based on, the
 files that differ from it, as `git status` lists them (none when the
 change is that commit), and a digest of its `src/` files.  For both sides
-it records the line count of `src/exldl/*.py`, as `wc -l` gives it.
+it records the line count of `src/exldl/*.py`, as `wc -l` gives it, and
+for each `--run` the traced op counts (`fields.ops_add`, `fields.ops_mul`,
+`fields.ops_inv`) of one `perfbench/run.py --trace 1` run on each side,
+and whether they are equal.
 """
 
 from __future__ import annotations
@@ -59,10 +62,10 @@ def export(rev: str, dest: Path) -> None:
         tf.extractall(dest, filter="data")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     """The stamp and the final JSON line of one `perfbench/run.py` run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=checkout, check=True, capture_output=True, text=True).stdout
     lines = out.strip().splitlines()
     stamp = next(json.loads(line[6:]) for line in lines if line.startswith("stamp "))
@@ -131,8 +134,14 @@ def main(argv=None) -> int:
                 runs.append(pair)
                 head = pair["change"]["metrics"]["items_per_s"]["value"] / pair["parent"]["metrics"]["items_per_s"]["value"]
                 print(f"{spec} pair {i + 1}/{args.pairs}: items_per_s change/parent {head:.3f}", flush=True)
+            ops = {}
+            for side, checkout in (("parent", parent), ("change", ROOT)):
+                metrics = run_once(checkout, workload, int(seed), args.seconds, trace=1)["metrics"]
+                ops[side] = {name: metrics[name]["value"] for name in metrics
+                             if name.startswith("fields.ops_")}
             report["stamp"] = runs[-1]["change"]["stamp"]
-            report["runs"][spec] = summarise(runs, better)
+            report["runs"][spec] = {**summarise(runs, better),
+                                    "ops": {**ops, "equal": ops["parent"] == ops["change"]}}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

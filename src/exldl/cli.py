@@ -200,13 +200,8 @@ def write_matrix_market(path, m: DenseMatrix, symmetric: bool = False):
 
 
 def _coo(ctx, m: DenseMatrix):
-    out = []
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            v = m.get(i, j)
-            if not ctx.is_zero(v):
-                out.append([i, j, ctx.fmt(v)])
-    return out
+    return [[i, j, ctx.fmt(v)] for i, row in enumerate(m.to_lists())
+            for j, v in enumerate(row) if not ctx.is_zero(v)]
 
 
 def _from_coo(ctx, coo, nrows: int, ncols: int) -> DenseMatrix:

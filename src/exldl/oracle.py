@@ -374,6 +374,8 @@ def oracle_verify_lu(a: DenseMatrix, res, structural: bool = True) -> VerifyRepo
     ctx = a.ctx
     m, n = a.nrows, a.ncols
     r = res.r
+    if r > min(m, n):
+        return _fail(f"rank {r} exceeds min(m, n) = {min(m, n)}")
     if res.L.shape != (m, r) or res.U.shape != (r, n):
         return _fail("factor shapes do not match")
     msg = _check_unit_lower_trapezoid(res.L, "L")

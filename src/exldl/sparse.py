@@ -439,13 +439,16 @@ def _bag_error(step: int, what: str, dims) -> InternalInvariantViolation:
     )
 
 
-def _append_pair(transcript: Transcript, pivots, cols, blks):
-    """A constraint pair as one edge elimination, or two vertex ones."""
-    if len(blks) == 1:
-        transcript.append(EdgeElim(pivots, *cols, blks[0]))
-    else:
-        transcript.append(VertexElim(pivots[0], cols[0], blks[0]))
-        transcript.append(VertexElim(pivots[1], cols[1], blks[1]))
+def _append_eliminations(transcript: Transcript, pivots, cols, blocks):
+    """Each D block as a vertex (scalar) or edge (antidiagonal) elimination
+    of its L columns: cols[c] holds column c's (id, value) off pivots[c]."""
+    c = 0
+    for blk in blocks:
+        if blk.kind == SCALAR:
+            transcript.append(VertexElim(pivots[c], cols[c], blk))
+        else:
+            transcript.append(EdgeElim((pivots[c], pivots[c + 1]), cols[c], cols[c + 1], blk))
+        c += blk.size
 
 
 def _split_rest(rest, e: int, nf: int, dims):
@@ -477,12 +480,13 @@ def _substep(transcript: Transcript, s, ids: list, nf: int, gamma: int, cutoff, 
     of its block B^H (`_peel_dependent`), and step 2 finds the r1
     constraint rows that pivot against the eliminable columns with an LU
     of its eliminable rows.  Steps 2 and 3 then run in one of two ways,
-    with the same results and op counts.  A bag of nf + k <= `_TRI_BASE`
-    kept rows with (nf + k) // 2 within the Strassen cutoff (`_flat_bag`)
-    takes `_flat_steps`: pivots on s itself, which leave the rows step 1
-    peeled unread.  A larger one takes `_matrix_steps`, whose solves and
-    products recurse on blocks of s, so its cost stays O(tau^omega).
-    Step 4 peels with an LU of F^H."""
+    with the same results and op counts, and both record their L columns
+    and D blocks through `_append_eliminations`.  A bag of nf + k <=
+    `_TRI_BASE` kept rows with (nf + k) // 2 within the Strassen cutoff
+    (`_flat_bag`) takes `_flat_steps`: pivots on s itself, which leave the
+    rows step 1 peeled unread.  A larger one takes `_matrix_steps`, whose
+    solves and products recurse on blocks of s, so its cost stays
+    O(tau^omega).  Step 4 peels with an LU of F^H."""
     e = nf - gamma
 
     # -- step 1: peel linearly dependent constraint rows
@@ -525,7 +529,7 @@ def _flat_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
     [Bb, 0]^H, s's block on the A rows and beta, as the matrix steps do.
     For each it reads the skeleton column k1 off s, makes the pair's two
     row pivots (`eliminate_pair`), whose second multipliers give k2, and
-    turns both into transforms (`skeleton_pair`).  s's block on the A rows
+    turns both into L columns (`skeleton_pair`).  s's block on the A rows
     left is then the residual of the complementation.  Step 3 runs
     `_FlatLDL` on s: its pivot decisions read the eliminable indices left,
     and its pivots update the interface rows as well, so its L columns
@@ -558,7 +562,7 @@ def _flat_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
             if ctx.counter is not None:
                 a11s.append(k1[0])
                 ynnz.append(sum(1 for v in k1[2 : 2 + len(rows_a)] if v))
-            _append_pair(transcript, *skeleton_pair(ctx, k1, k2, [ids[u] for u in rows]))
+            _append_eliminations(transcript, *skeleton_pair(ctx, k1, k2, [ids[u] for u in rows]))
         if ctx.counter is not None:
             _charge_complementation(ctx, len(rest), lu.L.nonzero_masks(), a11s, ynnz)
         rest = pfwd[r1:]
@@ -570,18 +574,10 @@ def _flat_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
     flat = _FlatLDL(s, elim + ifc)
     order = flat.node(elim)
     ell = len(flat.cols)
-    pos = 0
-    for blk in flat.blocks:
-        after = order[pos + blk.size :] + ifc
-        cc = [
-            tuple((ids[t], v) for t in after if (v := col.get(t)))
-            for col in flat.cols[pos : pos + blk.size]
-        ]
-        if blk.kind == SCALAR:
-            transcript.append(VertexElim(ids[order[pos]], cc[0], blk))
-        else:
-            transcript.append(EdgeElim((ids[order[pos]], ids[order[pos + 1]]), *cc, blk))
-        pos += blk.size
+    # a pair's first column has no entry on its partner: both left the rows
+    cols = [tuple((ids[t], v) for t in order[c + 1 :] + ifc if (v := col.get(t)))
+            for c, col in enumerate(flat.cols)]
+    _append_eliminations(transcript, [ids[t] for t in order], cols, flat.blocks)
     if ell and flat.masks is not None:
         flat.charge_schur(0, order[:ell], order[ell:] + ifc, gamma)
     left = brest + order[ell:]
@@ -623,10 +619,12 @@ def _charge_complementation(ctx: FieldContext, n: int, lmasks, a11s, ynnz):
 def _matrix_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
     """Steps 2 and 3 of a bag as matrix operations on blocks of its working
     copy s, by bag indices: the partial LDL of the extended system over
-    the frontal and unpiv (`schilders_partial_ldl`), its pairs as
-    transforms (`pair_columns`) and its residual (`residual_schur`), then
+    the frontal and unpiv (`schilders_partial_ldl`), its pairs as L
+    columns (`pair_columns`) and its residual (`residual_schur`), then
     `fast_ldl` of the eliminable block left, two triangular solves and two
-    products.  Returns (S, F, the ids of F's rows) before step 4."""
+    products; the pairs' and `fast_ldl`'s L columns become transforms in
+    `_append_eliminations`.  Returns (S, F, the ids of F's rows) before
+    step 4."""
     ctx = s.ctx
     _, nf, _, gamma, r1 = dims
     e = nf - gamma
@@ -643,7 +641,7 @@ def _matrix_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
             raise _bag_error(2, "complementation pivot outside the eliminable block", dims)
         beta_ids = [ids[t] for t in beta]
         for i in range(r1):
-            _append_pair(transcript, *pair_columns(f, i, next_ids, beta_ids))
+            _append_eliminations(transcript, *pair_columns(f, i, next_ids, beta_ids))
         # the residual's rows follow P.fwd[r1:]
         g = residual_schur(system, f).schur()
         rest = [ext[v] for v in f.P.fwd[r1:]]
@@ -658,12 +656,11 @@ def _matrix_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
         el, fc, bl = elim, range(e, nf), unpiv
     y11, y12, a22, bt2 = g.block(el, el), g.block(el, fc), g.block(fc, fc), g.block(bl, fc)
     n1 = len(elim)
-    elim_ids = [ids[t] for t in elim]
 
     # -- step 3: factor the remaining eliminable block
     res3 = fast_ldl(y11, cutoff)
     ell = res3.r
-    elim_p1 = [elim_ids[res3.P.fwd[t]] for t in range(n1)]
+    elim_p1 = [ids[elim[t]] for t in res3.P.fwd]
     l1 = res3.L
     c = y12.take_rows(res3.P.fwd)
     c1 = c.block(0, ell, 0, gamma)
@@ -678,21 +675,11 @@ def _matrix_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
         xifc = DenseMatrix.zeros(ctx, gamma, 0)
         z12 = c2
         s_ifc = a22
-    pos = 0
-    for blk in res3.D:
-        # column c of the block: eliminable rows below it, then the interface
-        cc = [
-            col_support(l1, c, range(pos + blk.size, n1), elim_p1)
-            + col_support(xifc, c, range(gamma), iface)
-            for c in range(pos, pos + blk.size)
-        ]
-        if blk.kind == SCALAR:
-            transcript.append(VertexElim(elim_p1[pos], cc[0], blk))
-        else:
-            transcript.append(
-                EdgeElim((elim_p1[pos], elim_p1[pos + 1]), cc[0], cc[1], blk)
-            )
-        pos += blk.size
+    # column c: the eliminable rows below it (L is zero below the first
+    # column of a 2 x 2 pivot), then the interface
+    cols = [col_support(l1, c, range(c + 1, n1), elim_p1)
+            + col_support(xifc, c, range(gamma), iface) for c in range(ell)]
+    _append_eliminations(transcript, elim_p1, cols, res3.D)
     return s_ifc, vstack([bt2, z12]), [ids[t] for t in brest] + elim_p1[ell:]
 
 

@@ -191,28 +191,25 @@ def _merge_bags(td: TreeDecomposition, tau: int):
         rho[dst] |= rho[src]
         for c in children[src]:
             parent[c] = dst
-        children[dst].extend(children[src])
+        children[dst].extend(c for c in children[src] if alive[c])
         alive[src] = False
 
-    # step 2: sibling merges, leaves up, left to right
+    # step 2: sibling merges, leaves up, left to right: each child joins
+    # the last one kept when the rule holds
     depths = td.depths()
     for u in sorted(range(len(bags)), key=lambda i: -depths[i]):
         if not alive[u]:
             continue
-        kids = [c for c in children[u] if alive[c]]
-        i = 0
-        while i + 1 < len(kids):
-            a, b = kids[i], kids[i + 1]
-            if (
-                len(rho[a]) + len(rho[b]) < tau
-                and len(bags[a] | bags[b]) <= 2 * tau
-            ):
+        kept = children[u][:1]
+        for b in children[u][1:]:
+            a = kept[-1]
+            if len(rho[a]) + len(rho[b]) < tau and len(bags[a] | bags[b]) <= 2 * tau:
                 absorb(a, b)
-                children[u].remove(b)
-                kids = [c for c in children[u] if alive[c]]
             else:
-                i += 1
-    # step 3: child-into-parent merges, post-order scan
+                kept.append(b)
+        children[u] = kept
+    # step 3: child-into-parent merges, post-order scan; an absorbed child
+    # stays in its parent's list, dead
     order = [u for u in td.postorder_bags() if alive[u]]
     for u in order:
         if not alive[u] or parent[u] < 0:
@@ -222,7 +219,6 @@ def _merge_bags(td: TreeDecomposition, tau: int):
             p = parent[p]
         if len(rho[u]) + len(rho[p]) < tau and len(bags[u] | bags[p]) <= 3 * tau:
             absorb(p, u)
-            children[p].remove(u)
 
     keep = [i for i in range(len(bags)) if alive[i]]
     remap = {old: new for new, old in enumerate(keep)}
@@ -319,6 +315,8 @@ def read_td(path) -> TreeDecomposition:
                 continue
             parts = line.split()
             if parts[0] == "s":
+                if bags is not None:
+                    raise ParseError(f"line {lineno}: second 's td' header")
                 if len(parts) != 5 or parts[1] != "td":
                     raise ParseError(f"line {lineno}: bad header")
                 try:

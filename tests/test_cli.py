@@ -303,7 +303,8 @@ def test_reverify_rejects_tampered_factors(tmp_path, mode):
     or a negative row that would wrap onto a real entry), a zero D block,
     and for LU a repeated Q entry; a P entry that is not an int, a D block
     of unknown kind (for LU a Q entry that is not an int), a missing D or
-    U, and a missing rank."""
+    U, a missing rank, and a rank of 99 (for LU, on a full-rank square
+    input, whose factors pass every other check up to U's last row)."""
     symmetric = mode in ("dense-ldl", "sparse-ldl", "saddle")
     p_key = "P_full" if mode == "saddle" else "P"
 
@@ -374,3 +375,10 @@ def test_reverify_rejects_tampered_factors(tmp_path, mode):
         del payload["report"]["rank"]
         bad.write_text(json.dumps(payload))
         assert not reverify_json(bad), (spec, "no rank")
+        if not symmetric:
+            write_matrix_market(tmp_path / "a.mtx", DenseMatrix.identity(ctx, 3))
+            assert main(argv + ["--verify", "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+        payload["report"]["rank"] = 99
+        bad.write_text(json.dumps(payload))
+        assert not reverify_json(bad), (spec, "rank 99")

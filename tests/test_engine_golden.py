@@ -212,13 +212,17 @@ def digests(spec, cutoff, monkeypatch):
     ctx = parse_field(spec)
     counter = ctx.enable_counter()
     step2 = []
-    append_pair = sparse._append_pair
 
-    def counted(*args):  # each constraint pair of step 2, on either path
-        step2.append(1)
-        return append_pair(*args)
+    def counted(make):  # each constraint pair of step 2, on either path
+        def pair(*args):
+            step2.append(1)
+            return make(*args)
+        return pair
 
-    monkeypatch.setattr(sparse, "_append_pair", counted)
+    # the flat steps make their pairs with skeleton_pair, the matrix steps
+    # with pair_columns
+    for name in ("skeleton_pair", "pair_columns"):
+        monkeypatch.setattr(sparse, name, counted(getattr(sparse, name)))
     out, transcripts = {}, []
     for name, result, t in run_calls(ctx, cutoff):
         text = repr((result, counter.snapshot()))

@@ -13,6 +13,7 @@ from exldl.treedec import (
     read_td,
     validate_td,
     write_td,
+    _merge_bags,
     _rho_sets,
 )
 
@@ -115,6 +116,81 @@ def test_merge_preserves_validity_random():
         binary = binarize(merged)
         assert validate_td(binary, graph).ok
         assert binary.nbags <= 2 * merged.nbags
+
+
+def _merge_bags_reference(td, tau):
+    """_merge_bags as it was: each sibling merge removes the absorbed child
+    from its parent's list and rebuilds the list of live children, and each
+    child-into-parent merge removes the child, so a bag with many children
+    costs quadratic time."""
+    bags = [set(b) for b in td.bags]
+    parent = list(td.parent)
+    children = [list(c) for c in td.children]
+    rho, _ = _rho_sets(td)
+    alive = [True] * len(bags)
+
+    def absorb(dst, src):
+        bags[dst] |= bags[src]
+        rho[dst] |= rho[src]
+        for c in children[src]:
+            parent[c] = dst
+        children[dst].extend(children[src])
+        alive[src] = False
+
+    depths = td.depths()
+    for u in sorted(range(len(bags)), key=lambda i: -depths[i]):
+        if not alive[u]:
+            continue
+        kids = [c for c in children[u] if alive[c]]
+        i = 0
+        while i + 1 < len(kids):
+            a, b = kids[i], kids[i + 1]
+            if len(rho[a]) + len(rho[b]) < tau and len(bags[a] | bags[b]) <= 2 * tau:
+                absorb(a, b)
+                children[u].remove(b)
+                kids = [c for c in children[u] if alive[c]]
+            else:
+                i += 1
+    for u in [u for u in td.postorder_bags() if alive[u]]:
+        if not alive[u] or parent[u] < 0:
+            continue
+        p = parent[u]
+        while not alive[p]:
+            p = parent[p]
+        if len(rho[u]) + len(rho[p]) < tau and len(bags[u] | bags[p]) <= 3 * tau:
+            absorb(p, u)
+            children[p].remove(u)
+    keep = [i for i in range(len(bags)) if alive[i]]
+    remap = {old: new for new, old in enumerate(keep)}
+    new_parent = [remap[parent[i]] if parent[i] >= 0 else -1 for i in keep]
+    new_children = [[remap[c] for c in children[i] if alive[c]] for i in keep]
+    merged = TreeDecomposition(td.n, [frozenset(bags[i]) for i in keep], new_parent,
+                               new_children, remap[td.root])
+    return merged, [rho[i] for i in keep]
+
+
+def wide_star_td(leaves):
+    """A root bag {0, 1, 2} with one child {0, 1, v} per leaf vertex v."""
+    bags = [{0, 1, 2}] + [{0, 1, v} for v in range(3, leaves + 3)]
+    return TreeDecomposition.build(leaves + 3, bags, [(0, i) for i in range(1, leaves + 1)])
+
+
+def test_merge_bags_matches_quadratic_reference():
+    rng = random.Random(41)
+    cases = [(wide_star_td(leaves), tau) for leaves in (1, 2, 7, 40) for tau in (1, 2, 3, 5)]
+    for _ in range(120):
+        n = rng.randint(2, 40)
+        if rng.random() < 0.5:
+            _, td = random_partial_ktree(rng, n, rng.randint(1, min(4, n - 1)))
+        else:
+            pattern = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
+            td = greedy_td(n, pattern)
+        cases += [(td, tau) for tau in (td.max_bag(), 2, 3, 5, 9)]
+    for td, tau in cases:
+        merged, rho = _merge_bags(td, tau)
+        ref, ref_rho = _merge_bags_reference(td, tau)
+        assert (merged.bags, merged.parent, merged.children, merged.root, rho) == (
+            ref.bags, ref.parent, ref.children, ref.root, ref_rho)
 
 
 def test_binarize_shapes():
@@ -222,6 +298,9 @@ def test_read_td_errors(tmp_path):
         read_td(p)
     p.write_text("s td 2 2 3\nb 1 1 2\nb 1 2 3\n1 2\n")
     with pytest.raises(ParseError, match="bag 1 given twice"):
+        read_td(p)
+    p.write_text("s td 2 2 3\nb 1 1 2\ns td 2 2 3\nb 2 2 3\n1 2\n")
+    with pytest.raises(ParseError, match="line 3: second 's td' header"):
         read_td(p)
 
 
