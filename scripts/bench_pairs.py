@@ -10,10 +10,12 @@ process, the parent first in even pairs and the change first in odd ones.
 For each `--run WORKLOAD:SEED` and each metric the JSON written to `--out`
 gives both sides' runs, medians and quartiles, and the number of pairs the
 change won by the metric's direction in BENCHMARK.json (ties count for
-neither side).  It also records the stamp `run.py` prints, the parent
-commit, and for the change: the commit this checkout is based on, the
-files that differ from it, as `git status` lists them (none when the
-change is that commit), and a digest of its `src/` files.  For both sides
+neither side); for each side it gives the `failed` count and the status
+of each `known_failure` probe that `run.py` prints, pair by pair.  It also
+records the stamp `run.py` prints, the parent commit, and for the change:
+the commit this checkout is based on, the files that differ from it, as
+`git status` lists them (none when the change is that commit), and a
+digest of its `src/` files.  For both sides
 it records the line count of `src/exldl/*.py`, as `wc -l` gives it, and
 for each `--run` the traced op counts (`fields.ops_add`, `fields.ops_mul`,
 `fields.ops_inv`) of one `perfbench/run.py --trace 1` run on each side,
@@ -63,13 +65,16 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
-    """The stamp and the final JSON line of one `perfbench/run.py` run."""
+    """The stamp, the status of each known-failure probe, and the final
+    JSON line of one `perfbench/run.py` run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=checkout, check=True, capture_output=True, text=True).stdout
     lines = out.strip().splitlines()
     stamp = next(json.loads(line[6:]) for line in lines if line.startswith("stamp "))
-    return {"stamp": stamp, **json.loads(lines[-1])}
+    # "known_failure <workload> <instance> <status> (<s> s)"
+    probes = dict(line.split()[2:4] for line in lines if line.startswith("known_failure "))
+    return {"stamp": stamp, "known_failures": probes, **json.loads(lines[-1])}
 
 
 def quartiles(values) -> dict:
@@ -80,7 +85,8 @@ def quartiles(values) -> dict:
 
 
 def summarise(runs, better: dict) -> dict:
-    """Per metric: both sides' runs and quartiles, and the change's wins."""
+    """Per metric: both sides' runs and quartiles, and the change's wins;
+    per side: `failed` and each known-failure probe's status, pair by pair."""
     out = {}
     for name, direction in better.items():
         parent = [pair["parent"]["metrics"][name]["value"] for pair in runs]
@@ -95,6 +101,11 @@ def summarise(runs, better: dict) -> dict:
             "pairs": len(runs),
         }
     out["failed"] = {side: [pair[side]["failed"] for pair in runs] for side in ("parent", "change")}
+    out["known_failures"] = {
+        side: {name: [pair[side]["known_failures"].get(name) for pair in runs]
+               for name in runs[0][side]["known_failures"]}
+        for side in ("parent", "change")
+    }
     return out
 
 

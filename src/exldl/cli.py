@@ -166,16 +166,13 @@ def mm_to_sparse_sym(path, ctx: FieldContext) -> SparseSym:
     if rows != cols:
         raise ParseError(f"{path}: symmetric input must be square")
     out = SparseSym(ctx, rows)
-    for i, j, v in entries:
-        if not symmetric and i > j:
-            if out.get(j, i) != ctx.conj(v) and out.get(j, i) != ctx.zero:
-                raise ParseError(f"{path}: entry ({i+1},{j+1}) breaks symmetry")
-            continue
-        out.set(i, j, v)
     if not symmetric:
-        for i, j, v in entries:
-            if out.get(i, j) != v:
-                raise ParseError(f"{path}: matrix is not symmetric")
+        given = {(i, j): v for i, j, v in entries}  # a missing mirror reads as zero
+        if any(given.get((j, i), ctx.zero) != ctx.conj(v) for i, j, v in entries):
+            raise ParseError(f"{path}: matrix is not symmetric")
+        entries = [e for e in entries if e[0] <= e[1]]
+    for i, j, v in entries:
+        out.set(i, j, v)
     return out
 
 

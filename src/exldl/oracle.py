@@ -281,7 +281,8 @@ def _ld_lists(ctx: FieldContext, llists, blocks):
 
 
 def _perm_lists(a: DenseMatrix, pfwd, qfwd):
-    return [[a.get(i, j) for j in qfwd] for i in pfwd]
+    rows = a.to_lists()
+    return [[row[j] for j in qfwd] for row in (rows[i] for i in pfwd)]
 
 
 def _diff_count(x, y):
@@ -313,14 +314,25 @@ def _check_d_blocks(ctx: FieldContext, blocks):
     return None
 
 
-def _check_unit_lower_trapezoid(l: DenseMatrix, what: str):
-    n, r = l.nrows, l.ncols
-    for i in range(min(n, r)):
-        if l.get(i, i) != l.ctx.one:
+def _check_unit_lower_trapezoid(rows, r: int, what: str):
+    """`rows` are the lists of an n x r factor."""
+    for i, row in enumerate(rows[:r]):
+        if row[i] != 1:
             return f"{what} diagonal entry {i} is not one"
         for j in range(i + 1, r):
-            if l.get(i, j) != 0:
+            if row[j] != 0:
                 return f"{what}[{i}][{j}] above the diagonal is nonzero"
+    return None
+
+
+def _check_upper_trapezoid(rows, r: int, what: str):
+    """`rows` are the lists of an r x m factor with a nonzero diagonal."""
+    for i, row in enumerate(rows[:r]):
+        if row[i] == 0:
+            return f"{what} diagonal entry {i} is zero"
+        for j in range(i):
+            if row[j] != 0:
+                return f"{what}[{i}][{j}] below the diagonal is nonzero"
     return None
 
 
@@ -341,13 +353,13 @@ def oracle_verify_ldl(a: DenseMatrix, res) -> VerifyReport:
     msg = _check_d_blocks(ctx, res.D)
     if msg:
         return _fail(msg)
-    msg = _check_unit_lower_trapezoid(res.L, "L")
+    llists = res.L.to_lists()
+    msg = _check_unit_lower_trapezoid(llists, r, "L")
     if msg:
         return _fail(msg)
     if r != oracle_rank(a):
         return _fail(f"claimed rank {r} != reference rank")
     ap = _perm_lists(a, res.P.fwd, res.P.fwd)
-    llists = res.L.to_lists()
     # Metered as the two products L D and (L D) L^H.
     _count_product(ctx, n, r, r)
     _count_product(ctx, n, r, n)
@@ -378,20 +390,15 @@ def oracle_verify_lu(a: DenseMatrix, res, structural: bool = True) -> VerifyRepo
         return _fail(f"rank {r} exceeds min(m, n) = {min(m, n)}")
     if res.L.shape != (m, r) or res.U.shape != (r, n):
         return _fail("factor shapes do not match")
-    msg = _check_unit_lower_trapezoid(res.L, "L")
+    llists, ulists = res.L.to_lists(), res.U.to_lists()
+    msg = _check_unit_lower_trapezoid(llists, r, "L") or _check_upper_trapezoid(ulists, r, "U")
     if msg:
         return _fail(msg)
-    for i in range(r):
-        if res.U.get(i, i) == 0:
-            return _fail(f"U diagonal entry {i} is zero")
-        for j in range(i):
-            if res.U.get(i, j) != 0:
-                return _fail(f"U[{i}][{j}] below the diagonal is nonzero")
     if r != oracle_rank(a):
         return _fail(f"claimed rank {r} != reference rank")
     ap = _perm_lists(a, res.P.fwd, res.Q.fwd)
     _count_product(ctx, m, r, n)
-    count, first = _product_diff(ctx, ap, res.L.to_lists(), res.U.to_lists(), n)
+    count, first = _product_diff(ctx, ap, llists, ulists, n)
     if count:
         i, j, got, want = first
         return _fail(
@@ -405,14 +412,10 @@ def oracle_verify_lu(a: DenseMatrix, res, structural: bool = True) -> VerifyRepo
         # Echelon staircase: with L back in original row order, the topmost
         # nonzero of column k sits strictly below that of column k-1, i.e.
         # trailing supports strictly shrink.
-        lorig = res.L.take_rows(res.P.inv)
+        lorig = [llists[t] for t in res.P.inv]
         tops = []
         for k in range(r):
-            top = None
-            for i in range(m):
-                if lorig.get(i, k) != 0:
-                    top = i
-                    break
+            top = next((i for i, row in enumerate(lorig) if row[k] != 0), None)
             if top is None:
                 return _fail(f"L column {k} is zero")
             tops.append(top)
@@ -434,28 +437,24 @@ def oracle_verify_partial_ldl(system, f) -> VerifyReport:
         return _fail("partial LDL factor shapes do not match")
     if len(f.D) != r:
         return _fail("partial LDL D has wrong length")
-    msg = _check_unit_lower_trapezoid(f.L, "L")
+    llists, v, ulists = f.L.to_lists(), f.Y.to_lists(), f.U.to_lists()
+    msg = _check_unit_lower_trapezoid(llists, r, "L")
     if msg:
         return _fail(msg)
-    for i in range(min(n, r)):
-        if f.Y.get(i, i) != 0:
+    for i, row in enumerate(v[:r]):
+        if row[i] != 0:
             return _fail(f"Y diagonal entry {i} is nonzero")
         for j in range(i + 1, r):
-            if f.Y.get(i, j) != 0:
+            if row[j] != 0:
                 return _fail(f"Y[{i}][{j}] above the diagonal is nonzero")
-    for i in range(r):
-        if f.U.get(i, i) == 0:
-            return _fail(f"U diagonal entry {i} is zero")
-        for j in range(i):
-            if f.U.get(i, j) != 0:
-                return _fail(f"U[{i}][{j}] below the diagonal is nonzero")
+    msg = _check_upper_trapezoid(ulists, r, "U")
+    if msg:
+        return _fail(msg)
     if r != oracle_rank(b):
         return _fail(f"claimed rank {r} != reference rank of the constraint block")
     # V = Y - diag(D) on the leading r rows.
-    v = f.Y.to_lists()
     for i in range(r):
         v[i][i] = ctx.sub(v[i][i], f.D[i])
-    llists = f.L.to_lists()
     lh = _conj_t_lists(ctx, llists)
     vlh = _mm_lists(ctx, v, lh, ncols=n)
     lvh = _mm_lists(ctx, llists, _conj_t_lists(ctx, v), ncols=n)
@@ -474,8 +473,8 @@ def oracle_verify_partial_ldl(system, f) -> VerifyReport:
         for j in range(n):
             if (i < r or j < r) and resid[i][j] != 0:
                 return _fail(f"residual leaks outside the trailing block at ({i},{j})")
-    bp = [[b.get(bi, aj) for aj in f.P.fwd] for bi in f.Q.fwd]
-    uhlh = _mm_lists(ctx, _conj_t_lists(ctx, f.U.to_lists()), lh, ncols=n)
+    bp = _perm_lists(b, f.Q.fwd, f.P.fwd)
+    uhlh = _mm_lists(ctx, _conj_t_lists(ctx, ulists), lh, ncols=n)
     count, first = _diff_count(bp, uhlh)
     if count:
         i, j, got, want = first

@@ -112,6 +112,8 @@ class SparseSym:
         return out
 
     def set(self, i, j, v):
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"entry ({i}, {j}) out of range for {self.n} rows")
         if i > j:
             i, j, v = j, i, self.ctx.conj(v)
         if self.ctx.is_zero(v):
@@ -687,7 +689,8 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
     """Factor a post-ordered sparse symmetric matrix along the tree.
 
     `a` is indexed by post-order positions (use `sparse_ldl` for original
-    labels); `gamma` trailing positions are left untouched.  Returns the
+    labels); the root bag's last `gamma` positions are left untouched
+    (`ValueError` unless 0 <= gamma <= the root bag's size).  Returns the
     transcript plus the interface Schur complement and carried full-rank
     constraint rows (both empty when gamma = 0).
 
@@ -704,8 +707,11 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
     td = ntd.td
     pos = ntd.order.inv
     bag_pos = [sorted(pos[v] for v in b) for b in td.bags]
+    root_pos = bag_pos[td.root]
+    if not 0 <= gamma <= len(root_pos):
+        raise ValueError(f"gamma {gamma} outside 0..{len(root_pos)}, the root bag's size")
     transcript = Transcript(ctx, n)
-    root_iface = bag_pos[td.root][len(bag_pos[td.root]) - gamma :] if gamma else []
+    root_iface = root_pos[len(root_pos) - gamma :]
 
     def rec(node, iface):
         # eliminable ids first, the interface (ascending, as in the bag)

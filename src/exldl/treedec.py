@@ -1,13 +1,16 @@
 """Tree decompositions: validation, bag merging, binarization, post-ordering.
 
 A decomposition stores bags (vertex sets over 0..n-1) and a rooted tree
-over bag ids.  Normalization re-roots at bag 0, merges bags until the
-per-bag eliminated-vertex sets reach the target size, gives every bag
-at most two children by a left comb of copy bags under each bag with
-more, and derives the elimination post-ordering: a DFS post-order over
-bags emitting, per bag, the vertices whose highest containing bag it
-is, with the intra-bag order following the four membership classes
-against the two children (a missing child counts as an empty bag).
+over bag ids.  A vertex's top bags hold it under a parent that does not
+(the root's parent holds nothing); its bags are connected exactly when
+it has one, which is then its highest bag (`_tops`).  Normalization
+re-roots at bag 0, merges bags until the per-bag eliminated-vertex sets
+(the vertices whose top bag it is) reach the target size, gives every
+bag at most two children by a left comb of copy bags under each bag
+with more, and derives the elimination post-ordering: a DFS post-order
+over bags emitting each bag's eliminated set, with the intra-bag order
+following the four membership classes against the two children (a
+missing child counts as an empty bag).
 
 File format (PACE 2017 style): header "s td <bags> <width+1> <n>",
 bag lines "b <id> <v...>", one "<id> <id>" line per tree edge,
@@ -96,46 +99,56 @@ class TDReport:
     violations: list = field(default_factory=list)
 
 
+def _tops(td: TreeDecomposition):
+    """For each vertex, the ids of the bags that hold it, ascending, and of
+    its top bags, in one pass over the bags.  Raises `InvalidDecomposition`
+    for a vertex outside 0..n-1."""
+    n = td.n
+    holding = [[] for _ in range(n)]
+    tops = [[] for _ in range(n)]
+    for i, b in enumerate(td.bags):
+        above = td.bags[td.parent[i]] if td.parent[i] >= 0 else ()
+        for v in b:
+            if not 0 <= v < n:
+                raise InvalidDecomposition(f"vertex {v} out of range for {n} vertices")
+            holding[v].append(i)
+            if v not in above:
+                tops[v].append(i)
+    return holding, tops
+
+
 def validate_td(td: TreeDecomposition, pattern) -> TDReport:
     """Check the three decomposition properties against a sparsity pattern.
 
     `pattern` is an iterable of (u, v) off-diagonal nonzero positions.
-    Returns a structured report; never raises.  Every check reads one
-    vertex -> bags index instead of scanning every bag.
+    Returns a structured report; never raises.  A bag vertex outside
+    0..n-1 is reported alone.  The other checks read `_tops`: a vertex's
+    bags are disconnected when it has two top bags, and only then a walk
+    from its first bag, up to that bag's top and down through the children
+    that hold it, names the bags it misses.
     """
-    violations = []
-    holding = {}  # vertex -> ids of the bags that hold it, ascending
-    for i, b in enumerate(td.bags):
-        for v in b:
-            holding.setdefault(v, []).append(i)
+    stray = next((v for b in td.bags for v in b if not 0 <= v < td.n), None)
+    if stray is not None:
+        return TDReport(False, [("vertex-out-of-range", stray)])
+    holding, tops = _tops(td)
+    uncovered = [v for v in range(td.n) if not holding[v]]
+    violations = [("vertex-uncovered", uncovered[0])] if uncovered else []
     for v in range(td.n):
-        if v not in holding:
-            violations.append(("vertex-uncovered", v))
-            break
-    # connectivity of the bag set of each vertex, over the tree edges
-    # between two of its bags
-    for v in range(td.n):
-        ids = holding.get(v)
-        if not ids:
-            continue
-        near = {i: [] for i in ids}
-        for i in ids:
-            p = td.parent[i]
-            if p in near:
-                near[i].append(p)
-                near[p].append(i)
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            for w in near[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(ids):
-            violations.append(("vertex-bags-disconnected", v, sorted(set(ids) - seen)))
+        if len(tops[v]) > 1:
+            top = holding[v][0]
+            while td.parent[top] >= 0 and v in td.bags[td.parent[top]]:
+                top = td.parent[top]
+            seen = {top}
+            stack = [top]
+            while stack:
+                for c in td.children[stack.pop()]:
+                    if v in td.bags[c]:
+                        seen.add(c)
+                        stack.append(c)
+            violations.append(("vertex-bags-disconnected", v, [i for i in holding[v] if i not in seen]))
             break
     # an edge is covered when the bag sets of its ends intersect
-    bag_sets = {v: set(ids) for v, ids in holding.items()}
+    bag_sets = {v: set(ids) for v, ids in enumerate(holding)}
     for u, v in pattern:
         if u == v:
             continue
@@ -146,24 +159,17 @@ def validate_td(td: TreeDecomposition, pattern) -> TDReport:
 
 
 def _rho_sets(td: TreeDecomposition):
-    """Per-bag sets of vertices whose highest containing bag it is."""
-    depths = td.depths()
-    holding = [[] for _ in range(td.n)]
-    for i, b in enumerate(td.bags):
-        for v in b:
-            holding[v].append(i)
+    """Per-bag sets of the vertices whose top bag it is, and each vertex's
+    top bag; `InvalidDecomposition` unless every vertex has exactly one."""
+    _, tops = _tops(td)
     rho = [set() for _ in range(td.nbags)]
-    root_bag = [-1] * td.n
-    for v in range(td.n):
-        if not holding[v]:
+    for v, t in enumerate(tops):
+        if not t:
             raise InvalidDecomposition(f"vertex {v} appears in no bag")
-        best = min(holding[v], key=lambda i: depths[i])
-        ties = [i for i in holding[v] if depths[i] == depths[best]]
-        if len(ties) != 1:
-            raise InvalidDecomposition(f"vertex {v} has {len(ties)} highest bags {ties}")
-        rho[best].add(v)
-        root_bag[v] = best
-    return rho, root_bag
+        if len(t) > 1:
+            raise InvalidDecomposition(f"vertex {v} has {len(t)} highest bags {t}")
+        rho[t[0]].add(v)
+    return rho, [t[0] for t in tops]
 
 
 def merge_bags(td: TreeDecomposition, tau: int) -> TreeDecomposition:
@@ -194,12 +200,10 @@ def _merge_bags(td: TreeDecomposition, tau: int):
         children[dst].extend(c for c in children[src] if alive[c])
         alive[src] = False
 
-    # step 2: sibling merges, leaves up, left to right: each child joins
-    # the last one kept when the rule holds
-    depths = td.depths()
-    for u in sorted(range(len(bags)), key=lambda i: -depths[i]):
-        if not alive[u]:
-            continue
+    # step 2: sibling merges, children before parents, left to right: each
+    # child joins the last one kept when the rule holds
+    order = td.postorder_bags()
+    for u in order:
         kept = children[u][:1]
         for b in children[u][1:]:
             a = kept[-1]
@@ -210,7 +214,6 @@ def _merge_bags(td: TreeDecomposition, tau: int):
         children[u] = kept
     # step 3: child-into-parent merges, post-order scan; an absorbed child
     # stays in its parent's list, dead
-    order = [u for u in td.postorder_bags() if alive[u]]
     for u in order:
         if not alive[u] or parent[u] < 0:
             continue
@@ -377,7 +380,9 @@ def greedy_td(n: int, pattern) -> TreeDecomposition:
     of least degree, lowest index first, found in a heap of (degree,
     vertex) entries: adjacency is kept over live vertices only, the
     neighbors of each eliminated vertex are pushed again with their new
-    degree, and entries that no longer match are skipped.
+    degree, and entries that no longer match are skipped.  A vertex with
+    no neighbor left makes a bag of its own, a root of the forest; these
+    roots are chained in bag order.
     """
     adj = [set() for _ in range(n)]
     for u, v in pattern:
@@ -411,23 +416,9 @@ def greedy_td(n: int, pattern) -> TreeDecomposition:
         if nbrs:
             u = min(nbrs, key=bag_of.__getitem__)
             edges.append((bid, bag_of[u]))
-    # stitch any disconnected components (no cross edges exist, so chaining
-    # the component roots keeps all properties)
-    k = len(bags)
-    dsu = list(range(k))
-
-    def find(x):
-        while dsu[x] != x:
-            dsu[x] = dsu[dsu[x]]
-            x = dsu[x]
-        return x
-
-    for u, v in edges:
-        dsu[find(u)] = find(v)
-    roots = sorted({find(i) for i in range(k)})
-    for a, b in zip(roots, roots[1:]):
-        edges.append((a, b))
-        dsu[find(a)] = find(b)
+    # no cross edges exist, so chaining the roots keeps all properties
+    roots = [i for i, b in enumerate(bags) if len(b) == 1]
+    edges += zip(roots, roots[1:])
     if not bags:
         bags = [frozenset()]
     return TreeDecomposition.build(n, bags, edges, root=0)

@@ -263,6 +263,26 @@ def test_cmd_malformed_input_is_an_input_error(tmp_path, capsys, field, header, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        ["3 3 4", "1 1 2", "2 2 3", "3 3 1", "1 2 5"],  # (1, 2) without (2, 1)
+        ["3 3 4", "1 1 2", "2 2 3", "3 3 1", "2 1 5"],  # (2, 1) without (1, 2)
+        ["3 3 5", "1 1 2", "2 2 3", "3 3 1", "2 1 4", "1 2 5"],
+    ],
+)
+def test_sparse_ldl_rejects_an_asymmetric_general_file(tmp_path, capsys, body):
+    p = tmp_path / "m.mtx"
+    write_mm(p, ["%%MatrixMarket matrix coordinate integer general"] + body)
+    out = tmp_path / "out.json"
+    argv = ["--field", "gfp:7", "--mode", "sparse-ldl", "--matrix", str(p), "--greedy-td", "--verify"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert "not symmetric" in err
+    assert not out.exists()
+
+
 PATH6 = [f"{i + 1} {i} 1" for i in range(1, 6)]  # the path 1-2-3-4-5-6
 BAND34 = ["1 1 1", "1 2 2", "2 2 3", "2 3 1", "3 3 5", "3 4 2"]
 

@@ -542,6 +542,24 @@ def test_normalize_rejects_two_highest_bags():
         normalize_td(td)
 
 
+def test_sparse_sym_rejects_an_index_out_of_range():
+    for entry in [(3, 0, 1), (0, 3, 1), (-1, 0, 4), (0, -1, 4)]:
+        with pytest.raises(IndexError, match=re.escape(f"entry ({entry[0]}, {entry[1]}) out of range")):
+            SparseSym.from_entries(GF7, 3, [(0, 0, 1), entry])
+
+
+def test_tree_ldl_rejects_gamma_outside_the_root_bag():
+    a = SparseSym.from_entries(GF7, 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)] + [(v, v, 2) for v in range(4)])
+    ntd = normalize_td(TreeDecomposition.build(4, [{0, 1}, {1, 2}, {2, 3}], [(0, 1), (1, 2)]))
+    apos = a.relabel(ntd.order)
+    size = len(ntd.td.bags[ntd.td.root])
+    assert size == 2
+    for gamma in (size + 1, -1):
+        with pytest.raises(ValueError, match=re.escape(f"gamma {gamma} outside 0..{size}")):
+            tree_ldl(apos, ntd, gamma)
+    assert tree_ldl(apos, ntd, size)[1].shape == (size, size)
+
+
 def test_apply_cost_scales_linearly():
     # field ops of one transcript application stay within c * n * tau * cols,
     # with c fitted from the n = 64 baseline

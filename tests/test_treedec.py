@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
-from exldl.fields import ParseError
+from exldl.fields import InvalidDecomposition, ParseError
+from exldl.sparse import SparseSym, sparse_ldl
 from exldl.treedec import (
     TreeDecomposition,
     binarize,
@@ -16,6 +18,8 @@ from exldl.treedec import (
     _merge_bags,
     _rho_sets,
 )
+
+from conftest import GF7
 
 
 def path_pattern(n):
@@ -73,6 +77,26 @@ def test_validate_disconnected_vertex_bags():
     rep = validate_td(td, [])
     assert not rep.ok
     assert rep.violations[0][0] == "vertex-bags-disconnected"
+
+
+@pytest.mark.parametrize("stray", [3, 5, -1])
+def test_validate_reports_a_bag_vertex_out_of_range(stray):
+    td = TreeDecomposition.build(3, [{0, 1, stray}, {1, 2}], [(0, 1)])
+    assert validate_td(td, [(0, 1), (1, 2)]).violations == [("vertex-out-of-range", stray)]
+    with pytest.raises(InvalidDecomposition, match=f"vertex {stray} out of range for 3 vertices"):
+        _rho_sets(td)
+    a = SparseSym.from_entries(GF7, 3, [(0, 1, 1), (1, 2, 1)] + [(v, v, 2) for v in range(3)])
+    with pytest.raises(InvalidDecomposition, match=f"vertex-out-of-range {stray}$"):
+        sparse_ldl(a, td)
+
+
+def test_normalize_rejects_disconnected_vertex_bags():
+    # vertex 0 is in bags 0 and 2, which bag 1 between them does not join;
+    # they lie at depths 0 and 2, so no two of its bags tie for highest
+    td = TreeDecomposition.build(3, [{0, 1}, {1}, {0, 2}], [(0, 1), (1, 2)])
+    for run in (normalize_td, lambda td: merge_bags(td, 2)):
+        with pytest.raises(InvalidDecomposition, match=re.escape("vertex 0 has 2 highest bags [0, 2]")):
+            run(td)
 
 
 def test_merge_path_bag_count():
