@@ -1,0 +1,238 @@
+"""Hash one fixed-seed sweep of the factorizations on a parent revision and
+on this checkout, and say whether the two agree.
+
+    python3 scripts/identity_sweep.py --parent HEAD~1
+
+The parent is the tree of a git revision, exported with `git archive` into
+a temporary directory as `scripts/bench_pairs.py` does; the change is this
+checkout's working tree.  Each side runs the same sweep, this file's
+`sweep_digest`, in its own Python process that imports `exldl` from that
+side's `src/`.  The sweep runs, over GF(2), GF(3), GF(7), GF(1009) and Q
+at Strassen cutoffs None, 1, 2, 3 and 8, with the op counter on:
+  * `fast_ldl` and `fast_lu` on dense inputs of full and planted low rank
+    and with zero diagonals, n <= 45;
+  * `gamma_eliminate_partial` and `schilders_partial_ldl` on saddle
+    systems with full-rank and rank-deficient constraints, each completed
+    by `complete_saddle_ldl`, n + m <= 45;
+  * `sparse_ldl` with explicit factors and `tree_ldl` with interfaces of
+    0 to 3 vertices on banded symmetric matrices under a fixed relabeling,
+    and `sparse_lu` with explicit factors on banded rectangles, n <= 45.
+Inputs come from a `random.Random` seeded by the CRC-32 of the field's
+name and are built from plain lists, not from the library's kernels.
+Every result is hashed with the type of each element and matrix, so a
+Python int turning into a numpy integer changes the digest: transcripts
+transform by transform, S and F, P, L, D, U, Y and the op counts of each
+call (an error is hashed by its type and message).  The script prints one
+SHA-256 per side and exits 1 when they differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import random
+import subprocess
+import sys
+import tempfile
+import zlib
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent
+FIELDS = ("gf2", "gfp:3", "gfp:7", "gfp:1009", "rational")
+CUTOFFS = (None, 1, 2, 3, 8)
+
+
+def canon(x):
+    """A nested tuple of x's structure and every element's type and repr."""
+    from exldl.dense import DenseMatrix, Permutation
+    from exldl.sparse import Transcript
+
+    if isinstance(x, DenseMatrix):
+        return ("matrix", type(x).__name__, x.shape, canon(x.to_lists()))
+    if isinstance(x, Permutation):
+        return ("perm", tuple(x.fwd))
+    if isinstance(x, Transcript):
+        return ("transcript", x.n, canon(x.transforms))
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple((f.name, canon(getattr(x, f.name)))
+                                           for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__,) + tuple(canon(v) for v in x)
+    if isinstance(x, (set, frozenset)):
+        return ("set",) + tuple(sorted(x))
+    return (type(x).__name__, repr(x))
+
+
+def element(ctx, rng):
+    if ctx.is_ordered():
+        return ctx.el(f"{rng.randint(-4, 4)}/{rng.randint(1, 4)}")
+    return ctx.el(rng.randrange(ctx.p or 2))
+
+
+def product(ctx, g, h):
+    """g @ h on lists of field elements."""
+    out = []
+    for row in g:
+        acc = [ctx.zero] * len(h[0])
+        for x, hrow in zip(row, h):
+            if x:
+                acc = [ctx.add(a, ctx.mul(x, y)) for a, y in zip(acc, hrow)]
+        out.append(acc)
+    return out
+
+
+def rows(ctx, rng, m, n, density=1.0):
+    return [[element(ctx, rng) if rng.random() < density else ctx.zero for _ in range(n)]
+            for _ in range(m)]
+
+
+def low_rank(ctx, rng, m, n, k):
+    return product(ctx, rows(ctx, rng, m, k), rows(ctx, rng, k, n)) if k else rows(ctx, rng, m, n, 0)
+
+
+def symmetric(ctx, rng, n, density=1.0, diagonal=True, band=None):
+    out = [[ctx.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if diagonal else i + 1, min(n, i + band + 1) if band else n):
+            if rng.random() < density:
+                v = element(ctx, rng)
+                out[i][j], out[j][i] = v, ctx.conj(v)
+    return out
+
+
+def planted(ctx, rng, n, k):
+    """G S G^H with a random symmetric k x k S."""
+    if not k:
+        return rows(ctx, rng, n, n, 0)
+    g = rows(ctx, rng, n, k)
+    gh = [[ctx.conj(v) for v in col] for col in zip(*g)]
+    return product(ctx, product(ctx, g, symmetric(ctx, rng, k)), gh)
+
+
+def cases(ctx, cutoff):
+    """(name, thunk) for every call of the sweep at this field and cutoff."""
+    from exldl.dense import DenseMatrix
+    from exldl.factor import fast_ldl, fast_lu
+    from exldl.saddle import (
+        SaddleSystem,
+        complete_saddle_ldl,
+        gamma_eliminate_partial,
+        schilders_partial_ldl,
+    )
+    from exldl.sparse import SparseSym, sparse_ldl, sparse_lu, tree_ldl
+    from exldl.treedec import greedy_td, normalize_td
+
+    rng = random.Random(zlib.crc32(ctx.spec.encode()))
+
+    def mat(lists, ncols):
+        return DenseMatrix.from_entries(ctx, lists, ncols)
+
+    for n in (0, 1, 2, 5, 9, 16, 23, 33, 45):
+        for kind, lists in (("full", symmetric(ctx, rng, n)),
+                            ("planted", planted(ctx, rng, n, n // 4)),
+                            ("sparse", symmetric(ctx, rng, n, 0.3)),
+                            ("zero-diagonal", symmetric(ctx, rng, n, 0.5, diagonal=False))):
+            a = mat(lists, n)
+            yield f"fast_ldl {kind} {n}", lambda a=a: fast_ldl(a, cutoff)
+        for m, kind, lists in ((n, "full", rows(ctx, rng, n, n)),
+                               (n // 2 + 1, "wide", rows(ctx, rng, n // 2 + 1, n)),
+                               (n, "low-rank", low_rank(ctx, rng, n, n, n // 3)),
+                               (n, "sparse", rows(ctx, rng, n, n, 0.15))):
+            a = mat(lists, n)
+            yield f"fast_lu {kind} {m}x{n}", lambda a=a: fast_lu(a, cutoff)
+
+    for n, m in ((3, 1), (4, 2), (9, 4), (16, 7), (30, 12), (30, 15)):
+        for kind, b in (("full", rows(ctx, rng, m, n)),
+                        ("deficient", low_rank(ctx, rng, m, n, m // 2)),
+                        ("sparse", rows(ctx, rng, m, n, 0.2))):
+            s = SaddleSystem(mat(symmetric(ctx, rng, n, 0.6), n), mat(b, n))
+            for name, partial in (("gamma", lambda s=s: gamma_eliminate_partial(s)),
+                                  ("schilders", lambda s=s: schilders_partial_ldl(s, cutoff))):
+                yield f"{name} {kind} {n}+{m}", partial
+                yield (f"complete {name} {kind} {n}+{m}",
+                       lambda s=s, partial=partial: complete_saddle_ldl(s, partial()))
+
+    for n in (6, 14, 27, 45):
+        for band in (1, 2, 3):
+            for diagonal in (True, False):
+                lists = symmetric(ctx, rng, n, 0.7, diagonal=diagonal, band=band)
+                relabel = list(range(n))
+                rng.shuffle(relabel)
+                a = SparseSym.from_entries(ctx, n, [
+                    (relabel[i], relabel[j], lists[i][j])
+                    for i in range(n) for j in range(i, n) if lists[i][j]])
+                tag = f"{n} band {band} diagonal {diagonal}"
+                yield f"sparse_ldl {tag}", lambda a=a: sparse_ldl(a, None, None, cutoff, True)
+                ntd = normalize_td(greedy_td(n, a.edges()))
+                apos = a.relabel(ntd.order)
+                root = len(ntd.td.bags[ntd.td.root])
+                for gamma in range(min(3, root) + 1):
+                    yield (f"tree_ldl {tag} gamma {gamma}",
+                           lambda apos=apos, ntd=ntd, gamma=gamma: tree_ldl(apos, ntd, gamma, cutoff))
+        m = n // 2
+        for band in (1, 3):
+            b = [[element(ctx, rng) if abs(i - j) <= band and rng.random() < 0.7 else ctx.zero
+                  for j in range(n - m)] for i in range(m)]
+            yield f"sparse_lu {m}x{n - m} band {band}", lambda b=b, k=n - m: sparse_lu(
+                mat(b, k), None, None, cutoff, True)
+
+
+def sweep_digest() -> str:
+    """SHA-256 over every call's result and op counts, field by field and
+    cutoff by cutoff; then the number of calls and where exldl came from."""
+    import exldl
+    from exldl.cli import parse_field
+    from exldl.fields import ExactLinAlgError
+
+    h, calls = hashlib.sha256(), 0
+    for spec in FIELDS:
+        for cutoff in CUTOFFS:
+            ctx = parse_field(spec)
+            for name, thunk in cases(ctx, cutoff):
+                counter = ctx.enable_counter()
+                try:
+                    result = canon(thunk())
+                except ExactLinAlgError as err:
+                    result = ("error", type(err).__name__, str(err))
+                finally:
+                    ctx.disable_counter()
+                h.update(repr((spec, cutoff, name, result, counter.snapshot())).encode())
+                calls += 1
+    return f"{h.hexdigest()}\n{calls}\n{Path(exldl.__file__).resolve().parent}"
+
+
+def side_digest(checkout: Path) -> tuple:
+    """(digest, calls) of `sweep_digest` in a new process that imports
+    exldl from checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(checkout / "src"), str(SCRIPTS)])}
+    code = "import identity_sweep; print(identity_sweep.sweep_digest())"
+    out = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env, check=True,
+                         capture_output=True, text=True).stdout
+    digest, calls, origin = out.split()
+    if Path(origin) != (checkout / "src" / "exldl").resolve():
+        raise SystemExit(f"the sweep imported exldl from {origin}, not from {checkout}")
+    return digest, int(calls)
+
+
+def main(argv=None) -> int:
+    sys.path.insert(0, str(SCRIPTS))
+    from bench_pairs import ROOT, export, git
+
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        export(args.parent, Path(tmp))
+        sides = {"parent": side_digest(Path(tmp)), "change": side_digest(ROOT)}
+    print(f"parent {git('rev-parse', args.parent).strip()}")
+    for side, (digest, calls) in sides.items():
+        print(f"{side} {digest} ({calls} calls)")
+    same = sides["parent"] == sides["change"]
+    print("equal" if same else "DIFFERENT")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

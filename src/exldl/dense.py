@@ -7,10 +7,10 @@ single word-parallel XOR; `GFpMatrix` a C-contiguous int64 numpy array of
 reduced residues; `RationalMatrix` a list of rows of the context's
 rational type.  `DenseMatrix(ctx, ...)` and its constructors build the
 class of ctx's field.  The rest of this module (Strassen, the
-`tri_solve` recursion, `eliminate_rows`, `permute`, `hstack`/`vstack`,
-`Permutation`) and every other module stay generic.  A new field is a
-context class in `fields.py` plus a matrix class here, entered in
-`_MATRIX`, with the working copy its `schur()` returns.
+`tri_solve` recursion, `permute`, `hstack`/`vstack`, `Permutation`) and
+every other module stay generic.  A new field is a context class in
+`fields.py` plus a matrix class here, entered in `_MATRIX`, with the
+working copy its `schur()` returns.
 
 Exact rationals are slow one operation at a time, so the rational kernels
 do their inner loops on Python ints: a product clears denominators per
@@ -18,12 +18,13 @@ inner index and forms each entry as one integer dot product over a shared
 denominator, and triangular substitution keeps the solved entries of each
 column over one common denominator.  Every result entry is normalised
 once, into the context's rational type.  GF(p) substitution works on
-whole numpy rows, GF(2) substitution on packed rows.
+whole numpy rows, GF(2) substitution XORs one packed row per coupling
+(for X l = b, of X transposed to packed columns).
 
-Above `_CROSSOVER` (256) entries the GF(2) and GF(p) kernels work on
-whole numpy arrays (a GF(2) product counts the nonzeros of its left
-factor, a GF(p) product all its entries); below it numpy's per-call cost
-outweighs the work, and the cheap routes stay.
+Above `_CROSSOVER` (256) entries the GF(2) kernels and GF(p)
+elimination work on whole numpy arrays (a GF(2) product counts the
+nonzeros of its left factor); below it numpy's per-call cost outweighs
+the work, and the cheap routes stay.
   * GF(2) column gathers (`take_cols`, so `permute`), transposes and
     classical products unpack the packed rows into a uint8 bit array
     (`int.to_bytes`, or one uint64 array for rows of at most 64 bits,
@@ -32,20 +33,16 @@ outweighs the work, and the cheap routes stay.
     uint64 array), in the spirit of M4RI; a product is a float32
     BLAS product of the bits, exact while k < 2^24, taken mod 2.  Smaller
     ones move one bit, or XOR one packed row, at a time.
-  * GF(p) classical products run on float64 BLAS (`_blas_product`): a
-    float64 sum of integers below 2^53 is exact in any summation order
-    and with any number of threads, so one product serves while
-    k (p-1)^2 < 2^53, and 16-bit limbs of both factors serve beyond, as
-    in FFLAS's delayed reduction.  Smaller ones are one int64 product.
-  * GF(p) elimination (`schur()`, so `eliminate_rows`, the symmetric
-    pivots and the saddle pair eliminations) runs on the int64 array, one
-    outer-product update per pivot; smaller inputs are eliminated as
-    residue lists.
-  * GF(2) substitution for X l = b transposes X to packed columns and
-    XORs one packed column per coupling, as l X = b does with rows;
-    smaller ones flip each row's bits by parity, one unknown at a time.
-GF(p) substitution at n (p-1)^2 >= 2^63 splits its couplings into 16-bit
-limbs at every size.
+  * GF(p) elimination (`schur()`, so the row-by-row LU of `factor`, the
+    symmetric pivots and the saddle pair eliminations) runs on the int64
+    array, one outer-product update per pivot; smaller inputs are
+    eliminated as residue lists.
+Every GF(p) classical product, whatever its size, runs on float64 BLAS
+(`_blas_product`): a float64 sum of integers below 2^53 is exact in any
+summation order and with any number of threads, so one product serves
+while k (p-1)^2 < 2^53, and 16-bit limbs of both factors serve beyond, as
+in FFLAS's delayed reduction.  GF(p) substitution at n (p-1)^2 >= 2^63
+splits its couplings into 16-bit limbs at every size.
 
 Multiplication uses Strassen recursion above a configurable cutoff
 (7 multiplies per level, zero-padding odd dimensions, rectangles tiled
@@ -172,10 +169,9 @@ class DenseMatrix(metaclass=_FieldDispatch):
         of `_tri_solve_base` in place on out, returning the number of
         couplings (nonzero off-diagonal entries of the triangle);
       * `schur()`, the working copy that every elimination pivots on:
-        `eliminate_rows()` here, the one of `factor._lu_rows`, the
-        symmetric pivots of `factor` and the pair eliminations of
-        `saddle.gamma_eliminate_partial` (see `_GF2Schur` and the classes
-        after it);
+        the row-by-row LU `factor._lu_rows`, the symmetric pivots of
+        `factor` and the pair eliminations of `saddle.gamma_eliminate_partial`
+        (see `_GF2Schur` and the classes after it);
       * `from_entries(ctx, rows, ncols)`, the matrix of these lists of
         canonical elements, and `column(j)`, the entries of column j;
       * rows for `sparse.apply_transcript`: `row(i)`, `zero_row()`,
@@ -242,6 +238,10 @@ class DenseMatrix(metaclass=_FieldDispatch):
         out.set_block(0, 0, self)
         return out
 
+    def _out_of_range(self, i, j) -> IndexError:
+        # for get/set: numpy and lists would wrap a negative index, a packed row any column
+        return IndexError(f"entry ({i}, {j}) out of range for {self.nrows}x{self.ncols}")
+
     def _binop_check(self, other: "DenseMatrix"):
         if self.ctx != other.ctx:
             raise DimensionMismatch("mixed field contexts")
@@ -258,36 +258,6 @@ class DenseMatrix(metaclass=_FieldDispatch):
     @staticmethod
     def same_row(a, b) -> bool:
         return a == b
-
-    def eliminate_rows(self):
-        """The elimination of `factor._lu_rows`, right-looking on `schur()`:
-        row i, reduced by the pivots before it, becomes pivot r on its
-        first nonzero entry in the column order q, which is swapped into
-        place r, and reduces every later row at once.  Returns (row order,
-        the pivot rows and then the others, each ascending; q; L with rows
-        in that order; U)."""
-        ctx, m, n = self.ctx, self.nrows, self.ncols
-        s = self.schur()
-        q = list(range(n))
-        piv, rest, cols = [], [], []
-        for i in range(m):
-            r = len(piv)
-            j = s.first(i, q, r) if r < n else None
-            if j is None:
-                rest.append(i)
-            else:
-                q[r], q[j] = q[j], q[r]
-                cols.append(s.pivot(i, q[r], range(i + 1, m)))
-                piv.append(i)
-        r = len(piv)
-        order = piv + rest
-        pos = {i: t for t, i in enumerate(order)}
-        lower = [[ctx.zero] * r for _ in order]
-        for k, col in enumerate(cols):
-            lower[k][k] = ctx.one
-            for t, c in col.items():
-                lower[pos[t]][k] = c
-        return order, q, self.from_entries(ctx, lower, r), s.block(piv, q)
 
 
 def hstack(blocks) -> DenseMatrix:
@@ -475,9 +445,9 @@ def _tri_solve_base(l: DenseMatrix, b: DenseMatrix, side: str, shape: str) -> De
 
 # -- field backends ---------------------------------------------------------
 
-# The GF(2) and GF(p) kernels below take their whole-array routes when the
-# input has more than this many entries; a product counts the entries of its
-# left factor, over GF(2) its nonzeros (the XORs of the per-bit loop).
+# The GF(2) kernels and the GF(p) working copy below take their whole-array
+# routes when the input has more than this many entries; a GF(2) product
+# counts the nonzeros of its left factor (the XORs of the per-bit loop).
 # Replaying the calls of one pass of each benchmark workload, every array
 # route broke even with its cheap route near this size, and these rules came
 # within 1 ms per pass of taking the faster route call by call.
@@ -523,13 +493,13 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
         return cls(ctx, nrows, ncols, [0] * nrows)
 
     def get(self, i, j):
-        if not 0 <= j < self.ncols:  # a packed row has no width to check it
-            raise IndexError(f"column {j} out of range for {self.ncols} columns")
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise self._out_of_range(i, j)
         return (self._d[i] >> j) & 1
 
     def set(self, i, j, v):
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column {j} out of range for {self.ncols} columns")
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise self._out_of_range(i, j)
         if v:
             self._d[i] |= 1 << j
         else:
@@ -641,27 +611,19 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
             coef[i] & ((1 << i) - 1) if forward else coef[i] >> (i + 1) << (i + 1)
             for i in range(n)
         ]
-        if left or out.nrows * n > _CROSSOVER:
-            # packed rows of X (of X^T for X l = b), one XOR per coupling
-            xt = out if left else out.conj_transpose()
-            x = xt._d
-            for i in order:
-                acc = x[i]
-                mask = masks[i]
-                while mask:
-                    lsb = mask & -mask
-                    acc ^= x[lsb.bit_length() - 1]
-                    mask ^= lsb
-                x[i] = acc
-            if not left:
-                out._d[:] = xt.conj_transpose()._d
-        else:  # each packed row of X: bit i flips on odd parity
-            x = out._d
-            for r, row in enumerate(x):
-                for i in order:
-                    if (row & masks[i]).bit_count() & 1:
-                        row ^= 1 << i
-                x[r] = row
+        # packed rows of X (of X^T for X l = b), one XOR per coupling
+        xt = out if left else out.conj_transpose()
+        x = xt._d
+        for i in order:
+            acc = x[i]
+            mask = masks[i]
+            while mask:
+                lsb = mask & -mask
+                acc ^= x[lsb.bit_length() - 1]
+                mask ^= lsb
+            x[i] = acc
+        if not left:
+            out._d[:] = xt.conj_transpose()._d
         return sum(mask.bit_count() for mask in masks)
 
     def schur(self):
@@ -689,9 +651,13 @@ class GFpMatrix(DenseMatrix, metaclass=_Direct):
         return cls(ctx, nrows, ncols, np.zeros((nrows, ncols), dtype=np.int64))
 
     def get(self, i, j):
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise self._out_of_range(i, j)
         return int(self._d[i, j])
 
     def set(self, i, j, v):
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise self._out_of_range(i, j)
         self._d[i, j] = v
 
     @classmethod
@@ -744,14 +710,10 @@ class GFpMatrix(DenseMatrix, metaclass=_Direct):
         return GFpMatrix(self.ctx, self.ncols, self.nrows, self._d.T.copy())
 
     def _mm_classical(self, b):
-        """self @ b: one int64 product below the crossover when its sums
-        cannot overflow, else `_blas_product`."""
-        ctx, p = self.ctx, self.ctx.p
-        m, k, n = self.nrows, self.ncols, b.ncols
-        ctx.count_product(m, k, n, None)
-        if m * k <= _CROSSOVER and k * (p - 1) ** 2 < 1 << 63:
-            return GFpMatrix(ctx, m, n, (self._d @ b._d) % p)
-        return GFpMatrix(ctx, m, n, _blas_product(self._d, b._d, p))
+        """self @ b, by `_blas_product`."""
+        m, n = self.nrows, b.ncols
+        self.ctx.count_product(m, self.ncols, n, None)
+        return GFpMatrix(self.ctx, m, n, _blas_product(self._d, b._d, self.ctx.p))
 
     def _substitute(self, out, left, forward, order, dinv):
         # Whole numpy rows of X (columns for X l = b), with dinv folded
@@ -814,9 +776,13 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
         return cls(ctx, nrows, ncols, [[zero] * ncols for _ in range(nrows)])
 
     def get(self, i, j):
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise self._out_of_range(i, j)
         return self._d[i][j]
 
     def set(self, i, j, v):
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise self._out_of_range(i, j)
         self._d[i][j] = v
 
     @classmethod
@@ -966,8 +932,8 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
 # -- working copies for elimination (LU, symmetric and saddle pivots) ----------
 #
 # `m.schur()` is a working copy S of m that every elimination pivots on,
-# right-looking: `eliminate_rows` here, the vertex and edge eliminations
-# of `factor` and the constraint pairs of `saddle.gamma_eliminate_partial`.
+# right-looking: the row-by-row LU and the vertex and edge eliminations
+# of `factor`, and the constraint pairs of `saddle.gamma_eliminate_partial`.
 # `pivot(k, c, rows)` subtracts S[t][c] / S[k][c] times row k from each row
 # t of `rows` with S[t][c] != 0 and returns those rows' multipliers,
 # {t: S[t][c] / S[k][c]}; the caller lists the rows that are left.

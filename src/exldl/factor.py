@@ -7,18 +7,18 @@ matrix multiplication, and inertia extraction from the block diagonal.
 
 The LU splits the rows in half until a block is short enough that every
 triangular solve below it would be a base case and every product a
-classical one; such a block is eliminated row by row instead.  That
-gives the same pivots, hence the same (unique) L and U, and it charges
-the op counter exactly what the recursion's kernels would have metered,
-so results and counts do not depend on where the recursion stops.  The
-LDL likewise recurses until a block is small enough that every solve
-below it would be a base case and every product a classical one; on
-such a block `_ldl_flat` replays the recursion's pivot decisions
-without building matrices, eliminating each pivot from one Schur
-complement as soon as it is chosen.  A Schur complement does not depend
-on the order its pivots were eliminated in, and with P and the D blocks
-fixed L is unique, so the factors are the recursion's; the op counts
-are charged as for the LU.
+classical one; `_lu_rows` eliminates such a block row by row instead, on
+the field's `schur()` working copy.  That gives the same pivots, hence
+the same (unique) L and U, and it charges the op counter exactly what
+the recursion's kernels would have metered, so results and counts do not
+depend on where the recursion stops.  The LDL likewise recurses until a
+block is small enough that every solve below it would be a base case and
+every product a classical one; on such a block `_ldl_flat` replays the
+recursion's pivot decisions without building matrices, eliminating each
+pivot from one Schur complement as soon as it is chosen.  A Schur
+complement does not depend on the order its pivots were eliminated in,
+and with P and the D blocks fixed L is unique, so the factors are the
+recursion's; the op counts are charged as for the LU.
 
 Conventions: an LDL result satisfies, entrywise and exactly,
     A[P.fwd[i]][P.fwd[j]] == (L D L^H)[i][j]
@@ -367,20 +367,32 @@ def _lu_rows(a: DenseMatrix) -> LUResult:
     row-splitting recursion, and P lists the pivot rows and then the
     others, each ascending, as the recursion does.  With P, Q and r fixed
     the unit lower L and the upper U are unique: they are the recursion's
-    too.  The elimination itself is `DenseMatrix.eliminate_rows`, which
-    runs this rule right-looking on the field's `schur()` working copy,
-    the one the symmetric pivots below use.  With a counter on, the ops
-    the recursion would meter are charged by `_charge_row_splitting`.
+    too.  The rule runs right-looking on `a.schur()`, the working copy the
+    symmetric pivots below use: each new pivot row reduces every later
+    row at once.  With a counter on, the ops the recursion would meter are
+    charged by `_charge_row_splitting`.
     """
-    ctx = a.ctx
-    order, q, l, u = a.eliminate_rows()
-    r = u.nrows
+    ctx, m, n = a.ctx, a.nrows, a.ncols
+    s = a.schur()
+    q = list(range(n))
+    piv, rest, cols = [], [], []
+    for i in range(m):
+        r = len(piv)
+        j = s.first(i, q, r) if r < n else None
+        if j is None:
+            rest.append(i)
+        else:
+            q[r], q[j] = q[j], q[r]
+            cols.append({i: ctx.one, **s.pivot(i, q[r], range(i + 1, m))})
+            piv.append(i)
+    order = piv + rest
+    l, u = _from_columns(ctx, order, cols), s.block(piv, q)
     if ctx.counter is not None:
-        lower = [0] * a.nrows
+        lower = [0] * m
         for i, mask in zip(order, l.nonzero_masks()):
             lower[i] = mask
-        _charge_row_splitting(ctx, a.nrows, a.ncols, set(order[:r]), u.nonzero_masks(), lower)
-    return LUResult(Permutation._of(tuple(order)), Permutation._of(tuple(q)), l, u, r)
+        _charge_row_splitting(ctx, m, n, set(piv), u.nonzero_masks(), lower)
+    return LUResult(Permutation._of(tuple(order)), Permutation._of(tuple(q)), l, u, len(piv))
 
 
 def _charge_row_splitting(ctx: FieldContext, m: int, n: int, pivots, upper, lower):
@@ -535,17 +547,17 @@ def _ldl_flat(a: DenseMatrix) -> LDLResult:
     decisions, replayed on one Schur complement.
 
     The replay splits the indices as the recursion does (n1 = n -
-    floor(n/3)) and takes the bordered branch when 3 r1 < n, with the
-    pivot columns that the field's `eliminate_rows` finds in b12, as
-    `_lu_rows` does.  At three indices or fewer it searches as the
-    recursion's leaves do: the first nonzero diagonal entry, else the
-    first nonzero sub-diagonal entry in column-major order.  Each pivot is
-    eliminated from `a.schur()` as soon as it is chosen, right-looking, so
-    every decision reads the Schur complement the recursion would have
-    formed: a Schur complement does not depend on the order in which its
-    pivots were eliminated.  With P and the D blocks fixed, the unit lower
-    L is unique, so P, L, D and r are the recursion's.  With a counter on,
-    `_FlatLDL` charges what the recursion's kernels would have metered.
+    floor(n/3)) and takes the bordered branch when 3 r1 < n, with the pivot
+    columns that `_lu_rows` finds in b12.  At three indices or fewer it
+    searches as the recursion's leaves do: the first nonzero diagonal entry,
+    else the first nonzero sub-diagonal entry in column-major order.  Each
+    pivot is eliminated from `a.schur()` as soon as it is chosen,
+    right-looking, so every decision reads the Schur complement the
+    recursion would have formed: a Schur complement does not depend on the
+    order in which its pivots were eliminated.  With P and the D blocks
+    fixed, the unit lower L is unique, so P, L, D and r are the recursion's.
+    With a counter on, `_FlatLDL` charges what the recursion's kernels would
+    have metered.
     """
     flat = _FlatLDL(a.schur(), list(range(a.nrows)))
     order = flat.node(list(range(a.nrows)))
@@ -583,7 +595,9 @@ class _FlatLDL:
 
     def node(self, ids: list) -> list:
         """Eliminate the pivots fast_ldl finds in the block over ids, and
-        return ids in its P order."""
+        return ids in its P order.  The bordered branch orders b12's
+        columns by `_lu_rows` of that block, copied out of the Schur
+        complement."""
         n = len(ids)
         if n <= 3:
             return self.leaf(ids)

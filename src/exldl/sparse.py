@@ -264,6 +264,8 @@ def apply_transcript(t: Transcript, x: DenseMatrix, mode: str) -> DenseMatrix:
     not in the range.  Rows are kept in x's row format (see `row`).
     """
     ctx = t.ctx
+    if x.ctx != ctx:
+        raise DimensionMismatch("mixed field contexts")
     axpy = x.add_scaled_row
     pivots = t.pivot_order
     if mode == L_TIMES:
@@ -335,6 +337,10 @@ def explicit_ldl_from_transcript(t: Transcript, a: SparseSym) -> LDLResult:
     the peeled rows are recovered by triangular solves against the pivot
     factor (one right-hand side per peeled vertex)."""
     ctx = t.ctx
+    if a.ctx != ctx:
+        raise DimensionMismatch("mixed field contexts")
+    if a.n != t.n:
+        raise DimensionMismatch(f"transcript of {t.n} vertices for a matrix of {a.n}")
     pivots = t.pivot_order
     r = len(pivots)
     pos = {pid: k for k, pid in enumerate(pivots)}
@@ -704,6 +710,8 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
     """
     ctx = a.ctx
     n = a.n
+    if ntd.n != n:
+        raise DimensionMismatch(f"decomposition of {ntd.n} vertices for a pattern of {n}")
     td = ntd.td
     pos = ntd.order.inv
     bag_pos = [sorted(pos[v] for v in b) for b in td.bags]

@@ -36,11 +36,21 @@ class TreeDecomposition:
 
     @classmethod
     def build(cls, n, bags, edges, root=0):
-        """From undirected tree edges over bag ids; re-roots at `root`."""
+        """From undirected tree edges over bag ids; re-roots at `root`.
+        `ParseError` unless the edges form a tree on k >= 1 bags (ids in 0..k-1)."""
         bags = [frozenset(b) for b in bags]
+        edges = list(edges)
         k = len(bags)
+        if not k:
+            raise ParseError("a tree decomposition needs at least one bag")
+        if not 0 <= root < k:
+            raise ParseError(f"root {root} outside bag ids 0..{k - 1}")
+        if len(edges) != k - 1:
+            raise ParseError(f"{len(edges)} edges for {k} bags; a tree has {k - 1}")
         adj = [[] for _ in range(k)]
         for u, v in edges:
+            if not (0 <= u < k and 0 <= v < k):
+                raise ParseError(f"edge ({u}, {v}) outside bag ids 0..{k - 1}")
             adj[u].append(v)
             adj[v].append(u)
         parent = [-1] * k
@@ -48,17 +58,15 @@ class TreeDecomposition:
         seen = [False] * k
         stack = [root]
         seen[root] = True
-        order = []
         while stack:
             u = stack.pop()
-            order.append(u)
             for v in sorted(adj[u]):
                 if not seen[v]:
                     seen[v] = True
                     parent[v] = u
                     children[u].append(v)
                     stack.append(v)
-        if not all(seen) and k > 0:
+        if not all(seen):
             raise ParseError("bag tree is not connected")
         return cls(n, bags, parent, children, root)
 

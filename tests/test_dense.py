@@ -1,11 +1,12 @@
 import functools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from exldl import dense
+from exldl import dense, factor
 from exldl.dense import (
     LEFT,
     LOWER,
@@ -570,17 +571,18 @@ def ref_eliminate_rows(ctx, a):
 
 @pytest.mark.parametrize("kctx", KERNEL_FIELDS, ids=KERNEL_IDS)
 def test_gfp_eliminate_rows_same_on_both_routes(kctx, monkeypatch):
-    """`eliminate_rows` on either side of the crossover (GF(p) and GF(2)
+    """`factor._lu_rows` on either side of the crossover (GF(p) and GF(2)
     switch working copies, Q has one) against the scalar elimination."""
     rng = random.Random(67)
     for a in elimination_inputs(kctx, rng):
         got = []
         for bound in (10**9, -1):
             monkeypatch.setattr(dense, "_CROSSOVER", bound)
-            order, q, l, u = a.eliminate_rows()
-            assert_storage(kctx, l)
-            assert_storage(kctx, u)
-            got.append((order, q, l.shape, l.to_lists(), u.shape, u.to_lists()))
+            lu = factor._lu_rows(a)
+            assert_storage(kctx, lu.L)
+            assert_storage(kctx, lu.U)
+            got.append((list(lu.P.fwd), list(lu.Q.fwd), lu.L.shape, lu.L.to_lists(),
+                        lu.U.shape, lu.U.to_lists()))
         assert got[0] == got[1], a.shape
         order, q, _, ll, (r, _), uu = got[0]
         assert (order, q, ll, uu) == ref_eliminate_rows(kctx, a), a.shape
@@ -596,12 +598,13 @@ def test_gfp_eliminate_rows_same_on_both_routes(kctx, monkeypatch):
 
 @pytest.mark.parametrize("kctx", KERNEL_FIELDS, ids=KERNEL_IDS)
 def test_get_and_set_reject_a_column_past_the_last(kctx):
+    # negative indices too: numpy and lists would wrap them to the last ones
     a = DenseMatrix.identity(kctx, 3)
-    for j in (3, 7, 64):
-        with pytest.raises(IndexError):
-            a.get(0, j)
-        with pytest.raises(IndexError):
-            a.set(0, j, kctx.one)
+    for i, j in ((0, 3), (0, 7), (0, 64), (3, 0), (9, 1), (-1, 0), (0, -1), (-3, -3)):
+        with pytest.raises(IndexError, match=re.escape(f"entry ({i}, {j}) out of range for 3x3")):
+            a.get(i, j)
+        with pytest.raises(IndexError, match=re.escape(f"entry ({i}, {j}) out of range for 3x3")):
+            a.set(i, j, kctx.one)
     assert a == DenseMatrix.identity(kctx, 3)
 
 

@@ -986,7 +986,7 @@ LARGE_KERNEL_GOLDEN = {
 def test_large_kernel_golden(spec, cutoff, monkeypatch):
     ctx = parse_field(spec)
     cls = type(DenseMatrix.zeros(ctx, 0, 0))
-    product, eliminate = cls._mm_classical, cls.eliminate_rows
+    product, eliminate = cls._mm_classical, factor._lu_rows
     largest = {"product": 0, "elimination": 0}  # nonzeros of a left factor, entries of an input
 
     def sized_product(a, b):
@@ -999,7 +999,7 @@ def test_large_kernel_golden(spec, cutoff, monkeypatch):
         return eliminate(a)
 
     monkeypatch.setattr(cls, "_mm_classical", sized_product)
-    monkeypatch.setattr(cls, "eliminate_rows", sized_elimination)
+    monkeypatch.setattr(factor, "_lu_rows", sized_elimination)
     counter = ctx.enable_counter()
     got = {}
     try:

@@ -34,7 +34,7 @@ from exldl.sparse import (
 )
 from exldl.treedec import TreeDecomposition, normalize_td
 
-from conftest import GF2, GF7, rand_matrix, rand_symmetric
+from conftest import GF2, GF7, QQ, rand_matrix, rand_symmetric
 
 
 # -- graph families ------------------------------------------------------------
@@ -500,6 +500,25 @@ def test_decomposition_size_must_match():
         sparse_ldl(a, small)
     with pytest.raises(DimensionMismatch):
         sparse_lu(bidiagonal(GF7, 3, 4), td)
+    # tree_ldl left vertices 3 and 4 neither pivoted nor peeled
+    diagonal = SparseSym.from_entries(GF7, 5, [(i, i, 1) for i in range(5)])
+    three = normalize_td(TreeDecomposition.build(3, [{0, 1, 2}], []))
+    with pytest.raises(DimensionMismatch, match="decomposition of 3 vertices for a pattern of 5"):
+        tree_ldl(diagonal, three)
+    # a larger one raised a bare IndexError
+    with pytest.raises(DimensionMismatch, match="decomposition of 6 vertices for a pattern of 5"):
+        tree_ldl(diagonal, normalize_td(td))
+
+
+def test_transcript_entry_points_reject_another_field_or_size():
+    a, td = path_graph(GF7, 3)
+    t = sparse_ldl(a, td).transcript
+    with pytest.raises(DimensionMismatch, match="mixed field contexts"):
+        apply_transcript(t, DenseMatrix.identity(GF2, 3), LH_TIMES)
+    with pytest.raises(DimensionMismatch, match="transcript of 3 vertices for a matrix of 4"):
+        explicit_ldl_from_transcript(t, SparseSym(GF7, 4))
+    with pytest.raises(DimensionMismatch, match="mixed field contexts"):
+        explicit_ldl_from_transcript(t, SparseSym.from_entries(QQ, 3, [(0, 1, 1), (1, 2, 1)]))
 
 
 @pytest.mark.parametrize(

@@ -309,6 +309,24 @@ def test_read_td_roundtrip(tmp_path):
     assert td2.bags == td.bags
 
 
+@pytest.mark.parametrize(
+    "bags, edges, root, match",
+    [
+        ([{0}, {1}, {2}], [(0, 1), (1, 2), (2, 0)], 0, "3 edges for 3 bags"),  # a cycle
+        ([{0}, {1}, {2}], [(0, 1), (1, 2), (1, 2)], 0, "3 edges for 3 bags"),  # a repeated edge
+        ([{0}, {1}], [(0, 1), (1, 1)], 0, "2 edges for 2 bags"),  # a self-loop
+        ([{0}, {1}], [(0, -1)], 0, re.escape("edge (0, -1) outside bag ids 0..1")),
+        ([{0}, {1}], [(0, 2)], 0, re.escape("edge (0, 2) outside bag ids 0..1")),
+        ([{0}, {1}], [(0, 1)], 2, "root 2 outside bag ids 0..1"),
+        ([{0}, {1}], [(0, 1)], -1, "root -1 outside bag ids 0..1"),
+        ([], [], 0, "at least one bag"),
+    ],
+)
+def test_build_rejects_edges_that_are_not_a_tree(bags, edges, root, match):
+    with pytest.raises(ParseError, match=match):
+        TreeDecomposition.build(2, bags, edges, root)
+
+
 def test_read_td_errors(tmp_path):
     p = tmp_path / "bad.td"
     p.write_text("s td 2 2 3\nb 1 1 9\n")
