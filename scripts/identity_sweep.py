@@ -16,14 +16,23 @@ at Strassen cutoffs None, 1, 2, 3 and 8, with the op counter on:
     by `complete_saddle_ldl`, n + m <= 45;
   * `sparse_ldl` with explicit factors and `tree_ldl` with interfaces of
     0 to 3 vertices on banded symmetric matrices under a fixed relabeling,
-    and `sparse_lu` with explicit factors on banded rectangles, n <= 45.
+    and `sparse_lu` with explicit factors on banded rectangles, n <= 45;
+  * `peel_vertex` (once per field, as it takes no cutoff) on blocks of up
+    to 10 rows whose columns are low-rank but for two, every column a
+    target over a random basis of the others, so bases with dependent
+    columns and targets in and out of their span all occur.
 Inputs come from a `random.Random` seeded by the CRC-32 of the field's
 name and are built from plain lists, not from the library's kernels.
 Every result is hashed with the type of each element and matrix, so a
 Python int turning into a numpy integer changes the digest: transcripts
 transform by transform, S and F, P, L, D, U, Y and the op counts of each
-call (an error is hashed by its type and message).  The script prints one
-SHA-256 per side and exits 1 when they differ.
+call (an error is hashed by its type and message).  A `peel_vertex`
+call is hashed without its op counts, and its `NotInSpan` without the
+message: it runs `_peel_dependent`, the tree engine's peel solver, whose
+counts the `sparse_ldl` and `tree_ldl` cases pin, where it once ran an
+LU route of its own that metered differently and worded an empty basis
+apart.  The script prints one SHA-256 per side and exits 1 when they
+differ.
 """
 
 from __future__ import annotations
@@ -121,7 +130,7 @@ def cases(ctx, cutoff):
         gamma_eliminate_partial,
         schilders_partial_ldl,
     )
-    from exldl.sparse import SparseSym, sparse_ldl, sparse_lu, tree_ldl
+    from exldl.sparse import SparseSym, peel_vertex, sparse_ldl, sparse_lu, tree_ldl
     from exldl.treedec import greedy_td, normalize_td
 
     rng = random.Random(zlib.crc32(ctx.spec.encode()))
@@ -178,6 +187,20 @@ def cases(ctx, cutoff):
             yield f"sparse_lu {m}x{n - m} band {band}", lambda b=b, k=n - m: sparse_lu(
                 mat(b, k), None, None, cutoff, True)
 
+    if cutoff is not None:
+        return
+    for m in (0, 1, 3, 6, 10):
+        for n in (1, 4, 8):
+            for density in (1.0, 0.3):
+                # n columns of rank <= n // 2, then two random ones
+                low = low_rank(ctx, rng, m, n, rng.randint(0, n // 2))
+                a = mat([r + s for r, s in zip(low, rows(ctx, rng, m, 2, density))], n + 2)
+                for target in range(n + 2):
+                    others = [c for c in range(n + 2) if c != target]
+                    basis = rng.sample(others, rng.randint(0, n + 1))
+                    yield (f"peel_vertex {m}x{n + 2} density {density} target {target}",
+                           lambda a=a, target=target, basis=basis: peel_vertex(a, target, basis))
+
 
 def sweep_digest() -> str:
     """SHA-256 over every call's result and op counts, field by field and
@@ -191,14 +214,16 @@ def sweep_digest() -> str:
         for cutoff in CUTOFFS:
             ctx = parse_field(spec)
             for name, thunk in cases(ctx, cutoff):
+                peel = name.startswith("peel_vertex")
                 counter = ctx.enable_counter()
                 try:
                     result = canon(thunk())
                 except ExactLinAlgError as err:
-                    result = ("error", type(err).__name__, str(err))
+                    result = ("error", type(err).__name__, None if peel else str(err))
                 finally:
                     ctx.disable_counter()
-                h.update(repr((spec, cutoff, name, result, counter.snapshot())).encode())
+                ops = None if peel else counter.snapshot()
+                h.update(repr((spec, cutoff, name, result, ops)).encode())
                 calls += 1
     return f"{h.hexdigest()}\n{calls}\n{Path(exldl.__file__).resolve().parent}"
 

@@ -179,18 +179,12 @@ def mm_to_sparse_sym(path, ctx: FieldContext) -> SparseSym:
 def write_matrix_market(path, m: DenseMatrix, symmetric: bool = False):
     ctx = m.ctx
     symtag = "symmetric" if symmetric else "general"
-    rows = []
-    for i in range(m.nrows):
-        jrange = range(i + 1) if symmetric else range(m.ncols)
-        for j in jrange:
-            v = m.get(i, j)
-            if not ctx.is_zero(v):
-                rows.append(f"{i + 1} {j + 1} {ctx.fmt(v)}")
+    coo = [e for e in _coo(ctx, m) if not symmetric or e[1] <= e[0]]
     with open(path, "w") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate {ctx.mm_field} {symtag}\n")
-        fh.write(f"{m.nrows} {m.ncols} {len(rows)}\n")
-        for line in rows:
-            fh.write(line + "\n")
+        fh.write(f"{m.nrows} {m.ncols} {len(coo)}\n")
+        for i, j, v in coo:
+            fh.write(f"{i + 1} {j + 1} {v}\n")
 
 
 # -- JSON factors -------------------------------------------------------------

@@ -448,20 +448,26 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
     has a dimension of at most n // 2), and `_ldl_flat` replays the
     recursion's pivot decisions on one Schur complement instead: it gives
     the same P and D, hence the same L, and meters the same op counts.
+    The input is checked once, here; the recursion runs in `_fast_ldl`.
     """
+    if a.ncols != a.nrows:
+        raise ValueError("LDL needs a square matrix")
+    if a != a.conj_transpose():
+        raise ValueError("LDL needs an H-symmetric matrix")
+    check_cutoff(cutoff)
+    return _fast_ldl(a, a.ctx.default_cutoff if cutoff is None else cutoff)
+
+
+def _fast_ldl(a: DenseMatrix, cutoff: int) -> LDLResult:
+    """The recursion of `fast_ldl`, on a checked input."""
     ctx = a.ctx
     n = a.nrows
-    if a.ncols != n:
-        raise ValueError("LDL needs a square matrix")
-    check_cutoff(cutoff)
-    if cutoff is None:
-        cutoff = ctx.default_cutoff
     # Three rows or fewer are a leaf of the recursion, whatever the cutoff.
     if n <= 3 or (n <= _TRI_BASE and n // 2 <= cutoff):
         return _ldl_flat(a)
     s = n // 3
     n1 = n - s
-    top = fast_ldl(a.block(0, n1, 0, n1), cutoff)
+    top = _fast_ldl(a.block(0, n1, 0, n1), cutoff)
     r1 = top.r
     ord1 = (
         [top.P.fwd[t] for t in range(r1)]
@@ -477,7 +483,7 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
     v = d_solve_left(d1, w)
     bmat = at.block(r1, n, r1, n).sub(matmul(w.conj_transpose(), v, cutoff))
     if 3 * r1 >= n:
-        res2 = fast_ldl(bmat, cutoff)
+        res2 = _fast_ldl(bmat, cutoff)
         blk = Permutation(list(range(r1)) + [r1 + t for t in res2.P.fwd])
         p = compose(pt1, blk)
         l21 = v.conj_transpose().take_rows(res2.P.fwd)
@@ -500,7 +506,7 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
     bt.set_block(0, 0, bmat.block(0, s, 0, s))
     bt.set_block(0, s, bsel)
     bt.set_block(s, 0, bsel.conj_transpose())
-    res2 = fast_ldl(bt, cutoff)
+    res2 = _fast_ldl(bt, cutoff)
     r2 = res2.r
     mid = list(range(r1, r1 + s)) + [r1 + s + cidx for cidx in pivcols]
     mid_perm = [mid[res2.P.fwd[t]] for t in range(dim2)]

@@ -61,6 +61,8 @@ class SaddleSystem:
             raise DimensionMismatch("B block must have as many columns as A")
         if self.A.ctx != self.B.ctx:
             raise DimensionMismatch("mixed field contexts")
+        if self.A != self.A.conj_transpose():
+            raise ValueError("A block must be H-symmetric")
 
     @property
     def n(self) -> int:

@@ -104,11 +104,17 @@ class SparseSym:
 
     @classmethod
     def from_entries(cls, ctx, n, entries) -> "SparseSym":
-        """entries: iterable of (i, j, value); (i, j) and (j, i) may not both
-        be given with conflicting values."""
+        """entries: iterable of (i, j, value); a coordinate given again, as
+        (i, j) or as (j, i), must carry the same (mirrored) value, else
+        ValueError."""
         out = cls(ctx, n)
+        given = {}
         for i, j, v in entries:
-            out.set(i, j, ctx.el(v))
+            v = ctx.el(v)
+            key, w = ((i, j), v) if i <= j else ((j, i), ctx.conj(v))
+            if given.setdefault(key, w) != w:
+                raise ValueError(f"conflicting values at ({i}, {j})")
+            out.set(i, j, v)
         return out
 
     def set(self, i, j, v):
@@ -374,34 +380,19 @@ def explicit_ldl_from_transcript(t: Transcript, a: SparseSym) -> LDLResult:
 
 
 def peel_vertex(a_block: DenseMatrix, target: int, basis_cols) -> Peel:
-    """Peel `target` out of a dense block: certify that its column lies in
-    the span of `basis_cols` (via an LU of those columns) and return the
-    combination as a peeling transform."""
-    ctx = a_block.ctx
-    basis = list(basis_cols)
-    tcol = a_block.block(0, a_block.nrows, target, target + 1)
-    if not basis:
-        if not tcol.is_zero():
-            raise NotInSpan(f"column {target} is nonzero with an empty basis")
-        return Peel(target, ())
-    m = a_block.take_cols(basis)
-    lu = fast_lu(m)
-    r = lu.r
-    tp = tcol.take_rows(lu.P.fwd)
-    if r == 0:
-        if not tcol.is_zero():
-            raise NotInSpan(f"column {target} is not spanned")
-        return Peel(target, ())
-    w = tri_solve(lu.L.block(0, r, 0, r), tp.block(0, r, 0, 1), LEFT, LOWER_UNIT)
-    if matmul(lu.L.block(r, a_block.nrows, 0, r), w) != tp.block(r, a_block.nrows, 0, 1):
-        raise NotInSpan(f"column {target} is not spanned")
-    z = tri_solve(lu.U.block(0, r, 0, r), w, LEFT, UPPER)
-    coeffs = []
-    for s in range(r):
-        v = z.get(s, 0)
-        if not ctx.is_zero(v):
-            coeffs.append((basis[lu.Q.fwd[s]], v))
-    return Peel(target, tuple(coeffs))
+    """Peel `target` out of a dense block: the combination of the
+    `basis_cols` columns that gives its column, as a peeling transform, or
+    `NotInSpan`.  This is `_peel_dependent` on the columns [*basis_cols,
+    target]: a column spanned by those before it never becomes an LU pivot,
+    so the coefficients are the basis pivots' alone, and the basis columns
+    peeled with it are dropped."""
+    ids = [*basis_cols, target]
+    scratch = Transcript(a_block.ctx, len(ids))
+    _peel_dependent(scratch, a_block.take_cols(ids), ids, None)
+    for tf in scratch.transforms:
+        if tf.target == target:
+            return tf
+    raise NotInSpan(f"column {target} is not spanned")
 
 
 # -- the tree engine ----------------------------------------------------------------

@@ -394,6 +394,8 @@ def greedy_td(n: int, pattern) -> TreeDecomposition:
     """
     adj = [set() for _ in range(n)]
     for u, v in pattern:
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexError(f"edge ({u}, {v}) out of range for {n} vertices")
         if u != v:
             adj[u].add(v)
             adj[v].add(u)

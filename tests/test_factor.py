@@ -356,6 +356,25 @@ def _cutoff_calls():
 CUTOFF_CALLS = _cutoff_calls()
 
 
+@pytest.mark.parametrize("ctx", LU_FIELDS, ids=["gf2", "gf7", "gf1009", "gf2^31-1", "rational"])
+def test_fast_ldl_rejects_a_matrix_that_is_not_h_symmetric(ctx):
+    rng = random.Random(crc32(repr(ctx).encode()))
+    cases = [DenseMatrix.from_rows(ctx, rows) for rows in
+             ([[1, 2, 0], [5, 1, 1], [0, 1, 3]], [[0, 1], [2, 0]], [[1, 1], [0, 1]])]
+    # n = 20 is above the flat base, so the recursion's entry is guarded too
+    for n in (5, 20):
+        a = rand_symmetric(ctx, rng, n)
+        a.set(n - 1, 0, ctx.add(a.get(n - 1, 0), ctx.one))
+        cases.append(a)
+    for a in cases:
+        assert a != a.conj_transpose()
+        for cutoff in (None, 1):
+            with pytest.raises(ValueError, match="LDL needs an H-symmetric matrix"):
+                fast_ldl(a, cutoff)
+    with pytest.raises(ValueError, match="LDL needs a square matrix"):
+        fast_ldl(DenseMatrix.zeros(ctx, 2, 3))
+
+
 @pytest.mark.parametrize("name", sorted(CUTOFF_CALLS))
 def test_cutoff_below_one_is_rejected(name):
     call = CUTOFF_CALLS[name]

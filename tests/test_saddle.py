@@ -98,6 +98,15 @@ def test_residual_is_symmetric(ctx, rng):
     assert res == res.conj_transpose()
 
 
+def test_saddle_system_rejects_an_a_block_that_is_not_h_symmetric(ctx):
+    a = DenseMatrix.from_rows(ctx, [[1, 2, 0], [5, 1, 1], [0, 1, 3]])
+    b = DenseMatrix.from_rows(ctx, [[1, 1, 0]])
+    with pytest.raises(ValueError, match="A block must be H-symmetric"):
+        SaddleSystem(a, b)
+    a.set(1, 0, a.get(0, 1))
+    assert SaddleSystem(a, b).n == 3
+
+
 def test_residual_leakage_detected(rng):
     from exldl.fields import ResidualLeakage
 

@@ -34,7 +34,7 @@ from exldl.sparse import (
 )
 from exldl.treedec import TreeDecomposition, normalize_td
 
-from conftest import GF2, GF7, QQ, rand_matrix, rand_symmetric
+from conftest import ALL_FIELDS, GF2, GF7, QQ, rand_el, rand_matrix, rand_symmetric
 
 
 # -- graph families ------------------------------------------------------------
@@ -216,21 +216,49 @@ def test_peel_vertex_not_in_span():
 
 
 def test_peel_vertex_combination(rng):
-    basis = rand_matrix(GF7, rng, 6, 3)
+    """Columns g0, g1, g0 + 2 g1, g2 (independent g's), a target in their
+    span and one outside it, over every field: the dependent basis column
+    is peeled and dropped, so the coefficients are on g0, g1 and g2 alone."""
+    for ctx in ALL_FIELDS:
+        _check_peel_vertex_combination(ctx, rng)
+
+
+def _check_peel_vertex_combination(ctx, rng):
+    m = 6
+    g = rand_matrix(ctx, rng, m, 3).to_lists()
+    for i in range(3):
+        g[i][:i + 1] = [ctx.zero] * i + [ctx.one]
+
+    def comb(coeff):
+        out = []
+        for row in g:
+            acc = ctx.zero
+            for s, c in enumerate(coeff):
+                acc = ctx.add(acc, ctx.mul(ctx.el(c), row[s]))
+            out.append(acc)
+        return out
+
+    outside = [rand_el(ctx, rng) for _ in range(m)]
+    while oracle_rank(DenseMatrix.from_rows(ctx, [row + [v] for row, v in zip(g, outside)])) < 4:
+        outside = [rand_el(ctx, rng) for _ in range(m)]
     coeff = [2, 0, 5]
-    target = DenseMatrix.zeros(GF7, 6, 1)
-    for s in range(3):
-        for i in range(6):
-            target.set(i, 0, GF7.add(target.get(i, 0), GF7.mul(coeff[s], basis.get(i, s))))
-    a = matmul(basis, DenseMatrix.identity(GF7, 3)).pad(6, 4)
-    for i in range(6):
-        a.set(i, 3, target.get(i, 0))
-    p = peel_vertex(a, 3, [0, 1, 2])
-    got = DenseMatrix.zeros(GF7, 6, 1)
-    for idx, val in p.coeffs:
-        for i in range(6):
-            got.set(i, 0, GF7.add(got.get(i, 0), GF7.mul(val, a.get(i, idx))))
-    assert got == target
+    cols = [[row[0] for row in g], [row[1] for row in g], comb([1, 2, 0]), [row[2] for row in g],
+            comb(coeff), outside]
+    a = DenseMatrix.from_rows(ctx, [list(r) for r in zip(*cols)])
+    p = peel_vertex(a, 4, [0, 1, 2, 3])
+    want = tuple((idx, ctx.el(c)) for idx, c in zip((0, 1, 3), coeff) if not ctx.is_zero(ctx.el(c)))
+    assert p == Peel(4, want)
+    for basis in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [2, 1, 3]):
+        p = peel_vertex(a, 4, basis)
+        assert {idx for idx, _ in p.coeffs} <= set(basis)
+        got = [ctx.zero] * m
+        for idx, val in p.coeffs:
+            got = [ctx.add(x, ctx.mul(val, a.get(i, idx))) for i, x in enumerate(got)]
+        assert got == cols[4]
+        with pytest.raises(NotInSpan):
+            peel_vertex(a, 5, basis)
+    with pytest.raises(NotInSpan):
+        peel_vertex(a, 5, [])
 
 
 # -- star graph (peeling-heavy) ---------------------------------------------------
@@ -565,6 +593,17 @@ def test_sparse_sym_rejects_an_index_out_of_range():
     for entry in [(3, 0, 1), (0, 3, 1), (-1, 0, 4), (0, -1, 4)]:
         with pytest.raises(IndexError, match=re.escape(f"entry ({entry[0]}, {entry[1]}) out of range")):
             SparseSym.from_entries(GF7, 3, [(0, 0, 1), entry])
+
+
+def test_sparse_sym_from_entries_rejects_conflicting_values(ctx):
+    for entries in ([(0, 1, 2), (1, 0, 5)], [(0, 1, 2), (0, 1, 5)], [(2, 2, 1), (2, 2, 2)]):
+        i, j, _ = entries[1]
+        with pytest.raises(ValueError, match=re.escape(f"conflicting values at ({i}, {j})")):
+            SparseSym.from_entries(ctx, 3, entries)
+    a = SparseSym.from_entries(ctx, 3, [(0, 1, 2), (1, 0, 2), (1, 1, 0), (1, 1, 0)])
+    assert a.get(1, 0) == a.get(0, 1) == ctx.el(2)
+    a.set(0, 1, ctx.el(5))
+    assert a.get(1, 0) == ctx.el(5)
 
 
 def test_tree_ldl_rejects_gamma_outside_the_root_bag():

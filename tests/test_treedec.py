@@ -353,6 +353,12 @@ def test_greedy_td_path():
     assert td.max_bag() <= 2
 
 
+@pytest.mark.parametrize("edge", [(0, 3), (3, 0), (0, -1), (-1, 2), (3, 3)])
+def test_greedy_td_rejects_an_edge_out_of_range(edge):
+    with pytest.raises(IndexError, match=re.escape(f"edge {edge} out of range for 3 vertices")):
+        greedy_td(3, [(0, 1), edge])
+
+
 def test_greedy_td_always_valid():
     rng = random.Random(17)
     for _ in range(10):
