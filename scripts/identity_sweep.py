@@ -17,6 +17,11 @@ at Strassen cutoffs None, 1, 2, 3 and 8, with the op counter on:
   * `sparse_ldl` with explicit factors and `tree_ldl` with interfaces of
     0 to 3 vertices on banded symmetric matrices under a fixed relabeling,
     and `sparse_lu` with explicit factors on banded rectangles, n <= 45;
+  * `sparse_ldl` with explicit factors and `tree_ldl` with interfaces of
+    0 to 3 vertices along random k-trees' own decompositions, k = 2..5 and
+    n = 12 and 30, with a zero diagonal, with planted corank (vertices that
+    are multiples of others) and with both, so flat bags with step-1
+    peels, constraint pairs and step-4 peels all occur;
   * `peel_vertex` (once per field, as it takes no cutoff) on blocks of up
     to 10 rows whose columns are low-rank but for two, every column a
     target over a random basis of the others, so bases with dependent
@@ -120,6 +125,50 @@ def planted(ctx, rng, n, k):
     return product(ctx, product(ctx, g, symmetric(ctx, rng, k)), gh)
 
 
+def nonzero(ctx, rng):
+    while not (v := element(ctx, rng)):
+        pass
+    return v
+
+
+def ktree(ctx, rng, n, k, diagonal, twins):
+    """A random k-tree on n vertices and its decomposition, then `twins`
+    vertices, each a nonzero multiple of a distinct original one: row t =
+    c row u, so each plants one unit of corank, and t joins every bag of u.
+    Each k-tree edge is kept with probability 0.8 and, when `diagonal`,
+    each diagonal entry with 0.5.  Returns (n + twins, entries (i, j, v)
+    with i <= j, bags, tree edges)."""
+    bags, tree, rows = [list(range(k + 1))], [], [{} for _ in range(n + twins)]
+
+    def put(i, j, v):
+        rows[i][j] = rows[j][i] = v
+
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            if rng.random() < 0.8:
+                put(i, j, nonzero(ctx, rng))
+    for v in range(k + 1, n):
+        host = rng.randrange(len(bags))
+        sub = rng.sample(bags[host], k)
+        bags.append(sorted(sub + [v]))
+        tree.append((host, len(bags) - 1))
+        for u in sub:
+            if rng.random() < 0.8:
+                put(u, v, nonzero(ctx, rng))
+    for v in range(n):
+        if diagonal and rng.random() < 0.5:
+            rows[v][v] = nonzero(ctx, rng)
+    for t, u in zip(range(n, n + twins), rng.sample(range(n), twins)):
+        c = nonzero(ctx, rng)
+        for w, x in list(rows[u].items()):
+            put(t, w, ctx.mul(c, x))
+            if w == u:  # then t's diagonal entry is c^2 times u's
+                rows[t][t] = ctx.mul(c, ctx.mul(c, x))
+        bags = [b + [t] if u in b else b for b in bags]
+    entries = [(i, j, v) for i, row in enumerate(rows) for j, v in row.items() if i <= j]
+    return n + twins, entries, bags, tree
+
+
 def cases(ctx, cutoff):
     """(name, thunk) for every call of the sweep at this field and cutoff."""
     from exldl.dense import DenseMatrix
@@ -131,7 +180,7 @@ def cases(ctx, cutoff):
         schilders_partial_ldl,
     )
     from exldl.sparse import SparseSym, peel_vertex, sparse_ldl, sparse_lu, tree_ldl
-    from exldl.treedec import greedy_td, normalize_td
+    from exldl.treedec import TreeDecomposition, greedy_td, normalize_td
 
     rng = random.Random(zlib.crc32(ctx.spec.encode()))
 
@@ -186,6 +235,22 @@ def cases(ctx, cutoff):
                   for j in range(n - m)] for i in range(m)]
             yield f"sparse_lu {m}x{n - m} band {band}", lambda b=b, k=n - m: sparse_lu(
                 mat(b, k), None, None, cutoff, True)
+
+    for k in (2, 3, 4, 5):
+        for n in (12, 30):
+            for kind, diagonal, twins in (("zero-diagonal", False, 0),
+                                          ("corank", True, n // 6),
+                                          ("zero-diagonal corank", False, n // 6)):
+                size, entries, bags, tree = ktree(ctx, rng, n, k, diagonal, twins)
+                a = SparseSym.from_entries(ctx, size, entries)
+                td = TreeDecomposition.build(size, [set(b) for b in bags], tree)
+                tag = f"{k}-tree {n} {kind}"
+                yield f"sparse_ldl {tag}", lambda a=a, td=td: sparse_ldl(a, td, None, cutoff, True)
+                ntd = normalize_td(td)
+                apos = a.relabel(ntd.order)
+                for gamma in range(min(3, len(ntd.td.bags[ntd.td.root])) + 1):
+                    yield (f"tree_ldl {tag} gamma {gamma}",
+                           lambda apos=apos, ntd=ntd, gamma=gamma: tree_ldl(apos, ntd, gamma, cutoff))
 
     if cutoff is not None:
         return

@@ -242,15 +242,19 @@ class DenseMatrix(metaclass=_FieldDispatch):
         # for get/set: numpy and lists would wrap a negative index, a packed row any column
         return IndexError(f"entry ({i}, {j}) out of range for {self.nrows}x{self.ncols}")
 
+    def _indices(self, idx, n: int, what: str) -> list:
+        # for take_rows/take_cols, as `_out_of_range` is for get/set
+        idx = list(idx)
+        if idx and not (0 <= min(idx) and max(idx) < n):
+            bad = next(i for i in idx if not 0 <= i < n)
+            raise IndexError(f"{what} {bad} out of range for {self.nrows}x{self.ncols}")
+        return idx
+
     def _binop_check(self, other: "DenseMatrix"):
         if self.ctx != other.ctx:
             raise DimensionMismatch("mixed field contexts")
         if self.shape != other.shape:
             raise DimensionMismatch(f"shape {self.shape} vs {other.shape}")
-
-    def nonzero_masks(self):
-        """Per row, an int with bit j set when entry j is nonzero."""
-        return [sum(1 << j for j, v in enumerate(row) if v) for row in self.to_lists()]
 
     def zero_row(self):
         return self.zeros(self.ctx, 1, self.ncols).row(0)
@@ -525,19 +529,16 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
     def is_zero(self):
         return not any(self._d)
 
-    def nonzero_masks(self):
-        return list(self._d)
-
     def block(self, r0, r1, c0, c1):
         mask = (1 << (c1 - c0)) - 1
         return GF2Matrix(self.ctx, r1 - r0, c1 - c0, [(r >> c0) & mask for r in self._d[r0:r1]])
 
     def take_rows(self, idx):
-        rows = [self._d[i] for i in idx]
+        rows = [self._d[i] for i in self._indices(idx, self.nrows, "row")]
         return GF2Matrix(self.ctx, len(rows), self.ncols, rows)
 
     def take_cols(self, idx):
-        idx = list(idx)
+        idx = self._indices(idx, self.ncols, "column")
         if self.nrows * len(idx) > _CROSSOVER:
             bits = np.take(_gf2_unpack(self._d, self.ncols), idx, axis=1)
             return GF2Matrix(self.ctx, self.nrows, len(idx), _gf2_pack(bits))
@@ -627,7 +628,7 @@ class GF2Matrix(DenseMatrix, metaclass=_Direct):
         return sum(mask.bit_count() for mask in masks)
 
     def schur(self):
-        return _GF2Schur(self)
+        return _GF2Schur(self.ctx, list(self._d), self.ncols)
 
     def row(self, i):
         return self._d[i]
@@ -681,11 +682,11 @@ class GFpMatrix(DenseMatrix, metaclass=_Direct):
         return GFpMatrix(self.ctx, r1 - r0, c1 - c0, self._d[r0:r1, c0:c1].copy())
 
     def take_rows(self, idx):
-        d = self._d.take(list(idx), axis=0)
+        d = self._d.take(self._indices(idx, self.nrows, "row"), axis=0)
         return GFpMatrix(self.ctx, len(d), self.ncols, d)
 
     def take_cols(self, idx):
-        d = self._d.take(list(idx), axis=1)
+        d = self._d.take(self._indices(idx, self.ncols, "column"), axis=1)
         return GFpMatrix(self.ctx, self.nrows, d.shape[1], d)
 
     def set_block(self, r0, c0, m):
@@ -747,7 +748,9 @@ class GFpMatrix(DenseMatrix, metaclass=_Direct):
         return int(np.count_nonzero(coef))
 
     def schur(self):
-        return _GFpSchur(self) if self.nrows * self.ncols <= _CROSSOVER else _GFpArraySchur(self)
+        if self.nrows * self.ncols <= _CROSSOVER:
+            return _GFpSchur(self.ctx, self._d.tolist())
+        return _GFpArraySchur(self.ctx, self._d.copy())
 
     def row(self, i):
         return self._d[i].copy()
@@ -803,11 +806,11 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
         return RationalMatrix(self.ctx, r1 - r0, c1 - c0, [row[c0:c1] for row in self._d[r0:r1]])
 
     def take_rows(self, idx):
-        rows = [list(self._d[i]) for i in idx]
+        rows = [list(self._d[i]) for i in self._indices(idx, self.nrows, "row")]
         return RationalMatrix(self.ctx, len(rows), self.ncols, rows)
 
     def take_cols(self, idx):
-        idx = list(idx)
+        idx = self._indices(idx, self.ncols, "column")
         rows = [[row[j] for j in idx] for row in self._d]
         return RationalMatrix(self.ctx, self.nrows, len(idx), rows)
 
@@ -916,7 +919,7 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
         return sum(map(len, deps))
 
     def schur(self):
-        return _RationalSchur(self)
+        return _RationalSchur(self.ctx, *_integer_rows(self._d))
 
     def row(self, i):
         return list(self._d[i])
@@ -940,17 +943,31 @@ class RationalMatrix(DenseMatrix, metaclass=_Direct):
 # `get(i, j)` reads an entry of the current S and `nonzero(i, j)` tests one,
 # `first(i, q, r)` is the first position at or past r in the column order
 # q whose entry in row i is nonzero (None if there is none), and
-# `block(rows, cols)` copies a block out as a matrix.  Updating whole rows
-# keeps a pivot's column zero in every row it updated.
+# `block(rows, cols)`, `lists(rows, cols)` and `sub(rows, cols)` copy a
+# block out as a matrix, as lists of elements and as a working copy (the
+# tree engine's bag step runs `factor._lu_rows` on one).  Updating whole
+# rows keeps a pivot's column zero in every row it updated.
 
 
-class _GF2Schur:
+class _WorkingCopy:
+    """What the working copies share: a block copied out through `lists`."""
+
+    __slots__ = ()
+
+    def block(self, rows, cols):
+        return DenseMatrix.from_entries(self.ctx, self.lists(rows, cols), len(cols))
+
+    def sub(self, rows, cols):
+        return self.block(rows, cols).schur()
+
+
+class _GF2Schur(_WorkingCopy):
     """Packed rows: a pivot row is subtracted with one XOR."""
 
     __slots__ = ("ctx", "rows", "ncols")
 
-    def __init__(self, a):
-        self.ctx, self.rows, self.ncols = a.ctx, list(a._d), a.ncols
+    def __init__(self, ctx, rows: list, ncols: int):
+        self.ctx, self.rows, self.ncols = ctx, rows, ncols
 
     def get(self, i, j):
         return self.rows[i] >> j & 1
@@ -969,6 +986,10 @@ class _GF2Schur:
         d = self.rows
         return GF2Matrix(self.ctx, len(rows), self.ncols, [d[i] for i in rows]).take_cols(cols)
 
+    def lists(self, rows, cols):
+        d = self.rows
+        return [[d[i] >> j & 1 for j in cols] for i in rows]
+
     def pivot(self, k, c, rows):
         d = self.rows
         pk, out = d[k], {}
@@ -979,13 +1000,13 @@ class _GF2Schur:
         return out
 
 
-class _GFpSchur:
+class _GFpSchur(_WorkingCopy):
     """Rows of residues as Python ints, each update reduced inline."""
 
     __slots__ = ("ctx", "rows")
 
-    def __init__(self, a):
-        self.ctx, self.rows = a.ctx, a._d.tolist()
+    def __init__(self, ctx, rows: list):
+        self.ctx, self.rows = ctx, rows
 
     def get(self, i, j):
         return self.rows[i][j]
@@ -995,9 +1016,12 @@ class _GFpSchur:
     def first(self, i, q, r):
         return _first(self.rows[i], q, r)
 
-    def block(self, rows, cols):
+    def lists(self, rows, cols):
         d = self.rows
-        return GFpMatrix.from_entries(self.ctx, [[d[i][j] for j in cols] for i in rows], len(cols))
+        return [[d[i][j] for j in cols] for i in rows]
+
+    def sub(self, rows, cols):
+        return _GFpSchur(self.ctx, self.lists(rows, cols))
 
     def pivot(self, k, c, rows):
         p, d = self.ctx.p, self.rows
@@ -1015,13 +1039,13 @@ class _GFpSchur:
         return out
 
 
-class _GFpArraySchur:
+class _GFpArraySchur(_WorkingCopy):
     """The int64 array: a pivot updates all its rows with one outer product."""
 
     __slots__ = ("ctx", "a")
 
-    def __init__(self, a):
-        self.ctx, self.a = a.ctx, a._d.copy()
+    def __init__(self, ctx, a: np.ndarray):
+        self.ctx, self.a = ctx, a
 
     def get(self, i, j):
         return int(self.a[i, j])
@@ -1033,6 +1057,9 @@ class _GFpArraySchur:
 
     def block(self, rows, cols):
         return GFpMatrix(self.ctx, len(rows), len(cols), self.a[np.ix_(rows, cols)])
+
+    def lists(self, rows, cols):
+        return self.a[np.ix_(rows, cols)].tolist()
 
     def pivot(self, k, c, rows):
         # a range of rows is updated as one slice, a multiplier of 0 included
@@ -1046,15 +1073,14 @@ class _GFpArraySchur:
         return {t: x for t, x in zip(rows, m.tolist()) if x}
 
 
-class _RationalSchur:
+class _RationalSchur(_WorkingCopy):
     """Integer rows over one denominator each: an update is fraction-free
     and then divided by the gcd of the row and its denominator."""
 
     __slots__ = ("ctx", "rows", "dens")
 
-    def __init__(self, a):
-        self.ctx = a.ctx
-        self.rows, self.dens = _integer_rows(a._d)
+    def __init__(self, ctx, rows: list, dens: list):
+        self.ctx, self.rows, self.dens = ctx, rows, dens
 
     def get(self, i, j):
         x = self.rows[i][j]
@@ -1066,10 +1092,14 @@ class _RationalSchur:
     def first(self, i, q, r):
         return _first(self.rows[i], q, r)
 
-    def block(self, rows, cols):
+    def lists(self, rows, cols):
         d, dens, zero = self.rows, self.dens, self.ctx.zero
-        vals = [[_ratio(d[i][j], dens[i]) if d[i][j] else zero for j in cols] for i in rows]
-        return RationalMatrix(self.ctx, len(rows), len(cols), vals)
+        return [[_ratio(d[i][j], dens[i]) if d[i][j] else zero for j in cols] for i in rows]
+
+    def sub(self, rows, cols):
+        d = self.rows
+        return _RationalSchur(self.ctx, [[d[i][j] for j in cols] for i in rows],
+                              [self.dens[i] for i in rows])
 
     def pivot(self, k, c, rows):
         d, dens = self.rows, self.dens

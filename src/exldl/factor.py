@@ -5,20 +5,13 @@ elimination), a recursive rank-revealing LU with row and column
 pivoting, a recursive LDL with symmetric pivoting that reduces to
 matrix multiplication, and inertia extraction from the block diagonal.
 
-The LU splits the rows in half until a block is short enough that every
-triangular solve below it would be a base case and every product a
-classical one; `_lu_rows` eliminates such a block row by row instead, on
-the field's `schur()` working copy.  That gives the same pivots, hence
-the same (unique) L and U, and it charges the op counter exactly what
-the recursion's kernels would have metered, so results and counts do not
-depend on where the recursion stops.  The LDL likewise recurses until a
-block is small enough that every solve below it would be a base case and
-every product a classical one; on such a block `_ldl_flat` replays the
-recursion's pivot decisions without building matrices, eliminating each
-pivot from one Schur complement as soon as it is chosen.  A Schur
-complement does not depend on the order its pivots were eliminated in,
-and with P and the D blocks fixed L is unique, so the factors are the
-recursion's; the op counts are charged as for the LU.
+Both recursions stop at a block small enough that every triangular solve
+below it would be a base case and every product a classical one: the LU
+eliminates it row by row on a working copy (`_lu_rows`), the LDL replays
+its pivot decisions on one Schur complement (`_ldl_flat`).  Either gives
+the recursion's (unique) factors and charges the op counter what the
+recursion's kernels would have metered, so results and counts do not
+depend on where the recursion stops.
 
 Conventions: an LDL result satisfies, entrywise and exactly,
     A[P.fwd[i]][P.fwd[j]] == (L D L^H)[i][j]
@@ -307,20 +300,20 @@ def fast_lu(a: DenseMatrix, cutoff: int | None = None) -> LUResult:
 
     The top half of the rows is factored first; the bottom half is
     reduced against its pivots with one triangular solve and one product,
-    and the rest is factored in turn.  Once a block has at most
-    `_TRI_BASE` rows and its bottom half is within the Strassen cutoff,
-    `_lu_rows` finishes it row by row: every solve below that point is a
-    base-case solve and every product a classical one, so `_lu_rows`
-    gives the same factors and meters the same op counts.
+    and the rest is factored in turn.  A block within `_lu_base` is
+    finished row by row by `_lu_rows` on its `schur()` working copy, with
+    the same factors and op counts; the tree engine's bag step runs
+    `_lu_rows` on copies of its own blocks under the same rule.
     """
-    m, n = a.nrows, a.ncols
+    ctx, m, n = a.ctx, a.nrows, a.ncols
     check_cutoff(cutoff)
-    if cutoff is None:
-        cutoff = a.ctx.default_cutoff
-    # A single row needs no solve or product, whatever the cutoff.
-    if m <= 1 or (m <= _TRI_BASE and (m + 1) // 2 <= cutoff):
-        return _lu_rows(a)
-    ctx = a.ctx
+    cutoff = ctx.default_cutoff if cutoff is None else cutoff
+    if _lu_base(m, cutoff):
+        s = a.schur()
+        order, q, cols = _lu_rows(s, m, n)
+        r = len(cols)
+        return LUResult(Permutation._of(tuple(order)), Permutation._of(tuple(q)),
+                        _from_columns(ctx, order, cols), s.block(order[:r], q), r)
     m1 = m // 2
     top = fast_lu(a.block(0, m1, 0, n), cutoff)
     r1 = top.r
@@ -330,35 +323,33 @@ def fast_lu(a: DenseMatrix, cutoff: int | None = None) -> LUResult:
     b2 = a2q.block(0, m - m1, r1, n).sub(matmul(b1, top.U.block(0, r1, r1, n), cutoff))
     bot = fast_lu(b2, cutoff)
     r2 = bot.r
-    pfwd = (
-        [top.P.fwd[t] for t in range(r1)]
-        + [m1 + bot.P.fwd[t] for t in range(m - m1)]
-        + [top.P.fwd[t] for t in range(r1, m1)]
-    )
-    qfwd = [top.Q.fwd[j] for j in range(r1)] + [
-        top.Q.fwd[r1 + bot.Q.fwd[j]] for j in range(n - r1)
-    ]
-    b1p = b1.take_rows(bot.P.fwd)
-    lmid = hstack([b1p, bot.L])
-    ltop = hstack([top.L.block(0, r1, 0, r1), DenseMatrix.zeros(ctx, r1, r2)])
-    lbot = hstack(
-        [top.L.block(r1, m1, 0, r1), DenseMatrix.zeros(ctx, m1 - r1, r2)]
-    )
-    l = vstack([ltop, lmid, lbot])
+    pfwd = [*top.P.fwd[:r1], *(m1 + t for t in bot.P.fwd), *top.P.fwd[r1:]]
+    qfwd = [*top.Q.fwd[:r1], *(top.Q.fwd[r1 + j] for j in bot.Q.fwd)]
+    r = r1 + r2
+    l = vstack([top.L.block(0, r1, 0, r1).pad(r1, r), hstack([b1.take_rows(bot.P.fwd), bot.L]),
+                top.L.block(r1, m1, 0, r1).pad(m1 - r1, r)])
     # Pivot rows stay first in original order; sort the pivoted-out rows back
     # into original order as well (their L rows carry no shape constraint).
-    r = r1 + r2
     sigma = list(range(r)) + sorted(range(r, m), key=lambda t: pfwd[t])
     pfwd = [pfwd[t] for t in sigma]
     l = l.take_rows(sigma)
-    utop = hstack([u1a, top.U.block(0, r1, r1, n).take_cols(bot.Q.fwd)])
-    ubot = hstack([DenseMatrix.zeros(ctx, r2, r1), bot.U])
-    u = vstack([utop, ubot])
+    u = vstack([hstack([u1a, top.U.block(0, r1, r1, n).take_cols(bot.Q.fwd)]),
+                hstack([DenseMatrix.zeros(ctx, r2, r1), bot.U])])
     return LUResult(Permutation(pfwd), Permutation(qfwd), l, u, r)
 
 
-def _lu_rows(a: DenseMatrix) -> LUResult:
-    """fast_lu of a short matrix, eliminating its rows one by one.
+def _lu_base(m: int, cutoff: int) -> bool:
+    """Whether fast_lu finishes a block of m rows with `_lu_rows`: one row,
+    or at most `_TRI_BASE` whose bottom half is within the Strassen cutoff,
+    below which every solve is a base case and every product classical."""
+    return m <= 1 or (m <= _TRI_BASE and (m + 1) // 2 <= cutoff)
+
+
+def _lu_rows(s, m: int, n: int, pad: int = 0):
+    """fast_lu of the short m x n block that the working copy s holds,
+    eliminating its rows one by one on s.  Returns (order, q, cols): P's
+    and Q's orders and L's columns as {row: multiplier}, unit entries
+    included; r is len(cols), and U is s's block on order[:r] by q.
 
     Row i is reduced against the pivots found so far, in order.  If
     anything is left, its first nonzero entry in the current column order
@@ -367,13 +358,12 @@ def _lu_rows(a: DenseMatrix) -> LUResult:
     row-splitting recursion, and P lists the pivot rows and then the
     others, each ascending, as the recursion does.  With P, Q and r fixed
     the unit lower L and the upper U are unique: they are the recursion's
-    too.  The rule runs right-looking on `a.schur()`, the working copy the
-    symmetric pivots below use: each new pivot row reduces every later
-    row at once.  With a counter on, the ops the recursion would meter are
-    charged by `_charge_row_splitting`.
+    too.  The rule runs right-looking, as the symmetric pivots below do:
+    each new pivot row reduces every later row at once.  With a counter
+    on, the ops the recursion would meter on the block and `pad` zero rows
+    below it are charged by `_charge_row_splitting`.
     """
-    ctx, m, n = a.ctx, a.nrows, a.ncols
-    s = a.schur()
+    ctx = s.ctx
     q = list(range(n))
     piv, rest, cols = [], [], []
     for i in range(m):
@@ -385,14 +375,11 @@ def _lu_rows(a: DenseMatrix) -> LUResult:
             q[r], q[j] = q[j], q[r]
             cols.append({i: ctx.one, **s.pivot(i, q[r], range(i + 1, m))})
             piv.append(i)
-    order = piv + rest
-    l, u = _from_columns(ctx, order, cols), s.block(piv, q)
     if ctx.counter is not None:
-        lower = [0] * m
-        for i, mask in zip(order, l.nonzero_masks()):
-            lower[i] = mask
-        _charge_row_splitting(ctx, m, n, set(piv), u.nonzero_masks(), lower)
-    return LUResult(Permutation._of(tuple(order)), Permutation._of(tuple(q)), l, u, len(piv))
+        lower = [_bits(k for k, col in enumerate(cols) if i in col) for i in range(m + pad)]
+        upper = [_bits(c for c in range(n) if s.nonzero(i, q[c])) for i in piv]
+        _charge_row_splitting(ctx, m + pad, n, set(piv), upper, lower)
+    return piv + rest, q, cols
 
 
 def _charge_row_splitting(ctx: FieldContext, m: int, n: int, pivots, upper, lower):
@@ -442,13 +429,11 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
     full-rank part first, take the Schur complement, and either recurse
     on it directly or (when the leading block is rank-deficient) bring
     the independent columns of its off-diagonal block forward with an LU
-    before recursing on the bordered core.  Once a block has n <=
-    `_TRI_BASE` rows and n // 2 is within the Strassen cutoff, every solve
-    below it is a base-case solve and every product a classical one (each
-    has a dimension of at most n // 2), and `_ldl_flat` replays the
-    recursion's pivot decisions on one Schur complement instead: it gives
-    the same P and D, hence the same L, and meters the same op counts.
-    The input is checked once, here; the recursion runs in `_fast_ldl`.
+    before recursing on the bordered core.  A block of n <= `_TRI_BASE`
+    rows with n // 2 within the Strassen cutoff, where every solve is a
+    base case and every product classical, goes to `_ldl_flat`, with the
+    same factors and op counts.  The input is checked once, here; the
+    recursion runs in `_fast_ldl`.
     """
     if a.ncols != a.nrows:
         raise ValueError("LDL needs a square matrix")
@@ -469,11 +454,7 @@ def _fast_ldl(a: DenseMatrix, cutoff: int) -> LDLResult:
     n1 = n - s
     top = _fast_ldl(a.block(0, n1, 0, n1), cutoff)
     r1 = top.r
-    ord1 = (
-        [top.P.fwd[t] for t in range(r1)]
-        + list(range(n1, n))
-        + [top.P.fwd[t] for t in range(r1, n1)]
-    )
+    ord1 = [*top.P.fwd[:r1], *range(n1, n), *top.P.fwd[r1:]]
     pt1 = Permutation(ord1)
     at = permute(a, pt1, pt1)
     l11 = top.L.block(0, r1, 0, r1)
@@ -487,12 +468,7 @@ def _fast_ldl(a: DenseMatrix, cutoff: int) -> LDLResult:
         blk = Permutation(list(range(r1)) + [r1 + t for t in res2.P.fwd])
         p = compose(pt1, blk)
         l21 = v.conj_transpose().take_rows(res2.P.fwd)
-        l = vstack(
-            [
-                hstack([l11, DenseMatrix.zeros(ctx, r1, res2.r)]),
-                hstack([l21, res2.L]),
-            ]
-        )
+        l = vstack([l11.pad(r1, r1 + res2.r), hstack([l21, res2.L])])
         return LDLResult(p, l, list(d1) + list(res2.D), r1 + res2.r)
     q = n - r1 - s
     b12 = bmat.block(0, s, s, n - r1)
@@ -534,13 +510,7 @@ def _fast_ldl(a: DenseMatrix, cutoff: int) -> LDLResult:
     if not res33.is_zero():
         raise InternalInvariantViolation(_bordered_error("nonzero trailing residual", n, r1, s))
     r = r1 + r2
-    l = vstack(
-        [
-            hstack([l11, DenseMatrix.zeros(ctx, r1, r2)]),
-            hstack([l21, l22]),
-            hstack([l31, l32]),
-        ]
-    )
+    l = vstack([l11.pad(r1, r), hstack([l21, l22]), hstack([l31, l32])])
     return LDLResult(p, l, list(d1) + list(res2.D), r)
 
 
@@ -554,16 +524,14 @@ def _ldl_flat(a: DenseMatrix) -> LDLResult:
 
     The replay splits the indices as the recursion does (n1 = n -
     floor(n/3)) and takes the bordered branch when 3 r1 < n, with the pivot
-    columns that `_lu_rows` finds in b12.  At three indices or fewer it
-    searches as the recursion's leaves do: the first nonzero diagonal entry,
-    else the first nonzero sub-diagonal entry in column-major order.  Each
-    pivot is eliminated from `a.schur()` as soon as it is chosen,
-    right-looking, so every decision reads the Schur complement the
-    recursion would have formed: a Schur complement does not depend on the
-    order in which its pivots were eliminated.  With P and the D blocks
-    fixed, the unit lower L is unique, so P, L, D and r are the recursion's.
-    With a counter on, `_FlatLDL` charges what the recursion's kernels would
-    have metered.
+    columns that `_lu_rows` finds in b12; at three indices or fewer it takes
+    the first nonzero diagonal entry, else the first nonzero sub-diagonal
+    entry in column-major order, as the leaves do.  Each pivot is
+    eliminated from `a.schur()` as soon as it is chosen, so every decision
+    reads the Schur complement the recursion would have formed, which does
+    not depend on the order of elimination; with P and D fixed, L is
+    unique.  With a counter on, `_FlatLDL` charges what the recursion's
+    kernels would have metered.
     """
     flat = _FlatLDL(a.schur(), list(range(a.nrows)))
     order = flat.node(list(range(a.nrows)))
@@ -602,8 +570,8 @@ class _FlatLDL:
     def node(self, ids: list) -> list:
         """Eliminate the pivots fast_ldl finds in the block over ids, and
         return ids in its P order.  The bordered branch orders b12's
-        columns by `_lu_rows` of that block, copied out of the Schur
-        complement."""
+        columns by `_lu_rows` of that block, on a copy of it out of the
+        Schur complement."""
         n = len(ids)
         if n <= 3:
             return self.leaf(ids)
@@ -617,9 +585,9 @@ class _FlatLDL:
             self.charge_schur(k1, pivots, trail + nonpivots, n - r1)
         if 3 * r1 >= n:
             return pivots + self.node(trail + nonpivots)
-        lu = _lu_rows(self.schur.block(trail, nonpivots))
-        cols = [nonpivots[c] for c in lu.Q.fwd]
-        mid, tail = trail + cols[: lu.r], cols[lu.r :]
+        _, q, lcols = _lu_rows(self.schur.sub(trail, nonpivots), len(trail), len(nonpivots))
+        cols = [nonpivots[c] for c in q]
+        mid, tail = trail + cols[: len(lcols)], cols[len(lcols) :]
         k2 = len(self.cols)
         sub = self.node(mid)
         r2 = len(self.cols) - k2

@@ -10,29 +10,25 @@ A vertex is peeled when its remaining border column is a linear
 combination of other active columns; every vertex ends up either as an
 elimination pivot or peeled, so the peel count is n - rank(A).
 
-The tree engine is the multifrontal realization.  Each bag assembles one
-matrix, its extended saddle matrix [[A_f, B^H], [B, 0]] over its frontal
-vertices and the constraint rows B its children carry, indexed by a
-global-to-local map, into one `schur()` working copy, and runs all four
-steps of the substep on that copy by these bag indices (peel dependent
-constraint rows, complement the constraints against the to-be-eliminated
-columns, factor the remaining local block, peel or carry what is left).
-A_f holds each stored entry of A, read once in the whole tree at the bag
-that eliminates its lower endpoint, plus the children's interface Schur
-complements S; B holds the rows F that they carry up.
-
-Steps 2 and 3 of a small bag, nf + k <= `_TRI_BASE` frontal and kept
-constraint rows with (nf + k) // 2 within the Strassen cutoff, run as
-pivots on the working copy itself.  The constraint pairs are two row
-pivots each, as in `saddle.gamma_eliminate_partial`, and the local LDL
-is `factor._FlatLDL` on the same copy, which leaves S and the carried
-rows' interface block in it; the rows step 1 peeled stay in it unread.
+The tree engine is the multifrontal realization (Liu, SIAM Review
+34(1), 1992).  Each bag assembles its extended saddle matrix [[A_f, B^H],
+[B, 0]] into one `schur()` working copy: A_f holds the entries of A read
+at the bag that eliminates their lower endpoint (each once in the whole
+tree) plus the children's interface Schur complements S, and B the rows F
+they carry up.  The four steps of `_substep` address that copy by bag
+indices.  Every LU within fast_lu's base rule (`_lu_base`: the peels of
+steps 1 and 4, step 2's two LUs, the local LDL's bordered LU) is
+`factor._lu_rows` on a list-level copy of its block (`sub`), whose U the
+peels solve on; S and F go to the parent as lists of rows, and only the
+root's become matrices.  Steps 2 and 3 of a bag of nf + k <= `_TRI_BASE`
+frontal and kept constraint rows, (nf + k) // 2 within the Strassen
+cutoff, are pivots on the copy itself: two row pivots per constraint
+pair, as in `saddle.gamma_eliminate_partial`, then `factor._FlatLDL`.
 Below that rule every product the matrix steps would make is classical
-and every solve a base case, so the flat steps give the same transforms,
-S and F, and charge the same op counts.  Larger bags run the matrix
-steps (`schilders_partial_ldl`, `residual_schur`, `fast_ldl`, solves and
-products) on blocks of the copy, whose recursion keeps their cost
-O(tau^omega).
+and every solve a base case, so both give the same transforms, S, F and
+op counts.  Larger bags run the matrix steps (`schilders_partial_ldl`,
+`residual_schur`, `fast_ldl`, solves, products, `fast_lu`) on blocks of
+the copy, whose recursion keeps their cost O(tau^omega).
 """
 
 from __future__ import annotations
@@ -49,6 +45,7 @@ from .dense import (
     UPPER_UNIT,
     DenseMatrix,
     Permutation,
+    check_cutoff,
     matmul,
     tri_solve,
     vstack,
@@ -59,6 +56,9 @@ from .factor import (
     LDLResult,
     _FlatLDL,
     LUResult,
+    _bits,
+    _lu_base,
+    _lu_rows,
     col_support,
     d_size,
     d_solve_left,
@@ -318,9 +318,7 @@ def apply_transcript(t: Transcript, x: DenseMatrix, mode: str) -> DenseMatrix:
                 for idx, val in tf.coeffs:
                     acc = axpy(acc, state[idx], ctx.conj(val))
                 if not x.same_row(acc, state[tf.target]):
-                    raise InconsistentSystem(
-                        f"row {tf.target} is not a consistent combination"
-                    )
+                    raise InconsistentSystem(f"row {tf.target} is not a consistent combination")
                 state.pop(tf.target)
                 continue
             for prow, col in [(state[p], col) for p, col in tf.columns()]:
@@ -385,10 +383,15 @@ def peel_vertex(a_block: DenseMatrix, target: int, basis_cols) -> Peel:
     `NotInSpan`.  This is `_peel_dependent` on the columns [*basis_cols,
     target]: a column spanned by those before it never becomes an LU pivot,
     so the coefficients are the basis pivots' alone, and the basis columns
-    peeled with it are dropped."""
+    peeled with it are dropped.  A column outside the block raises
+    `IndexError`, a target in the basis or a repeated basis column
+    `ValueError`."""
     ids = [*basis_cols, target]
-    scratch = Transcript(a_block.ctx, len(ids))
-    _peel_dependent(scratch, a_block.take_cols(ids), ids, None)
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"basis {list(basis_cols)} repeats a column or holds the target {target}")
+    ctx, scratch = a_block.ctx, Transcript(a_block.ctx, len(ids))
+    _peel_dependent(scratch, a_block.take_cols(ids).schur(), a_block.nrows, ids,
+                    ctx.default_cutoff)
     for tf in scratch.transforms:
         if tf.target == target:
             return tf
@@ -398,28 +401,36 @@ def peel_vertex(a_block: DenseMatrix, target: int, basis_cols) -> Peel:
 # -- the tree engine ----------------------------------------------------------------
 
 
-def _peel_dependent(transcript: Transcript, cols: DenseMatrix, ids, cutoff):
-    """Peel the vertex ids[t] of every column t of `cols` outside the pivot
-    columns of a rank-revealing LU of cols, as the combination of those
-    that the factors give; returns the kept columns' positions, ascending."""
-    lu = fast_lu(cols, cutoff)
-    r = lu.r
-    q = lu.Q.fwd
-    piv_ids = [ids[t] for t in q[:r]]
-    u11 = lu.U.block(0, r, 0, r)
-    # One base-case solve (r <= _TRI_BASE) of every dependent meters what
-    # a solve per dependent would, but for the r inversions each of those
-    # makes: they are charged here.  Above it, GF(2) packed products and
-    # Strassen products are not linear in the number of right-hand sides,
-    # so each dependent is solved alone.
-    step = max(len(ids) - r, 1) if r <= _TRI_BASE else 1
-    for t0 in range(r, len(ids), step):
-        x = tri_solve(u11, lu.U.block(0, r, t0, t0 + step), LEFT, UPPER)
-        cols.ctx.count_ops(inv=r * (step - 1))
-        xs = x.to_lists()
-        for c in range(step):
-            coeffs = tuple((pid, row[c]) for pid, row in zip(piv_ids, xs) if row[c])
-            transcript.append(Peel(ids[q[t0 + c]], coeffs))
+def _peel_dependent(transcript: Transcript, w, m: int, ids, cutoff: int):
+    """Peel the vertex ids[t] of every column t of an m-row block outside
+    the pivot columns of a rank-revealing LU of it, as the combination of
+    those that the factors give; returns the kept columns' positions,
+    ascending.  `w` is a working copy holding the block, which this pivots
+    on.  Within fast_lu's base rule (`_lu_base`) the LU is `_lu_rows` on w,
+    and pivoting U's rows out of those above them in w solves for every
+    dependent at once, charged as one base-case `tri_solve` per dependent;
+    above it, `fast_lu` of the block and one `tri_solve` per dependent."""
+    ctx, n = transcript.ctx, len(ids)
+    if not _lu_base(m, cutoff):
+        lu = fast_lu(w.block(range(m), range(n)), cutoff)
+        q, r = lu.Q.fwd, lu.r
+        for c in range(r, n):
+            x = tri_solve(lu.U.block(0, r, 0, r), lu.U.block(0, r, c, c + 1), LEFT, UPPER)
+            coeffs = tuple((ids[p], v) for p, v in zip(q, x.column(0)) if v)
+            transcript.append(Peel(ids[q[c]], coeffs))
+        return sorted(q[:r])
+    order, q, cols = _lu_rows(w, m, n)
+    r = len(cols)
+    if r < n:
+        if ctx.counter is not None and r:
+            nnz = sum(1 for t in range(r) for c in q[t + 1 : r] if w.nonzero(order[t], c))
+            ctx.count_ops(add=nnz * (n - r), mul=(nnz + r) * (n - r), inv=r * (n - r))
+        for t in range(r - 1, 0, -1):
+            w.pivot(order[t], q[t], order[:t])
+        dinv = [(ids[q[t]], i, ctx._inverse(w.get(i, q[t]))) for t, i in enumerate(order[:r])]
+        for c in q[r:]:
+            coeffs = tuple((p, ctx._mul(w.get(i, c), d)) for p, i, d in dinv if w.nonzero(i, c))
+            transcript.append(Peel(ids[c], coeffs))
     return sorted(q[:r])
 
 
@@ -465,34 +476,25 @@ def _split_rest(rest, e: int, nf: int, dims):
 def _substep(transcript: Transcript, s, ids: list, nf: int, gamma: int, cutoff, node):
     """One bag: peel dependent constraint rows, complement the constraints
     against the to-be-eliminated columns, factor the remaining local block,
-    peel or carry the leftovers.
+    peel or carry the leftovers (see the module docstring).
 
-    `s` is the `schur()` working copy of the bag's extended saddle matrix
-    [[af, B^H], [B, 0]] and ids[t] the vertex of its index t: the first nf
-    are the frontal's, whose last `gamma` are the interface and the others
-    eliminable, and the rest are the constraint rows B that the children
-    carry.  `node` is the bag in the normalized decomposition, which errors
-    name.  Returns (S over the interface, carried rows F over the
-    interface, their ids), with the interface in its given order.
-
-    Every step addresses s by these bag indices.  Step 1 peels with an LU
-    of its block B^H (`_peel_dependent`), and step 2 finds the r1
-    constraint rows that pivot against the eliminable columns with an LU
-    of its eliminable rows.  Steps 2 and 3 then run in one of two ways,
-    with the same results and op counts, and both record their L columns
-    and D blocks through `_append_eliminations`.  A bag of nf + k <=
-    `_TRI_BASE` kept rows with (nf + k) // 2 within the Strassen cutoff
-    (`_flat_bag`) takes `_flat_steps`: pivots on s itself, which leave the
-    rows step 1 peeled unread.  A larger one takes `_matrix_steps`, whose
-    solves and products recurse on blocks of s, so its cost stays
-    O(tau^omega).  Step 4 peels with an LU of F^H."""
-    e = nf - gamma
+    `s` is the bag's working copy and ids[t] the vertex of its index t: the
+    first nf are the frontal's, whose last `gamma` are the interface, and
+    the rest the constraint rows B that the children carry.  `node` is the
+    bag in the normalized decomposition, which errors name.  Returns (S, F,
+    F's ids): S and the carried rows F as lists of rows over the interface,
+    in its given order.  Step 1 peels with an LU of B^H, step 2 finds the
+    r1 constraint rows that pivot against the eliminable columns with an LU
+    of their eliminable block, steps 2 and 3 run as `_flat_steps` or
+    `_matrix_steps` (`_flat_bag`), which leave the rows step 1 peeled
+    unread, and step 4 peels with an LU of F^H, on a copy made from F."""
+    ctx, e = s.ctx, nf - gamma
+    cut = ctx.default_cutoff if cutoff is None else cutoff
 
     # -- step 1: peel linearly dependent constraint rows
     kept = []
     if len(ids) > nf:
-        keep = _peel_dependent(transcript, s.block(range(nf), range(nf, len(ids))), ids[nf:],
-                               cutoff)
+        keep = _peel_dependent(transcript, s.sub(range(nf), range(nf, len(ids))), nf, ids[nf:], cut)
         kept = [nf + t for t in keep]
     k = len(kept)
 
@@ -502,51 +504,54 @@ def _substep(transcript: Transcript, s, ids: list, nf: int, gamma: int, cutoff, 
     # Schur update (interface entries of pivot rows included) is exact.
     beta = []
     if k and e:
-        lu1 = fast_lu(s.block(range(e), kept).pad(nf, k), cutoff)
-        beta = [kept[t] for t in sorted(lu1.Q.fwd[: lu1.r])]
+        # the LU of [Be, 0]^H: B's eliminable block over the nf frontal rows
+        if _lu_base(nf, cut):
+            _, q, cols = _lu_rows(s.sub(range(e), kept), e, k, gamma)
+            pivots = q[: len(cols)]
+        else:
+            lu1 = fast_lu(s.block(range(e), kept).pad(nf, k), cut)
+            pivots = lu1.Q.fwd[: lu1.r]
+        beta = [kept[t] for t in sorted(pivots)]
     unpiv = [t for t in kept if t not in beta]
-    cut = s.ctx.default_cutoff if cutoff is None else cutoff
     steps = _flat_steps if _flat_bag(nf, k, cut) else _matrix_steps
-    s_ifc, grows, gids = steps(transcript, s, ids, unpiv, beta, cutoff,
+    s_ifc, frows, gids = steps(transcript, s, ids, unpiv, beta, cutoff,
                                (node, nf, k, gamma, len(beta)))
 
     # -- step 4: peel dependents among leftover rows, carry the rest
     if gids:
-        keep = _peel_dependent(transcript, grows.conj_transpose(), gids, cutoff)
-        grows, gids = grows.take_rows(keep), [gids[t] for t in keep]
-    return s_ifc, grows, gids
+        fh = [[ctx.conj(v) for v in col] for col in zip(*frows)]
+        fh = DenseMatrix.from_entries(ctx, fh, len(gids)).schur()
+        keep = _peel_dependent(transcript, fh, gamma, gids, cut)
+        frows, gids = [frows[t] for t in keep], [gids[t] for t in keep]
+    return s_ifc, frows, gids
 
 
 def _flat_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
     """Steps 2 and 3 of a bag as pivots on its working copy s, by bag
     indices: the A rows are the frontal's and unpiv, the constraint rows
-    that do not pivot, and beta are the r1 that do.  The rows step 1
-    peeled stay in s, neither read nor pivoted.  Returns (S, F, the ids
-    of F's rows) before step 4.
+    that do not pivot, and beta are the r1 that do.  Returns (S, F, the
+    ids of F's rows) before step 4, S and F as lists.
 
     Step 2 takes the pivot pairs (P.fwd[t], Q.fwd[t]) of the LU of
     [Bb, 0]^H, s's block on the A rows and beta, as the matrix steps do.
     For each it reads the skeleton column k1 off s, makes the pair's two
     row pivots (`eliminate_pair`), whose second multipliers give k2, and
-    turns both into L columns (`skeleton_pair`).  s's block on the A rows
-    left is then the residual of the complementation.  Step 3 runs
-    `_FlatLDL` on s: its pivot decisions read the eliminable indices left,
-    and its pivots update the interface rows as well, so its L columns
-    carry their interface entries and s ends holding the interface Schur
-    complement S and the non-pivot rows' interface block.  With a counter
-    on, each step charges what the matrix steps' solves, products,
-    scalings and subtractions meter (`_charge_complementation`,
-    `_FlatLDL.charge_schur`)."""
+    turns both into L columns (`skeleton_pair`).  Step 3 runs `_FlatLDL`
+    on the residual left in s; its pivots update the interface rows too,
+    so s ends holding S and the non-pivot rows' interface block.  With a
+    counter on, each step charges what the matrix steps meter
+    (`_charge_complementation`, `_FlatLDL.charge_schur`)."""
     ctx = s.ctx
     _, nf, _, gamma, r1 = dims
     e = nf - gamma
     rest = [*range(nf), *unpiv]
     if r1:
-        lu = fast_lu(s.block(rest, beta), cutoff)
-        if lu.r != r1:
+        # len(rest) < nf + k: within fast_lu's base rule whenever the bag is flat
+        order, q, lcols = _lu_rows(s.sub(rest, beta), len(rest), r1)
+        if len(lcols) != r1:
             raise _bag_error(2, "complementation rank drifted", dims)
-        pfwd = [rest[t] for t in lu.P.fwd]
-        qfwd = [beta[t] for t in lu.Q.fwd]
+        pfwd = [rest[t] for t in order]
+        qfwd = [beta[t] for t in q]
         if any(pfwd[t] >= e for t in range(r1)):
             raise _bag_error(2, "complementation pivot outside the eliminable block", dims)
         zero, one = ctx.zero, ctx.one
@@ -563,7 +568,8 @@ def _flat_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
                 ynnz.append(sum(1 for v in k1[2 : 2 + len(rows_a)] if v))
             _append_eliminations(transcript, *skeleton_pair(ctx, k1, k2, [ids[u] for u in rows]))
         if ctx.counter is not None:
-            _charge_complementation(ctx, len(rest), lu.L.nonzero_masks(), a11s, ynnz)
+            lmasks = [_bits(c for c, col in enumerate(lcols) if i in col) for i in order]
+            _charge_complementation(ctx, len(rest), lmasks, a11s, ynnz)
         rest = pfwd[r1:]
     elim, ifc, brest = _split_rest(rest, e, nf, dims)
     if r1 and any(s.nonzero(i, j) for i in brest for j in elim + brest):
@@ -580,7 +586,7 @@ def _flat_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
     if ell and flat.masks is not None:
         flat.charge_schur(0, order[:ell], order[ell:] + ifc, gamma)
     left = brest + order[ell:]
-    return s.block(ifc, ifc), s.block(left, ifc), [ids[t] for t in left]
+    return s.lists(ifc, ifc), s.lists(left, ifc), [ids[t] for t in left]
 
 
 def _charge_complementation(ctx: FieldContext, n: int, lmasks, a11s, ynnz):
@@ -662,8 +668,7 @@ def _matrix_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
     elim_p1 = [ids[elim[t]] for t in res3.P.fwd]
     l1 = res3.L
     c = y12.take_rows(res3.P.fwd)
-    c1 = c.block(0, ell, 0, gamma)
-    c2 = c.block(ell, n1, 0, gamma)
+    c1, c2 = c.block(0, ell, 0, gamma), c.block(ell, n1, 0, gamma)
     if ell:
         tmat = tri_solve(l1.block(0, ell, 0, ell), c1, LEFT, LOWER_UNIT)
         u2 = d_solve_left(res3.D, tmat)
@@ -671,15 +676,14 @@ def _matrix_steps(transcript, s, ids, unpiv, beta, cutoff, dims):
         z12 = c2.sub(matmul(l1.block(ell, n1, 0, ell), tmat, cutoff))
         s_ifc = a22.sub(matmul(tmat.conj_transpose(), u2, cutoff))
     else:
-        xifc = DenseMatrix.zeros(ctx, gamma, 0)
-        z12 = c2
-        s_ifc = a22
+        xifc, z12, s_ifc = DenseMatrix.zeros(ctx, gamma, 0), c2, a22
     # column c: the eliminable rows below it (L is zero below the first
     # column of a 2 x 2 pivot), then the interface
     cols = [col_support(l1, c, range(c + 1, n1), elim_p1)
             + col_support(xifc, c, range(gamma), iface) for c in range(ell)]
     _append_eliminations(transcript, elim_p1, cols, res3.D)
-    return s_ifc, vstack([bt2, z12]), [ids[t] for t in brest] + elim_p1[ell:]
+    frows = bt2.to_lists() + z12.to_lists()
+    return s_ifc.to_lists(), frows, [ids[t] for t in brest] + elim_p1[ell:]
 
 
 def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
@@ -691,18 +695,19 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
     transcript plus the interface Schur complement and carried full-rank
     constraint rows (both empty when gamma = 0).
 
-    Each bag assembles its extended saddle matrix once, into its `schur()`
-    working copy, and runs its step (`_substep`) on it.  A's entries come from each eliminable vertex's
-    stored row: positions follow the elimination order and a row holds
-    the upper triangle, so each stored entry is read once, at the bag
-    that eliminates its lower endpoint, which must hold the other one
-    (else `InvalidDecomposition`).  The children's S are added to the
-    frontal and their carried rows F become B and B^H.
+    Each bag assembles its extended saddle matrix into its working copy
+    and runs `_substep` on it.  A's entries come from each eliminable
+    vertex's stored row (its upper triangle, positions following the
+    elimination order), so the bag that eliminates an entry's lower
+    endpoint must hold the other one, else `InvalidDecomposition`.  The
+    children's S are added to the frontal and their rows F become B and
+    B^H.
     """
     ctx = a.ctx
     n = a.n
     if ntd.n != n:
         raise DimensionMismatch(f"decomposition of {ntd.n} vertices for a pattern of {n}")
+    check_cutoff(cutoff)
     td = ntd.td
     pos = ntd.order.inv
     bag_pos = [sorted(pos[v] for v in b) for b in td.bags]
@@ -741,12 +746,12 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
         # extend-add: S into the frontal, the carried rows into B and B^H
         c = nf
         for at, s_c, f_c in kids:
-            for li, srow in zip(at, s_c.to_lists()):
+            for li, srow in zip(at, s_c):
                 arow = rows[li]
                 for lj, v in zip(at, srow):
                     if v:
                         arow[lj] = ctx.add(arow[lj], v)
-            for frow in f_c.to_lists():
+            for frow in f_c:
                 for lj, v in zip(at, frow):
                     rows[c][lj] = v
                     rows[lj][c] = ctx.conj(v)
@@ -755,10 +760,9 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
         return _substep(transcript, s, ids, nf, len(iface), cutoff, node)
 
     s, f, carried = rec(td.root, root_iface)
-    if gamma == 0:
-        if f.nrows or carried:
-            raise InternalInvariantViolation("constraint rows survived the root")
-    return transcript, s, f
+    if gamma == 0 and (f or carried):
+        raise InternalInvariantViolation("constraint rows survived the root")
+    return transcript, *(DenseMatrix.from_entries(ctx, rows, gamma) for rows in (s, f))
 
 
 @dataclass
@@ -913,6 +917,4 @@ def sparse_lu(
             )
         umat = DenseMatrix.from_entries(ctx, ulists, n)
         lures = LUResult(Permutation(pfwd), Permutation(qfwd), lmat, umat, r)
-    return SparseLUOutcome(
-        transcript, ntd.order, ntd, r, row_peels, col_peels, lures
-    )
+    return SparseLUOutcome(transcript, ntd.order, ntd, r, row_peels, col_peels, lures)

@@ -578,11 +578,12 @@ def test_gfp_eliminate_rows_same_on_both_routes(kctx, monkeypatch):
         got = []
         for bound in (10**9, -1):
             monkeypatch.setattr(dense, "_CROSSOVER", bound)
-            lu = factor._lu_rows(a)
-            assert_storage(kctx, lu.L)
-            assert_storage(kctx, lu.U)
-            got.append((list(lu.P.fwd), list(lu.Q.fwd), lu.L.shape, lu.L.to_lists(),
-                        lu.U.shape, lu.U.to_lists()))
+            s = a.schur()
+            order, q, cols = factor._lu_rows(s, a.nrows, a.ncols)
+            l, u = factor._from_columns(kctx, order, cols), s.block(order[: len(cols)], q)
+            assert_storage(kctx, l)
+            assert_storage(kctx, u)
+            got.append((order, q, l.shape, l.to_lists(), u.shape, u.to_lists()))
         assert got[0] == got[1], a.shape
         order, q, _, ll, (r, _), uu = got[0]
         assert (order, q, ll, uu) == ref_eliminate_rows(kctx, a), a.shape
@@ -606,6 +607,21 @@ def test_get_and_set_reject_a_column_past_the_last(kctx):
         with pytest.raises(IndexError, match=re.escape(f"entry ({i}, {j}) out of range for 3x3")):
             a.set(i, j, kctx.one)
     assert a == DenseMatrix.identity(kctx, 3)
+
+
+@pytest.mark.parametrize("kctx", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_take_rows_and_cols_reject_an_index_outside_the_matrix(kctx):
+    # as get/set do: numpy and lists would wrap a negative index, and a
+    # packed GF(2) row reads a column past the last as zero
+    a = DenseMatrix.identity(kctx, 3).take_cols([0, 1, 2, 0])
+    for take, what, bads in ((a.take_rows, "row", (3, 4, 64, -1, -3)),
+                             (a.take_cols, "column", (4, 5, 64, -1, -4))):
+        for bad in bads:
+            with pytest.raises(IndexError, match=re.escape(f"{what} {bad} out of range for 3x4")):
+                take([0, bad, 1])
+    assert a.take_rows([2, 0]).to_lists() == [[0, 0, 1, 0], [1, 0, 0, 1]]
+    assert a.take_cols([3, 3]).to_lists() == [[1, 1], [0, 0], [0, 0]]
+    assert a.take_rows([]).shape == (0, 4) and a.take_cols(range(0)).shape == (3, 0)
 
 
 @pytest.mark.parametrize("side", [LEFT, RIGHT])

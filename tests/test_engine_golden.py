@@ -437,10 +437,10 @@ def test_flat_bag_step_matches_the_matrix_steps(spec, monkeypatch):
             finally:
                 in_ldl.pop()
 
-    def traced_lu_rows(a):
+    def traced_lu_rows(s, m, n, pad=0):
         if in_ldl:
             reached.add("bordered")
-        return lu_rows(a)
+        return lu_rows(s, m, n, pad)
 
     monkeypatch.setattr(sparse, "skeleton_pair", traced_pair)
     monkeypatch.setattr(sparse, "_FlatLDL", TracedFlatLDL)
@@ -580,7 +580,8 @@ def run_kernels(ctx, cutoff, reached):
                  dense(ctx, 3, 6, 9)):
         t = Transcript(ctx, 30)
         ids = list(range(20, 20 + rows.nrows))
-        keep = sparse._peel_dependent(t, rows.conj_transpose(), ids, cutoff)
+        keep = sparse._peel_dependent(t, rows.conj_transpose().schur(), rows.ncols, ids,
+                                      cutoff or ctx.default_cutoff)
         kept, ids = rows.take_rows(keep), [ids[s] for s in keep]
         if sum(isinstance(tf, Peel) for tf in t.transforms) >= 2:
             reached.add("two-peels")
@@ -990,13 +991,13 @@ def test_large_kernel_golden(spec, cutoff, monkeypatch):
     largest = {"product": 0, "elimination": 0}  # nonzeros of a left factor, entries of an input
 
     def sized_product(a, b):
-        nonzeros = sum(mask.bit_count() for mask in a.nonzero_masks())
+        nonzeros = sum(1 for row in a.to_lists() for v in row if v)
         largest["product"] = max(largest["product"], nonzeros)
         return product(a, b)
 
-    def sized_elimination(a):
-        largest["elimination"] = max(largest["elimination"], a.nrows * a.ncols)
-        return eliminate(a)
+    def sized_elimination(s, m, n, pad=0):
+        largest["elimination"] = max(largest["elimination"], m * n)
+        return eliminate(s, m, n, pad)
 
     monkeypatch.setattr(cls, "_mm_classical", sized_product)
     monkeypatch.setattr(factor, "_lu_rows", sized_elimination)
@@ -1114,9 +1115,9 @@ def test_fast_ldl_sweep_golden(spec, cutoff, monkeypatch):
         finally:
             inside.pop()
 
-    def traced_lu_rows(a):  # fast_ldl's bordered branch, the only LU in the sweep
+    def traced_lu_rows(s, m, n, pad=0):  # fast_ldl's bordered branch, the only LU in the sweep
         bordered.add("flat" if inside else "matrix")
-        return lu_rows(a)
+        return lu_rows(s, m, n, pad)
 
     monkeypatch.setattr(factor, "_ldl_flat", traced_flat)
     monkeypatch.setattr(factor, "_lu_rows", traced_lu_rows)

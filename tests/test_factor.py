@@ -260,14 +260,16 @@ def test_fast_lu_structure_row_order(rng):
     assert list(piv) == sorted(piv)
 
 
-def _lu_signature(ctx, a, cutoff):
-    """Everything fast_lu returns, entry types included, and its op counts."""
-    ctx.enable_counter()
-    try:
-        res = fast_lu(a, cutoff)
-        ops = op_count_snapshot(ctx)
-    finally:
-        ctx.disable_counter()
+def _lu_signature(ctx, a, cutoff, res=None, ops=None):
+    """Everything fast_lu returns, entry types included, and its op counts,
+    or those of the given result and counts."""
+    if res is None:
+        ctx.enable_counter()
+        try:
+            res = fast_lu(a, cutoff)
+            ops = op_count_snapshot(ctx)
+        finally:
+            ctx.disable_counter()
 
     def cells(mat):
         if ctx.kind == "gfp":
@@ -276,7 +278,8 @@ def _lu_signature(ctx, a, cutoff):
             return mat.shape, [(type(x), x) for x in mat._d]
         return mat.shape, [[(type(x), x) for x in row] for row in mat._d]
 
-    return res.P.fwd, res.Q.fwd, res.r, cells(res.L), cells(res.U), ops
+    p, q = (x if isinstance(x, tuple) else x.fwd for x in (res.P, res.Q))
+    return p, q, res.r, cells(res.L), cells(res.U), ops
 
 
 def _lu_instances(ctx, rng, count):
@@ -311,6 +314,60 @@ def test_lu_rows_matches_recursion(ctx, monkeypatch):
     monkeypatch.setattr(factor, "_TRI_BASE", 1)
     for (a, cutoff), got in zip(cases, fast):
         assert got == _lu_signature(ctx, a, cutoff), (a.shape, cutoff)
+
+
+LU_KERNEL_FIELDS = [GF2, FieldContext.gfp(3), GF7, GF1009, QQ]
+
+
+@pytest.mark.parametrize("ctx", LU_KERNEL_FIELDS, ids=["gf2", "gf3", "gf7", "gf1009", "rational"])
+@pytest.mark.parametrize("cutoff", [None, 1, 2])
+def test_lu_rows_on_a_sub_copy_matches_fast_lu(ctx, cutoff):
+    # The bag step runs `_lu_rows` on a sub-copy of its working copy, which
+    # has been pivoted on already, where fast_lu would take it (`_lu_base`):
+    # the same P, Q, L, U and r as fast_lu of the block, entry types
+    # included, and the same op counts.  Outside the rule the factors agree
+    # all the same; the counts then follow fast_lu's products.
+    rng = random.Random(crc32(f"{ctx!r} {cutoff}".encode()))
+    cut = cutoff or ctx.default_cutoff
+    seen = set()
+    shapes = [(0, 0), (0, 5), (7, 0), (16, 1), (5, 1), (1, 8), (16, 8)]
+    shapes += [(rng.randint(0, 16), rng.randint(0, 8)) for _ in range(60)]
+    for m, n in shapes:
+        kind = rng.choice(["random", "zero", "low-rank"])
+        rank = 0 if kind == "zero" else rng.randint(0, min(m, n)) if kind == "low-rank" else None
+        seen.add("empty" if not m * n else "single" if n == 1 else kind)
+        extra_r, extra_c = rng.randint(1, 6), rng.randint(1, 30)
+        big = rand_matrix(ctx, rng, m + extra_r, n + extra_c).to_lists()
+        rows = rng.sample(range(1, m + extra_r), m)
+        cols = rng.sample(range(n + extra_c), n)
+        if rank is not None:  # the block as a product through rank columns
+            g, h = rand_matrix(ctx, rng, m, rank), rand_matrix(ctx, rng, rank, n)
+            for i, row in zip(rows, matmul(g, h).to_lists() if rank else [[0] * n] * m):
+                for j, v in zip(cols, row):
+                    big[i][j] = ctx.el(v)
+        w = DenseMatrix.from_rows(ctx, big).schur()
+        c0 = next((c for c in range(len(big[0])) if c not in cols and w.nonzero(0, c)), None)
+        if c0 is not None:  # a pivot outside the block changes the block
+            w.pivot(0, c0, range(1, len(big)))
+        block = w.block(rows, cols)
+        assert block == DenseMatrix.from_entries(ctx, w.lists(rows, cols), n)
+        want = _lu_signature(ctx, block, cutoff)
+        sub = w.sub(rows, cols)
+        ctx.enable_counter()
+        try:
+            order, q, lcols = factor._lu_rows(sub, m, n)
+            ops = op_count_snapshot(ctx)
+        finally:
+            ctx.disable_counter()
+        r = len(lcols)
+        res = factor.LUResult(tuple(order), tuple(q), factor._from_columns(ctx, order, lcols),
+                              sub.block(order[:r], q), r)
+        got = _lu_signature(ctx, block, cutoff, res, ops)
+        if factor._lu_base(m, cut):
+            assert got == want, (m, n, kind)
+        else:
+            assert got[:-1] == want[:-1], (m, n, kind)
+    assert seen == {"random", "zero", "low-rank", "single", "empty"}
 
 
 def test_lu_rows_counts_are_checked(monkeypatch):

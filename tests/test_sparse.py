@@ -5,7 +5,6 @@ import pytest
 
 from exldl import factor, saddle, sparse
 from exldl.dense import DenseMatrix, matmul
-from exldl.factor import LUResult
 from exldl.fields import (
     DimensionMismatch,
     InconsistentSystem,
@@ -215,6 +214,24 @@ def test_peel_vertex_not_in_span():
         peel_vertex(a, 1, [0])
 
 
+def test_peel_vertex_rejects_a_column_outside_the_block(ctx):
+    # the parent read a column past the last as zero over GF(2) and wrapped
+    # a negative one over GF(p) and Q
+    a = DenseMatrix.identity(ctx, 3)
+    for target, basis, bad in ((3, [0], 3), (-1, [0], -1), (2, [-3], -3), (0, [1, 5], 5)):
+        with pytest.raises(IndexError, match=re.escape(f"column {bad} out of range for 3x3")):
+            peel_vertex(a, target, basis)
+
+
+def test_peel_vertex_rejects_a_target_in_the_basis_or_a_repeated_column(ctx):
+    # the parent peeled a vertex as a combination of itself
+    a = DenseMatrix.from_rows(ctx, [[1, 0, 1], [0, 1, 1], [0, 0, 0]])
+    for target, basis in ((0, [0]), (2, [0, 1, 2]), (1, [0, 0, 1]), (2, [0, 1, 1]), (2, [1, 1])):
+        with pytest.raises(ValueError, match="repeats a column or holds the target"):
+            peel_vertex(a, target, basis)
+    assert peel_vertex(a, 2, [0, 1]) == Peel(2, ((0, ctx.one), (1, ctx.one)))
+
+
 def test_peel_vertex_combination(rng):
     """Columns g0, g1, g0 + 2 g1, g2 (independent g's), a target in their
     span and one outside it, over every field: the dependent basis column
@@ -378,12 +395,12 @@ def test_rank_deficient_corank(ctx, rng):
 
 def substep(a, b, gamma):
     """One bag step on local indices 0..dim(a)-1, the constraint rows
-    numbered above them: (transforms, S, F)."""
+    numbered above them: (transforms, S, F), S and F as matrices."""
     n = a.nrows + b.nrows
     t = Transcript(a.ctx, n)
     work = saddle.SaddleSystem(a, b).dense().schur()
     s, f, _ = _substep(t, work, list(range(n)), a.nrows, gamma, None, 0)
-    return t.transforms, s, f
+    return t.transforms, DenseMatrix.from_entries(a.ctx, s, gamma), DenseMatrix.from_entries(a.ctx, f, gamma)
 
 
 def test_substep_public_surface(ctx, rng):
@@ -405,18 +422,20 @@ def test_substep_public_surface(ctx, rng):
 
 @pytest.mark.parametrize("flat", [True, False])
 def test_bag_step_invariant_errors_name_the_step_and_sizes(flat, monkeypatch):
-    # A fast_lu whose third call in the bag (the LU of step 2's pivot rows,
-    # after step 1's and step 2's first) loses a pivot makes the bag step
-    # see its complementation rank drift, on either path.
-    real, calls = factor.fast_lu, []
+    # An LU elimination whose third call in the bag (the LU of step 2's
+    # pivot rows, after step 1's and step 2's first) loses a pivot makes the
+    # bag step see its complementation rank drift, on either path.  Every
+    # one of these blocks is within fast_lu's base rule, so each LU is one
+    # `_lu_rows` call: the bag step's own, or fast_lu's in the matrix steps.
+    real, calls = factor._lu_rows, []
 
-    def drifting(a, cutoff=None):
-        res = real(a, cutoff)
-        calls.append(a)
-        return res if len(calls) != 3 else LUResult(res.P, res.Q, res.L, res.U, res.r - 1)
+    def drifting(s, m, n, pad=0):
+        order, q, cols = real(s, m, n, pad)
+        calls.append((m, n))
+        return (order, q, cols) if len(calls) != 3 else (order, q, cols[:-1])
 
-    monkeypatch.setattr(sparse, "fast_lu", drifting)
-    monkeypatch.setattr(saddle, "fast_lu", drifting)
+    monkeypatch.setattr(sparse, "_lu_rows", drifting)
+    monkeypatch.setattr(factor, "_lu_rows", drifting)
     if not flat:
         monkeypatch.setattr(sparse, "_flat_bag", lambda nf, k, cutoff: False)
     a = DenseMatrix.from_rows(GF7, [[1, 2, 0], [2, 0, 3], [0, 3, 1]])
@@ -618,6 +637,16 @@ def test_tree_ldl_rejects_gamma_outside_the_root_bag():
     assert tree_ldl(apos, ntd, size)[1].shape == (size, size)
 
 
+def test_tree_ldl_rejects_a_cutoff_below_one():
+    # checked up front: a single-vertex bag makes no LU that would check it
+    a = SparseSym.from_entries(GF7, 1, [(0, 0, 3)])
+    ntd = normalize_td(TreeDecomposition.build(1, [{0}], []))
+    for cutoff in (0, -2):
+        with pytest.raises(ValueError, match=f"Strassen cutoff must be at least 1, got {cutoff}"):
+            tree_ldl(a, ntd, 0, cutoff)
+    assert tree_ldl(a, ntd, 0, 1)[0].rank == 1
+
+
 def test_apply_cost_scales_linearly():
     # field ops of one transcript application stay within c * n * tau * cols,
     # with c fitted from the n = 64 baseline
@@ -683,10 +712,12 @@ def test_identity_bordered_block_stays_sparse(rng):
 
 @pytest.mark.parametrize("rank", [3, 20], ids=["base-solve", "recursive-solve"])
 @pytest.mark.parametrize("cutoff", [None, 2])
-def test_peel_dependent_matches_a_solve_per_dependent(ctx, rank, cutoff):
-    # The peels, and the ops charged for them, are those of one triangular
-    # solve per dependent row, whether the rank is within the base-case
-    # solve (one solve for all dependents) or above it.
+def test_peel_dependent_matches_a_solve_per_dependent(ctx, rank, cutoff, monkeypatch):
+    # The peels, and the ops charged for them, are those of fast_lu and one
+    # triangular solve per dependent row, on either route of the LU: on the
+    # working copy (`_lu_rows`, the 7-row block at the default cutoff) or
+    # through fast_lu (at cutoff 2, and for 24 rows), and whether the rank is
+    # within the base-case solve (one solve for all dependents) or above it.
     from exldl.dense import LEFT, UPPER, tri_solve
     from exldl.factor import fast_lu
     from exldl.sparse import Transcript, _peel_dependent
@@ -696,10 +727,13 @@ def test_peel_dependent_matches_a_solve_per_dependent(ctx, rank, cutoff):
     rows = base + [[ctx.add(x, y) for x, y in zip(base[i], base[i - 1])] for i in range(3)]
     rows = DenseMatrix.from_rows(ctx, rows)
     ids = list(range(100, 100 + rows.nrows))
+    lus = []
+    monkeypatch.setattr(sparse, "fast_lu", lambda a, c: lus.append(a) or fast_lu(a, c))
     counter = ctx.enable_counter()
     try:
         t = Transcript(ctx, 200)
-        keep = _peel_dependent(t, rows.conj_transpose(), ids, cutoff)
+        keep = _peel_dependent(t, rows.conj_transpose().schur(), rows.ncols, ids,
+                               cutoff or ctx.default_cutoff)
         got = (t.transforms, rows.take_rows(keep), [ids[s] for s in keep], counter.snapshot())
         counter.reset()
         lu = fast_lu(rows.conj_transpose(), cutoff)
@@ -714,4 +748,5 @@ def test_peel_dependent_matches_a_solve_per_dependent(ctx, rank, cutoff):
     finally:
         ctx.disable_counter()
     assert r == oracle_rank(rows) and len(peels) >= 3
+    assert len(lus) == (0 if (rank, cutoff) == (3, None) else 1)
     assert got == want
