@@ -26,6 +26,12 @@ at Strassen cutoffs None, 1, 2, 3 and 8, with the op counter on:
     to 10 rows whose columns are low-rank but for two, every column a
     target over a random basis of the others, so bases with dependent
     columns and targets in and out of their span all occur.
+  * the symmetric elimination primitives (once per field): `vertex_eliminate`
+    at every index, `edge_eliminate` at every ordered pair (i = j
+    included) and `natural_order_ldl`, on symmetric inputs with nonzero
+    and zero diagonals, sparse and of planted low rank, n <= 8, so
+    `ZeroPivot`, `SingularPivot`, pairs split into two vertex steps,
+    antidiagonal pairs and indices skipped to the tail all occur.
 Inputs come from a `random.Random` seeded by the CRC-32 of the field's
 name and are built from plain lists, not from the library's kernels.
 Every result is hashed with the type of each element and matrix, so a
@@ -172,7 +178,13 @@ def ktree(ctx, rng, n, k, diagonal, twins):
 def cases(ctx, cutoff):
     """(name, thunk) for every call of the sweep at this field and cutoff."""
     from exldl.dense import DenseMatrix
-    from exldl.factor import fast_ldl, fast_lu
+    from exldl.factor import (
+        edge_eliminate,
+        fast_ldl,
+        fast_lu,
+        natural_order_ldl,
+        vertex_eliminate,
+    )
     from exldl.saddle import (
         SaddleSystem,
         complete_saddle_ldl,
@@ -265,6 +277,19 @@ def cases(ctx, cutoff):
                     basis = rng.sample(others, rng.randint(0, n + 1))
                     yield (f"peel_vertex {m}x{n + 2} density {density} target {target}",
                            lambda a=a, target=target, basis=basis: peel_vertex(a, target, basis))
+
+    for n in (1, 2, 3, 5, 8):
+        for kind, lists in (("full", symmetric(ctx, rng, n)),
+                            ("zero-diagonal", symmetric(ctx, rng, n, 0.6, diagonal=False)),
+                            ("sparse", symmetric(ctx, rng, n, 0.3)),
+                            ("planted", planted(ctx, rng, n, n // 3))):
+            a = mat(lists, n)
+            for i in range(n):
+                yield f"vertex_eliminate {kind} {n} at {i}", lambda a=a, i=i: vertex_eliminate(a, i)
+                for j in range(n):
+                    yield (f"edge_eliminate {kind} {n} at {i} {j}",
+                           lambda a=a, i=i, j=j: edge_eliminate(a, i, j))
+            yield f"natural_order_ldl {kind} {n}", lambda a=a: natural_order_ldl(a)
 
 
 def sweep_digest() -> str:

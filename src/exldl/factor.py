@@ -1,9 +1,11 @@
 """Rank-revealing dense factorizations over an exact field.
 
 Provides the symmetric elimination primitives (vertex and edge
-elimination), a recursive rank-revealing LU with row and column
-pivoting, a recursive LDL with symmetric pivoting that reduces to
-matrix multiplication, and inertia extraction from the block diagonal.
+elimination, natural-order LDL), a recursive rank-revealing LU with row
+and column pivoting, a recursive LDL with symmetric pivoting that
+reduces to matrix multiplication, and inertia extraction from the block
+diagonal.  Every symmetric pivot, the primitives' and the LDL's flat
+base's, is one `_FlatLDL.step`, which also charges it to the op counter.
 
 Both recursions stop at a block small enough that every triangular solve
 below it would be a base case and every product a classical one: the LU
@@ -165,60 +167,31 @@ class LUResult:
 
 # -- elimination primitives ---------------------------------------------------
 #
-# Every symmetric elimination pivots on `a.schur()`, the field's working
-# copy of a symmetric matrix (see dense.py): a vertex step on one nonzero
-# diagonal entry, an edge step on an antidiagonal pair.  With a counter on,
-# `_charge_pivot` charges the ops of each step's matrix form: scaling its
-# elimination columns, and one classical (k x 1) @ (1 x k) product and one
-# k x k subtraction per column, over the k indices left.
+# Every symmetric pivot is one `_FlatLDL.step` on `a.schur()`, the field's
+# working copy of a symmetric matrix (see dense.py): a vertex step on one
+# nonzero diagonal entry, or a pair, which the step turns into two vertex
+# steps (a nonzero diagonal first) or one antidiagonal step.  The step also
+# charges each pivot, with a counter on; these primitives only choose it.
 
 
-def _charge_pivot(ctx: FieldContext, m: int, nnz) -> None:
-    """Charge a vertex pivot (one column) or an antidiagonal pair (two) of
-    an m x m Schur complement; nnz lists each L column's nonzeros among
-    the indices left.  A pair's matrix form inverts its two entries twice."""
-    k = m - len(nnz)
-    for c in nnz:
-        ctx.count_product(k, 1, k, c)
-    add = len(nnz) * k * ctx.row_ops(k)
-    if len(nnz) == 1:
-        ctx.count_ops(add=add, mul=ctx.scale_ops(m), inv=1)
-    else:
-        ctx.count_ops(add=add, mul=ctx.scale_ops(4 * m - 4), inv=4)
+def _check_ldl_input(a: DenseMatrix, pivots=()) -> None:
+    """Raise ValueError unless a is square and H-symmetric, and IndexError
+    for a pivot outside 0..n-1.  Not metered."""
+    if a.ncols != a.nrows:
+        raise ValueError("LDL needs a square matrix")
+    if a != a.conj_transpose():
+        raise ValueError("LDL needs an H-symmetric matrix")
+    a._indices(pivots, a.nrows, "pivot")
 
 
-def _eliminate(schur, pivots, alive, cols: list, blocks: list) -> list:
-    """Eliminate the vertex pivot (k,) or the antidiagonal pair (i, j) from
-    schur, updating the rows alive (the pivots not among them), append its
-    L columns and D block, and return the columns.  A pair is two row
-    pivots, on S[i][j] and then on S[j][i]: with S symmetric and S[i][i] =
-    S[j][j] = 0 the first changes neither column i nor row j, so both give
-    the multipliers of the rank-2 update."""
-    one = schur.ctx.one
-    if len(pivots) == 1:
-        (k,) = pivots
-        new = [{k: one, **schur.pivot(k, k, alive)}]
-        blocks.append(DBlock.scalar(schur.get(k, k)))
-    else:
-        i, j = pivots
-        new = [{i: one, **schur.pivot(i, j, alive)}, {j: one, **schur.pivot(j, i, alive)}]
-        blocks.append(DBlock.antidiag(schur.get(i, j), schur.get(j, i)))
-    cols += new
-    return new
-
-
-def _eliminate_steps(schur, steps, ids, cols: list, blocks: list) -> list:
-    """`_eliminate` each pivot of steps in turn over the active indices ids,
-    charging it, and return the indices left.  The other indices of schur
-    have zero columns, so the L columns have no nonzeros among them."""
-    ctx = schur.ctx
-    for pivots in steps:
-        rest = [t for t in ids if t not in pivots]
-        new = _eliminate(schur, pivots, rest, cols, blocks)
-        if ctx.counter is not None:
-            _charge_pivot(ctx, len(ids), [len(c) - 1 for c in new])
-        ids = rest
-    return ids
+def _step_all(a: DenseMatrix, pair: tuple):
+    """`_FlatLDL.step` on pair over all of a's indices: (the pivots in
+    order, the L columns over a's indices, the D blocks, the Schur
+    complement over the indices left in original order)."""
+    ids = list(range(a.nrows))
+    flat = _FlatLDL(a.schur(), ids)
+    rest, pivots = flat.step(ids, pair)
+    return pivots, _from_columns(a.ctx, ids, flat.cols), flat.blocks, flat.schur.block(rest, rest)
 
 
 def vertex_eliminate(a: DenseMatrix, i: int):
@@ -228,12 +201,11 @@ def vertex_eliminate(a: DenseMatrix, i: int):
     index set (unit at i), the pivot, and the Schur complement over the
     remaining indices in original order.
     """
-    schur = a.schur()
-    if not schur.nonzero(i, i):
+    _check_ldl_input(a, (i,))
+    if a.ctx.is_zero(a.get(i, i)):
         raise ZeroPivot(f"zero diagonal pivot at {i}")
-    cols, blocks = [], []
-    rest = _eliminate_steps(schur, [(i,)], range(a.nrows), cols, blocks)
-    return _from_columns(a.ctx, range(a.nrows), cols), blocks[0].d, schur.block(rest, rest)
+    _, l, blocks, s = _step_all(a, (i,))
+    return l, blocks[0].d, s
 
 
 @dataclass
@@ -245,24 +217,14 @@ class EdgeElimination:
 
 
 def edge_eliminate(a: DenseMatrix, i: int, j: int) -> EdgeElimination:
-    """Rank-2 symmetric elimination on the pivot pair (i, j).
-
-    A genuinely antidiagonal step needs both diagonal entries zero;
-    otherwise the pair is normalized into the equivalent two vertex
+    """Rank-2 symmetric elimination on the pivot pair (i, j), as
+    `_FlatLDL.step` takes it: a genuinely antidiagonal step needs both
+    diagonal entries zero; otherwise the pair is the equivalent two vertex
     eliminations, the nonzero diagonal first, so antidiagonal D blocks
     only arise from zero-diagonal pivots.
     """
-    ctx = a.ctx
-    aii, ajj = a.get(i, i), a.get(j, j)
-    det = ctx.sub(ctx.mul(aii, ajj), ctx.mul(a.get(i, j), a.get(j, i)))
-    if ctx.is_zero(det):
-        raise SingularPivot(f"singular 2x2 pivot at ({i}, {j})")
-    pivots = (j, i) if ajj and not aii else (i, j)  # a nonzero diagonal first
-    steps = [pivots[:1], pivots[1:]] if aii or ajj else [pivots]
-    schur, cols, blocks = a.schur(), [], []
-    rest = _eliminate_steps(schur, steps, range(a.nrows), cols, blocks)
-    l = _from_columns(ctx, range(a.nrows), cols)
-    return EdgeElimination(pivots, l, blocks, schur.block(rest, rest))
+    _check_ldl_input(a, (i, j))
+    return EdgeElimination(*_step_all(a, (i, j)))
 
 
 # -- LDL from columns -----------------------------------------------------------
@@ -435,10 +397,7 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
     same factors and op counts.  The input is checked once, here; the
     recursion runs in `_fast_ldl`.
     """
-    if a.ncols != a.nrows:
-        raise ValueError("LDL needs a square matrix")
-    if a != a.conj_transpose():
-        raise ValueError("LDL needs an H-symmetric matrix")
+    _check_ldl_input(a)
     check_cutoff(cutoff)
     return _fast_ldl(a, a.ctx.default_cutoff if cutoff is None else cutoff)
 
@@ -543,16 +502,19 @@ def _bits(indices) -> int:
 
 
 class _FlatLDL:
-    """`_ldl_flat`'s state: the Schur complement, the indices not yet
-    eliminated, the L columns and D blocks of the pivots so far and, with a
-    counter on, each L column's nonzero rows as a bit mask.
+    """The state of a run of symmetric pivots: the Schur complement, the
+    indices not yet eliminated, the L columns and D blocks of the pivots so
+    far and, with a counter on, each L column's nonzero rows as a bit mask.
+    `step` is the one symmetric pivot of this module: `vertex_eliminate`,
+    `edge_eliminate`, `natural_order_ldl` and the leaves of `node` each
+    choose a vertex or a pair and hand it to `step`.
 
     It starts from a working copy `schur` and the rows `alive` that each
-    pivot updates.  `_ldl_flat` passes the whole matrix; the tree engine's
-    bag step (`sparse`) passes its copy with the eliminable rows and the
-    interface rows, and lets `node` decide over the eliminable ones only,
-    so the interface rows end up holding the L columns' interface entries
-    and the interface Schur complement."""
+    pivot updates.  The primitives and `_ldl_flat` pass the whole matrix;
+    the tree engine's bag step (`sparse`) passes its copy with the
+    eliminable rows and the interface rows, and lets `node` decide over the
+    eliminable ones only, so the interface rows end up holding the L
+    columns' interface entries and the interface Schur complement."""
 
     def __init__(self, schur, alive: list):
         self.ctx = schur.ctx
@@ -561,11 +523,55 @@ class _FlatLDL:
         self.cols, self.blocks = [], []
         self.masks = None if self.ctx.counter is None else []
 
-    def pivot(self, pivots):
-        self.alive = [t for t in self.alive if t not in pivots]
-        cols = _eliminate(self.schur, pivots, self.alive, self.cols, self.blocks)
-        if self.masks is not None:
-            self.masks += [_bits(col) for col in cols]
+    def step(self, ids: list, pair: tuple):
+        """Eliminate the vertex (i,) or the pair (i, j) of the block over
+        ids, and return (the ids left, the pivots in order).
+
+        A pair raises SingularPivot when its 2 x 2 determinant, metered, is
+        zero.  With a nonzero diagonal entry it is two vertex steps, that
+        one first, else one antidiagonal step: two row pivots, on S[i][j]
+        and then on S[j][i].  With S symmetric and S[i][i] = S[j][j] = 0
+        the first changes neither column i nor row j, so both give the
+        multipliers of the rank-2 update.  Each step updates the rows alive
+        and, with a counter on, charges the ops of its matrix form over
+        the k ids left: scaling its elimination columns (a pair inverts its
+        two entries twice), and one classical (k x 1) @ (1 x k) product and
+        one k x k subtraction per column."""
+        ctx, schur = self.ctx, self.schur
+        steps = [pair]
+        if len(pair) == 2:
+            i, j = pair
+            aii, ajj = schur.get(i, i), schur.get(j, j)
+            if ctx.is_zero(ctx.sub(ctx.mul(aii, ajj), ctx.mul(schur.get(i, j), schur.get(j, i)))):
+                raise SingularPivot(f"singular 2x2 pivot at ({i}, {j})")
+            if ajj and not aii:  # a nonzero diagonal first
+                pair = (j, i)
+            if aii or ajj:
+                steps = [pair[:1], pair[1:]]
+        for pivots in steps:
+            m = len(ids)
+            self.alive = [t for t in self.alive if t not in pivots]
+            ids = [t for t in ids if t not in pivots]
+            first, last = pivots[0], pivots[-1]
+            cols = [{first: ctx.one, **schur.pivot(first, last, self.alive)}]
+            if first == last:
+                self.blocks.append(DBlock.scalar(schur.get(first, first)))
+            else:
+                cols.append({last: ctx.one, **schur.pivot(last, first, self.alive)})
+                self.blocks.append(DBlock.antidiag(schur.get(first, last), schur.get(last, first)))
+            self.cols += cols
+            if self.masks is not None:
+                masks = [_bits(col) for col in cols]
+                self.masks += masks
+                bits, k = _bits(ids), len(ids)
+                for mask in masks:
+                    ctx.count_product(k, 1, k, (mask & bits).bit_count())
+                add = len(cols) * k * ctx.row_ops(k)
+                if len(cols) == 1:
+                    ctx.count_ops(add=add, mul=ctx.scale_ops(m), inv=1)
+                else:
+                    ctx.count_ops(add=add, mul=ctx.scale_ops(4 * m - 4), inv=4)
+        return ids, pair
 
     def node(self, ids: list) -> list:
         """Eliminate the pivots fast_ldl finds in the block over ids, and
@@ -604,24 +610,14 @@ class _FlatLDL:
         nonzero = self.schur.nonzero
         order = []
         while ids:
-            m = len(ids)
             pair = next(((t,) for t in ids if nonzero(t, t)), None)
             if pair is None:
                 pair = next(((j, i) for x, j in enumerate(ids) for i in ids[x + 1 :]
                              if nonzero(i, j)), None)
                 if pair is None:
                     break  # a zero Schur complement: the rest are rank-deficient
-                if not nonzero(*pair):
-                    raise SingularPivot(f"singular 2x2 pivot at {pair}")
-            self.pivot(pair)
-            order += pair
-            ids = [t for t in ids if t not in pair]
-            if self.masks is not None:
-                bits = _bits(ids)
-                nnz = [(c & bits).bit_count() for c in self.masks[-len(pair) :]]
-                _charge_pivot(self.ctx, m, nnz)
-                if len(pair) == 2:
-                    self.ctx.count_ops(add=1, mul=2)  # the 2 x 2 determinant
+            ids, pivots = self.step(ids, pair)
+            order += pivots
         return order + ids
 
     # -- what the recursion meters ----------------------------------------------
@@ -688,25 +684,21 @@ def natural_order_ldl(a: DenseMatrix) -> LDLResult:
     elimination with the first later index coupled to it.  Indices with
     an entirely zero row are skipped to the tail.
     """
-    ctx = a.ctx
-    schur = a.schur()
-    nonzero = schur.nonzero
+    _check_ldl_input(a)
     ids = list(range(a.nrows))
-    order, tail, cols, blocks = [], [], [], []
+    flat = _FlatLDL(a.schur(), ids)
+    nonzero = flat.schur.nonzero
+    order, tail = [], []
     while ids:
         k = ids[0]
-        if nonzero(k, k):
-            steps = [(k,)]
-        else:
-            partner = next((t for t in ids[1:] if nonzero(t, k)), None)
-            if partner is None:
-                tail.append(ids.pop(0))
-                continue
-            ctx.count_ops(add=1, mul=2)  # the 2 x 2 determinant
-            steps = [(partner,), (k,)] if nonzero(partner, partner) else [(k, partner)]
-        ids = _eliminate_steps(schur, steps, ids, cols, blocks)
-        order += [t for pivots in steps for t in pivots]
-    return _ldl_from_columns(ctx, order + tail, cols, blocks)
+        pair = (k,) if nonzero(k, k) else next(((k, t) for t in ids[1:] if nonzero(t, k)), None)
+        if pair is None:
+            tail.append(k)
+            ids = ids[1:]
+            continue
+        ids, pivots = flat.step(ids, pair)
+        order += pivots
+    return _ldl_from_columns(a.ctx, order + tail, flat.cols, flat.blocks)
 
 
 # -- inertia -------------------------------------------------------------------

@@ -425,11 +425,30 @@ def test_fast_ldl_rejects_a_matrix_that_is_not_h_symmetric(ctx):
         cases.append(a)
     for a in cases:
         assert a != a.conj_transpose()
-        for cutoff in (None, 1):
+        for call in symmetric_entry_points(a):
             with pytest.raises(ValueError, match="LDL needs an H-symmetric matrix"):
-                fast_ldl(a, cutoff)
-    with pytest.raises(ValueError, match="LDL needs a square matrix"):
-        fast_ldl(DenseMatrix.zeros(ctx, 2, 3))
+                call()
+    for a in (DenseMatrix.zeros(ctx, 2, 3), DenseMatrix.from_rows(ctx, [[1, 2, 0]])):
+        for call in symmetric_entry_points(a):
+            with pytest.raises(ValueError, match="LDL needs a square matrix"):
+                call()
+
+
+def symmetric_entry_points(a):
+    """fast_ldl at two cutoffs and the three elimination primitives, on a."""
+    return [lambda: fast_ldl(a), lambda: fast_ldl(a, 1), lambda: vertex_eliminate(a, 0),
+            lambda: edge_eliminate(a, 0, 1), lambda: natural_order_ldl(a)]
+
+
+@pytest.mark.parametrize("ctx", LU_FIELDS, ids=["gf2", "gf7", "gf1009", "gf2^31-1", "rational"])
+def test_eliminations_reject_a_pivot_outside_the_matrix(ctx):
+    a = DenseMatrix.from_rows(ctx, [[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    for bad, call in ((-1, lambda: vertex_eliminate(a, -1)), (3, lambda: vertex_eliminate(a, 3)),
+                      (-1, lambda: edge_eliminate(a, -1, 0)), (-1, lambda: edge_eliminate(a, 0, -1)),
+                      (3, lambda: edge_eliminate(a, 3, 0)), (3, lambda: edge_eliminate(a, 1, 3)),
+                      (-3, lambda: edge_eliminate(a, -3, -3))):
+        with pytest.raises(IndexError, match=rf"pivot {bad} out of range for 3x3"):
+            call()
 
 
 @pytest.mark.parametrize("name", sorted(CUTOFF_CALLS))
@@ -483,3 +502,29 @@ def test_natural_order_ldl_reconstructs(rng):
     res = natural_order_ldl(a)
     rep = oracle_verify_ldl(a, res)
     assert rep.ok, rep.first_violation
+
+
+@pytest.mark.parametrize("ctx", LU_FIELDS, ids=["gf2", "gf7", "gf1009", "gf2^31-1", "rational"])
+def test_every_symmetric_pivot_shares_one_step(ctx):
+    # On [[0, 1], [1, d]] natural_order_ldl pairs 0 with 1 as edge_eliminate(a, 0, 1)
+    # does, with the same pivot order, D blocks and op counts: at d = 0 one
+    # antidiagonal step, at d != 0 two vertex steps, 1 first.  fast_ldl's leaf
+    # pairs them too at d = 0; at d != 0 it takes the nonzero diagonal without
+    # pairing, so it skips the pair's 2 x 2 determinant, 1 add and 2 muls.
+    def counted(call):
+        counter = ctx.enable_counter()
+        try:
+            return call(), counter.snapshot()
+        finally:
+            ctx.disable_counter()
+
+    for d in (ctx.zero, ctx.el(3)):
+        a = DenseMatrix.from_rows(ctx, [[0, 1], [1, d]])
+        natural, natural_ops = counted(lambda: natural_order_ldl(a))
+        edge, edge_ops = counted(lambda: edge_eliminate(a, 0, 1))
+        flat, flat_ops = counted(lambda: fast_ldl(a))
+        assert list(natural.P.fwd) == list(edge.pivots) == list(flat.P.fwd) == ([1, 0] if d else [0, 1])
+        assert natural.D == edge.blocks == flat.D
+        assert natural_ops == edge_ops
+        determinant = {"add": 1, "mul": 2, "inv": 0} if d else {"add": 0, "mul": 0, "inv": 0}
+        assert flat_ops == {op: edge_ops[op] - determinant[op] for op in edge_ops}
