@@ -463,7 +463,7 @@ _MODES = {
     "dense-lu": (_load_general, _dense_lu, lu_from_json,
                  lambda a, res: oracle_verify_lu(a, res)),
     "sparse-ldl": (_load_sparse, _sparse_ldl, ldl_from_json,
-                   lambda a, res: oracle_verify_ldl(a.densify(), res)),
+                   lambda a, res: oracle_verify_ldl(a, res)),
     "sparse-lu": (_load_general, _sparse_lu, lu_from_json,
                   lambda b, res: oracle_verify_lu(b, res, structural=False)),
     "saddle": (_load_saddle, _saddle, lambda ctx, f, r: ldl_from_json(ctx, f, r, "P_full"),

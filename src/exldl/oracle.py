@@ -17,11 +17,21 @@ clearing included, is shared with the fast factorization paths; these
 routines are meant for test sizes up to a few hundred.  Reference
 computations are metered coarsely (one row update of width w counts w
 muls and w adds; an (m, k, n) product counts as a classical one).
+
+`oracle_verify_ldl` has a second route for a sparse A (a `SparseSym`,
+read only through its `n`, `ctx` and stored upper triangle `rows`): it
+sums the lower triangle of L D L^H over the supports of L's columns, in
+a sparse accumulator per row (Gustavson, ACM TOMS 4(3), 1978), and
+compares it with A's stored entries.  It forms no n x n matrix and runs
+no rank elimination, since the identity itself certifies the rank (see
+`oracle_verify_ldl`); its cost is the sum over L's columns of the
+squared support size, metered as one mul and one add per summed term.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
@@ -194,10 +204,10 @@ def _dot_and_value(ctx: FieldContext, big):
     """(dot, value) for _operands: dot(row, col) is an exact integer form of
     one product entry and value(dot) is the canonical field element."""
     if ctx.kind == GF2:
-        return (lambda x, y: (x & y).bit_count() & 1), int
+        return (lambda x, y: (x & y).bit_count()), (lambda s: s & 1)
     if ctx.kind == GFP:
         p = ctx.p
-        return (lambda x, y: sum(map(mul, x, y)) % p), int
+        return (lambda x, y: sum(map(mul, x, y))), (lambda s: s % p)
     return (lambda x, y: sum(map(mul, x, y))), (lambda s: _ratio(s, big))
 
 
@@ -245,11 +255,19 @@ def _product_diff(ctx: FieldContext, target, a, b, n: int, hermitian: bool = Fal
                 bad.append((i, j, s, False))
             if hermitian and j < i and not same(s, target[j][i]):
                 bad.append((j, i, s, True))
+    return _first_mismatch(ctx, bad, lambda i, j: target[i][j], value)
+
+
+def _first_mismatch(ctx, bad, target_at, value):
+    """(count, first) of the mismatches `bad`, each (i, j, s, mirrored):
+    the product entry of integer form s, conjugated when mirrored, differs
+    from the target entry target_at(i, j).  `first` is (i, j, target,
+    product) at the row-major first (i, j), or None."""
     if not bad:
         return 0, None
     i, j, s, mirrored = min(bad)
     want = value(s)
-    return len(bad), (i, j, target[i][j], ctx.conj(want) if mirrored else want)
+    return len(bad), (i, j, target_at(i, j), ctx.conj(want) if mirrored else want)
 
 
 def _conj_t_lists(ctx: FieldContext, a):
@@ -258,10 +276,9 @@ def _conj_t_lists(ctx: FieldContext, a):
     return [[ctx.conj(a[i][j]) for i in range(m)] for j in range(n)]
 
 
-def _ld_lists(ctx: FieldContext, llists, blocks):
-    """L @ D for block-diagonal D, one multiplication per entry: column k of
-    the product is a column of L (the pair swapped for a 2x2 block) times
-    one entry of D."""
+def _ld_columns(blocks):
+    """(src, fac) for block-diagonal D: column k of L @ D is column src[k]
+    of L (the pair swapped for a 2x2 block) times the entry fac[k] of D."""
     src, fac = [], []
     off = 0
     for blk in blocks:
@@ -272,6 +289,13 @@ def _ld_lists(ctx: FieldContext, llists, blocks):
             src += [off + 1, off]
             fac += [blk.a21, blk.a12]
         off += blk.size
+    return src, fac
+
+
+def _ld_lists(ctx: FieldContext, llists, blocks):
+    """L @ D for block-diagonal D, one multiplication per entry (see
+    `_ld_columns`)."""
+    src, fac = _ld_columns(blocks)
     if ctx.kind == GF2:
         return [[row[s] & f for s, f in zip(src, fac)] for row in llists]
     if ctx.kind == GFP:
@@ -339,10 +363,28 @@ def _check_upper_trapezoid(rows, r: int, what: str):
 # -- LDL verification ------------------------------------------------------------
 
 
-def oracle_verify_ldl(a: DenseMatrix, res) -> VerifyReport:
-    """Entrywise check of the permuted-congruence identity plus structure."""
+def oracle_verify_ldl(a, res) -> VerifyReport:
+    """Entrywise check of the permuted-congruence identity plus structure.
+
+    A dense A (a `DenseMatrix`) must be square; its rank is computed with
+    `oracle_rank` and L D L^H is summed entry by entry.  Any other A is
+    read as a sparse H-symmetric matrix: its `n`, `ctx` and `rows`, the
+    stored upper triangle (row i maps column j >= i to a nonzero entry).
+    That route runs the same shape, P, D and unit-lower-trapezoid checks,
+    rejects r > n, and then runs `_sparse_ldl_diff`, with no rank
+    elimination: L is n x r with r <= n and unit lower trapezoidal, so it
+    has full column rank, and D is nonsingular (nonzero scalars,
+    antidiagonal blocks with both entries nonzero), so rank(L D L^H) = r
+    and an exact match proves the claimed rank.  A wrong rank claim
+    r <= n with valid structure is therefore reported as a reconstruction
+    mismatch there, where the dense route reports the rank; every other
+    rejection reads the same on both routes.
+    """
+    dense = isinstance(a, DenseMatrix)
+    if dense and a.nrows != a.ncols:
+        return _fail(f"A has shape {a.shape}, expected a square matrix")
     ctx = a.ctx
-    n = a.nrows
+    n = a.nrows if dense else a.n
     r = res.r
     if res.L.shape != (n, r):
         return _fail(f"L has shape {res.L.shape}, expected {(n, r)}")
@@ -357,16 +399,23 @@ def oracle_verify_ldl(a: DenseMatrix, res) -> VerifyReport:
     msg = _check_unit_lower_trapezoid(llists, r, "L")
     if msg:
         return _fail(msg)
-    if r != oracle_rank(a):
-        return _fail(f"claimed rank {r} != reference rank")
-    ap = _perm_lists(a, res.P.fwd, res.P.fwd)
-    # Metered as the two products L D and (L D) L^H.
-    _count_product(ctx, n, r, r)
-    _count_product(ctx, n, r, n)
-    # D is Hermitian (checked above), hence so is L D L^H.
-    count, first = _product_diff(
-        ctx, ap, _ld_lists(ctx, llists, res.D), _conj_t_lists(ctx, llists), n, hermitian=True
-    )
+    if dense:
+        if r != oracle_rank(a):
+            return _fail(f"claimed rank {r} != reference rank")
+        ap = _perm_lists(a, res.P.fwd, res.P.fwd)
+        # Metered as the two products L D and (L D) L^H.
+        _count_product(ctx, n, r, r)
+        _count_product(ctx, n, r, n)
+        # D is Hermitian (checked above), hence so is L D L^H.
+        count, first = _product_diff(
+            ctx, ap, _ld_lists(ctx, llists, res.D), _conj_t_lists(ctx, llists), n, hermitian=True
+        )
+    else:
+        # Past column n a unit lower trapezoid may be zero: no rank certificate.
+        if r > n:
+            return _fail(f"claimed rank {r} != reference rank")
+        supports = [[(i, row[k]) for i, row in enumerate(llists) if row[k]] for k in range(r)]
+        count, first = _sparse_ldl_diff(ctx, a.rows, res.P, supports, res.D)
     if count:
         i, j, got, want = first
         return _fail(
@@ -374,6 +423,62 @@ def oracle_verify_ldl(a: DenseMatrix, res) -> VerifyReport:
             count,
         )
     return VerifyReport(True)
+
+
+def _sparse_ldl_diff(ctx: FieldContext, rows, perm, supports, blocks):
+    """(count, first) of `_product_diff(..., hermitian=True)` for the
+    permuted sparse A against L D L^H, without an n x n matrix.
+
+    `rows` is A's stored upper triangle, `perm` is P, and `supports` lists
+    the nonzero (i, L[i][k]) of each column k of L, in row order.  Column
+    k of L D is one of them times one entry of D (`_ld_columns`); each
+    pair of entries of the same column of L D and of L with j <= i adds
+    one term to entry (i, j) of the lower triangle, so the sums cost the
+    squared support sizes.  Each sum is compared with both mirrored
+    entries of the permuted A, and each stored entry of A that no sum
+    reaches with zero.
+    """
+    conj = ctx.conj
+    # Over Q the sums are field elements already: scale one.
+    _, value = _dot_and_value(ctx, 1)
+    ld = [[(i, v * f) for i, v in supports[k]] for k, f in zip(*_ld_columns(blocks))]
+    acc = {}  # row i of the lower triangle -> {j: unreduced sum}
+    terms = 0
+    for xcol, supp in zip(ld, supports):
+        ycol = [(j, conj(y)) for j, y in supp]
+        js = [j for j, _ in ycol]
+        for i, x in xcol:
+            cut = bisect_right(js, i)
+            terms += cut
+            row = acc.setdefault(i, {})
+            for j, y in ycol[:cut]:
+                row[j] = row.get(j, 0) + x * y
+    ctx.count_ops(mul=terms, add=terms)
+    pinv = perm.inv
+    bad = []
+    for u, arow in enumerate(rows):
+        for v, t in arow.items():
+            i, j = pinv[u], pinv[v]
+            if i < j:
+                i, j, t = j, i, conj(t)
+            s = value(acc.get(i, {}).pop(j, 0))
+            if s != t:
+                bad.append((i, j, s, False))
+            if j < i and s != conj(t):
+                bad.append((j, i, s, True))
+    for i, row in acc.items():
+        for j, s in row.items():
+            s = value(s)
+            if s:
+                bad.append((i, j, s, False))
+                if j < i:
+                    bad.append((j, i, s, True))
+
+    def target_at(i, j):
+        u, v = perm.fwd[i], perm.fwd[j]
+        return rows[u].get(v, ctx.zero) if u <= v else conj(rows[v].get(u, ctx.zero))
+
+    return _first_mismatch(ctx, bad, target_at, lambda s: s)
 
 
 # -- LU verification ---------------------------------------------------------------

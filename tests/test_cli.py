@@ -13,8 +13,10 @@ from exldl.cli import (
     reverify_json,
     write_matrix_market,
 )
+from exldl import oracle
 from exldl.dense import DenseMatrix
 from exldl.fields import EntryOutOfField, ParseError
+from exldl.sparse import SparseSym
 
 from conftest import GF7, QQ, rand_matrix, rand_symmetric
 
@@ -232,6 +234,62 @@ def test_reverify_all_dense_modes(tmp_path):
     )
     assert code == 0
     assert reverify_json(out2)
+
+
+@pytest.mark.parametrize("spec", ["gf2", "gfp:3", "gfp:7", "gfp:1009", "rational"])
+def test_sparse_ldl_checks_neither_densify_nor_rank(tmp_path, monkeypatch, spec):
+    """sparse-ldl --verify and reverify_json check the explicit factors on
+    the stored entries: a 3 x 3 grid with a twin of vertex 0 (both
+    diagonals zero, so the rank is below n)."""
+    ctx = parse_field(spec)
+    rng = random.Random(11)
+    a = DenseMatrix.zeros(ctx, 10, 10)
+    edges = [(v, v + 1) for v in range(9) if v % 3 < 2] + [(v, v + 3) for v in range(6)]
+    for i, j in edges + [(i, i) for i in range(1, 9)]:
+        x = ctx.one if spec == "gf2" else ctx.el(rng.randint(1, 2))
+        a.set(i, j, x)
+        a.set(j, i, x)
+    for u in (1, 3):
+        a.set(u, 9, a.get(u, 0))
+        a.set(9, u, a.get(0, u))
+    write_matrix_market(tmp_path / "a.mtx", a, symmetric=True)
+    out = tmp_path / "out.json"
+
+    def banned(*args):
+        raise AssertionError("the sparse-ldl check built a dense matrix or ran a rank elimination")
+
+    monkeypatch.setattr(SparseSym, "densify", banned)
+    monkeypatch.setattr(oracle, "oracle_rank", banned)
+    argv = ["--field", spec, "--mode", "sparse-ldl", "--matrix", str(tmp_path / "a.mtx"),
+            "--greedy-td", "--verify", "--out", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["report"]["verify"] == {"ok": True}
+    assert payload["report"]["rank"] < 10 and payload["factors"]["L"]
+    assert reverify_json(out)
+
+
+@pytest.mark.parametrize("spec", ["gf2", "gfp:3", "gfp:7", "gfp:1009", "rational"])
+def test_reverify_rejects_a_sparse_ldl_rank_above_n(tmp_path, spec):
+    """A full-rank sparse-ldl file given one more rank, a zero column of L
+    and one more scalar D block still reconstructs A, and is rejected."""
+    ctx = parse_field(spec)
+    a = DenseMatrix.zeros(ctx, 4, 4)
+    for i in range(4):
+        a.set(i, i, ctx.one)
+    for i in range(3):
+        a.set(i, i + 1, ctx.one)
+        a.set(i + 1, i, ctx.one)
+    write_matrix_market(tmp_path / "a.mtx", a, symmetric=True)
+    out = tmp_path / "out.json"
+    assert main(["--field", spec, "--mode", "sparse-ldl", "--matrix", str(tmp_path / "a.mtx"),
+                 "--greedy-td", "--verify", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["report"]["rank"] == 4 and reverify_json(out)
+    payload["report"]["rank"] = 5
+    payload["factors"]["D"].append({"kind": "scalar", "d": "1"})
+    out.write_text(json.dumps(payload))
+    assert reverify_json(out) is False
 
 
 def test_fmt_el():
