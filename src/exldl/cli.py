@@ -44,7 +44,7 @@ from .sparse import (
     VertexElim,
     sparse_ldl,
     sparse_lu,
-    transcript_reconstruct,
+    transcript_ldl,
 )
 from .treedec import read_td
 
@@ -356,9 +356,9 @@ def _load_td(args):
     raise ParseError("sparse modes need --td or --greedy-td")
 
 
-# Each mode's factor step takes (input, args, ctx, check of the explicit
-# factors) and returns (report keys, nnz, factors, verify), where verify()
-# gives a VerifyReport and runs only under --verify.
+# Each mode's factor step takes (input, args, ctx, the mode's check of an
+# explicit LDL or LU) and returns (report keys, nnz, factors, verify),
+# where verify() gives a VerifyReport and runs only under --verify.
 
 
 def _lens(factors: dict, *keys) -> dict:
@@ -402,12 +402,7 @@ def _sparse_ldl(a, args, ctx, check):
         factors.update(ldl_to_json(ctx, out.explicit))
         nnz.update(_lens(factors, "L"))
         return keys, nnz, factors, lambda: check(a, out.explicit)
-
-    def verify():
-        ok = transcript_reconstruct(out.transcript) == a.relabel(out.order).densify()
-        return VerifyReport(ok, None if ok else "transcript reconstruction mismatch")
-
-    return keys, nnz, factors, verify
+    return keys, nnz, factors, lambda: check(a.relabel(out.order), transcript_ldl(out.transcript))
 
 
 def _sparse_lu(b, args, ctx, check):

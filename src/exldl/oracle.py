@@ -1,31 +1,36 @@
 """Independent brute-force references for the acceptance tests.
 
-Rank is computed by scalar elimination with pivot search: GF(2) rows are
-packed into ints and combined by XOR, GF(p) rows are residue lists, and
-rational rows are cleared of denominators and eliminated fraction-free
-(Bareiss, Math. Comp. 22, 1968), so no rational is ever normalised.
-Verification assembles both sides of each factorization identity
-entrywise: each entry of a product is one exact dot product (the parity
-of an AND of packed GF(2) words, a residue sum, or an integer sum over a
-denominator shared by the whole product over Q) and is compared with
-the target entry by cross-multiplication, with zero tolerance.  L D L^H
-is Hermitian once D is, so only its lower triangle is summed; each sum
-is compared with both mirrored entries of the target.  Inertia is
-counted by the oracle's own symmetric elimination over Q and checked
-through congruence invariance.  None of this code, the integer
-clearing included, is shared with the fast factorization paths; these
-routines are meant for test sizes up to a few hundred.  Reference
-computations are metered coarsely (one row update of width w counts w
-muls and w adds; an (m, k, n) product counts as a classical one).
+Every verifier rejects a rank that its factor shapes cannot certify, runs
+the structure checks, and compares one exact identity entry by entry with
+zero tolerance, forming no product matrix.  The factors then certify the
+rank, so no verifier runs a rank elimination (cf. Kaltofen, Nehring and
+Saunders, ISSAC 2011): with r at most both dimensions, a unit lower
+trapezoidal L has full column rank, an upper trapezoidal U with a nonzero
+diagonal full row rank, and a D of nonzero scalars and antidiagonal pairs
+is nonsingular, so L D L^H, L U and the partial LDL's U^H L^H all have
+rank r.  A wrong rank claim with valid structure reads as the identity's
+first mismatch.
 
-`oracle_verify_ldl` has a second route for a sparse A (a `SparseSym`,
-read only through its `n`, `ctx` and stored upper triangle `rows`): it
-sums the lower triangle of L D L^H over the supports of L's columns, in
-a sparse accumulator per row (Gustavson, ACM TOMS 4(3), 1978), and
-compares it with A's stored entries.  It forms no n x n matrix and runs
-no rank elimination, since the identity itself certifies the rank (see
-`oracle_verify_ldl`); its cost is the sum over L's columns of the
-squared support size, metered as one mul and one add per summed term.
+Each product entry is one exact dot product (the parity of an AND of
+packed GF(2) words, a residue sum, or an integer sum over a denominator
+shared by the whole product over Q) compared with its target by
+cross-multiplication (`_product_diff`).  L D L^H is Hermitian once D is,
+so only its lower triangle is summed, and each sum is compared with both
+mirrored target entries; for a sparse A (a `SparseSym`, read only through
+its `n`, `ctx` and stored upper triangle `rows`) the sums run over the
+supports of L's columns in a sparse accumulator per row (Gustavson, ACM
+TOMS 4(3), 1978), with no n x n matrix.
+
+`oracle_rank` (for `oracle_congruences` and as the tests' reference rank)
+eliminates with pivot search: GF(2) rows packed into ints and combined by
+XOR, GF(p) rows as residue lists, rational rows cleared of denominators
+and eliminated fraction-free (Bareiss, Math. Comp. 22, 1968).  Inertia is
+counted by the oracle's own symmetric elimination over Q and checked
+through congruence invariance.  None of this code, the integer clearing
+included, is shared with the fast factorization paths; it is meant for
+test sizes up to a few hundred.  Reference computations are metered
+coarsely (a row update of width w counts w muls and w adds, an (m, k, n)
+product a classical one, the sparse route one mul and one add per term).
 """
 
 from __future__ import annotations
@@ -230,10 +235,11 @@ def _mm_lists(ctx: FieldContext, a, b, ncols: int | None = None):
 
 
 def _product_diff(ctx: FieldContext, target, a, b, n: int, hermitian: bool = False):
-    """Compare target with the product a @ b entry by entry.
+    """Compare target with the product a @ b (n columns) entry by entry.
 
-    Returns (count, first) like _diff_count, without forming the product:
-    over Q an entry s / V equals t exactly when s * den(t) == num(t) * V.
+    Returns (count, first) as `_first_mismatch` gives them, without
+    forming the product: over Q an entry s / V equals t exactly when
+    s * den(t) == num(t) * V.
     With hermitian=True the product is known to be Hermitian, so only
     entries on and below the diagonal are computed; each one is compared
     with target[i][j] and, conjugated, with target[j][i] (conjugation is
@@ -309,18 +315,6 @@ def _perm_lists(a: DenseMatrix, pfwd, qfwd):
     return [[row[j] for j in qfwd] for row in (rows[i] for i in pfwd)]
 
 
-def _diff_count(x, y):
-    count = 0
-    first = None
-    for i, (rx, ry) in enumerate(zip(x, y)):
-        for j, (vx, vy) in enumerate(zip(rx, ry)):
-            if vx != vy:
-                count += 1
-                if first is None:
-                    first = (i, j, vx, vy)
-    return count, first
-
-
 def _check_d_blocks(ctx: FieldContext, blocks):
     for k, blk in enumerate(blocks):
         if blk.kind == SCALAR:
@@ -364,21 +358,15 @@ def _check_upper_trapezoid(rows, r: int, what: str):
 
 
 def oracle_verify_ldl(a, res) -> VerifyReport:
-    """Entrywise check of the permuted-congruence identity plus structure.
+    """Shape, P, D and unit-lower-trapezoid checks, r <= n (past column n
+    a unit lower trapezoid may have zero columns, which certify nothing),
+    and P A P^H = L D L^H entry by entry.
 
-    A dense A (a `DenseMatrix`) must be square; its rank is computed with
-    `oracle_rank` and L D L^H is summed entry by entry.  Any other A is
-    read as a sparse H-symmetric matrix: its `n`, `ctx` and `rows`, the
-    stored upper triangle (row i maps column j >= i to a nonzero entry).
-    That route runs the same shape, P, D and unit-lower-trapezoid checks,
-    rejects r > n, and then runs `_sparse_ldl_diff`, with no rank
-    elimination: L is n x r with r <= n and unit lower trapezoidal, so it
-    has full column rank, and D is nonsingular (nonzero scalars,
-    antidiagonal blocks with both entries nonzero), so rank(L D L^H) = r
-    and an exact match proves the claimed rank.  A wrong rank claim
-    r <= n with valid structure is therefore reported as a reconstruction
-    mismatch there, where the dense route reports the rank; every other
-    rejection reads the same on both routes.
+    A dense A (a `DenseMatrix`) must be square.  Any other A is read as a
+    sparse H-symmetric matrix, through its `n`, `ctx` and `rows`, the
+    stored upper triangle (row i maps column j >= i to a nonzero entry),
+    and compared by `_sparse_ldl_diff`; both routes give the same report
+    on every input.
     """
     dense = isinstance(a, DenseMatrix)
     if dense and a.nrows != a.ncols:
@@ -399,9 +387,9 @@ def oracle_verify_ldl(a, res) -> VerifyReport:
     msg = _check_unit_lower_trapezoid(llists, r, "L")
     if msg:
         return _fail(msg)
+    if r > n:
+        return _fail(f"claimed rank {r} != reference rank")
     if dense:
-        if r != oracle_rank(a):
-            return _fail(f"claimed rank {r} != reference rank")
         ap = _perm_lists(a, res.P.fwd, res.P.fwd)
         # Metered as the two products L D and (L D) L^H.
         _count_product(ctx, n, r, r)
@@ -411,9 +399,6 @@ def oracle_verify_ldl(a, res) -> VerifyReport:
             ctx, ap, _ld_lists(ctx, llists, res.D), _conj_t_lists(ctx, llists), n, hermitian=True
         )
     else:
-        # Past column n a unit lower trapezoid may be zero: no rank certificate.
-        if r > n:
-            return _fail(f"claimed rank {r} != reference rank")
         supports = [[(i, row[k]) for i, row in enumerate(llists) if row[k]] for k in range(r)]
         count, first = _sparse_ldl_diff(ctx, a.rows, res.P, supports, res.D)
     if count:
@@ -485,9 +470,9 @@ def _sparse_ldl_diff(ctx: FieldContext, rows, perm, supports, blocks):
 
 
 def oracle_verify_lu(a: DenseMatrix, res, structural: bool = True) -> VerifyReport:
-    """Check P A Q^T = L U, trapezoid shapes, rank, and (optionally) the
-    pivot-row order preservation plus the echelon staircase of the L factor
-    brought back to original row order."""
+    """Check r <= min(m, n), the trapezoid shapes, P A Q^T = L U entry by
+    entry, and (optionally) the pivot-row order preservation plus the
+    echelon staircase of the L factor brought back to original row order."""
     ctx = a.ctx
     m, n = a.nrows, a.ncols
     r = res.r
@@ -499,8 +484,6 @@ def oracle_verify_lu(a: DenseMatrix, res, structural: bool = True) -> VerifyRepo
     msg = _check_unit_lower_trapezoid(llists, r, "L") or _check_upper_trapezoid(ulists, r, "U")
     if msg:
         return _fail(msg)
-    if r != oracle_rank(a):
-        return _fail(f"claimed rank {r} != reference rank")
     ap = _perm_lists(a, res.P.fwd, res.Q.fwd)
     _count_product(ctx, m, r, n)
     count, first = _product_diff(ctx, ap, llists, ulists, n)
@@ -533,11 +516,21 @@ def oracle_verify_lu(a: DenseMatrix, res, structural: bool = True) -> VerifyRepo
 
 
 def oracle_verify_partial_ldl(system, f) -> VerifyReport:
-    """Assemble both sides of the constraint-complemented partial LDL identity."""
+    """Check r <= min(n, m), the shapes of L, Y, U and D, and the two
+    identities of the constraint-complemented partial LDL entry by entry.
+
+    With V = Y - diag(D) on the leading r rows, P A P^H - V L^H - L V^H -
+    L D L^H must vanish outside the trailing (n - r) x (n - r) block; the
+    subtracted sum is [V + L D | L] @ [L^H ; V^H], compared with P A P^H
+    on the leading r rows and on the leading r columns of the others.
+    The constraint block must satisfy Q B P^H = U^H L^H.
+    """
     a, b = system.A, system.B
     ctx = a.ctx
     n, m = a.nrows, b.nrows
     r = f.r
+    if r > min(n, m):
+        return _fail(f"rank {r} exceeds min(n, m) = {min(n, m)}")
     if f.L.shape != (n, r) or f.Y.shape != (n, r) or f.U.shape != (r, m):
         return _fail("partial LDL factor shapes do not match")
     if len(f.D) != r:
@@ -555,32 +548,29 @@ def oracle_verify_partial_ldl(system, f) -> VerifyReport:
     msg = _check_upper_trapezoid(ulists, r, "U")
     if msg:
         return _fail(msg)
-    if r != oracle_rank(b):
-        return _fail(f"claimed rank {r} != reference rank of the constraint block")
+    for i, d in enumerate(f.D):
+        if ctx.conj(d) != d:
+            return _fail(f"D[{i}] breaks conjugate symmetry")
     # V = Y - diag(D) on the leading r rows.
     for i in range(r):
         v[i][i] = ctx.sub(v[i][i], f.D[i])
+    left = [[ctx.add(x, ctx.mul(y, d)) for x, y, d in zip(vrow, lrow, f.D)] + lrow
+            for vrow, lrow in zip(v, llists)]
     lh = _conj_t_lists(ctx, llists)
-    vlh = _mm_lists(ctx, v, lh, ncols=n)
-    lvh = _mm_lists(ctx, llists, _conj_t_lists(ctx, v), ncols=n)
-    dmat = [[ctx.zero] * r for _ in range(r)]
-    for i in range(r):
-        dmat[i][i] = f.D[i]
-        if ctx.conj(f.D[i]) != f.D[i]:
-            return _fail(f"D[{i}] breaks conjugate symmetry")
-    ldlh = _mm_lists(ctx, _mm_lists(ctx, llists, dmat, ncols=r), lh, ncols=n)
+    right = lh + _conj_t_lists(ctx, v)
     ap = _perm_lists(a, f.P.fwd, f.P.fwd)
-    resid = [
-        [ctx.sub(ctx.sub(ctx.sub(ap[i][j], vlh[i][j]), lvh[i][j]), ldlh[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            if (i < r or j < r) and resid[i][j] != 0:
-                return _fail(f"residual leaks outside the trailing block at ({i},{j})")
+    _count_product(ctx, r, 2 * r, n)
+    _count_product(ctx, n - r, 2 * r, r)
+    _, head = _product_diff(ctx, ap[:r], left[:r], right, n)
+    _, tail = _product_diff(ctx, [row[:r] for row in ap[r:]], left[r:],
+                            [row[:r] for row in right], r)
+    if head or tail:
+        i, j = head[:2] if head else (r + tail[0], tail[1])
+        return _fail(f"residual leaks outside the trailing block at ({i},{j})")
     bp = _perm_lists(b, f.Q.fwd, f.P.fwd)
-    uhlh = _mm_lists(ctx, _conj_t_lists(ctx, ulists), lh, ncols=n)
-    count, first = _diff_count(bp, uhlh)
+    _count_product(ctx, m, r, n)
+    # U^H from the matrix: with r = 0 its m rows are not in `ulists`.
+    count, first = _product_diff(ctx, bp, f.U.conj_transpose().to_lists(), lh, n)
     if count:
         i, j, got, want = first
         return _fail(

@@ -328,12 +328,14 @@ def apply_transcript(t: Transcript, x: DenseMatrix, mode: str) -> DenseMatrix:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def transcript_reconstruct(t: Transcript) -> DenseMatrix:
-    """Materialize B D B^H; equals the factored matrix exactly."""
-    from .factor import d_dense
-
+def transcript_ldl(t: Transcript) -> LDLResult:
+    """The LDL that the transcript states, for the oracle to check: L is B
+    (the transforms applied to the r x r identity) with its rows in pivot
+    order and then the peeled rows, P is that order and D the transcript's
+    blocks, so that P A P^H = L D L^H for the factored A."""
+    order = t.pivot_order + t.peeled
     b = apply_transcript(t, DenseMatrix.identity(t.ctx, t.rank), L_TIMES)
-    return matmul(matmul(b, d_dense(t.ctx, t.dblocks)), b.conj_transpose())
+    return LDLResult(Permutation(order), b.take_rows(order), list(t.dblocks), t.rank)
 
 
 def explicit_ldl_from_transcript(t: Transcript, a: SparseSym) -> LDLResult:

@@ -13,10 +13,10 @@ from exldl.cli import (
     reverify_json,
     write_matrix_market,
 )
-from exldl import oracle
+from exldl import cli, oracle
 from exldl.dense import DenseMatrix
 from exldl.fields import EntryOutOfField, ParseError
-from exldl.sparse import SparseSym
+from exldl.sparse import Peel, SparseSym, sparse_ldl
 
 from conftest import GF7, QQ, rand_matrix, rand_symmetric
 
@@ -240,7 +240,9 @@ def test_reverify_all_dense_modes(tmp_path):
 def test_sparse_ldl_checks_neither_densify_nor_rank(tmp_path, monkeypatch, spec):
     """sparse-ldl --verify and reverify_json check the explicit factors on
     the stored entries: a 3 x 3 grid with a twin of vertex 0 (both
-    diagonals zero, so the rank is below n)."""
+    diagonals zero, so the rank is below n).  --verify checks an implicit
+    result, a 30-vertex star with 28 peels, as the LDL its transcript
+    states, and fails with code 2 once a peel coefficient is changed."""
     ctx = parse_field(spec)
     rng = random.Random(11)
     a = DenseMatrix.zeros(ctx, 10, 10)
@@ -267,6 +269,34 @@ def test_sparse_ldl_checks_neither_densify_nor_rank(tmp_path, monkeypatch, spec)
     assert payload["report"]["verify"] == {"ok": True}
     assert payload["report"]["rank"] < 10 and payload["factors"]["L"]
     assert reverify_json(out)
+
+    star = DenseMatrix.zeros(ctx, 30, 30)
+    for v in range(1, 30):
+        x = ctx.one if spec == "gf2" else ctx.el(rng.randint(1, 2))
+        star.set(0, v, x)
+        star.set(v, 0, x)
+    write_matrix_market(tmp_path / "star.mtx", star, symmetric=True)
+    argv = ["--field", spec, "--mode", "sparse-ldl", "--matrix", str(tmp_path / "star.mtx"),
+            "--greedy-td", "--verify", "--out", str(out)]
+    with pytest.warns(UserWarning, match="returning the implicit transcript only"):
+        assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["report"]["verify"] == {"ok": True}
+    assert payload["report"]["peel_count"] == 28 and "L" not in payload["factors"]
+
+    def bumped(*args, **kwargs):
+        outcome = sparse_ldl(*args, **kwargs)
+        t = outcome.transcript
+        k, tf = next((k, tf) for k, tf in enumerate(t.transforms) if isinstance(tf, Peel))
+        (idx, val), *rest = tf.coeffs
+        t.transforms[k] = Peel(tf.target, ((idx, ctx.add(val, ctx.one)), *rest))
+        return outcome
+
+    monkeypatch.setattr(cli, "sparse_ldl", bumped)
+    with pytest.warns(UserWarning):
+        assert main(argv) == 2
+    verify = json.loads(out.read_text())["report"]["verify"]
+    assert not verify["ok"] and verify["first_violation"].startswith("reconstruction mismatch")
 
 
 @pytest.mark.parametrize("spec", ["gf2", "gfp:3", "gfp:7", "gfp:1009", "rational"])

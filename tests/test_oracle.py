@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -8,11 +10,19 @@ from exldl.dense import DenseMatrix, Permutation, matmul, permute
 from exldl.factor import ANTIDIAG, SCALAR, DBlock, LDLResult, LUResult, fast_ldl, fast_lu
 from exldl import oracle
 from exldl.fields import FieldContext, UnorderedField
-from exldl.oracle import oracle_inertia, oracle_rank, oracle_verify_ldl, oracle_verify_lu
+from exldl.oracle import (
+    oracle_inertia,
+    oracle_rank,
+    oracle_verify_ldl,
+    oracle_verify_lu,
+    oracle_verify_partial_ldl,
+)
+from exldl.saddle import PartialLDL, SaddleSystem, schilders_partial_ldl
 from exldl.sparse import SparseSym, sparse_ldl
 from exldl.treedec import TreeDecomposition
 
 from conftest import GF2, GF7, QQ, planted_symmetric, rand_matrix, rand_symmetric
+from test_saddle import rand_saddle
 
 SPARSE_FIELDS = [GF2, FieldContext.gfp(3), GF7, FieldContext.gfp(1009), QQ]
 SPARSE_IDS = ["gf2", "gf3", "gf7", "gf1009", "rational"]
@@ -109,10 +119,12 @@ def test_oracle_rank_rational_matches_fraction_elimination():
         assert oracle_rank(a.conj_transpose()) == want, case
 
 
-def scalar_product(ctx, x, y):
-    out = [[ctx.zero] * len(y[0]) for _ in x]
+def scalar_product(ctx, x, y, ncols=None):
+    # `ncols` disambiguates a y with no rows.
+    ncols = len(y[0]) if y else ncols
+    out = [[ctx.zero] * ncols for _ in x]
     for i, row in enumerate(x):
-        for j in range(len(y[0])):
+        for j in range(ncols):
             for t, v in enumerate(row):
                 out[i][j] = ctx.add(out[i][j], ctx.mul(v, y[t][j]))
     return out
@@ -162,14 +174,11 @@ def test_verify_ldl_rejects_non_hermitian_input(ctx):
     # L D L^H is Hermitian; a change to one entry above the diagonal of A
     # alone must still be found although only the lower triangle is summed.
     rng = random.Random(22)
-    while True:
-        a = rand_symmetric(ctx, rng, 7)
-        res = fast_ldl(a)
-        pos = {v: t for t, v in enumerate(res.P.fwd)}
-        x, y = next((x, y) for x in range(7) for y in range(7) if pos[x] < pos[y])
-        a.set(x, y, bump(ctx, a.get(x, y)))
-        if oracle_rank(a) == res.r:  # the rank check would fire first
-            break
+    a = rand_symmetric(ctx, rng, 7)
+    res = fast_ldl(a)
+    pos = {v: t for t, v in enumerate(res.P.fwd)}
+    x, y = next((x, y) for x in range(7) for y in range(7) if pos[x] < pos[y])
+    a.set(x, y, bump(ctx, a.get(x, y)))
     rep = oracle_verify_ldl(a, res)
     assert not rep.ok
     assert rep.reconstruction_error_count == 1
@@ -353,22 +362,8 @@ def mutants(ctx, rng, a, res):
             yield label, with_entry(a, fwd[i], fwd[j], sparse_el(ctx, rng)), res, (i, j)
 
 
-def both_routes(a, res, monkeypatch):
-    """The sparse route's report and the dense route's; when A's rank is
-    not the claim, the dense route reports it, and its report with the
-    rank check answering the claim is what the sparse route must give."""
-    sparse = oracle_verify_ldl(a, res)
-    dense = oracle_verify_ldl(a.densify(), res)
-    if oracle_rank(a.densify()) != res.r:
-        assert dense.first_violation == f"claimed rank {res.r} != reference rank"
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "oracle_rank", lambda _: res.r)
-            dense = oracle_verify_ldl(a.densify(), res)
-    return sparse, dense
-
-
 @pytest.mark.parametrize("ctx", SPARSE_FIELDS, ids=SPARSE_IDS)
-def test_sparse_route_matches_the_dense_route(ctx, monkeypatch):
+def test_sparse_route_matches_the_dense_route(ctx):
     rng = random.Random(31)
     seen = set()
     coranks = set()
@@ -376,7 +371,7 @@ def test_sparse_route_matches_the_dense_route(ctx, monkeypatch):
         assert oracle_verify_ldl(a, res) == oracle_verify_ldl(a.densify(), res) == oracle.VerifyReport(True)
         coranks.add(a.n - res.r)
         for label, b, bad, changed in mutants(ctx, rng, a, res):
-            sparse, dense = both_routes(b, bad, monkeypatch)
+            sparse, dense = oracle_verify_ldl(b, bad), oracle_verify_ldl(b.densify(), bad)
             assert sparse == dense, (label, sparse, dense)
             seen.add(label)
             if changed:
@@ -390,9 +385,10 @@ def test_sparse_route_matches_the_dense_route(ctx, monkeypatch):
 
 @pytest.mark.parametrize("ctx", SPARSE_FIELDS, ids=SPARSE_IDS)
 def test_sparse_route_rejects_a_wrong_rank_with_valid_structure(ctx):
-    """Claims of r - 1 and r + 1 that pass every structure check.  Past
-    column n the appended column of L is zero, so L D L^H is still A and
-    only the rank check can reject the claim, on both routes alike."""
+    """Claims of r - 1 and r + 1 that pass every structure check, with the
+    same report on both routes.  Past column n the appended column of L is
+    zero, so L D L^H is still A and only the rank bound can reject the
+    claim."""
     one = SparseSym.from_entries(ctx, 1, [(0, 0, ctx.one)])
     exact = LDLResult(Permutation([0]), DenseMatrix.from_rows(ctx, [[1]]), [DBlock.scalar(ctx.one)], 1)
     checked = above = 0
@@ -405,7 +401,7 @@ def test_sparse_route_rejects_a_wrong_rank_with_valid_structure(ctx):
             assert not rep.ok
             # a dropped scalar block's column differs first on its diagonal, a pair's off it
             assert rep.first_violation.startswith(f"reconstruction mismatch at ({r - size},{r - 1}):")
-            assert oracle_verify_ldl(a.densify(), fewer).first_violation.startswith("claimed rank")
+            assert oracle_verify_ldl(a.densify(), fewer) == rep
             checked += 1
         rows = [row + [ctx.one if i == r else ctx.zero] for i, row in enumerate(res.L.to_lists())]
         more = LDLResult(res.P, DenseMatrix.from_rows(ctx, rows), res.D + [DBlock.scalar(ctx.one)], r + 1)
@@ -416,13 +412,235 @@ def test_sparse_route_rejects_a_wrong_rank_with_valid_structure(ctx):
             assert rep.first_violation == (
                 f"reconstruction mismatch at ({r},{r}): permuted A is 0, LDL^H gives 1"
             )
-            assert oracle_verify_ldl(a.densify(), more).first_violation.startswith("claimed rank")
+            assert oracle_verify_ldl(a.densify(), more) == rep
             checked += 1
         else:
             assert rep == oracle_verify_ldl(a.densify(), more)
             assert rep.first_violation == f"claimed rank {n + 1} != reference rank"
             above += 1
     assert checked > len(SHAPES) * 3 and above
+
+
+# -- the factors certify the rank ---------------------------------------------------
+
+
+def unit_column(ctx, rows, k):
+    return [[ctx.one if i == k else ctx.zero] for i in range(rows)]
+
+
+def extended(mat, cols=None, rows=None):
+    """mat with `cols` appended as columns and `rows` as rows."""
+    out = mat.to_lists()
+    if cols is not None:
+        out = [row + extra for row, extra in zip(out, cols)]
+    if rows is not None:
+        out += rows
+    return DenseMatrix.from_entries(mat.ctx, out, len(out[0]) if out else mat.ncols)
+
+
+# Each *_claims gives the claims of r - 1 (the last rank dropped) and, where
+# the shapes allow, r + 1 (unit columns and rows added), both of valid
+# structure.
+
+
+def ldl_claims(res):
+    ctx, (n, r) = res.L.ctx, res.L.shape
+    claims = []
+    if r:
+        size = res.D[-1].size
+        claims.append(LDLResult(res.P, res.L.block(0, n, 0, r - size), res.D[:-1], r - size))
+    if r < n:
+        claims.append(LDLResult(res.P, extended(res.L, unit_column(ctx, n, r)),
+                                res.D + [DBlock.scalar(ctx.one)], r + 1))
+    return claims
+
+
+def lu_claims(res):
+    ctx, (m, r), n = res.L.ctx, res.L.shape, res.U.ncols
+    claims = []
+    if r:
+        claims.append(LUResult(res.P, res.Q, res.L.block(0, m, 0, r - 1),
+                               res.U.block(0, r - 1, 0, n), r - 1))
+    if r < min(m, n):
+        urow = [ctx.one if j == r else ctx.zero for j in range(n)]
+        claims.append(LUResult(res.P, res.Q, extended(res.L, unit_column(ctx, m, r)),
+                               extended(res.U, rows=[urow]), r + 1))
+    return claims
+
+
+def partial_claims(f):
+    ctx, (n, r), m = f.L.ctx, f.L.shape, f.U.ncols
+    claims = []
+    if r:
+        claims.append(dataclasses.replace(
+            f, L=f.L.block(0, n, 0, r - 1), Y=f.Y.block(0, n, 0, r - 1),
+            U=f.U.block(0, r - 1, 0, m), D=f.D[:-1], r=r - 1))
+    if r < min(n, m):
+        urow = [ctx.one if j == r else ctx.zero for j in range(m)]
+        claims.append(dataclasses.replace(
+            f, L=extended(f.L, unit_column(ctx, n, r)), Y=extended(f.Y, [[ctx.zero]] * n),
+            U=extended(f.U, rows=[urow]), D=f.D + [ctx.one], r=r + 1))
+    return claims
+
+
+def certificate_instances(ctx):
+    """Dense LDLs, sparse LDLs, LUs and partial LDLs of full and lower rank."""
+    rng = random.Random(41)
+    ldl, lu, partial = [], [], []
+    for n, rank in ((1, 1), (5, 5), (6, 3), (9, 7), (12, 4)):
+        a = planted_symmetric(ctx, rng, n, rank)
+        ldl.append((a, fast_ldl(a)))
+    sparse = list(itertools.islice(sparse_results(ctx, 26), 0, None, 3))
+    for m, n, rank in ((1, 1, 1), (4, 7, 4), (7, 4, 2), (8, 8, 5), (5, 9, None)):
+        a = rand_matrix(ctx, rng, m, n) if rank is None else \
+            matmul(rand_matrix(ctx, rng, m, rank), rand_matrix(ctx, rng, rank, n))
+        lu.append((a, fast_lu(a)))
+    for n, m, rank in ((6, 3, None), (5, 5, None), (3, 5, None), (7, 4, 2), (6, 6, 3), (4, 3, 1)):
+        system = rand_saddle(ctx, rng, n, m, rank)
+        partial.append((system, schilders_partial_ldl(system)))
+    return ldl, sparse, lu, partial
+
+
+@pytest.mark.parametrize("ctx", SPARSE_FIELDS, ids=SPARSE_IDS)
+def test_verifiers_certify_the_rank_without_a_rank_elimination(ctx, monkeypatch):
+    """True results are accepted and claims of one rank fewer or more that
+    pass every structure check are rejected by the identity, with
+    `oracle_rank` unavailable.  (A dropped 2x2 block of D drops two.)"""
+    ldl, sparse, lu, partial = certificate_instances(ctx)
+
+    def banned(*args):
+        raise AssertionError("a verifier ran a rank elimination")
+
+    monkeypatch.setattr(oracle, "oracle_rank", banned)
+    claims = []
+    for route, instances in (("dense LDL", ldl), ("sparse LDL", sparse)):
+        for a, res in instances:
+            assert oracle_verify_ldl(a, res).ok
+            claims += [(route, bad.r - res.r, oracle_verify_ldl(a, bad), "reconstruction mismatch")
+                       for bad in ldl_claims(res)]
+    for a, res in lu:
+        assert oracle_verify_lu(a, res).ok and oracle_verify_lu(a, res, structural=False).ok
+        for bad in lu_claims(res):
+            rep = oracle_verify_lu(a, bad, structural=False)
+            assert oracle_verify_lu(a, bad) == rep
+            claims.append(("LU", bad.r - res.r, rep, "reconstruction mismatch"))
+    for system, f in partial:
+        assert oracle_verify_partial_ldl(system, f).ok
+        for bad in partial_claims(f):
+            rep = oracle_verify_partial_ldl(system, bad)
+            assert rep == partial_report(system, bad)
+            claims.append(("partial LDL", bad.r - f.r, rep, ("residual leaks", "constraint block mismatch")))
+    for _, _, rep, identity in claims:
+        assert not rep.ok
+        assert rep.first_violation.startswith(identity), rep.first_violation
+    kinds = {(verifier, delta > 0) for verifier, delta, _, _ in claims}
+    assert kinds == {(v, more) for v in ("dense LDL", "sparse LDL", "LU", "partial LDL")
+                     for more in (False, True)}
+
+
+@pytest.mark.parametrize("ctx", SPARSE_FIELDS, ids=SPARSE_IDS)
+def test_partial_verifier_rejects_a_rank_above_min_n_m(ctx):
+    """r = m + 1 (A = I_2, B = [[1, 1]]) and r = n + 1 with n < m, each
+    with factors of consistent shapes."""
+    one, zero = ctx.one, ctx.zero
+    wide = SaddleSystem(DenseMatrix.identity(ctx, 2), DenseMatrix.from_rows(ctx, [[1, 1]]))
+    f = PartialLDL(Permutation([0, 1]), Permutation([0]), DenseMatrix.zeros(ctx, 2, 2),
+                   DenseMatrix.identity(ctx, 2), DenseMatrix.from_rows(ctx, [[1], [1]]), [one, one], 2)
+    assert oracle_verify_partial_ldl(wide, f) == oracle.VerifyReport(False, "rank 2 exceeds min(n, m) = 1")
+    tall = SaddleSystem(DenseMatrix.identity(ctx, 1), DenseMatrix.from_rows(ctx, [[1], [1]]))
+    f = PartialLDL(Permutation([0]), Permutation([0, 1]), DenseMatrix.zeros(ctx, 1, 2),
+                   DenseMatrix.from_rows(ctx, [[one, zero]]), DenseMatrix.identity(ctx, 2), [one, one], 2)
+    assert oracle_verify_partial_ldl(tall, f) == oracle.VerifyReport(False, "rank 2 exceeds min(n, m) = 1")
+
+
+# -- the partial verifier's identities ------------------------------------------------
+
+
+def conj_t(ctx, rows, ncols):
+    return [[ctx.conj(row[j]) for row in rows] for j in range(ncols)]
+
+
+def partial_report(system, f):
+    """The partial verifier's report on factors of valid structure, in
+    plain field arithmetic: the first nonzero entry of P A P^H - V L^H -
+    L V^H - L D L^H outside the trailing block, V = Y - diag(D) on the
+    leading r rows, else Q B P^H against U^H L^H."""
+    ctx = system.A.ctx
+    (n, r), m = f.L.shape, system.B.nrows
+    lists = f.L.to_lists()
+    v = f.Y.to_lists()
+    for i in range(r):
+        v[i][i] = ctx.sub(v[i][i], f.D[i])
+    lh, vh = conj_t(ctx, lists, r), conj_t(ctx, v, r)
+    ld = [[ctx.mul(x, d) for x, d in zip(row, f.D)] for row in lists]
+    ap = [[system.A.get(x, y) for y in f.P.fwd] for x in f.P.fwd]
+    for term in (scalar_product(ctx, v, lh, n), scalar_product(ctx, lists, vh, n),
+                 scalar_product(ctx, ld, lh, n)):
+        ap = [[ctx.sub(x, y) for x, y in zip(arow, trow)] for arow, trow in zip(ap, term)]
+    leaks = [(i, j) for i in range(n) for j in range(n) if (i < r or j < r) and ap[i][j] != 0]
+    if leaks:
+        return oracle.VerifyReport(False, "residual leaks outside the trailing block at (%d,%d)" % leaks[0])
+    bp = [[system.B.get(x, y) for y in f.P.fwd] for x in f.Q.fwd]
+    mism = mismatches(bp, scalar_product(ctx, conj_t(ctx, f.U.to_lists(), m), lh, n))
+    if not mism:
+        return oracle.VerifyReport(True)
+    i, j, want = mism[0]
+    return oracle.VerifyReport(
+        False, f"constraint block mismatch at ({i},{j}): permuted B is {bp[i][j]}, U^H L^H gives {want}",
+        len(mism))
+
+
+def partial_mutants(ctx, rng, system, f):
+    """(label, system, factors) with one entry of Y, L, U, D, A or B
+    changed, each keeping every structure check of the verifier."""
+    (n, r), m = f.L.shape, system.B.nrows
+    if r:
+        i = rng.randrange(1, n) if n > 1 else None
+        for label, field in (("Y", "Y"), ("L", "L")):
+            if i is not None:
+                bad = getattr(f, field).copy()
+                k = rng.randrange(min(i, r))
+                bad.set(i, k, bump(ctx, bad.get(i, k)))
+                yield label, system, dataclasses.replace(f, **{field: bad})
+        i = rng.randrange(r)
+        j = rng.randrange(i + 1, m) if i + 1 < m else i
+        bad = f.U.copy()
+        bad.set(i, j, bump(ctx, bad.get(i, j)))
+        if bad.get(i, i) != 0:
+            yield "U", system, dataclasses.replace(f, U=bad)
+        d = list(f.D)
+        k = rng.randrange(r)
+        d[k] = bump(ctx, d[k])
+        yield "D", system, dataclasses.replace(f, D=d)
+        # an entry that the identity constrains: a leading row or column
+        i, j = rng.randrange(r), rng.randrange(n)
+        x, y = (f.P.fwd[i], f.P.fwd[j]) if rng.random() < 0.5 else (f.P.fwd[j], f.P.fwd[i])
+        a = system.A.copy()
+        a.set(x, y, bump(ctx, a.get(x, y)))
+        yield "A", types.SimpleNamespace(A=a, B=system.B), f
+    b = system.B.copy()
+    x, y = rng.randrange(m), rng.randrange(n)
+    b.set(x, y, bump(ctx, b.get(x, y)))
+    yield "B", types.SimpleNamespace(A=system.A, B=b), f
+
+
+@pytest.mark.parametrize("ctx", SPARSE_FIELDS, ids=SPARSE_IDS)
+def test_partial_verifier_reports_the_first_leak_and_the_constraint_mismatches(ctx):
+    rng = random.Random(43)
+    seen = {}
+    for n, m, rank in ((6, 3, None), (5, 5, None), (3, 5, None), (7, 4, 2), (6, 6, 3), (8, 2, None)):
+        for _ in range(3):
+            system = rand_saddle(ctx, rng, n, m, rank)
+            f = schilders_partial_ldl(system)
+            assert oracle_verify_partial_ldl(system, f) == partial_report(system, f) == oracle.VerifyReport(True)
+            for label, bad_system, bad in partial_mutants(ctx, rng, system, f):
+                rep = oracle_verify_partial_ldl(bad_system, bad)
+                assert not rep.ok, label
+                assert rep == partial_report(bad_system, bad), label
+                seen.setdefault(label, set()).add(rep.first_violation.split(" at ")[0])
+    assert set(seen) == {"Y", "L", "U", "D", "A", "B"}
+    assert {"residual leaks outside the trailing block", "constraint block mismatch"} <= set().union(*seen.values())
+    assert seen["B"] == {"constraint block mismatch"}
 
 
 # -- inertia -------------------------------------------------------------------------

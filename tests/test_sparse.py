@@ -28,7 +28,7 @@ from exldl.sparse import (
     peel_vertex,
     sparse_ldl,
     sparse_lu,
-    transcript_reconstruct,
+    transcript_ldl,
     tree_ldl,
 )
 from exldl.treedec import TreeDecomposition, normalize_td
@@ -127,11 +127,16 @@ def check_sparse_ldl(a, td, tau=None):
     out = sparse_ldl(a, td, tau=tau, explicit=True)
     t = out.transcript
     apos = a.relabel(out.order)
-    assert transcript_reconstruct(t) == apos.densify()
+    stated = transcript_ldl(t)
+    rep = oracle_verify_ldl(apos, stated)
+    assert rep.ok, rep.first_violation
     assert t.peel_count == a.n - t.rank
     maxbag = out.ntd.td.max_bag()
     assert t.max_offdiag() <= 2 * maxbag
     res = out.explicit
+    # the transcript states the explicit LDL, up to the relabeling
+    assert stated.L == res.L and stated.D == res.D
+    assert [out.order.fwd[p] for p in stated.P.fwd] == list(res.P.fwd)
     rep = oracle_verify_ldl(a.densify(), res)
     assert rep.ok, rep.first_violation
     return out
