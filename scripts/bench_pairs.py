@@ -19,7 +19,12 @@ digest of its `src/` files.  For both sides
 it records the line count of `src/exldl/*.py`, as `wc -l` gives it, and
 for each `--run` the traced op counts (`fields.ops_add`, `fields.ops_mul`,
 `fields.ops_inv`) of one `perfbench/run.py --trace 1` run on each side,
-and whether they are equal.
+and whether they are equal; and, as `ops.library` and
+`ops.library_equal`, the same counts outside the oracle: summed over the
+spans of that run's first traced pass (in the side's
+`perfbench/out/spans-<workload>-seed<n>.jsonl`) that have no metered
+ancestor, by the rule of `perfbench/spans.layer_metrics`, and are not
+`oracle.*` spans.
 """
 
 from __future__ import annotations
@@ -75,6 +80,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int 
     # "known_failure <workload> <instance> <status> (<s> s)"
     probes = dict(line.split()[2:4] for line in lines if line.startswith("known_failure "))
     return {"stamp": stamp, "known_failures": probes, **json.loads(lines[-1])}
+
+
+def library_ops(checkout: Path, workload: str, seed: int) -> dict:
+    """`fields.ops_*` of the first traced pass of a side's traced run,
+    outside the oracle: summed over the spans that have no metered ancestor
+    and are not `oracle.*` spans."""
+    spans = {}
+    with open(checkout / "perfbench" / "out" / f"spans-{workload}-seed{seed}.jsonl") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            if rec["pass"] == 0:
+                spans[rec["id"]] = rec
+    total = [0, 0, 0]
+    for rec in spans.values():
+        if rec["ops"] is None or rec["name"].startswith("oracle."):
+            continue
+        up = rec["parent"]
+        while up is not None and spans[up]["ops"] is None:
+            up = spans[up]["parent"]
+        if up is None:
+            total = [a + b for a, b in zip(total, rec["ops"])]
+    return {"fields.ops_" + op: v for op, v in zip(("add", "mul", "inv"), total)}
 
 
 def quartiles(values) -> dict:
@@ -145,14 +172,16 @@ def main(argv=None) -> int:
                 runs.append(pair)
                 head = pair["change"]["metrics"]["items_per_s"]["value"] / pair["parent"]["metrics"]["items_per_s"]["value"]
                 print(f"{spec} pair {i + 1}/{args.pairs}: items_per_s change/parent {head:.3f}", flush=True)
-            ops = {}
+            ops, library = {}, {}
             for side, checkout in (("parent", parent), ("change", ROOT)):
                 metrics = run_once(checkout, workload, int(seed), args.seconds, trace=1)["metrics"]
                 ops[side] = {name: metrics[name]["value"] for name in metrics
                              if name.startswith("fields.ops_")}
+                library[side] = library_ops(checkout, workload, int(seed))
             report["stamp"] = runs[-1]["change"]["stamp"]
-            report["runs"][spec] = {**summarise(runs, better),
-                                    "ops": {**ops, "equal": ops["parent"] == ops["change"]}}
+            report["runs"][spec] = {**summarise(runs, better), "ops": {
+                **ops, "equal": ops["parent"] == ops["change"],
+                "library": library, "library_equal": library["parent"] == library["change"]}}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -5,7 +5,8 @@ decomposition), runs the selected factorization, verifies it against the
 reference checks on request, and writes the factors plus a statistics
 report as JSON.  Identical inputs and flags produce byte-identical
 output files.  `reverify_json` reads such a file back, rebuilds its
-explicit LDL (P, L, D) or LU (P, Q, L, U) and checks it once more
+explicit LDL (P, L, D) or LU (P, Q, L, U), or for an implicit-only
+sparse-ldl file the LDL its transcript states, and checks it once more
 against the input matrix the file names.
 
 Matrix Market support is the coordinate format with qualifiers
@@ -40,7 +41,9 @@ from .oracle import (
 from .saddle import SaddleSystem, complete_saddle_ldl, schilders_partial_ldl
 from .sparse import (
     EdgeElim,
+    Peel,
     SparseSym,
+    Transcript,
     VertexElim,
     sparse_ldl,
     sparse_lu,
@@ -274,6 +277,38 @@ def _transform_json(ctx, tf):
     }
 
 
+def _transform_from_json(ctx, tf):
+    """Inverse of `_transform_json`."""
+    def pairs(key):
+        return tuple((i, ctx.el(v)) for i, v in tf[key])
+
+    if tf["kind"] == "vertex_elim":
+        return VertexElim(tf["pivot"], pairs("col"), _dblock_from_json(ctx, tf["d"]))
+    if tf["kind"] == "edge_elim":
+        return EdgeElim(tuple(tf["pivots"]), pairs("col1"), pairs("col2"),
+                        _dblock_from_json(ctx, tf["d"]))
+    if tf["kind"] == "peel":
+        return Peel(tf["target"], pairs("coeffs"))
+    raise ParseError(f"unknown transform kind {tf['kind']!r}")
+
+
+def sparse_ldl_from_json(ctx, factors: dict, r: int) -> LDLResult:
+    """The explicit LDL of a sparse-ldl file (`ldl_from_json`), or, in a
+    file without L, the LDL its transcript states (`transcript_ldl`) with P
+    mapped through `order`; that transcript must give rank r and the
+    file's D."""
+    if "L" in factors:
+        return ldl_from_json(ctx, factors, r)
+    order = factors["order"]
+    t = Transcript(ctx, len(order))
+    for tf in factors["transcript"]:
+        t.append(_transform_from_json(ctx, tf))
+    res = transcript_ldl(t)
+    if res.r != r or res.D != [_dblock_from_json(ctx, b) for b in factors["D"]]:
+        raise ValueError("the transcript states another rank or D")
+    return LDLResult(Permutation([order[p] for p in res.P.fwd]), res.L, res.D, r)
+
+
 def write_factors_json(path, payload: dict):
     text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w") as fh:
@@ -457,7 +492,7 @@ _MODES = {
                   lambda a, res: oracle_verify_ldl(a, res)),
     "dense-lu": (_load_general, _dense_lu, lu_from_json,
                  lambda a, res: oracle_verify_lu(a, res)),
-    "sparse-ldl": (_load_sparse, _sparse_ldl, ldl_from_json,
+    "sparse-ldl": (_load_sparse, _sparse_ldl, sparse_ldl_from_json,
                    lambda a, res: oracle_verify_ldl(a, res)),
     "sparse-lu": (_load_general, _sparse_lu, lu_from_json,
                   lambda b, res: oracle_verify_lu(b, res, structural=False)),
@@ -503,8 +538,9 @@ def run(args) -> tuple[int, dict]:
 def reverify_json(json_path) -> bool:
     """Independent re-verification of an emitted factors file: reread the
     input with the mode's loader, rebuild the explicit LDL or LU with the
-    reader that mirrors its writer, and run the mode's reference check.
-    False when the file has no explicit factors or malformed ones."""
+    reader that mirrors its writer, and run the mode's reference check.  A
+    sparse-ldl file without L is checked as the LDL its transcript states.
+    False for malformed factors, and for a sparse-lu file without them."""
     with open(json_path) as fh:
         payload = json.load(fh)
     report = payload["report"]
@@ -516,7 +552,7 @@ def reverify_json(json_path) -> bool:
     x = load(argparse.Namespace(**payload["inputs"]), ctx)
     try:
         res = read(ctx, factors, report["rank"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):  # a missing or bad factor
+    except (IndexError, KeyError, TypeError, ValueError, ZeroDivisionError):  # a missing or bad factor
         return False
     return check(x, res).ok
 

@@ -141,10 +141,6 @@ def d_mul_right(m: DenseMatrix, blocks) -> DenseMatrix:
     return d_mul_left(blocks, m.conj_transpose()).conj_transpose()
 
 
-def d_solve_right(m: DenseMatrix, blocks) -> DenseMatrix:
-    return d_mul_right(m, d_inverse(m.ctx, blocks))
-
-
 @dataclass
 class LDLResult:
     P: Permutation

@@ -388,7 +388,7 @@ def oracle_verify_ldl(a, res) -> VerifyReport:
     if msg:
         return _fail(msg)
     if r > n:
-        return _fail(f"claimed rank {r} != reference rank")
+        return _fail(f"rank {r} exceeds n = {n}")
     if dense:
         ap = _perm_lists(a, res.P.fwd, res.P.fwd)
         # Metered as the two products L D and (L D) L^H.

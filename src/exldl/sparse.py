@@ -4,8 +4,8 @@ The factorization is returned as a transcript: the ordered sequence of
 elimination and peeling transformations (indices refer to the
 post-ordered vertex positions) together with the reduced block diagonal.
 Writing B for the product of the transformation matrices, the defining
-identity is  A = B D B^H  with B a permuted unit-lower-trapezoidal
-n x rank matrix; the permutation is recoverable from the pivot order.
+identity is  A = B D B^H  with B a unit-lower-trapezoidal n x rank
+matrix permuted by the pivot order, which `transcript_ldl` states as an LDL.
 A vertex is peeled when its remaining border column is a linear
 combination of other active columns; every vertex ends up either as an
 elimination pivot or peeled, so the peel count is n - rank(A).
@@ -40,15 +40,12 @@ from .dense import (
     _TRI_BASE,
     LEFT,
     LOWER_UNIT,
-    RIGHT,
     UPPER,
-    UPPER_UNIT,
     DenseMatrix,
     Permutation,
     check_cutoff,
     matmul,
     tri_solve,
-    vstack,
 )
 from .factor import (
     SCALAR,
@@ -60,9 +57,9 @@ from .factor import (
     _lu_base,
     _lu_rows,
     col_support,
+    d_mul_right,
     d_size,
     d_solve_left,
-    d_solve_right,
     fast_ldl,
     fast_lu,
 )
@@ -329,51 +326,61 @@ def apply_transcript(t: Transcript, x: DenseMatrix, mode: str) -> DenseMatrix:
 
 
 def transcript_ldl(t: Transcript) -> LDLResult:
-    """The LDL that the transcript states, for the oracle to check: L is B
-    (the transforms applied to the r x r identity) with its rows in pivot
-    order and then the peeled rows, P is that order and D the transcript's
-    blocks, so that P A P^H = L D L^H for the factored A."""
-    order = t.pivot_order + t.peeled
-    b = apply_transcript(t, DenseMatrix.identity(t.ctx, t.rank), L_TIMES)
-    return LDLResult(Permutation(order), b.take_rows(order), list(t.dblocks), t.rank)
+    """The LDL the transcript states: P its pivot order then the peeled
+    vertices, D its blocks, L the transforms' product with rows in P's order.
+    A reverse pass writes each elimination's column off its transform, and
+    each peeled row as its peel's combination of the columns written so far."""
+    ctx, pivots = t.ctx, t.pivot_order
+    order, r = pivots + t.peeled, len(pivots)
+    pos = {v: i for i, v in enumerate(order)}
+    l = DenseMatrix.zeros(ctx, len(order), r)
+    rows = {idx: {} for tf in t.transforms if isinstance(tf, Peel) for idx, _ in tf.coeffs}
+    for tf in reversed(t.transforms):
+        if isinstance(tf, Peel):
+            acc = rows[tf.target] = {}
+            for idx, c in tf.coeffs:
+                for j, v in rows[idx].items():
+                    acc[j] = ctx._add(acc.get(j, ctx.zero), ctx._mul(ctx.conj(c), v))
+            for j, v in acc.items():
+                l.set(pos[tf.target], j, v)
+            continue
+        for p, col in tf.columns():
+            k = pos[p]
+            for idx, val in ((p, ctx.one), *col):
+                l.set(pos[idx], k, val)
+                if idx in rows:
+                    rows[idx][k] = val
+    if ctx.counter is not None and len(order) > r:
+        _charge_recovery(t, l)
+    return LDLResult(Permutation(order), l, list(t.dblocks), r)
+
+
+def _charge_recovery(t: Transcript, l: DenseMatrix):
+    """Charge solving X D L1^H = A's peeled-by-pivot block for l's peeled rows X (L1: its unit
+    lower pivot rows) by `tri_solve(L1^H, ., RIGHT, UPPER_UNIT)` classically, then D^-1."""
+    ctx, r, corank = t.ctx, l.ncols, l.nrows - l.ncols
+    xd = d_mul_right(l.block(r, l.nrows, 0, r), t.dblocks)  # metered as D^-1's scaling
+    nnz = [sum(1 for v in col if v) for col in zip(*xd.to_lists())]
+    ctx.count_ops(inv=r)
+    todo = [(0, r)]
+    for lo, hi in todo:  # the solve's halving of r down to _TRI_BASE; todo grows as it is read
+        if hi - lo <= _TRI_BASE:
+            nz = sum(1 for row in l.block(lo, hi, lo, hi).to_lists() for v in row if v) - hi + lo
+            ctx.count_ops(add=corank * nz, mul=corank * nz)
+        else:
+            mid = lo + (hi - lo) // 2
+            ctx.count_product(corank, mid - lo, hi - mid, sum(nnz[lo:mid]))
+            ctx.count_ops(add=corank * ctx.row_ops(hi - mid))
+            todo += [(lo, mid), (mid, hi)]
 
 
 def explicit_ldl_from_transcript(t: Transcript, a: SparseSym) -> LDLResult:
-    """Explicit reduced LDL: the pivot block is read off the transforms and
-    the peeled rows are recovered by triangular solves against the pivot
-    factor (one right-hand side per peeled vertex)."""
-    ctx = t.ctx
-    if a.ctx != ctx:
+    """`transcript_ldl(t)`, for an `a` of the transcript's field and size."""
+    if a.ctx != t.ctx:
         raise DimensionMismatch("mixed field contexts")
     if a.n != t.n:
         raise DimensionMismatch(f"transcript of {t.n} vertices for a matrix of {a.n}")
-    pivots = t.pivot_order
-    r = len(pivots)
-    pos = {pid: k for k, pid in enumerate(pivots)}
-    cols = [col for tf in t.transforms if not isinstance(tf, Peel) for _, col in tf.columns()]
-    l1 = DenseMatrix.identity(ctx, r)
-    for k, col in enumerate(cols):
-        for idx, val in col:
-            if idx in pos:
-                l1.set(pos[idx], k, val)
-    peeled = t.peeled
-    if peeled:
-        # A's peeled-by-pivot entries, from one pass over its stored rows
-        at = {v: i for i, v in enumerate(peeled)}
-        rows = [[ctx.zero] * r for _ in peeled]
-        for u, arow in enumerate(a.rows):
-            for w, val in arow.items():
-                if u in at and w in pos:
-                    rows[at[u]][pos[w]] = val
-                elif w in at and u in pos:
-                    rows[at[w]][pos[u]] = ctx.conj(val)
-        rhs = DenseMatrix.from_entries(ctx, rows, r)
-        xd = tri_solve(l1.conj_transpose(), rhs, RIGHT, UPPER_UNIT)
-        x = d_solve_right(xd, t.dblocks)
-        l = vstack([l1, x])
-    else:
-        l = l1
-    return LDLResult(Permutation(pivots + peeled), l, list(t.dblocks), r)
+    return transcript_ldl(t)
 
 
 # -- standalone peeling -------------------------------------------------------------
@@ -823,7 +830,7 @@ def sparse_ldl(
 ) -> SparseLDLOutcome:
     """Full pipeline: tree decomposition (greedy if absent, else checked
     against the pattern of `a`), normalization, tree factorization, and
-    explicit recovery when the corank allows."""
+    explicit recovery (`transcript_ldl`) when the corank allows."""
     ntd, apos, transcript = _factor_along(a, td, tau, cutoff)
     r = transcript.rank
     result = None

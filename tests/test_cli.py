@@ -242,7 +242,9 @@ def test_sparse_ldl_checks_neither_densify_nor_rank(tmp_path, monkeypatch, spec)
     the stored entries: a 3 x 3 grid with a twin of vertex 0 (both
     diagonals zero, so the rank is below n).  --verify checks an implicit
     result, a 30-vertex star with 28 peels, as the LDL its transcript
-    states, and fails with code 2 once a peel coefficient is changed."""
+    states, and fails with code 2 once a peel coefficient is changed;
+    reverify_json checks the star's file the same way, and rejects it once
+    a peel coefficient in the file is changed."""
     ctx = parse_field(spec)
     rng = random.Random(11)
     a = DenseMatrix.zeros(ctx, 10, 10)
@@ -283,6 +285,30 @@ def test_sparse_ldl_checks_neither_densify_nor_rank(tmp_path, monkeypatch, spec)
     payload = json.loads(out.read_text())
     assert payload["report"]["verify"] == {"ok": True}
     assert payload["report"]["peel_count"] == 28 and "L" not in payload["factors"]
+    # reverify_json checks the LDL that the file's transcript states
+    assert reverify_json(out)
+
+    def bump_coeff(payload):
+        peel = next(tf for tf in payload["factors"]["transcript"] if tf["kind"] == "peel")
+        peel["coeffs"][0][1] = ctx.fmt(ctx.add(ctx.el(peel["coeffs"][0][1]), ctx.one))
+
+    def peel_a_pivot(payload):  # malformed: rejected rather than raising
+        transforms = payload["factors"]["transcript"]
+        edge = next(tf for tf in transforms if tf["kind"] == "edge_elim")
+        next(tf for tf in transforms if tf["kind"] == "peel")["target"] = edge["pivots"][0]
+
+    def another_rank(payload):
+        payload["report"]["rank"] += 1
+
+    def another_d(payload):
+        payload["factors"]["D"].pop()
+
+    bad = tmp_path / "bad.json"
+    for tamper in (bump_coeff, peel_a_pivot, another_rank, another_d):
+        payload = json.loads(out.read_text())
+        tamper(payload)
+        bad.write_text(json.dumps(payload))
+        assert reverify_json(bad) is False, tamper.__name__
 
     def bumped(*args, **kwargs):
         outcome = sparse_ldl(*args, **kwargs)
@@ -297,6 +323,19 @@ def test_sparse_ldl_checks_neither_densify_nor_rank(tmp_path, monkeypatch, spec)
         assert main(argv) == 2
     verify = json.loads(out.read_text())["report"]["verify"]
     assert not verify["ok"] and verify["first_violation"].startswith("reconstruction mismatch")
+
+
+def test_reverify_rejects_an_implicit_sparse_lu_file(tmp_path):
+    """A sparse-lu file without explicit factors is not re-checked: one row
+    of 30 ones has corank 29, above the recovery threshold."""
+    b = DenseMatrix.from_rows(GF7, [[1] * 30])
+    write_matrix_market(tmp_path / "b.mtx", b)
+    out = tmp_path / "out.json"
+    with pytest.warns(UserWarning, match="returning the implicit transcript only"):
+        assert main(["--field", "gfp:7", "--mode", "sparse-lu", "--matrix", str(tmp_path / "b.mtx"),
+                     "--greedy-td", "--out", str(out)]) == 0
+    assert "L" not in json.loads(out.read_text())["factors"]
+    assert reverify_json(out) is False
 
 
 @pytest.mark.parametrize("spec", ["gf2", "gfp:3", "gfp:7", "gfp:1009", "rational"])

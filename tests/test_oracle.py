@@ -416,7 +416,7 @@ def test_sparse_route_rejects_a_wrong_rank_with_valid_structure(ctx):
             checked += 1
         else:
             assert rep == oracle_verify_ldl(a.densify(), more)
-            assert rep.first_violation == f"claimed rank {n + 1} != reference rank"
+            assert rep.first_violation == f"rank {n + 1} exceeds n = {n}"
             above += 1
     assert checked > len(SHAPES) * 3 and above
 

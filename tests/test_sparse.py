@@ -4,7 +4,7 @@ import re
 import pytest
 
 from exldl import factor, saddle, sparse
-from exldl.dense import DenseMatrix, matmul
+from exldl.dense import RIGHT, UPPER_UNIT, DenseMatrix, Permutation, matmul, tri_solve, vstack
 from exldl.fields import (
     DimensionMismatch,
     InconsistentSystem,
@@ -123,20 +123,51 @@ def random_ktree_sym(ctx, rng, n, k):
     return a, td
 
 
+def reference_recovery(t, apos, cutoff=1 << 30):
+    """The recovery that `transcript_ldl` replaced: L1 read off the
+    transforms, and the peeled rows X from X D L1^H = A's peeled-by-pivot
+    block by a triangular solve, then D^-1.  The default cutoff, above
+    every dimension, keeps the solve's products classical."""
+    ctx, pivots, peeled = t.ctx, t.pivot_order, t.peeled
+    r = len(pivots)
+    pos = {p: k for k, p in enumerate(pivots)}
+    cols = [col for tf in t.transforms if not isinstance(tf, Peel) for _, col in tf.columns()]
+    l1 = DenseMatrix.identity(ctx, r)
+    for k, col in enumerate(cols):
+        for idx, val in col:
+            if idx in pos:
+                l1.set(pos[idx], k, val)
+    l = l1
+    if peeled:
+        rhs = DenseMatrix.from_entries(ctx, [[apos.get(v, p) for p in pivots] for v in peeled], r)
+        xd = tri_solve(l1.conj_transpose(), rhs, RIGHT, UPPER_UNIT, cutoff)
+        l = vstack([l1, factor.d_mul_right(xd, factor.d_inverse(ctx, t.dblocks))])
+    return factor.LDLResult(Permutation(pivots + peeled), l, list(t.dblocks), r)
+
+
+def counted(ctx, fn, *args):
+    """fn(*args) and the ops it charged."""
+    counter = ctx.enable_counter()
+    try:
+        return fn(*args), counter.snapshot()
+    finally:
+        ctx.disable_counter()
+
+
 def check_sparse_ldl(a, td, tau=None):
     out = sparse_ldl(a, td, tau=tau, explicit=True)
     t = out.transcript
     apos = a.relabel(out.order)
-    stated = transcript_ldl(t)
-    rep = oracle_verify_ldl(apos, stated)
+    rep = oracle_verify_ldl(apos, transcript_ldl(t))
     assert rep.ok, rep.first_violation
     assert t.peel_count == a.n - t.rank
     maxbag = out.ntd.td.max_bag()
     assert t.max_offdiag() <= 2 * maxbag
     res = out.explicit
-    # the transcript states the explicit LDL, up to the relabeling
-    assert stated.L == res.L and stated.D == res.D
-    assert [out.order.fwd[p] for p in stated.P.fwd] == list(res.P.fwd)
+    # the solve against A's entries gives the explicit LDL, up to the relabeling
+    ref = reference_recovery(t, apos)
+    assert ref.L == res.L and ref.D == res.D
+    assert [out.order.fwd[p] for p in ref.P.fwd] == list(res.P.fwd)
     rep = oracle_verify_ldl(a.densify(), res)
     assert rep.ok, rep.first_violation
     return out
@@ -535,6 +566,68 @@ def test_explicit_from_transcript_treewidth3_corank2():
     out = sparse_ldl(a, td, explicit=True)
     rep = oracle_verify_ldl(a.densify(), out.explicit)
     assert rep.ok, rep.first_violation
+
+
+def diagonal_blocks(ctx, count):
+    """`count` diagonal 2 x 2 blocks of rank 1."""
+    return SparseSym.from_entries(
+        ctx, 2 * count, [(i, j, 1) for b in range(count) for i, j in
+                         ((2 * b, 2 * b), (2 * b, 2 * b + 1), (2 * b + 1, 2 * b + 1))])
+
+
+def recovery_cases():
+    rng = random.Random(26)
+    for ctx in (GF2, GF7, QQ):
+        for n, k in ((30, 2), (60, 3), (90, 5), (120, 4)):
+            a, td = random_ktree_sym(ctx, rng, n, k)
+            yield ctx, a, td
+    for ctx in (GF2, GF7, QQ):
+        yield ctx, diagonal_blocks(ctx, 32), None  # leaves of exactly _TRI_BASE columns
+    for ctx in (GF7, QQ):
+        yield ctx, diagonal_blocks(ctx, 200), None
+
+
+def test_recovery_matches_the_solve_against_a():
+    # P, L, D and the ops charged are the reference's: a solve against A's
+    # entries with classical products, on k-trees with peels (ranks above
+    # and below the base-case solve) and on 32 and 200 rank-1 blocks
+    peels = 0
+    for ctx, a, td in recovery_cases():
+        out = sparse_ldl(a, td, explicit=False)
+        t, apos = out.transcript, a.relabel(out.order)
+        got, ops = counted(ctx, explicit_ldl_from_transcript, t, apos)
+        want, want_ops = counted(ctx, reference_recovery, t, apos)
+        assert (got.P, got.L, got.D, got.r) == (want.P, want.L, want.D, want.r)
+        assert ops == want_ops
+        # the route reads no entry of A
+        assert explicit_ldl_from_transcript(t, SparseSym(ctx, a.n)).L == got.L
+        peels += t.peel_count if td else 0
+        if a.n == 400:
+            assert (t.rank, t.peel_count) == (200, 200)
+            assert ops == {"add": 3749600, "mul": 3789600, "inv": 200}
+            # at the default cutoff the solve's top products were Strassen's
+            strassen = counted(ctx, reference_recovery, t, apos, None)
+            assert strassen == (want, {"add": 3574600, "mul": 3539600, "inv": 200})
+    assert peels >= 80
+
+
+def test_recovery_charges_the_solved_columns_of_x_d(ctx):
+    # one peel of the first vertex of a pair that straddles the solve's
+    # first split, columns 15 and 16 of 32: X has its nonzero in column 15
+    # and X D in column 16, which the GF(2) product charge reads
+    t = Transcript(ctx, 33)
+    t.append(Peel(32, ((15, ctx.one),)))
+    t.append(VertexElim(0, (), factor.DBlock.scalar(ctx.one)))
+    for v in range(1, 31, 2):
+        t.append(EdgeElim((v, v + 1), (), (), factor.DBlock.antidiag(ctx.one, ctx.one)))
+    t.append(VertexElim(31, (), factor.DBlock.scalar(ctx.one)))
+    res = transcript_ldl(t)
+    a = matmul(matmul(res.L, res.d_dense()), res.L.conj_transpose()).to_lists()
+    apos = SparseSym.from_entries(ctx, 33, [(i, j, v) for i, row in enumerate(a)
+                                            for j, v in enumerate(row) if i <= j and v])
+    got, ops = counted(ctx, explicit_ldl_from_transcript, t, apos)
+    want, want_ops = counted(ctx, reference_recovery, t, apos)
+    assert (got, ops) == (want, want_ops)
 
 
 def test_corank_warning():
