@@ -16,7 +16,9 @@ at Strassen cutoffs None, 1, 2, 3 and 8, with the op counter on:
     by `complete_saddle_ldl`, n + m <= 45;
   * `sparse_ldl` with explicit factors and `tree_ldl` with interfaces of
     0 to 3 vertices on banded symmetric matrices under a fixed relabeling,
-    and `sparse_lu` with explicit factors on banded rectangles, n <= 45;
+    and `sparse_lu` with explicit factors on banded rectangles, n <= 45,
+    and on square bands of rank below their size, m <= 22, whose case
+    builder asserts that they peel both rows and columns;
   * `sparse_ldl` with explicit factors and `tree_ldl` with interfaces of
     0 to 3 vertices along random k-trees' own decompositions, k = 2..5 and
     n = 12 and 30, with a zero diagonal, with planted corank (vertices that
@@ -33,7 +35,8 @@ at Strassen cutoffs None, 1, 2, 3 and 8, with the op counter on:
     `ZeroPivot`, `SingularPivot`, pairs split into two vertex steps,
     antidiagonal pairs and indices skipped to the tail all occur.
 Inputs come from a `random.Random` seeded by the CRC-32 of the field's
-name and are built from plain lists, not from the library's kernels.
+name (the square `sparse_lu` cases from one of their own) and are built
+from plain lists, not from the library's kernels.
 Every result is hashed with the type of each element and matrix, so a
 Python int turning into a numpy integer changes the digest: transcripts
 transform by transform, S and F, P, L, D, U, Y and the op counts of each
@@ -195,6 +198,9 @@ def cases(ctx, cutoff):
     from exldl.treedec import TreeDecomposition, greedy_td, normalize_td
 
     rng = random.Random(zlib.crc32(ctx.spec.encode()))
+    # the square sparse_lu cases draw from their own generator, so the
+    # inputs of every other case stay as they were before those were added
+    sq_rng = random.Random(zlib.crc32(f"{ctx.spec} square".encode()))
 
     def mat(lists, ncols):
         return DenseMatrix.from_entries(ctx, lists, ncols)
@@ -247,6 +253,19 @@ def cases(ctx, cutoff):
                   for j in range(n - m)] for i in range(m)]
             yield f"sparse_lu {m}x{n - m} band {band}", lambda b=b, k=n - m: sparse_lu(
                 mat(b, k), None, None, cutoff, True)
+            # square, with a row and a column that repeat their neighbours
+            # times a nonzero: both sides peel
+            b = [[nonzero(ctx, sq_rng) if abs(i - j) <= band and sq_rng.random() < 0.7
+                  else ctx.zero for j in range(m)] for i in range(m)]
+            i, c = sq_rng.randrange(m - 1), nonzero(ctx, sq_rng)
+            b[i + 1] = [ctx.mul(c, v) for v in b[i]]
+            j, c = sq_rng.randrange(m - 1), nonzero(ctx, sq_rng)
+            for row in b:
+                row[j + 1] = ctx.mul(c, row[j])
+            out = sparse_lu(mat(b, m), None, None, cutoff, True)
+            assert out.row_peels and out.col_peels, (ctx.spec, cutoff, m, band)
+            yield f"sparse_lu {m}x{m} band {band} deficient", lambda b=b: sparse_lu(
+                mat(b, m), None, None, cutoff, True)
 
     for k in (2, 3, 4, 5):
         for n in (12, 30):

@@ -45,6 +45,7 @@ from .sparse import (
     SparseSym,
     Transcript,
     VertexElim,
+    labelled_ldl,
     sparse_ldl,
     sparse_lu,
     transcript_ldl,
@@ -294,19 +295,19 @@ def _transform_from_json(ctx, tf):
 
 def sparse_ldl_from_json(ctx, factors: dict, r: int) -> LDLResult:
     """The explicit LDL of a sparse-ldl file (`ldl_from_json`), or, in a
-    file without L, the LDL its transcript states (`transcript_ldl`) with P
-    mapped through `order`; that transcript must give rank r and the
-    file's D."""
+    file without L, the LDL its transcript states (`transcript_ldl`) in the
+    labels of `order` (`labelled_ldl`); that transcript must give rank r
+    and the file's D."""
     if "L" in factors:
         return ldl_from_json(ctx, factors, r)
-    order = factors["order"]
-    t = Transcript(ctx, len(order))
+    order = Permutation(factors["order"])
+    t = Transcript(ctx, len(order.fwd))
     for tf in factors["transcript"]:
         t.append(_transform_from_json(ctx, tf))
     res = transcript_ldl(t)
     if res.r != r or res.D != [_dblock_from_json(ctx, b) for b in factors["D"]]:
         raise ValueError("the transcript states another rank or D")
-    return LDLResult(Permutation([order[p] for p in res.P.fwd]), res.L, res.D, r)
+    return labelled_ldl(res, order)
 
 
 def write_factors_json(path, payload: dict):
@@ -437,7 +438,8 @@ def _sparse_ldl(a, args, ctx, check):
         factors.update(ldl_to_json(ctx, out.explicit))
         nnz.update(_lens(factors, "L"))
         return keys, nnz, factors, lambda: check(a, out.explicit)
-    return keys, nnz, factors, lambda: check(a.relabel(out.order), transcript_ldl(out.transcript))
+    return keys, nnz, factors, lambda: check(
+        a, labelled_ldl(transcript_ldl(out.transcript), out.order))
 
 
 def _sparse_lu(b, args, ctx, check):

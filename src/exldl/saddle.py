@@ -224,35 +224,6 @@ def residual_schur(system: SaddleSystem, f: PartialLDL) -> DenseMatrix:
     return resid.block(r, n, r, n)
 
 
-def _skeleton_columns(ctx, k1: list, k2: list, a11, b11):
-    """Convert one rank-2 elimination skeleton into two unit-diagonal L
-    columns and matching D block(s): (column 1, column 2, D blocks).
-
-    k1 and k2 are the skeleton's columns as lists in the shifted row order
-    [pivot A, pivot B, other A rows..., other B rows...]: k1 holds [a11,
-    b11, the A column below the pivot, the current B column] and k2 holds
-    [1, 0, the paired elimination column, 0...].  A zero a11 yields one
-    antidiagonal block; otherwise the pair reduces to two scalar blocks
-    through the 2x2 factorization of the pivot block.  Metered as the
-    column operations of the matrix form."""
-    if ctx.is_zero(b11):
-        raise ZeroB11("skeleton conversion needs a nonzero constraint pivot")
-    rows = len(k1)
-    mul = ctx._mul
-    if ctx.is_zero(a11):
-        binv = ctx.inv(b11)
-        ctx.count_ops(mul=ctx.scale_ops(rows))
-        return k2, [mul(x, binv) for x in k1], [DBlock.antidiag(ctx.conj(b11), b11)]
-    # c2 = (k1 - k2 a11) / b11 and c1 = k2 + c2 b11 / conj(a11)
-    binv = ctx.inv(b11)
-    c2 = [mul(ctx._sub(x, mul(y, a11)), binv) for x, y in zip(k1, k2)]
-    beta = ctx.mul(b11, ctx.inv(ctx.conj(a11)))
-    c1 = [ctx._add(y, mul(x, beta)) for x, y in zip(c2, k2)]
-    d2 = ctx.neg(ctx.mul(b11, ctx.mul(ctx.inv(ctx.conj(a11)), ctx.conj(b11))))
-    ctx.count_ops(mul=ctx.scale_ops(3 * rows), add=2 * rows * ctx.row_ops(1))
-    return c1, c2, [DBlock.scalar(ctx.conj(a11)), DBlock.scalar(d2)]
-
-
 def pair_columns(f: PartialLDL, k: int, a_ids, b_ids):
     """Pair k of a partial LDL as LDL columns over the caller's ids.
 
@@ -261,7 +232,7 @@ def pair_columns(f: PartialLDL, k: int, a_ids, b_ids):
     (column 1, column 2), D blocks): each column holds the (id, value)
     pairs of its nonzero entries on the rows still active at step k,
     without the unit entry on its own pivot, and the D blocks are one
-    antidiagonal block or two scalar ones (see `_skeleton_columns`).
+    antidiagonal block or two scalar ones (see `skeleton_pair`).
 
     The skeleton of pair k, in the shifted row order [pivot A, pivot B,
     A rows k+1.., constraint rows k+1..], has the columns [-D[k],
@@ -284,15 +255,38 @@ def pair_columns(f: PartialLDL, k: int, a_ids, b_ids):
 
 
 def skeleton_pair(ctx, k1: list, k2: list, row_ids):
-    """One constraint pair's skeleton as LDL columns over the ids row_ids
-    of its rows, in the shifted row order of `_skeleton_columns` (k1[0] is
-    a11 and k1[1] b11).  Returns ((A pivot id, constraint pivot id),
-    (column 1, column 2), D blocks); each column holds the (id, value)
-    pairs of its nonzero entries, without the unit entry on its own
-    pivot."""
-    c1, c2, blks = _skeleton_columns(ctx, k1, k2, k1[0], k1[1])
-    col1 = tuple((row_ids[t], c1[t]) for t in range(1, len(row_ids)) if c1[t])
-    col2 = tuple((row_ids[t], c2[t]) for t in [0, *range(2, len(row_ids))] if c2[t])
+    """Convert one constraint pair's rank-2 elimination skeleton into two
+    unit-diagonal LDL columns over the ids row_ids of its rows.
+
+    k1 and k2 are the skeleton's columns as lists in the shifted row order
+    [pivot A, pivot B, other A rows..., other B rows...]: k1 holds [a11,
+    b11, the A column below the pivot, the current B column] and k2 holds
+    [1, 0, the paired elimination column, 0...].  A zero a11 yields one
+    antidiagonal D block; otherwise the pair reduces to two scalar blocks
+    through the 2x2 factorization of the pivot block.  Returns ((A pivot
+    id, constraint pivot id), (column 1, column 2), D blocks); each column
+    holds the (id, value) pairs of its nonzero entries, without the unit
+    entry on its own pivot.  Metered as the column operations of the
+    matrix form."""
+    a11, b11 = k1[0], k1[1]
+    if ctx.is_zero(b11):
+        raise ZeroB11("skeleton conversion needs a nonzero constraint pivot")
+    rows = len(k1)
+    mul = ctx._mul
+    binv = ctx.inv(b11)
+    if ctx.is_zero(a11):
+        ctx.count_ops(mul=ctx.scale_ops(rows))
+        c1, c2, blks = k2, [mul(x, binv) for x in k1], [DBlock.antidiag(ctx.conj(b11), b11)]
+    else:
+        # c2 = (k1 - k2 a11) / b11 and c1 = k2 + c2 b11 / conj(a11)
+        c2 = [mul(ctx._sub(x, mul(y, a11)), binv) for x, y in zip(k1, k2)]
+        beta = ctx.mul(b11, ctx.inv(ctx.conj(a11)))
+        c1 = [ctx._add(y, mul(x, beta)) for x, y in zip(c2, k2)]
+        d2 = ctx.neg(ctx.mul(b11, ctx.mul(ctx.inv(ctx.conj(a11)), ctx.conj(b11))))
+        ctx.count_ops(mul=ctx.scale_ops(3 * rows), add=2 * rows * ctx.row_ops(1))
+        blks = [DBlock.scalar(ctx.conj(a11)), DBlock.scalar(d2)]
+    col1 = tuple((row_ids[t], c1[t]) for t in range(1, rows) if c1[t])
+    col2 = tuple((row_ids[t], c2[t]) for t in [0, *range(2, rows)] if c2[t])
     return (row_ids[0], row_ids[1]), (col1, col2), blks
 
 

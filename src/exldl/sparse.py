@@ -5,7 +5,8 @@ elimination and peeling transformations (indices refer to the
 post-ordered vertex positions) together with the reduced block diagonal.
 Writing B for the product of the transformation matrices, the defining
 identity is  A = B D B^H  with B a unit-lower-trapezoidal n x rank
-matrix permuted by the pivot order, which `transcript_ldl` states as an LDL.
+matrix permuted by the pivot order, which `transcript_ldl` states as an LDL
+over positions and `labelled_ldl` gives with P in the input's labels.
 A vertex is peeled when its remaining border column is a linear
 combination of other active columns; every vertex ends up either as an
 elimination pivot or peeled, so the peel count is n - rank(A).
@@ -58,7 +59,6 @@ from .factor import (
     _lu_rows,
     col_support,
     d_mul_right,
-    d_size,
     d_solve_left,
     fast_ldl,
     fast_lu,
@@ -206,25 +206,23 @@ class Transcript:
         self.ctx = ctx
         self.n = n
         self.transforms = []
+        # kept by `append`: a transform swapped in later must keep its
+        # pivots, D block or peel target
+        self.pivot_order = []
+        self.dblocks = []
+        self.peeled = []
 
     def append(self, tf):
         self.transforms.append(tf)
-
-    @property
-    def pivot_order(self):
-        return [p for tf in self.transforms if not isinstance(tf, Peel) for p, _ in tf.columns()]
-
-    @property
-    def dblocks(self):
-        return [tf.block for tf in self.transforms if not isinstance(tf, Peel)]
-
-    @property
-    def peeled(self):
-        return [tf.target for tf in self.transforms if isinstance(tf, Peel)]
+        if isinstance(tf, Peel):
+            self.peeled.append(tf.target)
+        else:
+            self.pivot_order += [p for p, _ in tf.columns()]
+            self.dblocks.append(tf.block)
 
     @property
     def rank(self) -> int:
-        return d_size(self.dblocks)
+        return len(self.pivot_order)
 
     @property
     def peel_count(self) -> int:
@@ -381,6 +379,12 @@ def explicit_ldl_from_transcript(t: Transcript, a: SparseSym) -> LDLResult:
     if a.n != t.n:
         raise DimensionMismatch(f"transcript of {t.n} vertices for a matrix of {a.n}")
     return transcript_ldl(t)
+
+
+def labelled_ldl(res: LDLResult, order: Permutation) -> LDLResult:
+    """`res`, an LDL over post-order positions, with P over the input's
+    labels: position p is label order.fwd[p].  L and D are unchanged."""
+    return LDLResult(Permutation([order.fwd[p] for p in res.P.fwd]), res.L, res.D, res.r)
 
 
 # -- standalone peeling -------------------------------------------------------------
@@ -805,7 +809,7 @@ def _want_explicit(explicit: bool | None, corank: int, ntd: NormalizedTD) -> boo
 def _factor_along(a: SparseSym, td, tau, cutoff):
     """Normalize `td` (greedy when None, else checked against the pattern
     of `a`), relabel `a` to its order and factor it along the tree.
-    Returns (ntd, relabeled a, transcript)."""
+    Returns (ntd, transcript)."""
     if td is None:
         td = greedy_td(a.n, a.edges())
     else:
@@ -816,9 +820,8 @@ def _factor_along(a: SparseSym, td, tau, cutoff):
             kind, what = report.violations[0][:2]
             raise InvalidDecomposition(f"not a tree decomposition of the matrix: {kind} {what}")
     ntd = normalize_td(td, tau)
-    apos = a.relabel(ntd.order)
-    transcript, _, _ = tree_ldl(apos, ntd, 0, cutoff)
-    return ntd, apos, transcript
+    transcript, _, _ = tree_ldl(a.relabel(ntd.order), ntd, 0, cutoff)
+    return ntd, transcript
 
 
 def sparse_ldl(
@@ -830,14 +833,13 @@ def sparse_ldl(
 ) -> SparseLDLOutcome:
     """Full pipeline: tree decomposition (greedy if absent, else checked
     against the pattern of `a`), normalization, tree factorization, and
-    explicit recovery (`transcript_ldl`) when the corank allows."""
-    ntd, apos, transcript = _factor_along(a, td, tau, cutoff)
+    explicit recovery (`transcript_ldl`, P in a's labels) when the corank
+    allows."""
+    ntd, transcript = _factor_along(a, td, tau, cutoff)
     r = transcript.rank
     result = None
     if _want_explicit(explicit, a.n - r, ntd):
-        res_pos = explicit_ldl_from_transcript(transcript, apos)
-        fwd = [ntd.order.fwd[p] for p in res_pos.P.fwd]
-        result = LDLResult(Permutation(fwd), res_pos.L, res_pos.D, res_pos.r)
+        result = labelled_ldl(explicit_ldl_from_transcript(transcript, a), ntd.order)
     return SparseLDLOutcome(transcript, ntd.order, ntd, r, transcript.peel_count, result)
 
 
@@ -868,7 +870,11 @@ def sparse_lu(
     (column vertices 0..n-1, row vertices n..n+m-1): every elimination is
     then an edge elimination across the bipartition and every peel stays
     on one side.  The explicit P B Q^T = L U is extracted when the corank
-    permits."""
+    permits, from the embedding's LDL in its labels: pair k is its columns
+    2k and 2k + 1, the one whose P label is at least n is the row vertex's
+    (L's column) and the other the column vertex's (U's row, scaled by the
+    D entry that couples them), and P's tail holds the peeled rows and
+    columns."""
     ctx = b.ctx
     m, n = b.nrows, b.ncols
     emb = SparseSym(ctx, n + m)
@@ -876,54 +882,34 @@ def sparse_lu(
         for j, v in enumerate(row):
             if v:
                 emb.set(j, n + i, ctx.conj(v))
-    ntd, apos, transcript = _factor_along(emb, td, tau, cutoff)
-    pos2orig = ntd.order.fwd
-
-    def is_row_vertex(p):
-        return pos2orig[p] >= n
-
-    pairs = []
+    ntd, transcript = _factor_along(emb, td, tau, cutoff)
+    is_row = [v >= n for v in ntd.order.fwd]  # by post-order position
     for tf in transcript.transforms:
         if isinstance(tf, VertexElim):
             raise InternalInvariantViolation("vertex elimination on a zero-diagonal embedding")
-        if isinstance(tf, EdgeElim):
-            if is_row_vertex(tf.pivots[0]) == is_row_vertex(tf.pivots[1]):
-                raise InternalInvariantViolation("elimination does not cross the bipartition")
-            pairs.append(tf)
-    r = len(pairs)
-    row_peels = sum(1 for p in transcript.peeled if is_row_vertex(p))
+        if isinstance(tf, EdgeElim) and is_row[tf.pivots[0]] == is_row[tf.pivots[1]]:
+            raise InternalInvariantViolation("elimination does not cross the bipartition")
+    r = len(transcript.dblocks)
+    row_peels = sum(1 for p in transcript.peeled if is_row[p])
     col_peels = transcript.peel_count - row_peels
     lures = None
     if _want_explicit(explicit, max(m, n) - r, ntd):
-        expl = explicit_ldl_from_transcript(transcript, apos)
-        vrow = {pid: t for t, pid in enumerate(expl.P.fwd)}
-        pfwd, qfwd, lcols, urows = [], [], [], []
-        for k, tf in enumerate(pairs):
-            p1, p2 = tf.pivots
-            blk = tf.block
-            if is_row_vertex(p1):
-                rowv, colv = p1, p2
-                rcol, ccol, factor = 2 * k, 2 * k + 1, blk.a21
-            else:
-                rowv, colv = p2, p1
-                rcol, ccol, factor = 2 * k + 1, 2 * k, blk.a12
-            pfwd.append(pos2orig[rowv] - n)
-            qfwd.append(pos2orig[colv])
-            lcols.append(rcol)
-            urows.append((ccol, factor))
-        for p in transcript.peeled:
-            if is_row_vertex(p):
-                pfwd.append(pos2orig[p] - n)
-            else:
-                qfwd.append(pos2orig[p])
-        lmat = expl.L.take_rows([vrow[ntd.order.inv[n + i]] for i in pfwd]).take_cols(lcols)
-        erows = [vrow[ntd.order.inv[c]] for c in qfwd]
+        res = labelled_ldl(explicit_ldl_from_transcript(transcript, emb), ntd.order)
+        lab, at = res.P.fwd, res.P.inv
+        lcols, ucols, factors = [], [], []
+        for k, blk in enumerate(res.D):
+            row_first = lab[2 * k] >= n
+            lcols.append(2 * k + (not row_first))
+            ucols.append(2 * k + row_first)
+            factors.append(blk.a21 if row_first else blk.a12)
+        rowv = [lab[c] for c in lcols] + [v for v in lab[2 * r :] if v >= n]
+        colv = [lab[c] for c in ucols] + [v for v in lab[2 * r :] if v < n]
+        lmat = res.L.take_rows([at[v] for v in rowv]).take_cols(lcols)
+        erows = [at[v] for v in colv]
         ulists = []
-        for ccol, factor in urows:
-            col = expl.L.column(ccol)
-            ulists.append(
-                [ctx.mul(factor, ctx.conj(col[e])) if col[e] else ctx.zero for e in erows]
-            )
+        for c, factor in zip(ucols, factors):
+            col = res.L.column(c)
+            ulists.append([ctx.mul(factor, ctx.conj(col[e])) if col[e] else ctx.zero for e in erows])
         umat = DenseMatrix.from_entries(ctx, ulists, n)
-        lures = LUResult(Permutation(pfwd), Permutation(qfwd), lmat, umat, r)
+        lures = LUResult(Permutation([v - n for v in rowv]), Permutation(colv), lmat, umat, r)
     return SparseLUOutcome(transcript, ntd.order, ntd, r, row_peels, col_peels, lures)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +18,7 @@ from exldl.cli import (
 from exldl import cli, oracle
 from exldl.dense import DenseMatrix
 from exldl.fields import EntryOutOfField, ParseError
-from exldl.sparse import Peel, SparseSym, sparse_ldl
+from exldl.sparse import Peel, SparseSym, sparse_ldl, transcript_ldl
 
 from conftest import GF7, QQ, rand_matrix, rand_symmetric
 
@@ -323,6 +325,92 @@ def test_sparse_ldl_checks_neither_densify_nor_rank(tmp_path, monkeypatch, spec)
         assert main(argv) == 2
     verify = json.loads(out.read_text())["report"]["verify"]
     assert not verify["ok"] and verify["first_violation"].startswith("reconstruction mismatch")
+
+
+def twinned(ctx, rng, n, twins):
+    """A random symmetric band (bandwidth 2) on n vertices, then `twins`
+    vertices, each a nonzero multiple c of a distinct band vertex u: row t
+    is c times row u, so each plants one unit of corank."""
+    def nonzero():
+        return ctx.one if ctx.kind == "gf2" else ctx.el(rng.choice([-3, -2, -1, 1, 2, 3]))
+
+    rows = [{} for _ in range(n + twins)]
+    for i in range(n):
+        for j in range(i, min(n, i + 3)):
+            if rng.random() < 0.7:
+                rows[i][j] = rows[j][i] = nonzero()
+    for t, u in zip(range(n, n + twins), rng.sample(range(n), twins)):
+        c = nonzero()
+        for w, x in list(rows[u].items()):
+            rows[t][w] = rows[w][t] = ctx.mul(c, x)
+            if w == u:
+                rows[t][t] = ctx.mul(c, ctx.mul(c, x))
+    return SparseSym.from_entries(ctx, n + twins, [
+        (i, j, v) for i, row in enumerate(rows) for j, v in row.items() if i <= j])
+
+
+def bump_peel(t):
+    """Add one to a peel coefficient; False when no peel has one."""
+    at = [k for k, tf in enumerate(t.transforms) if isinstance(tf, Peel) and tf.coeffs]
+    if not at:
+        return False
+    tf = t.transforms[at[0]]
+    (idx, val), *rest = tf.coeffs
+    t.transforms[at[0]] = Peel(tf.target, ((idx, t.ctx.add(val, t.ctx.one)), *rest))
+    return True
+
+
+def bump_elimination(t):
+    """Add one to an entry of an elimination's column, keeping its pivots
+    and D block; False when no column has one."""
+    for k, tf in enumerate(t.transforms):
+        field = next((f for f in ("col", "col1", "col2") if getattr(tf, f, None)), None)
+        if field:
+            (idx, val), *rest = getattr(tf, field)
+            t.transforms[k] = replace(tf, **{field: ((idx, t.ctx.add(val, t.ctx.one)), *rest)})
+            return True
+    return False
+
+
+@pytest.mark.parametrize("spec", ["gf2", "gfp:7", "rational"])
+def test_implicit_sparse_ldl_check_matches_the_relabelled_route(spec, monkeypatch):
+    """The CLI's implicit sparse-ldl check reads A in its own labels.  It
+    gives the report (ok, first violation and count) of the route it
+    replaced, which checks A relabelled to the post-order against the
+    transcript's LDL over positions, on transcripts with peels as the tree
+    engine gives them and with one changed peel coefficient or elimination
+    entry."""
+    ctx = parse_field(spec)
+    rng = random.Random(27)
+    check = cli._MODES["sparse-ldl"][3]
+    args = argparse.Namespace(td=None, greedy_td=True, strassen_cutoff=None)
+    tampered = []
+    for n, twins in ((12, 2), (30, 5), (45, 9), (60, 12)):
+        a = twinned(ctx, rng, n, twins)
+        for tamper in (None, bump_peel, bump_elimination):
+            outcome = []
+
+            def implicit(*fargs, **kwargs):
+                out = sparse_ldl(*fargs, **{**kwargs, "explicit": False})
+                outcome.append(tamper is None or tamper(out.transcript))
+                outcome.append(out)
+                return out
+
+            monkeypatch.setattr(cli, "sparse_ldl", implicit)
+            verify = cli._sparse_ldl(a, args, ctx, check)[3]
+            changed, out = outcome
+            assert out.explicit is None and out.peel_count >= twins
+            if not changed:
+                continue
+            got = verify()
+            want = oracle.oracle_verify_ldl(a.relabel(out.order), transcript_ldl(out.transcript))
+            assert got == want
+            assert got.ok == (tamper is None), (n, tamper and tamper.__name__)
+            if tamper:
+                tampered.append(tamper)
+                assert got.first_violation.startswith("reconstruction mismatch")
+                assert got.reconstruction_error_count > 0
+    assert set(tampered) == {bump_peel, bump_elimination}
 
 
 def test_reverify_rejects_an_implicit_sparse_lu_file(tmp_path):

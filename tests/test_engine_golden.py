@@ -454,6 +454,24 @@ def test_flat_bag_step_matches_the_matrix_steps(spec, monkeypatch):
     assert flat == matrix
 
 
+@pytest.mark.parametrize("spec", FIELDS)
+def test_transcript_lists_match_its_transforms(spec):
+    # `append` keeps pivot_order, dblocks and peeled; each equals the list
+    # rebuilt from the transforms, on the k-tree sweep and a sparse_lu
+    ctx = parse_field(spec)
+    ts = [sparse_ldl(a, td, explicit=False).transcript for a, td in ktree_sweep(ctx)]
+    ts.append(sparse_lu(dense(ctx, 14, 12, 4, band=2), explicit=False).transcript)
+    assert any(t.peeled for t in ts)
+    for t in ts:
+        elims = [tf for tf in t.transforms if not isinstance(tf, Peel)]
+        pivots = [p for tf in elims for p, _ in tf.columns()]
+        assert t.pivot_order == pivots
+        assert t.dblocks == [tf.block for tf in elims]
+        assert t.peeled == [tf.target for tf in t.transforms if isinstance(tf, Peel)]
+        assert t.rank == len(pivots) == factor.d_size(t.dblocks)
+        assert t.peel_count == len(t.peeled) == t.n - t.rank
+
+
 # -- the small dense kernels the bag step calls --------------------------------------
 #
 # Every input has at most 9 rows and columns, the sizes of the frontals and

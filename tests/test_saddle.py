@@ -11,11 +11,11 @@ from exldl.oracle import (
 )
 from exldl.saddle import (
     SaddleSystem,
-    _skeleton_columns,
     complete_saddle_ldl,
     gamma_eliminate_partial,
     residual_schur,
     schilders_partial_ldl,
+    skeleton_pair,
 )
 
 from conftest import GF2, GF7, QQ, rand_matrix, rand_symmetric
@@ -122,14 +122,25 @@ def test_residual_leakage_detected(rng):
             residual_schur(s, broken)
 
 
-def skeleton_columns(k, a11, b11, n_rows_a):
-    """`_skeleton_columns` on the skeleton k, whose rows are [pivot A row,
+def skeleton_columns(k, n_rows_a):
+    """`skeleton_pair` on the skeleton k, whose rows are [pivot A row,
     other A rows..., pivot B row, other B rows...], shifted to [pivot A,
-    pivot B, other A..., other B...]: (the columns as a matrix, D blocks)."""
+    pivot B, other A..., other B...] (so a11 is k's entry (0, 0) and b11
+    its entry (n_rows_a, 0)): (the columns as a matrix, with their unit
+    pivot entries, D blocks)."""
+    ctx = k.ctx
     shift = [0, n_rows_a] + list(range(1, n_rows_a)) + list(range(n_rows_a + 1, k.nrows))
     rows = k.take_rows(shift).to_lists()
-    c1, c2, blocks = _skeleton_columns(k.ctx, [r[0] for r in rows], [r[1] for r in rows], a11, b11)
-    return DenseMatrix.from_entries(k.ctx, list(zip(c1, c2)), 2), blocks
+    pivots, pair, blocks = skeleton_pair(
+        ctx, [r[0] for r in rows], [r[1] for r in rows], range(k.nrows))
+    assert pivots == (0, 1)
+    cols = DenseMatrix.zeros(ctx, k.nrows, 2)
+    for c, col in enumerate(pair):
+        cols.set(c, c, ctx.one)
+        for i, v in col:
+            assert i != c
+            cols.set(i, c, v)
+    return cols, blocks
 
 
 def test_skeleton_zero_b11_rejected():
@@ -137,13 +148,13 @@ def test_skeleton_zero_b11_rejected():
 
     k = DenseMatrix.from_rows(GF7, [[0, 1], [0, 0]])
     with pytest.raises(ZeroB11):
-        skeleton_columns(k, GF7.zero, GF7.zero, 1)
+        skeleton_columns(k, 1)
 
 
 def test_skeleton_case_zero_a11():
     # trivial skeleton: unit entries only
     k = DenseMatrix.from_rows(GF7, [[0, 1], [1, 0]])
-    cols, blocks = skeleton_columns(k, GF7.zero, GF7.one, 1)
+    cols, blocks = skeleton_columns(k, 1)
     assert cols == DenseMatrix.identity(GF7, 2)
     assert blocks[0].kind == "antidiag"
     assert (blocks[0].a12, blocks[0].a21) == (1, 1)
@@ -158,7 +169,7 @@ def test_skeleton_case_nonzero_a11_identity():
         ctx, [[a11, 1], [4, 6], [1, 2], [b11, 0], [5, 0], [3, 0]]
     )
     # fix layout: rows 0..2 on the A side, rows 3..5 constraints; pivot values match
-    cols, blocks = skeleton_columns(k, a11, b11, 3)
+    cols, blocks = skeleton_columns(k, 3)
     d2 = DenseMatrix.from_rows(ctx, [[0, 1], [1, ctx.neg(a11)]])
     want = matmul(matmul(k, d2), k.conj_transpose())
     shift = [0, 3, 1, 2, 4, 5]
