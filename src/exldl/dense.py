@@ -432,18 +432,16 @@ def _tri_solve_base(l: DenseMatrix, b: DenseMatrix, side: str, shape: str) -> De
         d = l.get(i, i)
         if ctx.is_zero(d):
             raise SingularDiagonal(i)
-        dinv.append(ctx.one if unit else ctx.inv(d))
+        dinv.append(ctx.one if unit else ctx._inverse(d))
     # l X = b is solved along each column of b and X l = b along each row:
     # unknown i is b's entry minus coef[i][t] times each solved unknown t it
-    # couples to, times dinv[i].  That is one add and one mul per coupling
-    # and right-hand side.
+    # couples to, times dinv[i]; `count_solve` meters it.
     forward = _is_lower(shape) == (side == LEFT)
     order = range(n) if forward else range(n - 1, -1, -1)
     nv = b.ncols if side == LEFT else b.nrows
     out = b.copy()
-    if nv:
-        nnz = l._substitute(out, side == LEFT, forward, order, None if unit else dinv)
-        ctx.count_ops(add=nnz * nv, mul=(nnz if unit else nnz + n) * nv)
+    nnz = l._substitute(out, side == LEFT, forward, order, None if unit else dinv) if nv else 0
+    ctx.count_solve(nnz, n, nv, unit)
     return out
 
 

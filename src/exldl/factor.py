@@ -217,9 +217,12 @@ def edge_eliminate(a: DenseMatrix, i: int, j: int) -> EdgeElimination:
     `_FlatLDL.step` takes it: a genuinely antidiagonal step needs both
     diagonal entries zero; otherwise the pair is the equivalent two vertex
     eliminations, the nonzero diagonal first, so antidiagonal D blocks
-    only arise from zero-diagonal pivots.
+    only arise from zero-diagonal pivots.  A repeated index, i == j,
+    raises ValueError.
     """
     _check_ldl_input(a, (i, j))
+    if i == j:
+        raise ValueError(f"edge elimination needs two indices, got {i} twice")
     return EdgeElimination(*_step_all(a, (i, j)))
 
 
@@ -354,7 +357,6 @@ def _charge_row_splitting(ctx: FieldContext, m: int, n: int, pivots, upper, lowe
     prefix = [0]
     for i in range(m):
         prefix.append(prefix[-1] + (i in pivots))
-    add = mul = inv = 0
     stack = [(0, m)]
     while stack:
         lo, hi = stack.pop()
@@ -367,14 +369,11 @@ def _charge_row_splitting(ctx: FieldContext, m: int, n: int, pivots, upper, lowe
         k = n - o - r1
         band = ((1 << r1) - 1) << o
         nnz = sum(((upper[t] & band) >> (t + 1)).bit_count() for t in range(o, o + r1))
-        inv += r1
-        add += nnz * nb
-        mul += (nnz + r1) * nb
+        ctx.count_solve(nnz, r1, nb, unit=False)
         if r1 and k:
             used = sum((lower[i] & band).bit_count() for i in range(mid, hi))
             ctx.count_product(nb, r1, k, used)
-        add += nb * ctx.row_ops(k)
-    ctx.count_ops(add=add, mul=mul, inv=inv)
+        ctx.count_ops(add=nb * ctx.row_ops(k))
 
 
 # -- fast LDL ------------------------------------------------------------------
@@ -626,12 +625,12 @@ class _FlatLDL:
     def charge_solve(self, k0: int, pivots, nv: int):
         """A base-case `tri_solve` with the unit lower L of these pivots
         (columns k0 on), then `d_solve_left` with their D blocks, on nv
-        right-hand sides: one add and one mul per coupling and right-hand
-        side, one inversion per pivot and one scaling per entry."""
+        right-hand sides: `count_solve`, then one inversion per pivot and
+        one scaling per entry."""
         ctx = self.ctx
         r = len(pivots)
-        couplings = self.nnz(k0, r, pivots) - r
-        ctx.count_ops(add=couplings * nv, mul=couplings * nv + ctx.scale_ops(r * nv), inv=r)
+        ctx.count_solve(self.nnz(k0, r, pivots) - r, r, nv)
+        ctx.count_ops(mul=ctx.scale_ops(r * nv), inv=r)
 
     def charge_product(self, k0: int, r: int, rows, n: int, scaled: bool = True):
         """A classical product of L[rows, k0:k0 + r], times its D blocks

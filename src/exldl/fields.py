@@ -14,8 +14,8 @@ field.  Conjugation is the identity on all three shipped fields but is
 kept as an explicit operation so that conjugate-symmetric formulas are
 written once.
 
-Counting conventions (`count_product`, `row_ops` and `scale_ops` give the
-kernels'):
+Counting conventions (`count_product`, `count_solve`, `row_ops` and `scale_ops`
+give the kernels'):
   * sub and neg count as one add, div as one mul plus one inv.
   * Matrix kernels meter semantically: a classical (m, k, n) product
     counts m*k*n muls and m*n*(k-1) adds no matter how it is computed.
@@ -257,6 +257,14 @@ class FieldContext:
     def scale_ops(self, entries: int) -> int:
         """Muls metered for scaling `entries` matrix entries."""
         return entries
+
+    def count_solve(self, couplings: int, n: int, nv: int, unit: bool = True):
+        """Charge a base-case triangular solve of n unknowns with these
+        off-diagonal couplings on nv right-hand sides: one add and one mul
+        per coupling and right-hand side and, off a unit diagonal, n
+        inversions and one mul per unknown and right-hand side."""
+        d = 0 if unit else n
+        self.count_ops(add=couplings * nv, mul=(couplings + d) * nv, inv=d)
 
     # -- elements -------------------------------------------------------
 

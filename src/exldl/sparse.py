@@ -135,13 +135,6 @@ class SparseSym:
                 if j != i:
                     yield (i, j)
 
-    def nnz(self) -> int:
-        total = 0
-        for i in range(self.n):
-            for j in self.rows[i]:
-                total += 1 if j == i else 2
-        return total
-
     def densify(self) -> DenseMatrix:
         out = DenseMatrix.zeros(self.ctx, self.n, self.n)
         for i in range(self.n):
@@ -364,7 +357,7 @@ def _charge_recovery(t: Transcript, l: DenseMatrix):
     for lo, hi in todo:  # the solve's halving of r down to _TRI_BASE; todo grows as it is read
         if hi - lo <= _TRI_BASE:
             nz = sum(1 for row in l.block(lo, hi, lo, hi).to_lists() for v in row if v) - hi + lo
-            ctx.count_ops(add=corank * nz, mul=corank * nz)
+            ctx.count_solve(nz, hi - lo, corank)
         else:
             mid = lo + (hi - lo) // 2
             ctx.count_product(corank, mid - lo, hi - mid, sum(nnz[lo:mid]))
@@ -437,7 +430,8 @@ def _peel_dependent(transcript: Transcript, w, m: int, ids, cutoff: int):
     if r < n:
         if ctx.counter is not None and r:
             nnz = sum(1 for t in range(r) for c in q[t + 1 : r] if w.nonzero(order[t], c))
-            ctx.count_ops(add=nnz * (n - r), mul=(nnz + r) * (n - r), inv=r * (n - r))
+            for _ in q[r:]:
+                ctx.count_solve(nnz, r, 1, unit=False)
         for t in range(r - 1, 0, -1):
             w.pivot(order[t], q[t], order[:t])
         dinv = [(ids[q[t]], i, ctx._inverse(w.get(i, q[t]))) for t, i in enumerate(order[:r])]
@@ -621,17 +615,15 @@ def _charge_complementation(ctx: FieldContext, n: int, lmasks, a11s, ynnz):
     r = len(a11s)
     l1 = sum(m.bit_count() for m in lmasks[:r])
     l2 = sum(m.bit_count() for m in lmasks[r:])
-    couplings = l1 - r
     dbits = sum(1 << t for t, a in enumerate(a11s) if a)
     ctx.count_product(r, r, r, l1)
     ctx.count_product(n - r, r, r, l2)
     ctx.count_product(n, r, n, sum(ynnz) + dbits.bit_count())
     ctx.count_product(n, r, n, l1 + l2)
     ctx.count_product(n, r, n, sum((m & dbits).bit_count() for m in lmasks))
-    ctx.count_ops(
-        add=couplings * (n + r) + 5 * r + n * ctx.row_ops(r) + 3 * n * ctx.row_ops(n),
-        mul=couplings * (n + r) + ctx.scale_ops(r * r + r * n),
-    )
+    ctx.count_solve(l1 - r, r, n + r)  # the three solves, on n + r right-hand sides
+    ctx.count_ops(add=5 * r + n * ctx.row_ops(r) + 3 * n * ctx.row_ops(n),
+                  mul=ctx.scale_ops(r * r + r * n))
 
 
 def _matrix_steps(transcript, s, ids, unpiv, beta, cutoff, dims):

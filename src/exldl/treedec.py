@@ -225,9 +225,7 @@ def _merge_bags(td: TreeDecomposition, tau: int):
     for u in order:
         if not alive[u] or parent[u] < 0:
             continue
-        p = parent[u]
-        while not alive[p]:
-            p = parent[p]
+        p = parent[u]  # alive: absorb re-parents a dead bag's children
         if len(rho[u]) + len(rho[p]) < tau and len(bags[u] | bags[p]) <= 3 * tau:
             absorb(p, u)
 

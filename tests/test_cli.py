@@ -617,3 +617,102 @@ def test_reverify_rejects_tampered_factors(tmp_path, mode):
         payload["report"]["rank"] = 99
         bad.write_text(json.dumps(payload))
         assert not reverify_json(bad), (spec, "rank 99")
+
+
+HEAD = "%%MatrixMarket matrix coordinate integer"
+SYM_A = ["3 3 3", "1 1 1", "2 1 2", "3 3 1"]
+
+
+@pytest.mark.parametrize(
+    "mode, lines, extra, message",
+    [
+        ("dense-lu", [], [], "empty file"),
+        ("dense-lu", [f"{HEAD} hermitian", "1 1 1", "1 1 1"], [], "line 1: unsupported symmetry 'hermitian'"),
+        ("dense-lu", [f"{HEAD} general", "2 2"], [], "line 2: expected 'rows cols nnz'"),
+        ("dense-lu", [f"{HEAD} general", "2 2 1", "1 1"], [], "line 3: expected 3 tokens"),
+        ("dense-lu", [f"{HEAD} general", "2 2 1", "1 x 1"], [], "line 3: bad indices"),
+        ("dense-lu", [f"{HEAD} general", "2 2 1", "3 1 1"], [], "line 3: index out of range"),
+        # EntryOutOfField is a ValueError, so the value parser words it
+        ("dense-lu", [f"{HEAD} general", "1 1 1", "1 1 1/2"], [], "line 3: bad value '1/2'"),
+        ("dense-lu", [f"{HEAD} general", "% no size line"], [], "missing size line"),
+        ("sparse-ldl", [f"{HEAD} general", "2 3 0"], ["--greedy-td"], "symmetric input must be square"),
+        ("dense-ldl", [f"{HEAD} general", "2 2 1", "1 2 1"], [], "dense-ldl needs a symmetric matrix"),
+        ("saddle", [f"{HEAD} general", "5 3 0"], ["--saddle-split", "2"],
+         "--saddle-split does not match the matrix shape"),
+        ("saddle", [f"{HEAD} general", "5 3 0"], ["--saddle-split", "6"],
+         "--saddle-split does not match the matrix shape"),
+        ("saddle", [f"{HEAD} general", "3 3 0"], [], "saddle mode needs --matrix-b or --saddle-split"),
+        ("saddle", [f"{HEAD} general", "5 3 1", "1 2 1"], ["--saddle-split", "3"],
+         "saddle mode needs a symmetric A block"),
+    ],
+)
+def test_cmd_input_errors_name_their_cause(tmp_path, capsys, mode, lines, extra, message):
+    p = tmp_path / "m.mtx"
+    p.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out.json"
+    argv = ["--field", "gfp:7", "--mode", mode, "--matrix", str(p), *extra, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert err.rstrip().endswith(message), err
+    assert not out.exists()
+
+
+def test_cmd_accepts_a_symmetric_general_file_in_sparse_ldl(tmp_path):
+    p = tmp_path / "m.mtx"
+    write_mm(p, [f"{HEAD} general", "3 3 5", "1 1 1", "2 1 2", "1 2 2", "2 3 3", "3 2 3"])
+    out = tmp_path / "out.json"
+    argv = ["--field", "gfp:7", "--mode", "sparse-ldl", "--matrix", str(p), "--greedy-td", "--verify"]
+    assert main(argv + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["report"]["verify"] == {"ok": True} and payload["report"]["rank"] == 3
+    assert reverify_json(out)
+
+
+def test_cmd_prints_the_report_without_out(tmp_path, capsys):
+    p = star_mtx(tmp_path)
+    assert main(["--field", "gf2", "--mode", "dense-ldl", "--matrix", str(p), "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mode"] == "dense-ldl" and report["field"] == "gf2"
+    assert report["rank"] == 2 and report["verify"] == {"ok": True}
+
+
+@pytest.mark.parametrize("spec", ["gf2", "gfp:7", "rational"])
+def test_reverify_an_implicit_sparse_ldl_file_with_vertex_eliminations(tmp_path, spec):
+    """A 30-vertex star whose centre has a nonzero diagonal: its pairs
+    split into vertex eliminations, and 28 peels leave it implicit."""
+    ctx = parse_field(spec)
+    star = DenseMatrix.zeros(ctx, 30, 30)
+    star.set(0, 0, ctx.one)
+    for v in range(1, 30):
+        star.set(0, v, ctx.one)
+        star.set(v, 0, ctx.one)
+    write_matrix_market(tmp_path / "star.mtx", star, symmetric=True)
+    out = tmp_path / "out.json"
+    argv = ["--field", spec, "--mode", "sparse-ldl", "--matrix", str(tmp_path / "star.mtx"),
+            "--greedy-td", "--verify", "--out", str(out)]
+    with pytest.warns(UserWarning, match="returning the implicit transcript only"):
+        assert main(argv) == 0
+    factors = json.loads(out.read_text())["factors"]
+    assert "L" not in factors
+    assert "vertex_elim" in {tf["kind"] for tf in factors["transcript"]}
+    assert reverify_json(out)
+
+
+def test_reverify_rejects_an_unknown_mode_or_transform_kind(tmp_path):
+    p = star_mtx(tmp_path, n=30)
+    out = tmp_path / "out.json"
+    with pytest.warns(UserWarning, match="returning the implicit transcript only"):
+        assert main(["--field", "gf2", "--mode", "sparse-ldl", "--matrix", str(p),
+                     "--greedy-td", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload["factors"]["transcript"][0]["kind"] = "swap"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert reverify_json(bad) is False
+    with pytest.raises(ParseError, match="unknown transform kind 'swap'"):
+        cli._transform_from_json(GF7, {"kind": "swap"})
+    payload["report"]["mode"] = "qr"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="unknown mode 'qr' in"):
+        reverify_json(bad)

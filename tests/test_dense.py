@@ -17,9 +17,11 @@ from exldl.dense import (
     DenseMatrix,
     Permutation,
     compose,
+    hstack,
     matmul,
     permute,
     tri_solve,
+    vstack,
 )
 from exldl.factor import fast_ldl, fast_lu
 from exldl.fields import DimensionMismatch, FieldContext, SingularDiagonal, packed_ops
@@ -64,6 +66,29 @@ def test_matmul_associative(ctx, rng):
 def test_matmul_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         matmul(DenseMatrix.zeros(GF7, 2, 3), DenseMatrix.zeros(GF7, 2, 3))
+
+
+def test_kernels_reject_operands_that_do_not_fit(ctx):
+    a, b = DenseMatrix.zeros(ctx, 2, 3), DenseMatrix.zeros(ctx, 3, 2)
+    other = DenseMatrix.zeros(FieldContext.gfp(5), 2, 3)
+    square = DenseMatrix.identity(ctx, 2)
+    for call, msg in (
+        (lambda: compose(Permutation(range(2)), Permutation(range(3))), "permutation sizes differ"),
+        (lambda: DenseMatrix.from_rows(ctx, [[1, 0], [1]]), "ragged rows"),
+        (lambda: a.add(b), re.escape("shape (2, 3) vs (3, 2)")),
+        (lambda: a.sub(other), "mixed field contexts"),
+        (lambda: hstack([a, b]), "hstack row mismatch"),
+        (lambda: vstack([a, b]), "vstack column mismatch"),
+        (lambda: permute(a, Permutation(range(3)), Permutation(range(3))),
+         "permutation sizes do not match matrix"),
+        (lambda: matmul(a, other.conj_transpose()), "mixed field contexts"),
+        (lambda: matmul(a, a), "inner dims 3 vs 2"),
+        (lambda: tri_solve(a, b, LEFT, LOWER), "triangular solve needs a square matrix"),
+        (lambda: tri_solve(square, b, LEFT, LOWER), "rhs rows do not match"),
+        (lambda: tri_solve(square, a, RIGHT, LOWER), "rhs cols do not match"),
+    ):
+        with pytest.raises(DimensionMismatch, match=msg):
+            call()
 
 
 def test_empty_dims(ctx):
@@ -316,6 +341,18 @@ def test_tri_solve_base_op_counts(kctx, side, shape):
         "inv": 0 if unit else n,
     }
 
+
+
+@pytest.mark.parametrize("shape", [LOWER, LOWER_UNIT])
+def test_tri_solve_base_charges_inversions_without_right_hand_sides(ctx, shape):
+    l = DenseMatrix.from_rows(ctx, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    ctx.enable_counter()
+    try:
+        tri_solve(l, DenseMatrix.zeros(ctx, 3, 0), LEFT, shape)
+        counts = ctx.counter.snapshot()
+    finally:
+        ctx.disable_counter()
+    assert counts == {"add": 0, "mul": 0, "inv": 3 if shape == LOWER else 0}
 
 # -- GF(2) column gathers and transposes against per-bit references ----------
 

@@ -19,8 +19,9 @@ and `schilders_partial_ldl` -> `residual_schur` -> `pair_columns` on
 inputs of at most 9 rows, and check that they reach the branches named in
 `test_kernel_golden`.  The elimination cases run `vertex_eliminate` at
 every index and `edge_eliminate` at every ordered pair of those inputs,
-and check that they raise `ZeroPivot` and `SingularPivot` and eliminate
-both a normalised and an antidiagonal pair.  The gamma cases run
+and check that they raise `ZeroPivot`, `SingularPivot` and (on a repeated
+index) `ValueError` and eliminate both a normalised and an antidiagonal
+pair.  The gamma cases run
 `gamma_eliminate_partial` on saddle systems on both sides of the
 crossover.  The large kernel cases run `fast_ldl`, `fast_lu`,
 `tri_solve` and `schilders_partial_ldl` -> `complete_saddle_ldl` at
@@ -733,8 +734,8 @@ def test_kernel_golden(spec, cutoff):
 # -- the symmetric elimination steps -------------------------------------------------
 #
 # `vertex_eliminate(a, i)` at every i and `edge_eliminate(a, i, j)` at every
-# ordered pair (i = j included) of each `ldl_inputs` matrix: the result, or
-# the error raised, with each call's op counts.
+# ordered pair (i = j included, which raises ValueError) of each `ldl_inputs`
+# matrix: the result, or the error raised, with each call's op counts.
 
 
 def typed(ctx, v):
@@ -758,7 +759,7 @@ def eliminations(ctx, reached):
                 counter.reset()
                 try:
                     res = step(a, *args)
-                except (ZeroPivot, SingularPivot) as exc:
+                except (ZeroPivot, SingularPivot, ValueError) as exc:
                     reached.add(type(exc).__name__)
                     got = (type(exc).__name__, str(exc))
                 else:
@@ -779,19 +780,19 @@ def eliminations(ctx, reached):
 ELIMINATION_GOLDEN = {
     "gf2": {
         "vertex": "cc0c7eff2cebc0846fcaa4b9cb4a59670b0b450d62154fc703d48db53cf8446a",
-        "edge": "2db074bd1ff79cb5f570fbfdd5da926fcbe21cdd8e0464525d494509dae3ac1a",
+        "edge": "852f8f814f0bb49c94931bab00c267ee8a4d13732cb0dfa758d5eb308603e65f",
     },
     "gfp:7": {
         "vertex": "f2365b7441f3e60c370b1cc062fb63c808b81ba305b83356252eb171f9af078a",
-        "edge": "3dda53c6661d1060354c8af5d3c8348a1515a89adea24aebd033bc296a87fa50",
+        "edge": "1c835bc4dcddddcd62ee0df354268593cb8b58fad848c076e1471055aa00f16f",
     },
     "gfp:2147483647": {
         "vertex": "ec896c3dbcf4417ca962ceb8a6dcbddef05d1d2ad0b4816f0b4f3b59739ec239",
-        "edge": "fd86b477429eaac9d0fb3a727f75e27c9bc02e5001bbafd451ec5bf25b386c61",
+        "edge": "b2a0889e3c0e14c1bb6bd6056f01f9feaac86a3cbe1a56ac9fa1f03b42e942fc",
     },
     "rational": {
         "vertex": "4caf88267c54726350757c04acbef91c5e2033429ee2b9690ae7782224fd70aa",
-        "edge": "c1983cb2070d2a0769db35298aa7b0cdfe165d3c1b443a682778fd525a490ba9",
+        "edge": "4b3ecaca1bb5ade87557b39ac06a0504af63fb49a961d30c0daa5923f4672791",
     },
 }
 
@@ -806,7 +807,8 @@ def test_elimination_golden(spec):
                for name, out in eliminations(ctx, reached)}
     finally:
         ctx.disable_counter()
-    assert reached == {"ZeroPivot", "SingularPivot", "normalised-pair", "antidiag-pair"}
+    assert reached == {"ZeroPivot", "SingularPivot", "ValueError", "normalised-pair",
+                       "antidiag-pair"}
     assert got == ELIMINATION_GOLDEN[spec]
 
 

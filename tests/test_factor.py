@@ -451,6 +451,15 @@ def test_eliminations_reject_a_pivot_outside_the_matrix(ctx):
             call()
 
 
+@pytest.mark.parametrize("ctx", LU_FIELDS, ids=["gf2", "gf7", "gf1009", "gf2^31-1", "rational"])
+def test_edge_eliminate_rejects_a_repeated_index(ctx):
+    # Index 1 has a zero diagonal, 0 and 2 a nonzero one.
+    a = DenseMatrix.from_rows(ctx, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    for i in range(3):
+        with pytest.raises(ValueError, match=rf"edge elimination needs two indices, got {i} twice"):
+            edge_eliminate(a, i, i)
+
+
 @pytest.mark.parametrize("name", sorted(CUTOFF_CALLS))
 def test_cutoff_below_one_is_rejected(name):
     call = CUTOFF_CALLS[name]

@@ -9,6 +9,7 @@ from exldl.fields import (
     GF2 as GF2_KIND,
     CounterDisabled,
     DivisionByZero,
+    EntryOutOfField,
     FieldContext,
     op_count_snapshot,
     packed_ops,
@@ -68,6 +69,20 @@ def test_gfp_rejects_composites():
     with pytest.raises(ValueError):
         FieldContext.gfp(1 << 32)
     FieldContext.gfp(2147483647)  # Mersenne prime below 2**31
+
+
+def test_context_rejects_bad_kinds_moduli_and_elements():
+    with pytest.raises(ValueError, match="unknown field kind 'gf4'"):
+        FieldContext("gf4")
+    with pytest.raises(ValueError, match="modulus only applies to GF"):
+        FieldContext(GF2_KIND, 2)
+    # 121 = 11^2 has no factor among the small primes the test divides by first
+    with pytest.raises(ValueError, match="GF.p. modulus 121 is not prime"):
+        FieldContext.gfp(121)
+    for ctx in (gf2, gf7):
+        with pytest.raises(EntryOutOfField, match="1/2 is not an element"):
+            ctx.el(Fraction(1, 2))
+    assert gf7.el(Fraction(9, 1)) == 2
 
 
 def test_inversion_of_zero():

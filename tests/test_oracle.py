@@ -643,6 +643,91 @@ def test_partial_verifier_reports_the_first_leak_and_the_constraint_mismatches(c
     assert seen["B"] == {"constraint block mismatch"}
 
 
+# -- the structure rejections ------------------------------------------------------------
+#
+# One mutation of a valid factorization per structure check, each asserting
+# the check's own message.  Three messages cannot fire: the conjugate
+# symmetry of a scalar D block (`_check_d_blocks`) and of a partial D
+# entry, as conjugation is the identity on every shipped field, and "L
+# column k is zero" of the LU staircase, as the unit lower trapezoid check
+# before it puts a one in every column.
+
+
+def with_entries(m, *entries):
+    out = m.copy()
+    for i, j, v in entries:
+        out.set(i, j, v)
+    return out
+
+
+def first_violation(verify, *args, **kwargs):
+    rep = verify(*args, **kwargs)
+    assert not rep.ok and rep.reconstruction_error_count == 0
+    return rep.first_violation
+
+
+def test_verify_ldl_rejects_each_broken_structure(ctx):
+    one = ctx.one
+    a = DenseMatrix.identity(ctx, 3)
+    good = LDLResult(Permutation(range(3)), a.copy(), [DBlock.scalar(one)] * 3, 3)
+    assert oracle_verify_ldl(a, good).ok
+    for change, msg in (
+        ({"L": DenseMatrix.zeros(ctx, 3, 2)}, "L has shape (3, 2), expected (3, 3)"),
+        ({"P": Permutation(range(2))}, "P has wrong size"),
+        ({"D": [DBlock.scalar(one), DBlock("block", d=one)]}, "unknown D block kind 'block' at 1"),
+    ):
+        assert first_violation(oracle_verify_ldl, a, dataclasses.replace(good, **change)) == msg
+
+
+def test_verify_lu_rejects_each_broken_structure(ctx):
+    one, zero = ctx.one, ctx.zero
+    a, eye = DenseMatrix.identity(ctx, 2), DenseMatrix.identity(ctx, 2)
+    good = LUResult(Permutation(range(2)), Permutation(range(2)), eye, eye, 2)
+    assert oracle_verify_lu(a, good).ok
+    for change, msg in (
+        ({"U": DenseMatrix.zeros(ctx, 2, 3)}, "factor shapes do not match"),
+        ({"U": with_entries(eye, (0, 0, zero))}, "U diagonal entry 0 is zero"),
+        ({"U": with_entries(eye, (1, 0, one))}, "U[1][0] below the diagonal is nonzero"),
+    ):
+        assert first_violation(oracle_verify_lu, a, dataclasses.replace(good, **change)) == msg
+    # Valid but for the structural checks: pivot rows 1, 0 ...
+    swapped = LUResult(Permutation([1, 0]), Permutation([1, 0]), eye, eye, 2)
+    assert oracle_verify_lu(a, swapped, structural=False).ok
+    assert first_violation(oracle_verify_lu, a, swapped) == (
+        "pivot rows are not in original relative order"
+    )
+    # ... and pivot rows 1, 2 whose L, in original row order, has its
+    # column 1 start on row 0, above column 0's start on row 1.
+    a = DenseMatrix.from_rows(ctx, [[0, 1], [1, 0], [0, 1]])
+    stair = LUResult(Permutation([1, 2, 0]), Permutation(range(2)),
+                     DenseMatrix.from_rows(ctx, [[1, 0], [0, 1], [0, 1]]), eye, 2)
+    assert oracle_verify_lu(a, stair, structural=False).ok
+    assert first_violation(oracle_verify_lu, a, stair) == (
+        "echelon staircase violated: column supports do not shrink"
+    )
+
+
+def test_verify_partial_ldl_rejects_each_broken_structure(ctx):
+    # A = B = I_2 with L = U = I, Y = 0 and D = -1: V = -I and A - 2V - D = 0.
+    one, zero, minus = ctx.one, ctx.zero, ctx.neg(ctx.one)
+    eye, y = DenseMatrix.identity(ctx, 2), DenseMatrix.zeros(ctx, 2, 2)
+    system = SaddleSystem(eye, eye)
+    good = PartialLDL(Permutation(range(2)), Permutation(range(2)), y, eye, eye, [minus] * 2, 2)
+    assert oracle_verify_partial_ldl(system, good).ok
+    for change, msg in (
+        ({"Y": DenseMatrix.zeros(ctx, 2, 1)}, "partial LDL factor shapes do not match"),
+        ({"D": [minus]}, "partial LDL D has wrong length"),
+        ({"L": with_entries(eye, (0, 1, one))}, "L[0][1] above the diagonal is nonzero"),
+        ({"L": with_entries(eye, (1, 1, zero))}, "L diagonal entry 1 is not one"),
+        ({"Y": with_entries(y, (0, 0, one))}, "Y diagonal entry 0 is nonzero"),
+        ({"Y": with_entries(y, (0, 1, one))}, "Y[0][1] above the diagonal is nonzero"),
+        ({"U": with_entries(eye, (1, 1, zero))}, "U diagonal entry 1 is zero"),
+        ({"U": with_entries(eye, (1, 0, one))}, "U[1][0] below the diagonal is nonzero"),
+    ):
+        got = first_violation(oracle_verify_partial_ldl, system, dataclasses.replace(good, **change))
+        assert got == msg
+
+
 # -- inertia -------------------------------------------------------------------------
 
 

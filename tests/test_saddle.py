@@ -4,6 +4,7 @@ import pytest
 
 from exldl.dense import DenseMatrix, matmul
 from exldl.factor import d_dense, inertia_from_D
+from exldl.fields import DimensionMismatch, FieldContext
 from exldl.oracle import (
     oracle_rank,
     oracle_verify_ldl,
@@ -105,6 +106,16 @@ def test_saddle_system_rejects_an_a_block_that_is_not_h_symmetric(ctx):
         SaddleSystem(a, b)
     a.set(1, 0, a.get(0, 1))
     assert SaddleSystem(a, b).n == 3
+
+
+def test_saddle_system_rejects_blocks_that_do_not_fit(ctx):
+    a = DenseMatrix.identity(ctx, 3)
+    with pytest.raises(DimensionMismatch, match="A block must be square"):
+        SaddleSystem(DenseMatrix.zeros(ctx, 3, 2), DenseMatrix.zeros(ctx, 1, 2))
+    with pytest.raises(DimensionMismatch, match="B block must have as many columns as A"):
+        SaddleSystem(a, DenseMatrix.zeros(ctx, 1, 2))
+    with pytest.raises(DimensionMismatch, match="mixed field contexts"):
+        SaddleSystem(a, DenseMatrix.zeros(FieldContext.gfp(5), 1, 3))
 
 
 def test_residual_leakage_detected(rng):

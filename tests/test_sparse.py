@@ -189,6 +189,18 @@ def test_identity_matrix_transcript(ctx):
     assert apply_transcript(out.transcript, x, LH_TIMES) == x
 
 
+def test_apply_transcript_rejects_a_wrong_row_count_or_mode(ctx, rng):
+    a, td = grid_strip(ctx, 2, 4, rng)
+    t = sparse_ldl(a, td).transcript
+    for mode, rows, msg in ((L_TIMES, t.rank + 1, "input rows must match the rank"),
+                            (LH_TIMES, a.n - 1, "input rows must match the dimension"),
+                            (SOLVE_L, a.n + 1, "input rows must match the dimension")):
+        with pytest.raises(ValueError, match=msg):
+            apply_transcript(t, DenseMatrix.zeros(ctx, rows, 2), mode)
+    with pytest.raises(ValueError, match="unknown mode 'L_solve'"):
+        apply_transcript(t, DenseMatrix.zeros(ctx, a.n, 2), "L_solve")
+
+
 def test_apply_round_trip_expands_matrix(ctx, rng):
     a, td = grid_strip(ctx, 2, 6, rng)
     out = sparse_ldl(a, td, explicit=True)

@@ -346,6 +346,31 @@ def test_read_td_errors(tmp_path):
         read_td(p)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("s tree 2 2 3\n", "line 1: bad header"),
+        ("s td 2 2\n", "line 1: bad header"),
+        ("s td two 2 3\n", "line 1: bad header numbers"),
+        ("s td 2 2 3\nb 3 1 2\n", "line 2: bag id 3 out of range"),
+        ("s td 2 2 3\nb 0 1 2\n", "line 2: bag id 0 out of range"),
+        ("c comment\n1 2\ns td 2 2 3\n", "line 2: edge before header"),
+        ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1\n", "line 4: bad edge line"),
+        ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 x\n", "line 4: bad edge line"),
+        ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 3\n", "line 4: edge id out of range"),
+        ("c only a comment\n", "missing 's td' header"),
+        ("s td 3 2 3\nb 1 1 2\nb 2 2 3\nb 3 3\n1 2\n", "expected 2 tree edges, found 1"),
+        ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n2 1\n", "expected 1 tree edges, found 2"),
+    ],
+)
+def test_read_td_names_each_malformed_line(tmp_path, text, message):
+    p = tmp_path / "bad.td"
+    p.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        read_td(p)
+    assert str(exc.value) == message
+
+
 def test_greedy_td_path():
     n = 12
     td = greedy_td(n, path_pattern(n))
