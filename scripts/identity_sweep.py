@@ -123,7 +123,7 @@ def symmetric(ctx, rng, n, density=1.0, diagonal=True, band=None):
         for j in range(i if diagonal else i + 1, min(n, i + band + 1) if band else n):
             if rng.random() < density:
                 v = element(ctx, rng)
-                out[i][j], out[j][i] = v, ctx.conj(v)
+                out[i][j] = out[j][i] = v
     return out
 
 
@@ -132,7 +132,7 @@ def planted(ctx, rng, n, k):
     if not k:
         return rows(ctx, rng, n, n, 0)
     g = rows(ctx, rng, n, k)
-    gh = [[ctx.conj(v) for v in col] for col in zip(*g)]
+    gh = [list(col) for col in zip(*g)]
     return product(ctx, product(ctx, g, symmetric(ctx, rng, k)), gh)
 
 

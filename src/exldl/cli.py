@@ -134,15 +134,10 @@ def read_matrix_market(path, ctx: FieldContext):
             val = ctx.one
         else:
             tok = parts[2]
+            if "/" in tok and ctx.mm_field != "rational":
+                raise EntryOutOfField(f"{path}: line {lineno}: rational entry under {ctx.spec}")
             try:
-                if "/" in tok:
-                    if ctx.mm_field != "rational":
-                        raise EntryOutOfField(
-                            f"{path}: line {lineno}: rational entry under {ctx.spec}"
-                        )
-                    val = ctx.el(tok)
-                else:
-                    val = ctx.el(int(tok))
+                val = ctx.el(tok if "/" in tok else int(tok))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"{path}: line {lineno}: bad value {tok!r}") from None
         entries.append((i, j, val))
@@ -161,7 +156,7 @@ def mm_to_dense(path, ctx: FieldContext) -> DenseMatrix:
     for i, j, v in entries:
         out.set(i, j, v)
         if symmetric and i != j:
-            out.set(j, i, ctx.conj(v))
+            out.set(j, i, v)
     return out
 
 
@@ -172,7 +167,7 @@ def mm_to_sparse_sym(path, ctx: FieldContext) -> SparseSym:
     out = SparseSym(ctx, rows)
     if not symmetric:
         given = {(i, j): v for i, j, v in entries}  # a missing mirror reads as zero
-        if any(given.get((j, i), ctx.zero) != ctx.conj(v) for i, j, v in entries):
+        if any(given.get((j, i), ctx.zero) != v for i, j, v in entries):
             raise ParseError(f"{path}: matrix is not symmetric")
         entries = [e for e in entries if e[0] <= e[1]]
     for i, j, v in entries:

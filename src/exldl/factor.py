@@ -60,7 +60,7 @@ ANTIDIAG = "antidiag"
 
 @dataclass(frozen=True)
 class DBlock:
-    """1x1 block Scalar(d) or 2x2 antidiagonal block with a21 = conj(a12)."""
+    """1x1 block Scalar(d) or 2x2 antidiagonal block with a21 = a12."""
 
     kind: str
     d: object = None
@@ -137,7 +137,7 @@ def d_solve_left(blocks, m: DenseMatrix) -> DenseMatrix:
 
 
 def d_mul_right(m: DenseMatrix, blocks) -> DenseMatrix:
-    # m @ D = (D^H m^H)^H and D^H = D for legal blocks.
+    # m @ D = (D^T m^T)^T and D^T = D, as a21 = a12.
     return d_mul_left(blocks, m.conj_transpose()).conj_transpose()
 
 

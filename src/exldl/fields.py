@@ -10,9 +10,8 @@ Each field is one `FieldContext` subclass here (`GF2Field`, `GFpField`,
 operation, so an optional `OpCounter` can meter the exact number of
 field additions, multiplications, and inversions an algorithm performs.
 Its matrix class lives in `exldl.dense`; no other module branches on the
-field.  Conjugation is the identity on all three shipped fields but is
-kept as an explicit operation so that conjugate-symmetric formulas are
-written once.
+field.  No field conjugates, so the H of `conj_transpose`, L^H and
+"H-symmetric" is a plain transpose.
 
 Counting conventions (`count_product`, `count_solve`, `row_ops` and `scale_ops`
 give the kernels'):
@@ -312,11 +311,6 @@ class FieldContext:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def conj(self, a):
-        # Identity on all shipped fields; kept explicit for the
-        # conjugate-symmetric formulas.
-        return a
 
     def is_zero(self, a) -> bool:
         return a == 0

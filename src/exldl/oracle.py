@@ -14,12 +14,13 @@ first mismatch.
 Each product entry is one exact dot product (the parity of an AND of
 packed GF(2) words, a residue sum, or an integer sum over a denominator
 shared by the whole product over Q) compared with its target by
-cross-multiplication (`_product_diff`).  L D L^H is Hermitian once D is,
-so only its lower triangle is summed, and each sum is compared with both
-mirrored target entries; for a sparse A (a `SparseSym`, read only through
-its `n`, `ctx` and stored upper triangle `rows`) the sums run over the
-supports of L's columns in a sparse accumulator per row (Gustavson, ACM
-TOMS 4(3), 1978), with no n x n matrix.
+cross-multiplication (`_product_diff`).  No shipped field conjugates, so
+the H of L^H, U^H and B^H is a plain transpose.  L D L^H is symmetric
+once D is, so only its lower triangle is summed, and each sum is compared
+with both mirrored target entries; for a sparse A (a `SparseSym`, read
+only through its `n`, `ctx` and stored upper triangle `rows`) the sums
+run over the supports of L's columns in a sparse accumulator per row
+(Gustavson, ACM TOMS 4(3), 1978), with no n x n matrix.
 
 `oracle_rank` (for `oracle_congruences` and as the tests' reference rank)
 eliminates with pivot search: GF(2) rows packed into ints and combined by
@@ -234,16 +235,15 @@ def _mm_lists(ctx: FieldContext, a, b, ncols: int | None = None):
     return [[value(dot(row, col)) for col in cols] for row in rows]
 
 
-def _product_diff(ctx: FieldContext, target, a, b, n: int, hermitian: bool = False):
+def _product_diff(ctx: FieldContext, target, a, b, n: int, symmetric: bool = False):
     """Compare target with the product a @ b (n columns) entry by entry.
 
     Returns (count, first) as `_first_mismatch` gives them, without
     forming the product: over Q an entry s / V equals t exactly when
     s * den(t) == num(t) * V.
-    With hermitian=True the product is known to be Hermitian, so only
+    With symmetric=True the product is known to be symmetric, so only
     entries on and below the diagonal are computed; each one is compared
-    with target[i][j] and, conjugated, with target[j][i] (conjugation is
-    the identity on every shipped field, so the same sum serves both).
+    with target[i][j] and with target[j][i].
     """
     rows, cols, big = _operands(ctx, a, b, n)
     dot, value = _dot_and_value(ctx, big)
@@ -255,31 +255,28 @@ def _product_diff(ctx: FieldContext, target, a, b, n: int, hermitian: bool = Fal
             return value(s) == t
     bad = []
     for i, (row, trow) in enumerate(zip(rows, target)):
-        for j in range(i + 1 if hermitian else n):
+        for j in range(i + 1 if symmetric else n):
             s = dot(row, cols[j])
             if not same(s, trow[j]):
-                bad.append((i, j, s, False))
-            if hermitian and j < i and not same(s, target[j][i]):
-                bad.append((j, i, s, True))
-    return _first_mismatch(ctx, bad, lambda i, j: target[i][j], value)
+                bad.append((i, j, s))
+            if symmetric and j < i and not same(s, target[j][i]):
+                bad.append((j, i, s))
+    return _first_mismatch(bad, lambda i, j: target[i][j], value)
 
 
-def _first_mismatch(ctx, bad, target_at, value):
-    """(count, first) of the mismatches `bad`, each (i, j, s, mirrored):
-    the product entry of integer form s, conjugated when mirrored, differs
-    from the target entry target_at(i, j).  `first` is (i, j, target,
-    product) at the row-major first (i, j), or None."""
+def _first_mismatch(bad, target_at, value):
+    """(count, first) of the mismatches `bad`, each (i, j, s): the product
+    entry of integer form s differs from the target entry target_at(i, j).
+    `first` is (i, j, target, product) at the row-major first (i, j), or
+    None."""
     if not bad:
         return 0, None
-    i, j, s, mirrored = min(bad)
-    want = value(s)
-    return len(bad), (i, j, target_at(i, j), ctx.conj(want) if mirrored else want)
+    i, j, s = min(bad)
+    return len(bad), (i, j, target_at(i, j), value(s))
 
 
-def _conj_t_lists(ctx: FieldContext, a):
-    m = len(a)
-    n = len(a[0]) if a else 0
-    return [[ctx.conj(a[i][j]) for i in range(m)] for j in range(n)]
+def _t_lists(a):
+    return [list(col) for col in zip(*a)]
 
 
 def _ld_columns(blocks):
@@ -315,17 +312,15 @@ def _perm_lists(a: DenseMatrix, pfwd, qfwd):
     return [[row[j] for j in qfwd] for row in (rows[i] for i in pfwd)]
 
 
-def _check_d_blocks(ctx: FieldContext, blocks):
+def _check_d_blocks(blocks):
     for k, blk in enumerate(blocks):
         if blk.kind == SCALAR:
             if blk.d == 0:
                 return f"zero scalar D block at {k}"
-            if blk.d != ctx.conj(blk.d):
-                return f"scalar D block at {k} breaks conjugate symmetry"
         elif blk.kind == ANTIDIAG:
             if blk.a12 == 0 or blk.a21 == 0:
                 return f"zero entry in antidiagonal D block at {k}"
-            if blk.a21 != ctx.conj(blk.a12):
+            if blk.a21 != blk.a12:
                 return f"antidiagonal D block at {k} breaks conjugate symmetry"
         else:
             return f"unknown D block kind {blk.kind!r} at {k}"
@@ -380,7 +375,7 @@ def oracle_verify_ldl(a, res) -> VerifyReport:
         return _fail("P has wrong size")
     if d_size(res.D) != r:
         return _fail("D block sizes do not sum to the rank")
-    msg = _check_d_blocks(ctx, res.D)
+    msg = _check_d_blocks(res.D)
     if msg:
         return _fail(msg)
     llists = res.L.to_lists()
@@ -394,9 +389,9 @@ def oracle_verify_ldl(a, res) -> VerifyReport:
         # Metered as the two products L D and (L D) L^H.
         _count_product(ctx, n, r, r)
         _count_product(ctx, n, r, n)
-        # D is Hermitian (checked above), hence so is L D L^H.
+        # D is symmetric (checked above), hence so is L D L^H.
         count, first = _product_diff(
-            ctx, ap, _ld_lists(ctx, llists, res.D), _conj_t_lists(ctx, llists), n, hermitian=True
+            ctx, ap, _ld_lists(ctx, llists, res.D), _t_lists(llists), n, symmetric=True
         )
     else:
         supports = [[(i, row[k]) for i, row in enumerate(llists) if row[k]] for k in range(r)]
@@ -411,7 +406,7 @@ def oracle_verify_ldl(a, res) -> VerifyReport:
 
 
 def _sparse_ldl_diff(ctx: FieldContext, rows, perm, supports, blocks):
-    """(count, first) of `_product_diff(..., hermitian=True)` for the
+    """(count, first) of `_product_diff(..., symmetric=True)` for the
     permuted sparse A against L D L^H, without an n x n matrix.
 
     `rows` is A's stored upper triangle, `perm` is P, and `supports` lists
@@ -423,14 +418,12 @@ def _sparse_ldl_diff(ctx: FieldContext, rows, perm, supports, blocks):
     entries of the permuted A, and each stored entry of A that no sum
     reaches with zero.
     """
-    conj = ctx.conj
     # Over Q the sums are field elements already: scale one.
     _, value = _dot_and_value(ctx, 1)
     ld = [[(i, v * f) for i, v in supports[k]] for k, f in zip(*_ld_columns(blocks))]
     acc = {}  # row i of the lower triangle -> {j: unreduced sum}
     terms = 0
-    for xcol, supp in zip(ld, supports):
-        ycol = [(j, conj(y)) for j, y in supp]
+    for xcol, ycol in zip(ld, supports):
         js = [j for j, _ in ycol]
         for i, x in xcol:
             cut = bisect_right(js, i)
@@ -445,25 +438,25 @@ def _sparse_ldl_diff(ctx: FieldContext, rows, perm, supports, blocks):
         for v, t in arow.items():
             i, j = pinv[u], pinv[v]
             if i < j:
-                i, j, t = j, i, conj(t)
+                i, j = j, i
             s = value(acc.get(i, {}).pop(j, 0))
             if s != t:
-                bad.append((i, j, s, False))
-            if j < i and s != conj(t):
-                bad.append((j, i, s, True))
+                bad.append((i, j, s))
+                if j < i:
+                    bad.append((j, i, s))
     for i, row in acc.items():
         for j, s in row.items():
             s = value(s)
             if s:
-                bad.append((i, j, s, False))
+                bad.append((i, j, s))
                 if j < i:
-                    bad.append((j, i, s, True))
+                    bad.append((j, i, s))
 
     def target_at(i, j):
-        u, v = perm.fwd[i], perm.fwd[j]
-        return rows[u].get(v, ctx.zero) if u <= v else conj(rows[v].get(u, ctx.zero))
+        u, v = sorted((perm.fwd[i], perm.fwd[j]))
+        return rows[u].get(v, ctx.zero)
 
-    return _first_mismatch(ctx, bad, target_at, lambda s: s)
+    return _first_mismatch(bad, target_at, lambda s: s)
 
 
 # -- LU verification ---------------------------------------------------------------
@@ -498,15 +491,10 @@ def oracle_verify_lu(a: DenseMatrix, res, structural: bool = True) -> VerifyRepo
         if any(piv[t] >= piv[t + 1] for t in range(r - 1)):
             return _fail("pivot rows are not in original relative order")
         # Echelon staircase: with L back in original row order, the topmost
-        # nonzero of column k sits strictly below that of column k-1, i.e.
-        # trailing supports strictly shrink.
+        # nonzero of column k (L's unit diagonal gives it one) sits strictly
+        # below that of column k-1, i.e. trailing supports strictly shrink.
         lorig = [llists[t] for t in res.P.inv]
-        tops = []
-        for k in range(r):
-            top = next((i for i, row in enumerate(lorig) if row[k] != 0), None)
-            if top is None:
-                return _fail(f"L column {k} is zero")
-            tops.append(top)
+        tops = [next(i for i, row in enumerate(lorig) if row[k] != 0) for k in range(r)]
         if any(tops[t] >= tops[t + 1] for t in range(r - 1)):
             return _fail("echelon staircase violated: column supports do not shrink")
     return VerifyReport(True)
@@ -548,16 +536,13 @@ def oracle_verify_partial_ldl(system, f) -> VerifyReport:
     msg = _check_upper_trapezoid(ulists, r, "U")
     if msg:
         return _fail(msg)
-    for i, d in enumerate(f.D):
-        if ctx.conj(d) != d:
-            return _fail(f"D[{i}] breaks conjugate symmetry")
     # V = Y - diag(D) on the leading r rows.
     for i in range(r):
         v[i][i] = ctx.sub(v[i][i], f.D[i])
     left = [[ctx.add(x, ctx.mul(y, d)) for x, y, d in zip(vrow, lrow, f.D)] + lrow
             for vrow, lrow in zip(v, llists)]
-    lh = _conj_t_lists(ctx, llists)
-    right = lh + _conj_t_lists(ctx, v)
+    lh = _t_lists(llists)
+    right = lh + _t_lists(v)
     ap = _perm_lists(a, f.P.fwd, f.P.fwd)
     _count_product(ctx, r, 2 * r, n)
     _count_product(ctx, n - r, 2 * r, r)
@@ -644,7 +629,7 @@ def oracle_congruences(a: DenseMatrix, trials: int, seed: int = 0):
             if oracle_rank(g) == n:
                 break
         glists = g.to_lists()
-        gagh = _mm_lists(ctx, _mm_lists(ctx, glists, a.to_lists()), _conj_t_lists(ctx, glists))
+        gagh = _mm_lists(ctx, _mm_lists(ctx, glists, a.to_lists()), _t_lists(glists))
         yield DenseMatrix.from_rows(ctx, gagh)
 
 

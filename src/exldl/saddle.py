@@ -96,16 +96,6 @@ class PartialLDL:
     r: int
 
 
-def _scale_cols(m: DenseMatrix, factors) -> DenseMatrix:
-    """m @ diag(factors)."""
-    ctx = m.ctx
-    return (
-        m.conj_transpose()
-        .scale_rows([ctx.conj(f) for f in factors])
-        .conj_transpose()
-    )
-
-
 def gamma_eliminate_partial(system: SaddleSystem) -> PartialLDL:
     """Partial LDL by repeated cross-boundary edge elimination.
 
@@ -113,11 +103,11 @@ def gamma_eliminate_partial(system: SaddleSystem) -> PartialLDL:
     constraint block in row-major order and eliminates the pair (aj, bi)
     from the `schur()` working copy of the saddle matrix, the one the
     pivots of `factor` use.  D = -a11, Y's column (column aj of A below
-    the pivot) and U's row (column aj of B, conjugated) are read first.
-    Then `eliminate_pair` makes the pair's two row pivots, on b11 and on
-    conj(b11), the rank-2 Schur complement of the pivot pair, which keeps
-    the constraint block zero; the second pivot's multipliers are L's
-    column.  With a counter on, each step charges what the scalar rank-2
+    the pivot) and U's row (column aj of B) are read first.  Then
+    `eliminate_pair` makes the pair's two row pivots, on S[bi][aj] and on
+    S[aj][bi], both b11, the rank-2 Schur complement of the pivot pair,
+    which keeps the constraint block zero; the second pivot's multipliers
+    are L's column.  With a counter on, each step charges what the scalar rank-2
     update meters over the na A and nb constraint indices active before
     it: 3 na^2 + nf na adds, 6 na^2 + nf na + nb + nr + 2 muls and two
     inversions, where B's column aj has nf nonzeros and its row bi nr,
@@ -216,7 +206,7 @@ def residual_schur(system: SaddleSystem, f: PartialLDL) -> DenseMatrix:
     lh = f.L.conj_transpose()
     resid = ap.sub(matmul(v, lh))
     resid = resid.sub(matmul(f.L, v.conj_transpose()))
-    resid = resid.sub(matmul(_scale_cols(f.L, f.D), lh))
+    resid = resid.sub(matmul(lh.scale_rows(f.D).conj_transpose(), lh))  # (L D) L^H
     if not (resid.block(0, r, 0, n).is_zero() and resid.block(r, n, 0, r).is_zero()):
         rows = resid.to_lists()
         i, j = next((i, j) for i in range(n) for j in range(n) if (i < r or j < r) and rows[i][j])
@@ -236,13 +226,12 @@ def pair_columns(f: PartialLDL, k: int, a_ids, b_ids):
 
     The skeleton of pair k, in the shifted row order [pivot A, pivot B,
     A rows k+1.., constraint rows k+1..], has the columns [-D[k],
-    conj(U[k][k]), Y[k+1:, k], conj(U[k][k+1:])] and [1, 0, L[k+1:, k],
-    0...].
+    U[k][k], Y[k+1:, k], U[k][k+1:]] and [1, 0, L[k+1:, k], 0...].
     """
     ctx = f.L.ctx
     n, m = f.L.nrows, f.U.ncols
     a11 = ctx.neg(f.D[k])
-    urow = [ctx.conj(v) for v in f.U.block(k, k + 1, k, m).to_lists()[0]]
+    urow = f.U.block(k, k + 1, k, m).to_lists()[0]
     k1 = [a11, urow[0]] + f.Y.column(k)[k + 1 :] + urow[1:]
     k2 = [ctx.one, ctx.zero] + f.L.column(k)[k + 1 :] + [ctx.zero] * (m - k - 1)
     pfwd, qfwd = f.P.fwd, f.Q.fwd
@@ -276,15 +265,15 @@ def skeleton_pair(ctx, k1: list, k2: list, row_ids):
     binv = ctx.inv(b11)
     if ctx.is_zero(a11):
         ctx.count_ops(mul=ctx.scale_ops(rows))
-        c1, c2, blks = k2, [mul(x, binv) for x in k1], [DBlock.antidiag(ctx.conj(b11), b11)]
+        c1, c2, blks = k2, [mul(x, binv) for x in k1], [DBlock.antidiag(b11, b11)]
     else:
-        # c2 = (k1 - k2 a11) / b11 and c1 = k2 + c2 b11 / conj(a11)
+        # c2 = (k1 - k2 a11) / b11 and c1 = k2 + c2 b11 / a11
         c2 = [mul(ctx._sub(x, mul(y, a11)), binv) for x, y in zip(k1, k2)]
-        beta = ctx.mul(b11, ctx.inv(ctx.conj(a11)))
+        beta = ctx.mul(b11, ctx.inv(a11))
         c1 = [ctx._add(y, mul(x, beta)) for x, y in zip(c2, k2)]
-        d2 = ctx.neg(ctx.mul(b11, ctx.mul(ctx.inv(ctx.conj(a11)), ctx.conj(b11))))
+        d2 = ctx.neg(ctx.mul(b11, ctx.mul(ctx.inv(a11), b11)))
         ctx.count_ops(mul=ctx.scale_ops(3 * rows), add=2 * rows * ctx.row_ops(1))
-        blks = [DBlock.scalar(ctx.conj(a11)), DBlock.scalar(d2)]
+        blks = [DBlock.scalar(a11), DBlock.scalar(d2)]
     col1 = tuple((row_ids[t], c1[t]) for t in range(1, rows) if c1[t])
     col2 = tuple((row_ids[t], c2[t]) for t in [0, *range(2, rows)] if c2[t])
     return (row_ids[0], row_ids[1]), (col1, col2), blks

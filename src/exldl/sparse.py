@@ -108,8 +108,7 @@ class SparseSym:
         given = {}
         for i, j, v in entries:
             v = ctx.el(v)
-            key, w = ((i, j), v) if i <= j else ((j, i), ctx.conj(v))
-            if given.setdefault(key, w) != w:
+            if given.setdefault((min(i, j), max(i, j)), v) != v:
                 raise ValueError(f"conflicting values at ({i}, {j})")
             out.set(i, j, v)
         return out
@@ -118,7 +117,7 @@ class SparseSym:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"entry ({i}, {j}) out of range for {self.n} rows")
         if i > j:
-            i, j, v = j, i, self.ctx.conj(v)
+            i, j = j, i
         if self.ctx.is_zero(v):
             self.rows[i].pop(j, None)
         else:
@@ -126,7 +125,7 @@ class SparseSym:
 
     def get(self, i, j):
         if i > j:
-            return self.ctx.conj(self.rows[j].get(i, self.ctx.zero))
+            return self.rows[j].get(i, self.ctx.zero)
         return self.rows[i].get(j, self.ctx.zero)
 
     def edges(self):
@@ -141,7 +140,7 @@ class SparseSym:
             for j, v in self.rows[i].items():
                 out.set(i, j, v)
                 if j != i:
-                    out.set(j, i, self.ctx.conj(v))
+                    out.set(j, i, v)
         return out
 
     def relabel(self, order: Permutation) -> "SparseSym":
@@ -270,7 +269,7 @@ def apply_transcript(t: Transcript, x: DenseMatrix, mode: str) -> DenseMatrix:
             if isinstance(tf, Peel):
                 acc = x.zero_row()
                 for idx, val in tf.coeffs:
-                    acc = axpy(acc, state[idx], ctx.conj(val))
+                    acc = axpy(acc, state[idx], val)
                 state[tf.target] = acc
                 continue
             for prow, col in [(state[p], col) for p, col in tf.columns()]:
@@ -291,7 +290,7 @@ def apply_transcript(t: Transcript, x: DenseMatrix, mode: str) -> DenseMatrix:
             for piv, col in tf.columns():
                 acc = state[piv]
                 for idx, val in col:
-                    acc = axpy(acc, state[idx], ctx.conj(val))
+                    acc = axpy(acc, state[idx], val)
                 out[piv] = acc
             for piv, _ in tf.columns():
                 state.pop(piv)
@@ -304,7 +303,7 @@ def apply_transcript(t: Transcript, x: DenseMatrix, mode: str) -> DenseMatrix:
             if isinstance(tf, Peel):
                 acc = x.zero_row()
                 for idx, val in tf.coeffs:
-                    acc = axpy(acc, state[idx], ctx.conj(val))
+                    acc = axpy(acc, state[idx], val)
                 if not x.same_row(acc, state[tf.target]):
                     raise InconsistentSystem(f"row {tf.target} is not a consistent combination")
                 state.pop(tf.target)
@@ -331,7 +330,7 @@ def transcript_ldl(t: Transcript) -> LDLResult:
             acc = rows[tf.target] = {}
             for idx, c in tf.coeffs:
                 for j, v in rows[idx].items():
-                    acc[j] = ctx._add(acc.get(j, ctx.zero), ctx._mul(ctx.conj(c), v))
+                    acc[j] = ctx._add(acc.get(j, ctx.zero), ctx._mul(c, v))
             for j, v in acc.items():
                 l.set(pos[tf.target], j, v)
             continue
@@ -526,8 +525,7 @@ def _substep(transcript: Transcript, s, ids: list, nf: int, gamma: int, cutoff, 
 
     # -- step 4: peel dependents among leftover rows, carry the rest
     if gids:
-        fh = [[ctx.conj(v) for v in col] for col in zip(*frows)]
-        fh = DenseMatrix.from_entries(ctx, fh, len(gids)).schur()
+        fh = DenseMatrix.from_entries(ctx, zip(*frows), len(gids)).schur()
         keep = _peel_dependent(transcript, fh, gamma, gids, cut)
         frows, gids = [frows[t] for t in keep], [gids[t] for t in keep]
     return s_ifc, frows, gids
@@ -746,8 +744,7 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
                     raise InvalidDecomposition(
                         f"entry ({u}, {v}) is in no bag: bag {node} eliminates {u} without {v}"
                     )
-                arow[lj] = val
-                rows[lj][li] = ctx.conj(val)
+                arow[lj] = rows[lj][li] = val
         # extend-add: S into the frontal, the carried rows into B and B^H
         c = nf
         for at, s_c, f_c in kids:
@@ -758,8 +755,7 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
                         arow[lj] = ctx.add(arow[lj], v)
             for frow in f_c:
                 for lj, v in zip(at, frow):
-                    rows[c][lj] = v
-                    rows[lj][c] = ctx.conj(v)
+                    rows[c][lj] = rows[lj][c] = v
                 c += 1
         s = DenseMatrix.from_entries(ctx, rows, size).schur()
         return _substep(transcript, s, ids, nf, len(iface), cutoff, node)
@@ -873,7 +869,7 @@ def sparse_lu(
     for i, row in enumerate(b.to_lists()):
         for j, v in enumerate(row):
             if v:
-                emb.set(j, n + i, ctx.conj(v))
+                emb.set(j, n + i, v)
     ntd, transcript = _factor_along(emb, td, tau, cutoff)
     is_row = [v >= n for v in ntd.order.fwd]  # by post-order position
     for tf in transcript.transforms:
@@ -888,20 +884,19 @@ def sparse_lu(
     if _want_explicit(explicit, max(m, n) - r, ntd):
         res = labelled_ldl(explicit_ldl_from_transcript(transcript, emb), ntd.order)
         lab, at = res.P.fwd, res.P.inv
-        lcols, ucols, factors = [], [], []
-        for k, blk in enumerate(res.D):
+        lcols, ucols = [], []
+        for k in range(r):
             row_first = lab[2 * k] >= n
             lcols.append(2 * k + (not row_first))
             ucols.append(2 * k + row_first)
-            factors.append(blk.a21 if row_first else blk.a12)
         rowv = [lab[c] for c in lcols] + [v for v in lab[2 * r :] if v >= n]
         colv = [lab[c] for c in ucols] + [v for v in lab[2 * r :] if v < n]
         lmat = res.L.take_rows([at[v] for v in rowv]).take_cols(lcols)
         erows = [at[v] for v in colv]
         ulists = []
-        for c, factor in zip(ucols, factors):
+        for c, blk in zip(ucols, res.D):
             col = res.L.column(c)
-            ulists.append([ctx.mul(factor, ctx.conj(col[e])) if col[e] else ctx.zero for e in erows])
+            ulists.append([ctx.mul(blk.a12, col[e]) if col[e] else ctx.zero for e in erows])
         umat = DenseMatrix.from_entries(ctx, ulists, n)
         lures = LUResult(Permutation([v - n for v in rowv]), Permutation(colv), lmat, umat, r)
     return SparseLUOutcome(transcript, ntd.order, ntd, r, row_peels, col_peels, lures)

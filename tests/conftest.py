@@ -32,7 +32,7 @@ def rand_symmetric(ctx, rng, n):
         for j in range(i, n):
             v = rand_el(ctx, rng)
             a.set(i, j, v)
-            a.set(j, i, ctx.conj(v))
+            a.set(j, i, v)
     return a
 
 

@@ -75,7 +75,7 @@ def small_symmetric(ctx, rng, n):
             else:
                 v = ctx.el(rng.randint(-3, 3))
             a.set(i, j, ctx.el(v))
-            a.set(j, i, ctx.conj(ctx.el(v)))
+            a.set(j, i, ctx.el(v))
     return a
 
 

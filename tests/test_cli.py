@@ -632,8 +632,7 @@ SYM_A = ["3 3 3", "1 1 1", "2 1 2", "3 3 1"]
         ("dense-lu", [f"{HEAD} general", "2 2 1", "1 1"], [], "line 3: expected 3 tokens"),
         ("dense-lu", [f"{HEAD} general", "2 2 1", "1 x 1"], [], "line 3: bad indices"),
         ("dense-lu", [f"{HEAD} general", "2 2 1", "3 1 1"], [], "line 3: index out of range"),
-        # EntryOutOfField is a ValueError, so the value parser words it
-        ("dense-lu", [f"{HEAD} general", "1 1 1", "1 1 1/2"], [], "line 3: bad value '1/2'"),
+        ("dense-lu", [f"{HEAD} general", "1 1 1", "1 1 1/2"], [], "line 3: rational entry under gfp:7"),
         ("dense-lu", [f"{HEAD} general", "% no size line"], [], "missing size line"),
         ("sparse-ldl", [f"{HEAD} general", "2 3 0"], ["--greedy-td"], "symmetric input must be square"),
         ("dense-ldl", [f"{HEAD} general", "2 2 1", "1 2 1"], [], "dense-ldl needs a symmetric matrix"),

@@ -502,7 +502,7 @@ def bordered(ctx, n, salt):
         for j in range(max(i, n1), n):
             v = value(ctx, i, j, salt) or ctx.one
             a.set(i, j, v)
-            a.set(j, i, ctx.conj(v))
+            a.set(j, i, v)
     return a
 
 
@@ -1057,7 +1057,7 @@ def sweep_sym(ctx, rng, n, density, diagonal=True):
         for j in range(i if diagonal else i + 1, n):
             if rng.random() < density:
                 v = sweep_el(ctx, rng)
-                rows[i][j], rows[j][i] = v, ctx.conj(v)
+                rows[i][j] = rows[j][i] = v
     return DenseMatrix.from_entries(ctx, rows, n)
 
 

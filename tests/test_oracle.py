@@ -178,11 +178,16 @@ def test_verify_ldl_rejects_non_hermitian_input(ctx):
     res = fast_ldl(a)
     pos = {v: t for t, v in enumerate(res.P.fwd)}
     x, y = next((x, y) for x in range(7) for y in range(7) if pos[x] < pos[y])
-    a.set(x, y, bump(ctx, a.get(x, y)))
-    rep = oracle_verify_ldl(a, res)
-    assert not rep.ok
-    assert rep.reconstruction_error_count == 1
-    assert rep.first_violation.startswith(f"reconstruction mismatch at ({pos[x]},{pos[y]}):")
+    was = a.get(x, y)
+    a.set(x, y, bump(ctx, was))
+    # The mismatch is the mirror of a summed entry: L D L^H still gives
+    # the entry A had there.
+    assert oracle_verify_ldl(a, res) == oracle.VerifyReport(
+        False,
+        f"reconstruction mismatch at ({pos[x]},{pos[y]}): "
+        f"permuted A is {a.get(x, y)}, LDL^H gives {was}",
+        1,
+    )
 
 
 @pytest.mark.parametrize("which", ["L", "U"])
@@ -556,8 +561,8 @@ def test_partial_verifier_rejects_a_rank_above_min_n_m(ctx):
 # -- the partial verifier's identities ------------------------------------------------
 
 
-def conj_t(ctx, rows, ncols):
-    return [[ctx.conj(row[j]) for row in rows] for j in range(ncols)]
+def transpose(rows, ncols):
+    return [[row[j] for row in rows] for j in range(ncols)]
 
 
 def partial_report(system, f):
@@ -571,7 +576,7 @@ def partial_report(system, f):
     v = f.Y.to_lists()
     for i in range(r):
         v[i][i] = ctx.sub(v[i][i], f.D[i])
-    lh, vh = conj_t(ctx, lists, r), conj_t(ctx, v, r)
+    lh, vh = transpose(lists, r), transpose(v, r)
     ld = [[ctx.mul(x, d) for x, d in zip(row, f.D)] for row in lists]
     ap = [[system.A.get(x, y) for y in f.P.fwd] for x in f.P.fwd]
     for term in (scalar_product(ctx, v, lh, n), scalar_product(ctx, lists, vh, n),
@@ -581,7 +586,7 @@ def partial_report(system, f):
     if leaks:
         return oracle.VerifyReport(False, "residual leaks outside the trailing block at (%d,%d)" % leaks[0])
     bp = [[system.B.get(x, y) for y in f.P.fwd] for x in f.Q.fwd]
-    mism = mismatches(bp, scalar_product(ctx, conj_t(ctx, f.U.to_lists(), m), lh, n))
+    mism = mismatches(bp, scalar_product(ctx, transpose(f.U.to_lists(), m), lh, n))
     if not mism:
         return oracle.VerifyReport(True)
     i, j, want = mism[0]
@@ -646,11 +651,8 @@ def test_partial_verifier_reports_the_first_leak_and_the_constraint_mismatches(c
 # -- the structure rejections ------------------------------------------------------------
 #
 # One mutation of a valid factorization per structure check, each asserting
-# the check's own message.  Three messages cannot fire: the conjugate
-# symmetry of a scalar D block (`_check_d_blocks`) and of a partial D
-# entry, as conjugation is the identity on every shipped field, and "L
-# column k is zero" of the LU staircase, as the unit lower trapezoid check
-# before it puts a one in every column.
+# the check's own message.  Every structure check can fire: none is made
+# unreachable by the checks before it.
 
 
 def with_entries(m, *entries):
@@ -677,6 +679,12 @@ def test_verify_ldl_rejects_each_broken_structure(ctx):
         ({"D": [DBlock.scalar(one), DBlock("block", d=one)]}, "unknown D block kind 'block' at 1"),
     ):
         assert first_violation(oracle_verify_ldl, a, dataclasses.replace(good, **change)) == msg
+    two = ctx.add(one, one)
+    if two:  # over GF(2) the two nonzero entries of a block are both one
+        lopsided = dataclasses.replace(good, D=[DBlock.scalar(one), DBlock.antidiag(one, two)])
+        assert first_violation(oracle_verify_ldl, a, lopsided) == (
+            "antidiagonal D block at 1 breaks conjugate symmetry"
+        )
 
 
 def test_verify_lu_rejects_each_broken_structure(ctx):

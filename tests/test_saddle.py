@@ -267,9 +267,8 @@ def example_fill_family(ctx, rng, n):
     a = DenseMatrix.zeros(ctx, n, n)
     a.set(0, 0, ctx.one)
     for i in range(n - 1):
-        v = ctx.one
-        a.set(i, i + 1, v)
-        a.set(i + 1, i, ctx.conj(v))
+        a.set(i, i + 1, ctx.one)
+        a.set(i + 1, i, ctx.one)
     b = DenseMatrix.zeros(ctx, n, n)
     for i in range(n):
         b.set(i, 0, ctx.one)

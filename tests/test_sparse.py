@@ -807,7 +807,7 @@ def test_identity_bordered_block_stays_sparse(rng):
         for j in range(k):
             if i <= j:
                 big.set(i, j, a11.get(i, j))
-            big.set(i, k + j, GF7.conj(a21.get(j, i)))
+            big.set(i, k + j, a21.get(j, i))
         big.set(i, 2 * k + i, GF7.one)
     blk1 = set(range(k))
     td = TreeDecomposition.build(
