@@ -8,7 +8,9 @@ a temporary directory as `scripts/bench_pairs.py` does; the change is this
 checkout's working tree.  Each side runs the same sweep, this file's
 `sweep_digest`, in its own Python process that imports `exldl` from that
 side's `src/`.  The sweep runs, over GF(2), GF(3), GF(7), GF(1009) and Q
-at Strassen cutoffs None, 1, 2, 3 and 8, with the op counter on:
+at Strassen cutoffs None, 1, 2, 3, 4, 7 and 8, with the op counter on (at
+a cutoff c <= 7 the base rule `factor._flat` takes blocks of up to 2c + 1
+rows, so 4 and 7 reach its edge at 9 and 15 rows):
   * `fast_ldl` and `fast_lu` on dense inputs of full and planted low rank
     and with zero diagonals, n <= 45;
   * `gamma_eliminate_partial` and `schilders_partial_ldl` on saddle
@@ -66,7 +68,7 @@ from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent
 FIELDS = ("gf2", "gfp:3", "gfp:7", "gfp:1009", "rational")
-CUTOFFS = (None, 1, 2, 3, 8)
+CUTOFFS = (None, 1, 2, 3, 4, 7, 8)
 
 
 def canon(x):

@@ -234,6 +234,8 @@ class DenseMatrix(metaclass=_FieldDispatch):
         return self.block(0, self.nrows, 0, self.ncols)
 
     def pad(self, nrows: int, ncols: int) -> "DenseMatrix":
+        if nrows < self.nrows or ncols < self.ncols:
+            raise DimensionMismatch(f"cannot pad shape {self.shape} to {(nrows, ncols)}")
         out = self.zeros(self.ctx, nrows, ncols)
         out.set_block(0, 0, self)
         return out

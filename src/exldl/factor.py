@@ -7,13 +7,14 @@ reduces to matrix multiplication, and inertia extraction from the block
 diagonal.  Every symmetric pivot, the primitives' and the LDL's flat
 base's, is one `_FlatLDL.step`, which also charges it to the op counter.
 
-Both recursions stop at a block small enough that every triangular solve
-below it would be a base case and every product a classical one: the LU
-eliminates it row by row on a working copy (`_lu_rows`), the LDL replays
-its pivot decisions on one Schur complement (`_ldl_flat`).  Either gives
-the recursion's (unique) factors and charges the op counter what the
-recursion's kernels would have metered, so results and counts do not
-depend on where the recursion stops.
+Both recursions stop under one base rule, `_flat`, at a block small
+enough that every triangular solve below it would be a base case and
+every product a classical one: the LU eliminates it row by row on a
+working copy (`_lu_rows`), the LDL replays its pivot decisions on one
+Schur complement (`_ldl_flat`).  Either gives the recursion's (unique)
+factors and charges the op counter what the recursion's kernels would
+have metered, so results and counts do not depend on where the
+recursion stops.
 
 Conventions: an LDL result satisfies, entrywise and exactly,
     A[P.fwd[i]][P.fwd[j]] == (L D L^H)[i][j]
@@ -256,20 +257,30 @@ def _ldl_from_columns(ctx: FieldContext, fwd, cols, blocks) -> LDLResult:
 # -- fast LU -------------------------------------------------------------------
 
 
+def _flat(n: int, cutoff: int) -> bool:
+    """The base rule of every recursion here and in the tree engine's bag
+    step: whether a block of n rows goes to its flat replay.  On such a
+    block every product a recursion makes has a dimension of at most
+    n // 2 (in fast_lu, r1 <= m // 2 pivots of the top half), so it is
+    classical, and every solve has at most `_TRI_BASE` unknowns, so it is
+    a base case; the replay gives the recursion's factors and op counts."""
+    return n <= _TRI_BASE and n // 2 <= cutoff
+
+
 def fast_lu(a: DenseMatrix, cutoff: int | None = None) -> LUResult:
     """Rank-revealing P A Q^T = L U by recursive row splitting.
 
     The top half of the rows is factored first; the bottom half is
     reduced against its pivots with one triangular solve and one product,
-    and the rest is factored in turn.  A block within `_lu_base` is
-    finished row by row by `_lu_rows` on its `schur()` working copy, with
-    the same factors and op counts; the tree engine's bag step runs
-    `_lu_rows` on copies of its own blocks under the same rule.
+    and the rest is factored in turn.  A block within the base rule
+    `_flat` is finished row by row by `_lu_rows` on its `schur()` working
+    copy, with the same factors and op counts; the tree engine's bag step
+    runs `_lu_rows` on copies of its own blocks under the same rule.
     """
     ctx, m, n = a.ctx, a.nrows, a.ncols
     check_cutoff(cutoff)
     cutoff = ctx.default_cutoff if cutoff is None else cutoff
-    if _lu_base(m, cutoff):
+    if _flat(m, cutoff):
         s = a.schur()
         order, q, cols = _lu_rows(s, m, n)
         r = len(cols)
@@ -297,13 +308,6 @@ def fast_lu(a: DenseMatrix, cutoff: int | None = None) -> LUResult:
     u = vstack([hstack([u1a, top.U.block(0, r1, r1, n).take_cols(bot.Q.fwd)]),
                 hstack([DenseMatrix.zeros(ctx, r2, r1), bot.U])])
     return LUResult(Permutation(pfwd), Permutation(qfwd), l, u, r)
-
-
-def _lu_base(m: int, cutoff: int) -> bool:
-    """Whether fast_lu finishes a block of m rows with `_lu_rows`: one row,
-    or at most `_TRI_BASE` whose bottom half is within the Strassen cutoff,
-    below which every solve is a base case and every product classical."""
-    return m <= 1 or (m <= _TRI_BASE and (m + 1) // 2 <= cutoff)
 
 
 def _lu_rows(s, m: int, n: int, pad: int = 0):
@@ -386,11 +390,9 @@ def fast_ldl(a: DenseMatrix, cutoff: int | None = None) -> LDLResult:
     full-rank part first, take the Schur complement, and either recurse
     on it directly or (when the leading block is rank-deficient) bring
     the independent columns of its off-diagonal block forward with an LU
-    before recursing on the bordered core.  A block of n <= `_TRI_BASE`
-    rows with n // 2 within the Strassen cutoff, where every solve is a
-    base case and every product classical, goes to `_ldl_flat`, with the
-    same factors and op counts.  The input is checked once, here; the
-    recursion runs in `_fast_ldl`.
+    before recursing on the bordered core.  A block within the base rule
+    `_flat` goes to `_ldl_flat`, with the same factors and op counts.  The
+    input is checked once, here; the recursion runs in `_fast_ldl`.
     """
     _check_ldl_input(a)
     check_cutoff(cutoff)
@@ -401,8 +403,7 @@ def _fast_ldl(a: DenseMatrix, cutoff: int) -> LDLResult:
     """The recursion of `fast_ldl`, on a checked input."""
     ctx = a.ctx
     n = a.nrows
-    # Three rows or fewer are a leaf of the recursion, whatever the cutoff.
-    if n <= 3 or (n <= _TRI_BASE and n // 2 <= cutoff):
+    if _flat(n, cutoff):
         return _ldl_flat(a)
     s = n // 3
     n1 = n - s

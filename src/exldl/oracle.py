@@ -463,9 +463,10 @@ def _sparse_ldl_diff(ctx: FieldContext, rows, perm, supports, blocks):
 
 
 def oracle_verify_lu(a: DenseMatrix, res, structural: bool = True) -> VerifyReport:
-    """Check r <= min(m, n), the trapezoid shapes, P A Q^T = L U entry by
-    entry, and (optionally) the pivot-row order preservation plus the
-    echelon staircase of the L factor brought back to original row order."""
+    """Check r <= min(m, n), the trapezoid shapes, the sizes of P and Q,
+    P A Q^T = L U entry by entry, and (optionally) the pivot-row order
+    preservation plus the echelon staircase of the L factor brought back
+    to original row order."""
     ctx = a.ctx
     m, n = a.nrows, a.ncols
     r = res.r
@@ -473,6 +474,10 @@ def oracle_verify_lu(a: DenseMatrix, res, structural: bool = True) -> VerifyRepo
         return _fail(f"rank {r} exceeds min(m, n) = {min(m, n)}")
     if res.L.shape != (m, r) or res.U.shape != (r, n):
         return _fail("factor shapes do not match")
+    if len(res.P.fwd) != m:  # a short P or Q would hide rows or columns of A
+        return _fail("P has wrong size")
+    if len(res.Q.fwd) != n:
+        return _fail("Q has wrong size")
     llists, ulists = res.L.to_lists(), res.U.to_lists()
     msg = _check_unit_lower_trapezoid(llists, r, "L") or _check_upper_trapezoid(ulists, r, "U")
     if msg:
@@ -504,8 +509,9 @@ def oracle_verify_lu(a: DenseMatrix, res, structural: bool = True) -> VerifyRepo
 
 
 def oracle_verify_partial_ldl(system, f) -> VerifyReport:
-    """Check r <= min(n, m), the shapes of L, Y, U and D, and the two
-    identities of the constraint-complemented partial LDL entry by entry.
+    """Check r <= min(n, m), the shapes of L, Y, U and D, the sizes of P
+    and Q, and the two identities of the constraint-complemented partial
+    LDL entry by entry.
 
     With V = Y - diag(D) on the leading r rows, P A P^H - V L^H - L V^H -
     L D L^H must vanish outside the trailing (n - r) x (n - r) block; the
@@ -521,6 +527,10 @@ def oracle_verify_partial_ldl(system, f) -> VerifyReport:
         return _fail(f"rank {r} exceeds min(n, m) = {min(n, m)}")
     if f.L.shape != (n, r) or f.Y.shape != (n, r) or f.U.shape != (r, m):
         return _fail("partial LDL factor shapes do not match")
+    if len(f.P.fwd) != n:
+        return _fail("P has wrong size")
+    if len(f.Q.fwd) != m:  # a short Q would hide rows of B
+        return _fail("Q has wrong size")
     if len(f.D) != r:
         return _fail("partial LDL D has wrong length")
     llists, v, ulists = f.L.to_lists(), f.Y.to_lists(), f.U.to_lists()

@@ -17,19 +17,20 @@ The tree engine is the multifrontal realization (Liu, SIAM Review
 at the bag that eliminates their lower endpoint (each once in the whole
 tree) plus the children's interface Schur complements S, and B the rows F
 they carry up.  The four steps of `_substep` address that copy by bag
-indices.  Every LU within fast_lu's base rule (`_lu_base`: the peels of
-steps 1 and 4, step 2's two LUs, the local LDL's bordered LU) is
-`factor._lu_rows` on a list-level copy of its block (`sub`), whose U the
-peels solve on; S and F go to the parent as lists of rows, and only the
-root's become matrices.  Steps 2 and 3 of a bag of nf + k <= `_TRI_BASE`
-frontal and kept constraint rows, (nf + k) // 2 within the Strassen
-cutoff, are pivots on the copy itself: two row pivots per constraint
-pair, as in `saddle.gamma_eliminate_partial`, then `factor._FlatLDL`.
-Below that rule every product the matrix steps would make is classical
-and every solve a base case, so both give the same transforms, S, F and
-op counts.  Larger bags run the matrix steps (`schilders_partial_ldl`,
-`residual_schur`, `fast_ldl`, solves, products, `fast_lu`) on blocks of
-the copy, whose recursion keeps their cost O(tau^omega).
+indices.  One base rule, `factor._flat`, decides where they stop
+recursing, as it does for fast_lu and fast_ldl.  Every LU of rows within
+it (the peels of steps 1 and 4, step 2's two LUs, the local LDL's
+bordered LU) is `factor._lu_rows` on a list-level copy of its block
+(`sub`), whose U the peels solve on; S and F go to the parent as lists of
+rows, and only the root's become matrices.  Steps 2 and 3 of a bag whose
+nf frontal and k kept constraint rows are within it together are pivots
+on the copy itself: two row pivots per constraint pair, as in
+`saddle.gamma_eliminate_partial`, then `factor._FlatLDL`.  There every
+product the matrix steps would make is classical and every solve a base
+case, so both give the same transforms, S, F and op counts.  Larger bags
+run the matrix steps (`schilders_partial_ldl`, `residual_schur`,
+`fast_ldl`, solves, products, `fast_lu`) on blocks of the copy, whose
+recursion keeps their cost O(tau^omega).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .factor import (
     _FlatLDL,
     LUResult,
     _bits,
-    _lu_base,
+    _flat,
     _lu_rows,
     col_support,
     d_mul_right,
@@ -113,19 +114,21 @@ class SparseSym:
             out.set(i, j, v)
         return out
 
-    def set(self, i, j, v):
+    def _upper(self, i, j):
+        """(i, j) as the stored upper-triangle key; IndexError outside 0..n-1."""
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"entry ({i}, {j}) out of range for {self.n} rows")
-        if i > j:
-            i, j = j, i
+        return (i, j) if i <= j else (j, i)
+
+    def set(self, i, j, v):
+        i, j = self._upper(i, j)
         if self.ctx.is_zero(v):
             self.rows[i].pop(j, None)
         else:
             self.rows[i][j] = v
 
     def get(self, i, j):
-        if i > j:
-            return self.rows[j].get(i, self.ctx.zero)
+        i, j = self._upper(i, j)
         return self.rows[i].get(j, self.ctx.zero)
 
     def edges(self):
@@ -411,12 +414,12 @@ def _peel_dependent(transcript: Transcript, w, m: int, ids, cutoff: int):
     the pivot columns of a rank-revealing LU of it, as the combination of
     those that the factors give; returns the kept columns' positions,
     ascending.  `w` is a working copy holding the block, which this pivots
-    on.  Within fast_lu's base rule (`_lu_base`) the LU is `_lu_rows` on w,
-    and pivoting U's rows out of those above them in w solves for every
+    on.  With m rows within the base rule `_flat` the LU is `_lu_rows` on
+    w, and pivoting U's rows out of those above them in w solves for every
     dependent at once, charged as one base-case `tri_solve` per dependent;
     above it, `fast_lu` of the block and one `tri_solve` per dependent."""
     ctx, n = transcript.ctx, len(ids)
-    if not _lu_base(m, cutoff):
+    if not _flat(m, cutoff):
         lu = fast_lu(w.block(range(m), range(n)), cutoff)
         q, r = lu.Q.fwd, lu.r
         for c in range(r, n):
@@ -438,14 +441,6 @@ def _peel_dependent(transcript: Transcript, w, m: int, ids, cutoff: int):
             coeffs = tuple((p, ctx._mul(w.get(i, c), d)) for p, i, d in dinv if w.nonzero(i, c))
             transcript.append(Peel(ids[c], coeffs))
     return sorted(q[:r])
-
-
-def _flat_bag(nf: int, k: int, cutoff: int) -> bool:
-    """Whether a bag of nf frontal rows and k constraint rows takes the flat
-    steps: then each product of the matrix steps 2 and 3 has a dimension of
-    at most (nf + k) // 2, so is classical, and each of their solves is a
-    base case."""
-    return nf + k <= _TRI_BASE and (nf + k) // 2 <= cutoff
 
 
 def _bag_error(step: int, what: str, dims) -> InternalInvariantViolation:
@@ -479,7 +474,7 @@ def _split_rest(rest, e: int, nf: int, dims):
     return elim, ifc, [t for t in rest if t >= nf]
 
 
-def _substep(transcript: Transcript, s, ids: list, nf: int, gamma: int, cutoff, node):
+def _substep(transcript: Transcript, s, ids: list, nf: int, gamma: int, cutoff: int, node):
     """One bag: peel dependent constraint rows, complement the constraints
     against the to-be-eliminated columns, factor the remaining local block,
     peel or carry the leftovers (see the module docstring).
@@ -492,15 +487,16 @@ def _substep(transcript: Transcript, s, ids: list, nf: int, gamma: int, cutoff, 
     in its given order.  Step 1 peels with an LU of B^H, step 2 finds the
     r1 constraint rows that pivot against the eliminable columns with an LU
     of their eliminable block, steps 2 and 3 run as `_flat_steps` or
-    `_matrix_steps` (`_flat_bag`), which leave the rows step 1 peeled
-    unread, and step 4 peels with an LU of F^H, on a copy made from F."""
+    `_matrix_steps` (by `_flat` on nf + k rows), which leave the rows step
+    1 peeled unread, and step 4 peels with an LU of F^H, on a copy made
+    from F."""
     ctx, e = s.ctx, nf - gamma
-    cut = ctx.default_cutoff if cutoff is None else cutoff
 
     # -- step 1: peel linearly dependent constraint rows
     kept = []
     if len(ids) > nf:
-        keep = _peel_dependent(transcript, s.sub(range(nf), range(nf, len(ids))), nf, ids[nf:], cut)
+        keep = _peel_dependent(transcript, s.sub(range(nf), range(nf, len(ids))), nf, ids[nf:],
+                               cutoff)
         kept = [nf + t for t in keep]
     k = len(kept)
 
@@ -511,22 +507,22 @@ def _substep(transcript: Transcript, s, ids: list, nf: int, gamma: int, cutoff, 
     beta = []
     if k and e:
         # the LU of [Be, 0]^H: B's eliminable block over the nf frontal rows
-        if _lu_base(nf, cut):
+        if _flat(nf, cutoff):
             _, q, cols = _lu_rows(s.sub(range(e), kept), e, k, gamma)
             pivots = q[: len(cols)]
         else:
-            lu1 = fast_lu(s.block(range(e), kept).pad(nf, k), cut)
+            lu1 = fast_lu(s.block(range(e), kept).pad(nf, k), cutoff)
             pivots = lu1.Q.fwd[: lu1.r]
         beta = [kept[t] for t in sorted(pivots)]
     unpiv = [t for t in kept if t not in beta]
-    steps = _flat_steps if _flat_bag(nf, k, cut) else _matrix_steps
+    steps = _flat_steps if _flat(nf + k, cutoff) else _matrix_steps
     s_ifc, frows, gids = steps(transcript, s, ids, unpiv, beta, cutoff,
                                (node, nf, k, gamma, len(beta)))
 
     # -- step 4: peel dependents among leftover rows, carry the rest
     if gids:
         fh = DenseMatrix.from_entries(ctx, zip(*frows), len(gids)).schur()
-        keep = _peel_dependent(transcript, fh, gamma, gids, cut)
+        keep = _peel_dependent(transcript, fh, gamma, gids, cutoff)
         frows, gids = [frows[t] for t in keep], [gids[t] for t in keep]
     return s_ifc, frows, gids
 
@@ -711,6 +707,7 @@ def tree_ldl(a: SparseSym, ntd: NormalizedTD, gamma: int = 0, cutoff=None):
     if ntd.n != n:
         raise DimensionMismatch(f"decomposition of {ntd.n} vertices for a pattern of {n}")
     check_cutoff(cutoff)
+    cutoff = ctx.default_cutoff if cutoff is None else cutoff
     td = ntd.td
     pos = ntd.order.inv
     bag_pos = [sorted(pos[v] for v in b) for b in td.bags]

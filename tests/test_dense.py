@@ -647,6 +647,18 @@ def test_get_and_set_reject_a_column_past_the_last(kctx):
 
 
 @pytest.mark.parametrize("kctx", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_pad_rejects_a_smaller_shape(kctx):
+    # a smaller shape would keep entries past it (lists, packed GF(2) rows)
+    # or fail in numpy's broadcast
+    a = DenseMatrix.from_rows(kctx, [[1, 1], [1, 1]])
+    for shape in ((2, 1), (1, 2), (0, 3), (1, 1)):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"cannot pad shape (2, 2) to {shape}")):
+            a.pad(*shape)
+    assert a.pad(2, 2) == a
+    assert a.pad(3, 3).to_lists() == [[1, 1, 0], [1, 1, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("kctx", KERNEL_FIELDS, ids=KERNEL_IDS)
 def test_take_rows_and_cols_reject_an_index_outside_the_matrix(kctx):
     # as get/set do: numpy and lists would wrap a negative index, and a
     # packed GF(2) row reads a column past the last as zero

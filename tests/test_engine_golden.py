@@ -325,8 +325,8 @@ def test_engine_golden(spec, cutoff, monkeypatch):
 
 # -- the flat bag step against the matrix steps --------------------------------------
 #
-# A bag of at most `_TRI_BASE` frontal and constraint rows, half of them within
-# the cutoff, runs steps 2 and 3 as pivots on one working copy
+# A bag whose frontal and constraint rows are within the base rule `factor._flat`
+# runs steps 2 and 3 as pivots on one working copy
 # (`sparse._flat_steps`); others run them as matrix operations
 # (`sparse._matrix_steps`).  Both must give the same results and op counts.
 
@@ -449,8 +449,9 @@ def test_flat_bag_step_matches_the_matrix_steps(spec, monkeypatch):
     monkeypatch.setattr(sparse, "_flat_steps", traced_flat_steps)
     flat = bag_step_results(spec)
     assert reached == {"two scalars", "antidiagonal", "bordered", "stale rows"}
-    monkeypatch.setattr(sparse, "_flat_bag", lambda nf, k, cutoff: False)
-    monkeypatch.setattr(sparse, "_flat_steps", None)  # the matrix steps only
+    # the matrix steps only, and fast_lu for the peels and step 2's LU
+    monkeypatch.setattr(sparse, "_flat", lambda n, cutoff: False)
+    monkeypatch.setattr(sparse, "_flat_steps", None)
     matrix = bag_step_results(spec)
     assert flat == matrix
 

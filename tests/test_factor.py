@@ -323,7 +323,7 @@ LU_KERNEL_FIELDS = [GF2, FieldContext.gfp(3), GF7, GF1009, QQ]
 @pytest.mark.parametrize("cutoff", [None, 1, 2])
 def test_lu_rows_on_a_sub_copy_matches_fast_lu(ctx, cutoff):
     # The bag step runs `_lu_rows` on a sub-copy of its working copy, which
-    # has been pivoted on already, where fast_lu would take it (`_lu_base`):
+    # has been pivoted on already, where fast_lu would take it (`_flat`):
     # the same P, Q, L, U and r as fast_lu of the block, entry types
     # included, and the same op counts.  Outside the rule the factors agree
     # all the same; the counts then follow fast_lu's products.
@@ -363,11 +363,41 @@ def test_lu_rows_on_a_sub_copy_matches_fast_lu(ctx, cutoff):
         res = factor.LUResult(tuple(order), tuple(q), factor._from_columns(ctx, order, lcols),
                               sub.block(order[:r], q), r)
         got = _lu_signature(ctx, block, cutoff, res, ops)
-        if factor._lu_base(m, cut):
+        if factor._flat(m, cut):
             assert got == want, (m, n, kind)
         else:
             assert got[:-1] == want[:-1], (m, n, kind)
     assert seen == {"random", "zero", "low-rank", "single", "empty"}
+
+
+@pytest.mark.parametrize("ctx", [GF2, GF7, QQ], ids=["gf2", "gf7", "rational"])
+def test_fast_lu_hands_2_cutoff_plus_1_rows_to_lu_rows(ctx, monkeypatch):
+    # At cutoff c the recursion on m = 2c + 1 rows splits off a top half of
+    # c rows, so at most c pivots: every product has a dimension within the
+    # cutoff and every solve is a base case.  `_flat` takes the whole block
+    # to `_lu_rows`, with the recursion's factors, entry types and op counts
+    # (with the bound at 1 fast_lu splits it down to single rows).
+    rng = random.Random(crc32(f"{ctx!r} odd rows".encode()))
+    real, calls = factor._lu_rows, []
+
+    def traced(s, m, n, pad=0):
+        calls.append(m)
+        return real(s, m, n, pad)
+
+    monkeypatch.setattr(factor, "_lu_rows", traced)
+    cases = []
+    for cutoff in range(1, 8):
+        m = 2 * cutoff + 1
+        for n in (rng.randint(1, m - 1), m, rng.randint(m + 1, 2 * m)):
+            rank = rng.choice([None, rng.randint(0, min(m, n) - 1)])  # full or deficient
+            a = rand_matrix(ctx, rng, m, n) if rank is None else matmul(
+                rand_matrix(ctx, rng, m, rank), rand_matrix(ctx, rng, rank, n))
+            calls.clear()
+            cases.append((a, cutoff, _lu_signature(ctx, a, cutoff)))
+            assert calls == [m], (m, n, cutoff)
+    monkeypatch.setattr(factor, "_TRI_BASE", 1)
+    for a, cutoff, got in cases:
+        assert got == _lu_signature(ctx, a, cutoff), (a.shape, cutoff)
 
 
 def test_lu_rows_counts_are_checked(monkeypatch):

@@ -694,6 +694,10 @@ def test_verify_lu_rejects_each_broken_structure(ctx):
     assert oracle_verify_lu(a, good).ok
     for change, msg in (
         ({"U": DenseMatrix.zeros(ctx, 2, 3)}, "factor shapes do not match"),
+        ({"P": Permutation([0])}, "P has wrong size"),
+        ({"P": Permutation(range(3))}, "P has wrong size"),
+        ({"Q": Permutation([0])}, "Q has wrong size"),
+        ({"Q": Permutation(range(3))}, "Q has wrong size"),
         ({"U": with_entries(eye, (0, 0, zero))}, "U diagonal entry 0 is zero"),
         ({"U": with_entries(eye, (1, 0, one))}, "U[1][0] below the diagonal is nonzero"),
     ):
@@ -715,6 +719,25 @@ def test_verify_lu_rejects_each_broken_structure(ctx):
     )
 
 
+def test_a_short_p_or_q_cannot_hide_a_row(ctx):
+    # The LU of [[1, 0], [0, 1], [1, 1]] against an A whose last row differs,
+    # and the factors of A = B = I_2 below against a B whose second row
+    # differs: with a P or Q one row short that row would never be read.
+    a = DenseMatrix.from_rows(ctx, [[1, 0], [0, 1], [0, 1]])
+    res = fast_lu(DenseMatrix.from_rows(ctx, [[1, 0], [0, 1], [1, 1]]))
+    assert oracle_verify_lu(a, res).first_violation.startswith("reconstruction mismatch at (2,0)")
+    short = dataclasses.replace(res, P=Permutation([0, 1]))
+    assert first_violation(oracle_verify_lu, a, short) == "P has wrong size"
+    minus, eye = ctx.neg(ctx.one), DenseMatrix.identity(ctx, 2)
+    system = SaddleSystem(eye, DenseMatrix.from_rows(ctx, [[1, 0], [1, 1]]))
+    f = PartialLDL(Permutation(range(2)), Permutation(range(2)), DenseMatrix.zeros(ctx, 2, 2),
+                   eye, eye, [minus] * 2, 2)
+    assert oracle_verify_partial_ldl(system, f).first_violation.startswith(
+        "constraint block mismatch at (1,0)")
+    short = dataclasses.replace(f, Q=Permutation([0]))
+    assert first_violation(oracle_verify_partial_ldl, system, short) == "Q has wrong size"
+
+
 def test_verify_partial_ldl_rejects_each_broken_structure(ctx):
     # A = B = I_2 with L = U = I, Y = 0 and D = -1: V = -I and A - 2V - D = 0.
     one, zero, minus = ctx.one, ctx.zero, ctx.neg(ctx.one)
@@ -724,6 +747,10 @@ def test_verify_partial_ldl_rejects_each_broken_structure(ctx):
     assert oracle_verify_partial_ldl(system, good).ok
     for change, msg in (
         ({"Y": DenseMatrix.zeros(ctx, 2, 1)}, "partial LDL factor shapes do not match"),
+        ({"P": Permutation([0])}, "P has wrong size"),
+        ({"P": Permutation(range(3))}, "P has wrong size"),
+        ({"Q": Permutation([0])}, "Q has wrong size"),
+        ({"Q": Permutation(range(3))}, "Q has wrong size"),
         ({"D": [minus]}, "partial LDL D has wrong length"),
         ({"L": with_entries(eye, (0, 1, one))}, "L[0][1] above the diagonal is nonzero"),
         ({"L": with_entries(eye, (1, 1, zero))}, "L diagonal entry 1 is not one"),

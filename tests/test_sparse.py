@@ -447,7 +447,7 @@ def substep(a, b, gamma):
     n = a.nrows + b.nrows
     t = Transcript(a.ctx, n)
     work = saddle.SaddleSystem(a, b).dense().schur()
-    s, f, _ = _substep(t, work, list(range(n)), a.nrows, gamma, None, 0)
+    s, f, _ = _substep(t, work, list(range(n)), a.nrows, gamma, a.ctx.default_cutoff, 0)
     return t.transforms, DenseMatrix.from_entries(a.ctx, s, gamma), DenseMatrix.from_entries(a.ctx, f, gamma)
 
 
@@ -473,8 +473,9 @@ def test_bag_step_invariant_errors_name_the_step_and_sizes(flat, monkeypatch):
     # An LU elimination whose third call in the bag (the LU of step 2's
     # pivot rows, after step 1's and step 2's first) loses a pivot makes the
     # bag step see its complementation rank drift, on either path.  Every
-    # one of these blocks is within fast_lu's base rule, so each LU is one
-    # `_lu_rows` call: the bag step's own, or fast_lu's in the matrix steps.
+    # one of these blocks is within the base rule `factor._flat`, so each LU
+    # is one `_lu_rows` call: the bag step's own, or fast_lu's where the bag
+    # step's `_flat` is patched off.
     real, calls = factor._lu_rows, []
 
     def drifting(s, m, n, pad=0):
@@ -485,7 +486,7 @@ def test_bag_step_invariant_errors_name_the_step_and_sizes(flat, monkeypatch):
     monkeypatch.setattr(sparse, "_lu_rows", drifting)
     monkeypatch.setattr(factor, "_lu_rows", drifting)
     if not flat:
-        monkeypatch.setattr(sparse, "_flat_bag", lambda nf, k, cutoff: False)
+        monkeypatch.setattr(sparse, "_flat", lambda n, cutoff: False)
     a = DenseMatrix.from_rows(GF7, [[1, 2, 0], [2, 0, 3], [0, 3, 1]])
     b = DenseMatrix.from_rows(GF7, [[1, 0, 4]])
     what = "bag step 2: complementation rank drifted (node=0, nf=3, k=1, gamma=1, r1=1)"
@@ -722,6 +723,12 @@ def test_sparse_sym_rejects_an_index_out_of_range():
     for entry in [(3, 0, 1), (0, 3, 1), (-1, 0, 4), (0, -1, 4)]:
         with pytest.raises(IndexError, match=re.escape(f"entry ({entry[0]}, {entry[1]}) out of range")):
             SparseSym.from_entries(GF7, 3, [(0, 0, 1), entry])
+    # get too: a negative index would read row n - 1, one past the end zero
+    a = SparseSym.from_entries(GF7, 3, [(0, 0, 1), (2, 2, 5), (0, 2, 3)])
+    for i, j in ((-1, 2), (2, -1), (3, 0), (0, 3)):
+        with pytest.raises(IndexError, match=re.escape(f"entry ({i}, {j}) out of range for 3 rows")):
+            a.get(i, j)
+    assert [a.get(2, 2), a.get(2, 0), a.get(1, 1)] == [GF7.el(5), GF7.el(3), GF7.zero]
 
 
 def test_sparse_sym_from_entries_rejects_conflicting_values(ctx):
